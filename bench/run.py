@@ -6,8 +6,8 @@ Run from the root of a checkout; hsob is imported from its ``src``.  One
 caller sends each request only after the previous one returned, in a single
 process pinned to one BLAS thread with ``HSOB_THREADS`` unset.
 
-A run is a whole number of rounds (see ``workloads.py``): it stops at the
-first round boundary after ``--seconds``.  ``--trace 0`` prints the
+A run is a sequence of rounds (see ``workloads.py``): it stops at the first
+request boundary after ``--seconds``, but not before two rounds are whole.  ``--trace 0`` prints the
 end-to-end metrics: set-up time (median over fresh processes); requests per
 second, median and 90th-percentile latency, each the median over the run's
 rounds of that round's figure, so that a burst of load on a shared machine
@@ -107,14 +107,19 @@ class Loop:
         self._cli_output = workloads.CliOutput
 
     def run(self, seconds: float, min_rounds: int = 1, max_rounds: int | None = None) -> None:
-        """Run whole rounds until ``seconds`` have passed and ``min_rounds`` are done."""
+        """Run rounds until ``seconds`` have passed, stopping between requests once
+        ``min_rounds`` rounds are whole.  An unfinished last round counts for
+        failures but not for the per-round figures."""
         start = time.perf_counter()
         while max_rounds is None or len(self.rounds) < max_rounds:
             index = self.next_round
             self.next_round += 1
-            self.rounds.append([self._one(req, index) for req in self.workload.round(self.seed, index)])
-            if len(self.rounds) >= min_rounds and time.perf_counter() - start >= seconds:
-                break
+            latencies = []
+            for req in self.workload.round(self.seed, index):
+                if len(self.rounds) >= min_rounds and time.perf_counter() - start >= seconds:
+                    return
+                latencies.append(self._one(req, index))
+            self.rounds.append(latencies)
 
     def _one(self, req, round_index: int) -> float:
         request_id = len(self.latencies)
