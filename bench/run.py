@@ -7,15 +7,16 @@ caller sends each request only after the previous one returned, in a single
 process pinned to one BLAS thread with ``HSOB_THREADS`` unset.
 
 A run is a sequence of rounds (see ``workloads.py``): it stops at the first
-request boundary after ``--seconds``, but not before two rounds are whole.  ``--trace 0`` prints the
-end-to-end metrics: set-up time (median over fresh processes); requests per
-second, median and 90th-percentile latency, each the median over the run's
-rounds of that round's figure, so that a burst of load on a shared machine
-moves one round and not the result; the share of requests that succeeded;
-the worst accuracy in digits of the route pairs in the first two rounds;
-and peak resident memory.  ``--trace 1`` runs the
-first round with every hsob layer traced and prints the per-layer metrics,
-then runs untraced rounds to measure the tracing overhead.
+request boundary after ``--seconds``, but not before the workload's
+accuracy rounds are whole.  ``--trace 0`` prints the end-to-end metrics:
+set-up time (median over fresh processes); requests per second, median and
+90th-percentile latency, each the median over the run's rounds of that
+round's figure, so that a burst of load on a shared machine moves one round
+and not the result; the share of requests that succeeded; accuracy in
+digits, the median over the accuracy rounds of each round's worst route
+pair; and peak resident memory.  ``--trace 1`` runs the first round with
+every hsob layer traced and prints the per-layer metrics, then runs
+untraced rounds to measure the tracing overhead.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  A table with sample
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -41,15 +43,12 @@ import warmup
 BENCH = Path(__file__).resolve().parent
 OUT = BENCH / "out"
 WORKLOAD_NAMES = ("verify", "kernel", "symbol")
-#: fresh processes timed for set-up; one more runs first, unmeasured, so
-#: that compiling bytecode is not counted
-SETUP_PROBES = 4
+#: fresh processes timed for set-up, spread over the run; one more runs
+#: first, unmeasured, so that compiling bytecode is not counted
+SETUP_PROBES = 8
 PROBE_TIMEOUT_S = 120
 #: failure details kept in the result file
 MAX_DETAILS = 20
-#: accuracy_digits is the worst over these first rounds, which every run
-#: completes, so it depends on the seed alone
-ACCURACY_ROUNDS = 2
 
 
 def _pin_environment() -> None:
@@ -72,10 +71,20 @@ def _environment(seed: int) -> dict:
     }
 
 
-def _probe_setup(workload: str) -> list[float]:
-    times = []
-    for i in range(SETUP_PROBES + 1):
-        proc = subprocess.run([sys.executable, str(BENCH / "warmup.py"), workload],
+class SetupProbes:
+    """Set-up time measured in fresh processes between rounds.
+
+    The probes are spread over the run rather than made in one burst, so a
+    slow stretch of a shared machine moves a few of them, not the median.
+    """
+
+    def __init__(self, workload: str):
+        self.workload = workload
+        self.times: list[float] = []
+        self._probe()
+
+    def _probe(self) -> float:
+        proc = subprocess.run([sys.executable, str(BENCH / "warmup.py"), self.workload],
                               capture_output=True, text=True, timeout=PROBE_TIMEOUT_S,
                               check=False)
         if proc.returncode != 0:
@@ -83,9 +92,15 @@ def _probe_setup(workload: str) -> list[float]:
         reply = json.loads(proc.stdout.strip().splitlines()[-1])
         if reply["failed"]:
             raise RuntimeError(f"{reply['failed']} warm-up requests failed in a probe")
-        if i:
-            times.append(reply["setup_s"])
-    return times
+        return reply["setup_s"]
+
+    def due(self, fraction: float) -> float:
+        """Make the probes due once ``fraction`` of the run has passed;
+        returns the seconds they took."""
+        t0 = time.perf_counter()
+        while len(self.times) < min(SETUP_PROBES, math.ceil(SETUP_PROBES * fraction)):
+            self.times.append(self._probe())
+        return time.perf_counter() - t0
 
 
 class Loop:
@@ -100,16 +115,19 @@ class Loop:
         self.kinds: dict[str, list[float]] = {}
         self.failed = 0
         self.details: list[str] = []
-        self.prefix_digits: list[float] = []
+        #: digits of the successful route pairs of each accuracy round
+        self.round_digits: list[list[float]] = [[] for _ in range(workload.accuracy_rounds)]
         self.next_round = 0
         import workloads  # hsob is imported by now
 
         self._cli_output = workloads.CliOutput
 
-    def run(self, seconds: float, min_rounds: int = 1, max_rounds: int | None = None) -> None:
+    def run(self, seconds: float, min_rounds: int = 1, max_rounds: int | None = None,
+            probes: SetupProbes | None = None) -> None:
         """Run rounds until ``seconds`` have passed, stopping between requests once
         ``min_rounds`` rounds are whole.  An unfinished last round counts for
-        failures but not for the per-round figures."""
+        failures but not for the per-round figures.  The set-up ``probes``
+        due are made after each round, and their time is not counted."""
         start = time.perf_counter()
         while max_rounds is None or len(self.rounds) < max_rounds:
             index = self.next_round
@@ -120,6 +138,8 @@ class Loop:
                     return
                 latencies.append(self._one(req, index))
             self.rounds.append(latencies)
+            if probes is not None:
+                start += probes.due((time.perf_counter() - start) / seconds)
 
     def _one(self, req, round_index: int) -> float:
         request_id = len(self.latencies)
@@ -138,8 +158,8 @@ class Loop:
             self.failed += 1
             if len(self.details) < MAX_DETAILS:
                 self.details.append(detail)
-        elif digits is not None and round_index < ACCURACY_ROUNDS:
-            self.prefix_digits.append(digits)
+        elif digits is not None and round_index < len(self.round_digits):
+            self.round_digits[round_index].append(digits)
         return seconds
 
 
@@ -150,6 +170,8 @@ def _end_to_end(loop: Loop, setup_times: list[float]) -> dict:
     def over_rounds(statistic):
         return statistics.median(statistic(r) for r in loop.rounds)
 
+    pairs = sum(len(d) for d in loop.round_digits)
+
     return {
         "setup_s": (statistics.median(setup_times), "s", f"{len(setup_times)} processes"),
         "requests_per_s": (over_rounds(lambda r: len(r) / sum(r)), "1/s", per_round),
@@ -157,9 +179,9 @@ def _end_to_end(loop: Loop, setup_times: list[float]) -> dict:
         "request_ms_p90": (1e3 * over_rounds(
             lambda r: statistics.quantiles(r, n=10, method="inclusive")[8]), "ms", per_round),
         "success_ratio": ((attempted - loop.failed) / attempted, "1", f"{attempted} requests"),
-        # 0 digits when no route pair succeeded
-        "accuracy_digits": (min(loop.prefix_digits, default=0.0), "digits",
-                            f"{len(loop.prefix_digits)} route pairs"),
+        # a round in which no route pair succeeded counts 0 digits
+        "accuracy_digits": (statistics.median(min(d, default=0.0) for d in loop.round_digits),
+                            "digits", f"{len(loop.round_digits)} rounds, {pairs} route pairs"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB",
                         "1 process"),
     }
@@ -176,9 +198,8 @@ def run_one(args) -> int:
         print("error: no src/hsob in this checkout; nothing to benchmark", file=sys.stderr)
         return 2
     _pin_environment()
-    setup_times = [] if args.trace else _probe_setup(args.workload)
+    probes = None if args.trace else SetupProbes(args.workload)
     setup_s, workload, warm_failed = warmup.timed_setup(args.workload)
-    setup_times.append(setup_s)
     env = _environment(args.seed)
     print(f"# hsob benchmark: workload={args.workload} seed={args.seed} "
           f"seconds={args.seconds} trace={args.trace}")
@@ -207,8 +228,9 @@ def run_one(args) -> int:
         extra = {"spans": spans, "traced_requests": len(traced.latencies)}
     else:
         loop = Loop(workload, args.seed)
-        loop.run(args.seconds, min_rounds=ACCURACY_ROUNDS)
-        metrics = _end_to_end(loop, setup_times)
+        loop.run(args.seconds, min_rounds=workload.accuracy_rounds, probes=probes)
+        probes.due(1.0)
+        metrics = _end_to_end(loop, [setup_s, *probes.times])
         loops = (loop,)
         extra = {"fail_ratio": loop.failed / len(loop.latencies)}
 

@@ -211,8 +211,9 @@ class Tracer:
     def _quad(self, fn, name, two_d: bool, error_type):
         """Quadrature entry: wrap the integrand, count subdivisions and failures.
 
-        Only the outermost call counts, so the interval rule that
-        ``integrate_halfline`` runs internally is not counted twice.
+        Only the outermost call counts (calls, subdivisions, failures), so the
+        interval rule that ``integrate_halfline`` runs internally is not
+        counted as a call of its own; its time still goes to its own span.
         """
         tracer = self
         wrap = self._integrand_2d if two_d else self._integrand_1d
@@ -224,6 +225,7 @@ class Tracer:
             outer = tracer._quad_depth == 0
             if outer:
                 f = wrap(f)
+                tracer.counts[f"{name}.calls"] += 1
             tracer._quad_depth += 1
             frame = tracer.push(name)
             try:
@@ -341,15 +343,15 @@ class Tracer:
         quad_ns = s["quadrature.interval"] + s["quadrature.halfline"] + t["quadrature.integrand"]
         nodes = k["quadrature.nodes"]
         return {
-            "quadrature.interval.calls": (c["quadrature.interval"], "count"),
-            "quadrature.halfline.calls": (c["quadrature.halfline"], "count"),
+            "quadrature.interval.calls": (k["quadrature.interval.calls"], "count"),
+            "quadrature.halfline.calls": (k["quadrature.halfline.calls"], "count"),
             "quadrature.nodes": (nodes, "count"),
             "quadrature.subdivisions": (k["quadrature.subdivisions"], "count"),
             "quadrature.failures": (k["quadrature.failures"], "count"),
             "quadrature.self_s": (sec("quadrature.interval", "quadrature.halfline"), "s"),
             "quadrature.integrand_s": (t["quadrature.integrand"] * 1e-9, "s"),
             "quadrature.ns_per_node": (quad_ns / nodes if nodes else 0.0, "ns"),
-            "quadrature.square.calls": (c["quadrature.square"], "count"),
+            "quadrature.square.calls": (k["quadrature.square.calls"], "count"),
             "quadrature.square.nodes": (k["quadrature.square.nodes"], "count"),
             "quadrature.square.self_s": (sec("quadrature.square"), "s"),
             "timespace.e_n.calls": (c["timespace.e_n"], "count"),
