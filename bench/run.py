@@ -10,13 +10,14 @@ A run is a sequence of rounds (see ``workloads.py``): it stops at the first
 request boundary after ``--seconds``, but not before the workload's
 accuracy rounds are whole.  ``--trace 0`` prints the end-to-end metrics:
 set-up time (median over fresh processes); requests per second, median and
-90th-percentile latency, each the median over the run's rounds of that
-round's figure, so that a burst of load on a shared machine moves one round
-and not the result; the share of requests that succeeded; accuracy in
-digits, the median over the accuracy rounds of each round's worst route
-pair; and peak resident memory.  ``--trace 1`` runs the first round with
-every hsob layer traced and prints the per-layer metrics, then runs
-untraced rounds to measure the tracing overhead.
+90th-percentile latency over the round's request slots, each slot timed by
+its fastest request over the run's whole rounds (see :func:`best_per_slot`);
+every time is put at the reference speed of ``speed.py`` by the fixed
+loop's times just before it; the share of requests that succeeded;
+accuracy in digits, the median over the accuracy rounds of each round's
+worst route pair; and peak resident memory.  ``--trace 1`` runs the first
+round with every hsob layer traced and prints the per-layer metrics, then
+runs untraced rounds to measure the tracing overhead.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  A table with sample
@@ -47,6 +48,11 @@ WORKLOAD_NAMES = ("verify", "kernel", "symbol")
 #: first, unmeasured, so that compiling bytecode is not counted
 SETUP_PROBES = 8
 PROBE_TIMEOUT_S = 120
+#: least seconds between two runs of the fixed loop that measures the
+#: machine's speed during a run
+SPEED_INTERVAL_S = 0.1
+#: a request's time is scaled by the median of this many latest loop times
+SPEED_WINDOW = 9
 #: failure details kept in the result file
 MAX_DETAILS = 20
 
@@ -111,6 +117,8 @@ class Loop:
         self.seed = seed
         self.tracer = tracer
         self.latencies: list[float] = []
+        #: latency of each slot, in slot order and at the reference speed, of
+        #: every whole round
         self.rounds: list[list[float]] = []
         self.kinds: dict[str, list[float]] = {}
         self.failed = 0
@@ -118,9 +126,13 @@ class Loop:
         #: digits of the successful route pairs of each accuracy round
         self.round_digits: list[list[float]] = [[] for _ in range(workload.accuracy_rounds)]
         self.next_round = 0
+        #: times of the fixed loop of ``speed.py``, taken between requests
+        self.loop_times: list[float] = []
+        import speed
         import workloads  # hsob is imported by now
 
         self._cli_output = workloads.CliOutput
+        self._speed = speed
 
     def run(self, seconds: float, min_rounds: int = 1, max_rounds: int | None = None,
             probes: SetupProbes | None = None) -> None:
@@ -128,15 +140,22 @@ class Loop:
         ``min_rounds`` rounds are whole.  An unfinished last round counts for
         failures but not for the per-round figures.  The set-up ``probes``
         due are made after each round, and their time is not counted."""
-        start = time.perf_counter()
+        speed = self._speed
+        start = last_loop = time.perf_counter()
+        self.loop_times.append(speed.loop_seconds())
         while max_rounds is None or len(self.rounds) < max_rounds:
             index = self.next_round
             self.next_round += 1
-            latencies = []
-            for req in self.workload.round(self.seed, index):
+            requests = self.workload.round(self.seed, index)
+            latencies = [0.0] * len(requests)
+            for slot, req in requests:
                 if len(self.rounds) >= min_rounds and time.perf_counter() - start >= seconds:
                     return
-                latencies.append(self._one(req, index))
+                latencies[slot] = (self._one(req, index)
+                                   / speed.slowness(self.loop_times[-SPEED_WINDOW:]))
+                if time.perf_counter() - last_loop >= SPEED_INTERVAL_S:
+                    self.loop_times.append(speed.loop_seconds())
+                    last_loop = time.perf_counter()
             self.rounds.append(latencies)
             if probes is not None:
                 start += probes.due((time.perf_counter() - start) / seconds)
@@ -163,21 +182,34 @@ class Loop:
         return seconds
 
 
+def best_per_slot(rounds: list[list[float]]) -> list[float]:
+    """Each slot's fastest latency over the whole rounds.
+
+    The latencies are at the reference speed already, which takes out most
+    of the machine's slow stretches; what scaling leaves, from code that
+    slows less or more than the fixed loop and from the loop's own noise,
+    the fastest of a dozen rounds mostly avoids.  Every slot is sent once
+    per round at a random place in it, and its inputs change from round to
+    round, so no input is timed twice.
+    """
+    return [min(times) for times in zip(*rounds)]
+
+
+def _p90(values: list[float]) -> float:
+    return statistics.quantiles(values, n=10, method="inclusive")[8]
+
+
 def _end_to_end(loop: Loop, setup_times: list[float]) -> dict:
     attempted = len(loop.latencies)
-    per_round = f"{len(loop.rounds)} rounds, {attempted} requests"
-
-    def over_rounds(statistic):
-        return statistics.median(statistic(r) for r in loop.rounds)
-
+    best = best_per_slot(loop.rounds)
+    per_slot = f"{len(best)} slots, best of {len(loop.rounds)} rounds"
     pairs = sum(len(d) for d in loop.round_digits)
 
     return {
         "setup_s": (statistics.median(setup_times), "s", f"{len(setup_times)} processes"),
-        "requests_per_s": (over_rounds(lambda r: len(r) / sum(r)), "1/s", per_round),
-        "request_ms_p50": (1e3 * over_rounds(statistics.median), "ms", per_round),
-        "request_ms_p90": (1e3 * over_rounds(
-            lambda r: statistics.quantiles(r, n=10, method="inclusive")[8]), "ms", per_round),
+        "requests_per_s": (len(best) / sum(best), "1/s", per_slot),
+        "request_ms_p50": (1e3 * statistics.median(best), "ms", per_slot),
+        "request_ms_p90": (1e3 * _p90(best), "ms", per_slot),
         "success_ratio": ((attempted - loop.failed) / attempted, "1", f"{attempted} requests"),
         # a round in which no route pair succeeded counts 0 digits
         "accuracy_digits": (statistics.median(min(d, default=0.0) for d in loop.round_digits),
@@ -204,6 +236,8 @@ def run_one(args) -> int:
     print(f"# hsob benchmark: workload={args.workload} seed={args.seed} "
           f"seconds={args.seconds} trace={args.trace}")
     print(f"# environment: {json.dumps(env)}")
+
+    import speed
 
     if args.trace:
         import tracing
@@ -232,7 +266,14 @@ def run_one(args) -> int:
         probes.due(1.0)
         metrics = _end_to_end(loop, [setup_s, *probes.times])
         loops = (loop,)
-        extra = {"fail_ratio": loop.failed / len(loop.latencies)}
+        as_run = loop.latencies
+        extra = {"fail_ratio": loop.failed / len(loop.latencies),
+                 # the same figures over every request, as the wall clock read them
+                 "as_run": {"slowness": speed.slowness(loop.loop_times),
+                            "speed_loops": len(loop.loop_times),
+                            "requests_per_s": len(as_run) / sum(as_run),
+                            "request_ms_p50": 1e3 * statistics.median(as_run),
+                            "request_ms_p90": 1e3 * _p90(as_run)}}
 
     attempted = sum(len(lp.latencies) for lp in loops)
     failed = sum(lp.failed for lp in loops)
@@ -249,6 +290,7 @@ def run_one(args) -> int:
     _print_table(metrics)
     if not args.trace:
         print(f"{'fail_ratio':34s} {extra['fail_ratio']:16.6g}  {'1':8s} {attempted} requests")
+        print(f"# as run, every request by the wall clock: {json.dumps(extra['as_run'])}")
 
     result = {
         "workload": args.workload, "seconds": args.seconds, "trace": args.trace,

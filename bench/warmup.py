@@ -3,7 +3,9 @@
 Run as a script (``python3 bench/warmup.py <workload>``) it measures one
 fresh process and prints ``{"setup_s": ..., "failed": ...}``.  ``run.py``
 calls :func:`timed_setup` too, for the process that then runs the workload.
-Nothing here imports numpy or hsob before the clock starts.
+Nothing here imports numpy or hsob before the clock starts.  The time is
+put at the reference speed of ``speed.py`` by the fixed loop's times,
+taken in the same process right after.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
 SRC = BENCH.parent / "src"
+#: fixed-loop runs that measure the speed of a set-up process
+SPEED_LOOPS = 9
 
 
 def import_path_ok() -> bool:
@@ -48,8 +52,8 @@ def check_reply(req, out, err):
 
 
 def timed_setup(name: str):
-    """(seconds, workload, failed warm-up requests) for a process that has not
-    imported hsob yet."""
+    """(seconds at the reference speed, workload, failed warm-up requests) for
+    a process that has not imported hsob yet."""
     t0 = time.perf_counter()
     import hsob  # noqa: F401  (the import is what is timed)
     import workloads
@@ -60,7 +64,11 @@ def timed_setup(name: str):
         _, out, err = run_request(req)
         ok, _, _ = check_reply(req, out, err)
         failed += not ok
-    return time.perf_counter() - t0, workload, failed
+    seconds = time.perf_counter() - t0
+    import speed
+
+    slowness = speed.slowness([speed.loop_seconds() for _ in range(SPEED_LOOPS)])
+    return seconds / slowness, workload, failed
 
 
 def main(argv) -> int:
