@@ -1,4 +1,4 @@
-"""Tour of the quadrature engine: intervals, half-lines, corner singularities.
+"""Tour of the quadrature engine: finite intervals and half-lines.
 
 Every integrator returns a value plus a best-effort error estimate (the
 difference of two successive refinements), and all of them accept
@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from hsob import QuadConfig, integrate_halfline, integrate_interval, integrate_square_corner
+from hsob import QuadConfig, integrate_halfline, integrate_interval
 
 print("== finite intervals ==")
 r = integrate_interval(np.sin, 0.0, math.pi)
@@ -28,16 +28,7 @@ r = integrate_halfline(lambda t: t**2 / (1 + t**2) ** 2, decay_scale=1.0)
 print(f"int_0^inf t^2/(1+t^2)^2  = {r.value.real:.15f}   (exact pi/4 = {math.pi/4:.15f})")
 
 print()
-print("== the unit square with a 1/r corner singularity ==")
-r = integrate_square_corner(lambda t, s: 1.0 / (t + s))
-print(f"int int 1/(t+s)          = {r.value.real:.15f}   (exact 2 ln 2 = {2*math.log(2):.15f})")
-
-# this one is the order-2 reproducing-kernel integrand at z = w = 1
-r = integrate_square_corner(lambda t, s: (1 - t) * (1 - s) / (t + s))
-print(f"int int (1-t)(1-s)/(t+s) = {r.value.real:.15f}   (exact (4 ln 2 - 1)/3)")
-
-print()
 print("== tolerances are configurable ==")
 loose = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)
-r = integrate_square_corner(lambda t, s: 1.0 / (t + s), loose)
-print(f"same corner integral at 1e-6 tolerance: {r.value.real:.10f}, est. error {r.error:.1e}")
+r = integrate_halfline(lambda t: t**2 / (1 + t**2) ** 2, decay_scale=1.0, cfg=loose)
+print(f"same half-line integral at 1e-6 tolerance: {r.value.real:.10f}, est. error {r.error:.1e}")

@@ -1,7 +1,8 @@
 """Reproducing kernels of the order-n spaces: values, norms, positivity.
 
 The kernel is a double integral over the unit square with a 1/r corner
-singularity; closed forms exist through order 8.  The diagonal K_n(z, z) is
+singularity; Duffy's split turns it into one smooth integral over (0, 1), and
+closed forms exist through order 8.  The diagonal K_n(z, z) is
 the squared norm of the kernel function, scales like 1/|z| along rays, and is
 sandwiched between explicit constants.
 """
@@ -23,7 +24,7 @@ from hsob import (
     reproduce_check,
 )
 
-print("== closed form vs graded quadrature ==")
+print("== closed form vs 1-D Duffy quadrature ==")
 for n in (1, 2, 3):
     z, w = 2.0 + 1.0j, 0.5 - 0.3j
     c = kernel_eval_closed(n, z, w)

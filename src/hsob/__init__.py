@@ -14,7 +14,6 @@ from .quadrature import (
     QuadratureError,
     integrate_halfline,
     integrate_interval,
-    integrate_square_corner,
 )
 from .specfun import (
     BellPartitionTable,
@@ -97,7 +96,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QuadConfig", "QuadResult", "QuadratureError",
-    "integrate_interval", "integrate_halfline", "integrate_square_corner",
+    "integrate_interval", "integrate_halfline",
     "laguerre", "legendre", "legendre_leading_coefficient",
     "CnMatrix", "cn_matrix", "cn_inverse",
     "BellPartitionTable", "bell_partitions",

@@ -11,9 +11,7 @@ residual exceeds its tolerance (or a numeric routine fails), 2 on usage
 errors.  Randomised suites take ``--seed`` (default 0) and are reproducible.
 
 A plain-text config file of ``key = value`` lines (``--config``) overrides
-the quadrature defaults; the environment variable ``HSOB_THREADS`` caps the
-worker threads used for grid sweeps and Gram assembly (the only thing the
-environment controls).
+the quadrature defaults.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -74,7 +70,6 @@ class RunConfig:
     out: str | None
     quad: QuadConfig
     grid: GridSpec
-    threads: int
 
 
 def _load_quad_config(path: str | None) -> QuadConfig:
@@ -92,7 +87,7 @@ def _load_quad_config(path: str | None) -> QuadConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in fields:
                 raise SystemExit(f"{path}:{lineno}: unknown quadrature option {key!r}")
-            caster = int if key in ("max_subdiv", "grading_levels", "nodes_per_cell") else float
+            caster = int if key in ("max_subdiv", "nodes_per_cell") else float
             overrides[key] = caster(value)
     return QuadConfig(**overrides)
 
@@ -115,7 +110,6 @@ def _parse_grid(text: str | None) -> GridSpec:
 
 
 def _resolve(args) -> RunConfig:
-    threads = max(1, int(os.environ.get("HSOB_THREADS", "1")))
     return RunConfig(
         n=getattr(args, "n", 0),
         tol=getattr(args, "tol", None),
@@ -125,7 +119,6 @@ def _resolve(args) -> RunConfig:
         out=getattr(args, "out", None),
         quad=_load_quad_config(getattr(args, "config", None)),
         grid=_parse_grid(getattr(args, "grid", None)),
-        threads=threads,
     )
 
 
@@ -144,13 +137,6 @@ def _emit_json(rc: RunConfig, payload: dict) -> None:
     _emit(rc, json.dumps(payload, indent=2))
 
 
-def _map_points(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # kernel subcommands
 
@@ -159,17 +145,13 @@ def _cmd_kernel_eval(args) -> int:
     rc = _resolve(args)
     point = KernelPoint(rc.n, args.z, args.w, args.method, rc.quad)
     value = kernel_eval(point)
-    method = args.method
-    if method == "auto":
-        ratio = abs(args.z) / abs(args.w)
-        method = "closed_form" if rc.n <= 8 and 1e-6 <= ratio <= 1e6 else "quadrature"
     _emit_json(rc, {
         "n": rc.n,
         "z": str(args.z),
         "w": str(args.w),
         "value_re": value.real,
         "value_im": value.imag,
-        "method": method,
+        "method": point.route,
     })
     return 0
 
@@ -197,7 +179,7 @@ def _cmd_kernel_sweep(args) -> int:
         lo, hi = norm_bounds(rc.n, z)
         return (rc.n, abs(z), math.atan2(z.imag, z.real), diag, lo, math.sqrt(diag), hi)
 
-    rows = _map_points(row, points, rc.threads)
+    rows = [row(z) for z in points]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "abs_z", "arg_z", "kernel_diag", "lower_bound", "norm", "upper_bound"])

@@ -5,27 +5,34 @@ For n >= 1 the kernel is the double integral
     K_n(z, w) = 1/((n-1)!)^2 * int_0^1 int_0^1
                 (1-t)^(n-1) (1-s)^(n-1) / (z t + s conj(w)) ds dt,
 
-reducing to 1/(z + conj(w)) at n = 0.  Three evaluation paths are provided
-and cross-checked:
+reducing to 1/(z + conj(w)) at n = 0.  Duffy's split of the unit square into
+the triangles s <= t and s > t, with s = t u on the first and t = s u on the
+second, takes the 1/r corner singularity out and leaves one smooth integral
 
-* graded corner quadrature of the double integral (any n),
+    K_n(z, w) = 1/Gamma(n)^2 * int_0^1 p_n(u) (1/(z + u v) + 1/(v + u z)) du,
+                                                        v = conj(w),
+
+with p_n the polynomial int_0^1 (1-y)^(n-1) (1-yu)^(n-1) dy.  Two evaluation
+paths are provided and cross-checked:
+
+* adaptive 1-D quadrature of the split integral (any n),
 * closed forms: the explicit low-order displays for n = 1, 2, 3, and for
-  n <= 8 a form derived by expanding the binomials and integrating term by
-  term over the two triangles s <= t and s > t, which collapses to
+  n <= 8 a form derived by expanding p_n and integrating term by term, which
+  collapses to
 
       K_n(z, w) = sum_{m=0}^{n-1} (-1)^m / ((n-1-m)! (n+m)!)
-                  * (Q_m(z, v) + Q_m(v, z)),          v = conj(w),
+                  * (Q_m(z, v) + Q_m(v, z)),
 
   with Q_m(a, b) = int_0^1 x^m/(a + b x) dx elementary (the coefficient is
   binom(n-1,m)/Gamma(n)^2 times the Beta integral B(m+1, n) picked up by the
-  triangle substitution),
-* for the diagonal, the nonsingular trigonometric form
+  triangle substitution).
+
+The diagonal z = w of the same integral is the nonsingular trigonometric form
 
       K_n(z, z) = 2 cos(theta) / (Gamma(n)^2 |z|)
-                  * int_0^1 (1+t) p_n(t) / (t^2 + 1 + 2 t cos(2 theta)) dt
+                  * int_0^1 (1+t) p_n(t) / (t^2 + 1 + 2 t cos(2 theta)) dt,
 
-  with p_n the polynomial int_0^1 (1-y)^(n-1) (1-yt)^(n-1) dy, which makes
-  the homogeneity |z| K_n(z, z) = G_n(theta) manifest.
+which makes the homogeneity |z| K_n(z, z) = G_n(theta) manifest.
 
 Principal logarithm branches are safe throughout: z, conj(w) and their sum
 all have positive real part.  Evaluation close to the imaginary axis
@@ -45,7 +52,7 @@ from math import comb, factorial, gamma, pi
 import numpy as np
 
 from .expfamily import ExpPoly, laplace
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_halfline, integrate_interval, integrate_square_corner
+from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_halfline, integrate_interval
 from .timespace import exp_series_remainder
 
 __all__ = [
@@ -98,6 +105,20 @@ class KernelPoint:
         _require_halfplane(self.w, "w")
         if self.method not in ("auto", "quadrature", "closed_form"):
             raise ValueError("method must be auto, quadrature or closed_form")
+
+    @property
+    def route(self) -> str:
+        """The method an evaluation takes: ``closed_form`` or ``quadrature``.
+
+        ``auto`` prefers the closed form whenever it exists and the |z|/|w|
+        ratio is cancellation-safe, and falls back to quadrature otherwise.
+        """
+        if self.method != "auto":
+            return self.method
+        ratio = abs(self.z) / abs(self.w)
+        if self.n <= CLOSED_FORM_MAX_N and 1e-6 <= ratio <= 1e6:
+            return "closed_form"
+        return "quadrature"
 
 
 def _q_integral(m: int, a: complex, b: complex) -> complex:
@@ -193,33 +214,49 @@ def kernel_eval_closed(n: int, z: complex, w: complex) -> complex:
     return _closed_derived(n, z, v)
 
 
+@lru_cache(maxsize=None)
+def _p_coeffs(n: int) -> tuple[float, ...]:
+    # p_n(u) = int_0^1 (1-y)^(n-1) (1-yu)^(n-1) dy expanded in powers of u
+    return tuple(
+        float(Fraction((-1) ** k * comb(n - 1, k) * factorial(k) * factorial(n - 1), factorial(n + k)))
+        for k in range(n)
+    )
+
+
+def _p_eval(n: int, u: np.ndarray) -> np.ndarray:
+    """p_n at the nodes ``u`` by Horner's rule."""
+    p = np.zeros_like(u)
+    for c in reversed(_p_coeffs(n)):
+        p = p * u + c
+    return p
+
+
 def kernel_eval_quadrature(n: int, z: complex, w: complex, cfg: QuadConfig = DEFAULT_CONFIG) -> complex:
-    """K_n(z, w) by graded corner quadrature of the defining double integral."""
+    """K_n(z, w) by adaptive quadrature of the Duffy-split 1-D integral.
+
+    The integral runs at max(|z|, |w|) = 1 through K_n(cz, cw) = K_n(z, w)/c,
+    so ``cfg.abs_tol`` stays small against the value whatever the size of
+    the arguments.
+    """
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
     if n == 0:
         return 1.0 / (z + w.conjugate())
-    v = w.conjugate()
-    scale = 1.0 / factorial(n - 1) ** 2
+    scale = max(abs(z), abs(w))
+    a = z / scale
+    b = w.conjugate() / scale
 
-    def integrand(t, s):
-        return scale * (1.0 - t) ** (n - 1) * (1.0 - s) ** (n - 1) / (z * t + s * v)
+    def integrand(u):
+        u = np.asarray(u, dtype=float)
+        return _p_eval(n, u) * (1.0 / (a + u * b) + 1.0 / (b + u * a))
 
-    return complex(integrate_square_corner(integrand, cfg).value)
+    value = integrate_interval(integrand, 0.0, 1.0, cfg).value
+    return complex(value / (factorial(n - 1) ** 2 * scale))
 
 
 def kernel_eval(p: KernelPoint) -> complex:
-    """Evaluate a :class:`KernelPoint` by its requested method.
-
-    ``auto`` prefers the closed form whenever it exists and the |z|/|w| ratio
-    is cancellation-safe, and falls back to quadrature otherwise.
-    """
-    if p.method == "closed_form":
-        return kernel_eval_closed(p.n, p.z, p.w)
-    if p.method == "quadrature":
-        return kernel_eval_quadrature(p.n, p.z, p.w, p.cfg)
-    ratio = abs(p.z) / abs(p.w)
-    if p.n <= CLOSED_FORM_MAX_N and 1e-6 <= ratio <= 1e6:
+    """Evaluate a :class:`KernelPoint` by the method :attr:`KernelPoint.route` names."""
+    if p.route == "closed_form":
         return kernel_eval_closed(p.n, p.z, p.w)
     return kernel_eval_quadrature(p.n, p.z, p.w, p.cfg)
 
@@ -238,15 +275,6 @@ def i_theta(theta: float) -> float:
     return 0.5 * theta / np.sin(theta)
 
 
-@lru_cache(maxsize=None)
-def _diag_poly_coeffs(n: int) -> tuple[float, ...]:
-    # int_0^1 (1-y)^(n-1) (1-yt)^(n-1) dy expanded in powers of t
-    return tuple(
-        float(Fraction((-1) ** k * comb(n - 1, k) * factorial(k) * factorial(n - 1), factorial(n + k)))
-        for k in range(n)
-    )
-
-
 def kernel_diag(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
                 theta_margin: float = DEFAULT_THETA_MARGIN) -> float:
     """K_n(z, z) = ||K_{n,z}||^2, real positive, via the trigonometric form.
@@ -260,15 +288,11 @@ def kernel_diag(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
     theta = np.angle(z)
     if abs(theta) > pi / 2 - theta_margin:
         raise ValueError(f"|arg z| must stay below pi/2 - {theta_margin:g}")
-    coeffs = _diag_poly_coeffs(n)
     cos2t = np.cos(2.0 * theta)
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
-        p = np.zeros_like(t)
-        for c in reversed(coeffs):
-            p = p * t + c
-        return (1.0 + t) * p / (t * t + 1.0 + 2.0 * t * cos2t)
+        return (1.0 + t) * _p_eval(n, t) / (t * t + 1.0 + 2.0 * t * cos2t)
 
     val = integrate_interval(integrand, 0.0, 1.0, cfg).value.real
     return 2.0 * np.cos(theta) / (gamma(n) ** 2 * abs(z)) * val

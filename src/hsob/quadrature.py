@@ -1,13 +1,11 @@
-"""Adaptive quadrature for intervals, half-lines and the corner-singular unit square.
+"""Adaptive quadrature for finite intervals and half-lines.
 
-Three integrators share one configuration object:
+Two integrators share one configuration object:
 
-* ``integrate_interval``    -- globally adaptive Gauss-Legendre on a finite interval,
-* ``integrate_halfline``    -- decaying integrands on (0, inf), tail mapped to (0, 1),
-* ``integrate_square_corner`` -- tensor rule on a mesh graded geometrically toward
-  the origin, for integrands with an integrable (1/r type) singularity at (0, 0).
+* ``integrate_interval`` -- globally adaptive Gauss-Legendre on a finite interval,
+* ``integrate_halfline`` -- decaying integrands on (0, inf), tail mapped to (0, 1).
 
-All integrators accept complex-valued integrands and return a :class:`QuadResult`
+Both integrators accept complex-valued integrands and return a :class:`QuadResult`
 whose ``error`` field is a best-effort estimate (difference of successive
 refinements), not a rigorous bound.
 """
@@ -25,7 +23,6 @@ __all__ = [
     "QuadratureError",
     "integrate_interval",
     "integrate_halfline",
-    "integrate_square_corner",
 ]
 
 
@@ -41,23 +38,16 @@ class QuadConfig:
         Convergence targets; a result is accepted once the error estimate
         drops below ``max(abs_tol, rel_tol * |value|)``.
     max_subdiv
-        Budget of interval subdivisions (or graded-mesh rebuilds for the
-        square rule) before giving up.
-    grading_ratio
-        Geometric ratio of successive cell sizes toward a singular corner.
-    grading_levels
-        Number of graded levels in the initial corner mesh.
+        Budget of interval subdivisions before giving up.
     halfline_truncation
         The half-line splits at T = halfline_truncation * decay_scale.
     nodes_per_cell
-        Gauss-Legendre nodes per cell (per axis for the square rule).
+        Gauss-Legendre nodes per cell.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdiv: int = 4000
-    grading_ratio: float = 0.5
-    grading_levels: int = 12
     halfline_truncation: float = 30.0
     nodes_per_cell: int = 15
 
@@ -68,10 +58,6 @@ class QuadConfig:
             raise ValueError("rel_tol must be positive")
         if self.max_subdiv < 1:
             raise ValueError("max_subdiv must be at least 1")
-        if not 0.0 < self.grading_ratio < 1.0:
-            raise ValueError("grading_ratio must lie in (0, 1)")
-        if self.grading_levels < 1:
-            raise ValueError("grading_levels must be at least 1")
         if self.halfline_truncation <= 0:
             raise ValueError("halfline_truncation must be positive")
         if self.nodes_per_cell < 2:
@@ -186,55 +172,3 @@ def integrate_halfline(f, decay_scale: float = 1.0, cfg: QuadConfig = DEFAULT_CO
         head.subdivisions + tail.subdivisions,
     )
 
-
-def _graded_breaks(levels: int, ratio: float) -> np.ndarray:
-    pts = [0.0] + [ratio**j for j in range(levels, -1, -1)]
-    return np.array(pts)
-
-
-def _tensor_graded(g, levels: int, order: int, ratio: float) -> complex:
-    """Tensor Gauss-Legendre over (0,1)^2 on a mesh graded toward (0, 0)."""
-    nodes, weights = _gl_rule(order)
-    breaks = _graded_breaks(levels, ratio)
-    widths = np.diff(breaks)
-    # all 1-D nodes/weights, every cell at once
-    xs = (breaks[:-1, None] + widths[:, None] * nodes[None, :]).ravel()
-    ws = (widths[:, None] * weights[None, :]).ravel()
-    vals = np.asarray(g(xs[:, None], xs[None, :]), dtype=complex)
-    if vals.shape != (xs.size, xs.size):
-        raise QuadratureError("square-corner integrand must broadcast over node grids")
-    if not np.all(np.isfinite(vals.view(float))):
-        raise QuadratureError("integrand returned a non-finite value")
-    return complex(ws @ vals @ ws)
-
-
-def integrate_square_corner(g, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Integrate ``g(t, s)`` over the open unit square.
-
-    ``g`` may blow up like 1/r at the origin; the mesh is graded geometrically
-    toward (0, 0), deep enough that the corner cell contributes below
-    tolerance, and the reported error is the difference between two successive
-    refinements (one extra grading sweep and a higher node count).
-
-    The integrand is called with two broadcastable arrays and must return the
-    full value grid.
-    """
-    ratio = cfg.grading_ratio
-    # corner cell contributes O(ratio**levels); push it below tolerance
-    target = max(cfg.abs_tol, 1e-14) * 1e-2
-    levels = max(cfg.grading_levels, int(np.ceil(np.log(target) / np.log(ratio))))
-    order = cfg.nodes_per_cell
-
-    coarse = _tensor_graded(g, levels, order, ratio)
-    rebuilds = 0
-    while True:
-        fine = _tensor_graded(g, levels + 8, order + 4, ratio)
-        err = abs(fine - coarse)
-        rebuilds += 1
-        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(fine)):
-            return QuadResult(fine, err, rebuilds)
-        if rebuilds >= max(2, cfg.max_subdiv // 1000):
-            raise QuadratureError(
-                f"graded square rule did not converge (error estimate {err:.3e})"
-            )
-        coarse, levels, order = fine, levels + 8, order + 4

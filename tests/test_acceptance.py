@@ -108,7 +108,7 @@ def test_criterion_04_closed_form_vs_quadrature():
     a1 = abs(kernel_eval_closed(1, 1.0, 1.0) - 2 * math.log(2))
     a2 = abs(kernel_eval_closed(2, 1.0, 1.0) - (4 * math.log(2) - 1) / 3)
     ok = worst <= 1e-7 and a1 < 1e-13 and a2 < 1e-13
-    _criterion(4, "kernel closed forms match graded quadrature", ok,
+    _criterion(4, "kernel closed forms match 1-D Duffy quadrature", ok,
                f"worst rel diff {worst:.2e}")
 
 

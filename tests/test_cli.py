@@ -24,6 +24,18 @@ class TestKernelCommands:
         assert payload["value_im"] == 0.0
         assert payload["method"] == "closed_form"
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "1", "--z", "1e7", "--w", "1"),
+        ("--n", "9", "--z", "1+1i", "--w", "2"),
+    ])
+    def test_eval_auto_falls_back_to_quadrature(self, capsys, argv):
+        # |z|/|w| past the closed form's auto window, and an order without one
+        code, out = run_cli(capsys, "kernel", "eval", *argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["method"] == "quadrature"
+        assert math.isfinite(payload["value_re"])
+
     def test_eval_complex_arguments(self, capsys):
         code, out = run_cli(capsys, "kernel", "eval", "--n", "2", "--z", "1+2i", "--w", "0.5-0.1i")
         assert code == 0
@@ -174,15 +186,10 @@ class TestPlumbing:
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "quad.cfg"
-        cfg.write_text("warp_factor = 9\n")
-        with pytest.raises(SystemExit):
-            main(["kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--config", str(cfg)])
-
-    def test_thread_count_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("HSOB_THREADS", "2")
-        code, out = run_cli(capsys, "kernel", "sweep", "--n", "1", "--grid", "0.1,10,3,0.1,3")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 10
+        for line in ("warp_factor = 9\n", "grading_ratio = 0.5\n"):
+            cfg.write_text(line)
+            with pytest.raises(SystemExit):
+                main(["kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--config", str(cfg)])
 
     def test_verify_reports_sample_terms(self, capsys):
         from hsob import ExpPoly

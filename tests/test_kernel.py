@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +24,24 @@ from hsob import (
     norm_bounds,
     reproduce_check,
 )
-from hsob.kernel import _closed_derived, _closed_low_order
+from hsob.kernel import CANCELLATION_SAFE_RATIO, _closed_derived, _closed_low_order
 
 LN2 = math.log(2.0)
+
+
+def graded_square(g, levels=40, order=12):
+    """Tensor Gauss-Legendre rule over the unit square on a fixed mesh halved toward (0, 0).
+
+    A test-only oracle for integrands with a 1/r singularity at the corner: it
+    evaluates the kernel's defining double integral with neither Duffy's split
+    nor the polynomial p_n.  The uncovered corner cell has side 2^-levels.
+    """
+    x, wx = np.polynomial.legendre.leggauss(order)
+    breaks = np.concatenate(([0.0], 0.5 ** np.arange(levels, -1, -1)))
+    widths = np.diff(breaks)
+    nodes = (breaks[:-1, None] + widths[:, None] * 0.5 * (x + 1.0)).ravel()
+    weights = (widths[:, None] * 0.5 * wx).ravel()
+    return complex(weights @ g(nodes[:, None], nodes[None, :]) @ weights)
 
 
 class TestAnchors:
@@ -102,19 +118,90 @@ class TestQuadratureAgreement:
                     q = kernel_eval_quadrature(n, z, w)
                     assert abs(c - q) <= 1e-7 * abs(c)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("modulus, warns", ((CANCELLATION_SAFE_RATIO, False),
+                                                (10 * CANCELLATION_SAFE_RATIO, True)))
+    def test_warranty_edge_ratio(self, n, modulus, warns):
+        # |z|/|w| = modulus^(+-1), at the closed form's warranty edge and one
+        # decade past it; the value is ~1/modulus, far below abs_tol unless
+        # the route integrates at scale 1
+        for z, w in ((modulus * cmath.exp(1j * math.pi / 3), cmath.exp(-1j * 0.4)),
+                     (cmath.exp(1j * 0.4), modulus * cmath.exp(-1j * math.pi / 3))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                c = kernel_eval_closed(n, z, w)
+            assert any(issubclass(r.category, CancellationWarning) for r in caught) == warns
+            q = kernel_eval_quadrature(n, z, w)
+            assert abs(c - q) <= 1e-9 * abs(c)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("c", (1e6, 1e-6))
+    def test_homogeneity(self, n, c):
+        # K_n(cz, cw) = K_n(z, w)/c; at |z|/|w| ~ 1e3 the integrand has a
+        # peak to resolve, so a stop on abs_tol at c = 1e6 would show
+        z, w = 1.5 + 0.7j, 8e-4 - 4e-4j
+        base = kernel_eval_quadrature(n, z, w)
+        assert abs(c * kernel_eval_quadrature(n, c * z, c * w) - base) <= 1e-12 * abs(base)
+
+    @pytest.mark.parametrize("n", (1, 8))
+    def test_tiny_argument_converges(self, n):
+        with pytest.warns(CancellationWarning):
+            c = kernel_eval_closed(n, 1e-300, 1.0)
+        q = kernel_eval_quadrature(n, 1e-300, 1.0)
+        assert abs(c - q) <= 1e-9 * abs(c)
+
     def test_kernel_point_dispatch(self):
         p = KernelPoint(1, 1.0, 1.0, "closed_form")
         assert abs(kernel_eval(p) - 2 * LN2) < 1e-14
         p = KernelPoint(1, 1.0, 1.0, "quadrature")
         assert abs(kernel_eval(p) - 2 * LN2) < 1e-9
         p = KernelPoint(12, 1.0, 1.0, "auto")  # no closed form at this order
+        assert p.route == "quadrature"
         assert abs(kernel_eval(p) - kernel_eval_quadrature(12, 1.0, 1.0)) < 1e-12
+
+    def test_auto_route(self):
+        assert KernelPoint(8, 1.0, 1.0).route == "closed_form"
+        assert KernelPoint(1, 1e6, 1.0).route == "closed_form"
+        assert KernelPoint(1, 1e7, 1.0).route == "quadrature"
+        assert KernelPoint(1, 1.0, 1e7).route == "quadrature"
+        assert KernelPoint(1, 1e7, 1.0, "closed_form").route == "closed_form"
 
     def test_kernel_point_validation(self):
         with pytest.raises(ValueError):
             KernelPoint(1, -1.0, 1.0)
         with pytest.raises(ValueError):
             KernelPoint(1, 1.0, 1.0, "newton")
+
+
+class TestSquareOracle:
+    """The graded square rule on known integrals, then against the Duffy route."""
+
+    def test_constant(self):
+        assert abs(graded_square(lambda t, s: np.ones(np.broadcast(t, s).shape)) - 1.0) < 1e-12
+
+    def test_corner_log_oracle(self):
+        # antiderivative pattern (x+y)log(x+y) gives exactly 2 log 2
+        assert abs(graded_square(lambda t, s: 1.0 / (t + s)) - 2 * LN2) < 1e-10
+
+    def test_kernel_integrand_instance(self):
+        # (1-t)(1-s)/(t+s) equals the order-2 kernel at z = w = 1
+        value = graded_square(lambda t, s: (1 - t) * (1 - s) / (t + s))
+        assert abs(value - (4 * LN2 - 1) / 3) < 1e-10
+
+    def test_agrees_with_interval_composition_on_smooth(self):
+        # product integrand exp(-t-s): square rule vs two 1-D passes
+        line = integrate_interval(lambda t: np.exp(-t), 0.0, 1.0)
+        assert abs(graded_square(lambda t, s: np.exp(-t - s)) - line.value**2) < 1e-10
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 8))
+    def test_matches_duffy_route(self, n):
+        scale = 1.0 / math.factorial(n - 1) ** 2
+        for z, w in ((1.0, 1.0), (1.5 + 0.7j, 0.8 - 0.4j), (0.3 - 0.2j, 2.5 + 1.0j)):
+            v = complex(w).conjugate()
+            square = graded_square(
+                lambda t, s: scale * (1 - t) ** (n - 1) * (1 - s) ** (n - 1) / (z * t + s * v))
+            q = kernel_eval_quadrature(n, z, w)
+            assert abs(square - q) <= 1e-10 * abs(q)
 
 
 class TestAngularFactor:

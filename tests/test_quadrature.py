@@ -10,7 +10,6 @@ from hsob import (
     QuadratureError,
     integrate_halfline,
     integrate_interval,
-    integrate_square_corner,
 )
 
 # Oracle: d/dt [ (arctan t - t/(1+t^2)) / 2 ] = t^2/(1+t^2)^2, so the
@@ -76,28 +75,6 @@ class TestHalfline:
             integrate_halfline(lambda t: np.exp(-t), 0.0)
 
 
-class TestSquareCorner:
-    def test_constant(self):
-        r = integrate_square_corner(lambda t, s: np.ones(np.broadcast(t, s).shape))
-        assert abs(r.value - 1.0) < 1e-12
-
-    def test_corner_log_oracle(self):
-        # antiderivative pattern (x+y)log(x+y) gives exactly 2 log 2
-        r = integrate_square_corner(lambda t, s: 1.0 / (t + s))
-        assert abs(r.value - 2 * math.log(2)) < 1e-10
-
-    def test_kernel_integrand_instance(self):
-        # (1-t)(1-s)/(t+s) equals the order-2 kernel at z = w = 1
-        r = integrate_square_corner(lambda t, s: (1 - t) * (1 - s) / (t + s))
-        assert abs(r.value - (4 * math.log(2) - 1) / 3) < 1e-10
-
-    def test_agrees_with_interval_composition_on_smooth(self):
-        # product integrand exp(-t-s): corner rule vs two 1-D passes
-        sq = integrate_square_corner(lambda t, s: np.exp(-t - s))
-        line = integrate_interval(lambda t: np.exp(-t), 0.0, 1.0)
-        assert abs(sq.value - line.value**2) < 1e-10
-
-
 class TestProperties:
     def test_linearity(self):
         cfg = QuadConfig()
@@ -121,20 +98,13 @@ class TestProperties:
             errs.append(integrate_interval(integrand, 0.0, 20.0, cfg).error)
         assert all(e2 <= e1 * (1 + 1e-12) for e1, e2 in zip(errs, errs[1:]))
 
-    def test_corner_refinement_monotonicity(self):
-        errs = []
-        for tol in (1e-6, 5e-7, 2.5e-7):
-            cfg = QuadConfig(abs_tol=tol, rel_tol=1e-15)
-            errs.append(integrate_square_corner(lambda t, s: 1.0 / (t + s), cfg).error)
-        assert all(e2 <= e1 * (1 + 1e-12) for e1, e2 in zip(errs, errs[1:]))
-
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"abs_tol": 0.0},
         {"rel_tol": -1.0},
-        {"grading_ratio": 1.0},
-        {"grading_ratio": 0.0},
+        {"abs_tol": math.nan},
+        {"halfline_truncation": 0.0},
         {"nodes_per_cell": 1},
         {"max_subdiv": 0},
     ])
