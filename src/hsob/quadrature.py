@@ -13,6 +13,7 @@ refinements), not a rigorous bound.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class QuadConfig:
             raise ValueError("rel_tol must be positive")
         if self.max_subdiv < 1:
             raise ValueError("max_subdiv must be at least 1")
-        if self.halfline_truncation <= 0:
-            raise ValueError("halfline_truncation must be positive")
+        if not 0 < self.halfline_truncation < math.inf:
+            raise ValueError("halfline_truncation must be positive and finite")
         if self.nodes_per_cell < 2:
             raise ValueError("nodes_per_cell must be at least 2")
 
@@ -132,7 +133,7 @@ def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) 
     nsub = 1
     while True:
         total = sum(c[3] for c in heap)
-        total_err = -sum(c[0] for c in heap)
+        total_err = sum(-c[0] for c in heap)
         if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
             return QuadResult(total, total_err, nsub)
         if nsub >= cfg.max_subdiv:

@@ -90,6 +90,15 @@ class TestVerifyCommands:
         assert code == 1
         assert payload["pass"] is False
 
+    @pytest.mark.parametrize("suite", ["paley-wiener", "inner-product", "reproduce",
+                                       "cayley", "hardy-ineq"])
+    def test_zero_cases_do_not_pass(self, capsys, suite):
+        code, out = run_cli(capsys, "verify", suite, "--samples", "0")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["pass"] is False
+        assert payload["cases"] == []
+
     def test_inner_product_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "inner-product", "--n", "2", "--samples", "5")
         assert code == 0
@@ -190,6 +199,15 @@ class TestPlumbing:
             cfg.write_text(line)
             with pytest.raises(SystemExit):
                 main(["kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_config_file_rejects_nonfinite_truncation(self, tmp_path, capsys, value):
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(f"halfline_truncation = {value}\n")
+        code = main(["verify", "paley-wiener", "--n", "1", "--samples", "1",
+                     "--config", str(cfg)])
+        assert code == 1
+        assert "halfline_truncation" in capsys.readouterr().err
 
     def test_verify_reports_sample_terms(self, capsys):
         from hsob import ExpPoly

@@ -41,6 +41,11 @@ class TestInterval:
         r = integrate_interval(lambda t: np.exp(1j * t), 0.0, math.pi / 2)
         assert abs(r.value - (1.0 + 1j)) < 1e-12
 
+    def test_zero_error_estimate_is_positive_zero(self):
+        # every cell of sin over (0, pi) estimates 0: report +0.0, not -0.0
+        r = integrate_interval(np.sin, 0.0, math.pi)
+        assert math.copysign(1.0, r.error) == 1.0
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             integrate_interval(np.sin, 1.0, 0.0)
@@ -107,6 +112,8 @@ class TestConfigValidation:
         {"halfline_truncation": 0.0},
         {"nodes_per_cell": 1},
         {"max_subdiv": 0},
+        {"halfline_truncation": math.nan},
+        {"halfline_truncation": math.inf},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

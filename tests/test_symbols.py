@@ -9,6 +9,7 @@ from hsob import (
     BranchViolation,
     GridSpec,
     Jet,
+    KernelPoint,
     SymbolSyntaxError,
     angular_derivative,
     caughran_lower_bound,
@@ -17,12 +18,73 @@ from hsob import (
     faa_di_bruno,
     jury_min_eig,
     jury_min_m,
+    kernel_eval,
+    min_eigenvalue,
     nbc_suprema,
     parse,
     radial_sup,
     selfmap_witness,
 )
-from hsob.symbols import Add, Div, Log1p, Pow, _supremum_estimate
+from hsob.symbols import DEFAULT_GRID, Add, Div, Log1p, Pow, _supremum_estimate
+
+#: the symbols of acceptance criterion 12's classification table
+CRITERION_12_ROWS = ("2*z+1", "z+i", "z+sqrt(z)+1", "z+log1p(z)", "sqrt(z)", "1/(z+1)")
+
+
+# Reference routes for the symbol analysis, kept as oracles: they rebuild every
+# kernel value on each bisection step and a fresh order-k jet for each k, the
+# straightforward reading of the definitions that the library hoists.
+
+def _oracle_jury_matrix(e, n, M, points, psi=None):
+    pts = [complex(z) for z in points]
+    images = [e.eval(z) for z in pts]
+    weight = (lambda z: 1.0 + 0j) if psi is None else psi
+    m = len(pts)
+    A = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(i + 1):
+            base = kernel_eval(KernelPoint(n, pts[i], pts[j]))
+            moved = kernel_eval(KernelPoint(n, images[i], images[j]))
+            val = M**2 * base - np.conj(weight(pts[i])) * weight(pts[j]) * moved
+            A[i, j] = val
+            A[j, i] = val.conjugate()
+    return A
+
+
+def _oracle_jury_min_m(e, n, points, tol=1e-10):
+    def feasible(M):
+        return min_eigenvalue(_oracle_jury_matrix(e, n, M, points)) >= -tol
+
+    lo, hi = 0.0, 1.0
+    while not feasible(hi):
+        hi *= 2.0
+        if hi > 1e12:
+            return math.inf
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _oracle_nbc_suprema(e, n, grid=DEFAULT_GRID):
+    out = []
+    for k in range(1, n + 1):
+        def ratio(z, k=k):
+            jet = e.jet(z, k)
+            phi = jet.value
+            if phi == 0:
+                return math.inf
+            return abs(z**k * jet.derivative(k) / phi)
+
+        out.append(_supremum_estimate(ratio, grid)[0])
+    return out
+
+
+def _jury_points(rng, m):
+    return [complex(rng.uniform(0.3, 4.0), rng.uniform(-2.0, 2.0)) for _ in range(m)]
 
 
 class TestParser:
@@ -148,6 +210,13 @@ class TestSuprema:
         assert abs(vals[0] - 1.0) < 1e-6
         assert vals[1] == 0.0
 
+    @pytest.mark.parametrize("text", CRITERION_12_ROWS)
+    def test_nbc_matches_per_order_oracle_exactly(self, text):
+        # one order-n jet per point gives bit for bit the per-k jets' suprema
+        e = parse(text)
+        for n in (1, 2, 3):
+            assert nbc_suprema(e, n) == _oracle_nbc_suprema(e, n)
+
     def test_nbc_log_map_finite(self):
         vals = nbc_suprema(parse("z + log1p(z)"), 2)
         assert all(math.isfinite(v) for v in vals)
@@ -257,6 +326,40 @@ class TestJury:
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             jury_min_eig(parse("z"), 0, 1.0, [-1.0])
+
+    def test_min_m_margin_validation(self):
+        with pytest.raises(ValueError):
+            jury_min_m(parse("z"), 0, [1.0, -1.0])
+        with pytest.raises(ValueError):
+            jury_min_m(parse("z-10"), 1, [1.0, 2.0])  # images leave C+
+
+    def test_weighted_min_m(self):
+        # psi = 2 and phi = identity: (M^2 - 4) K is PSD exactly when M >= 2
+        m_star = jury_min_m(parse("z"), 0, [0.5, 1.0 + 0.5j, 3.0], psi=parse("2"))
+        assert abs(m_star - 2.0) < 1e-9
+
+    @pytest.mark.parametrize("text", CRITERION_12_ROWS)
+    def test_min_m_matches_rebuilding_oracle_exactly(self, text):
+        # Gram matrices built once give bit for bit the per-step rebuilt bound
+        rng = np.random.default_rng(sum(map(ord, text)))
+        e = parse(text)
+        for n in (0, 1, 2):
+            for m in (6, 12):
+                pts = _jury_points(rng, m)
+                assert jury_min_m(e, n, pts) == _oracle_jury_min_m(e, n, pts)
+
+    @pytest.mark.parametrize("text", CRITERION_12_ROWS)
+    def test_weighted_min_eig_matches_oracle(self, text):
+        # numpy forms the weights conj(psi_i) psi_j elementwise, which may move
+        # entries by an ulp: the eigenvalue agrees to rounding of the matrix
+        rng = np.random.default_rng(sum(map(ord, text)) + 1)
+        e, psi = parse(text), parse("1/(z+1)")
+        for n in (0, 1, 2):
+            pts = _jury_points(rng, 7)
+            for M in (0.3, 1.0, 2.5):
+                A = _oracle_jury_matrix(e, n, M, pts, psi)
+                got = jury_min_eig(e, n, M, pts, psi=psi)
+                assert abs(got - min_eigenvalue(A)) <= 1e-13 * np.linalg.norm(A, 2)
 
 
 class TestClassify:
