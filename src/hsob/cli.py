@@ -17,6 +17,7 @@ the quadrature defaults.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import io
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from .cayley import norm_equality_check
 from .expfamily import ExpPoly, inner_product_n, laplace, sample_exppoly
-from .freqspace import hn_norm, paley_wiener_residual
+from .freqspace import hn_norm
 from .kernel import (
     KernelPoint,
     gram_matrix,
@@ -49,13 +50,38 @@ SCHEMA = 1
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j"))
+        value = complex(text.strip().replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"complex number {text!r} is not finite")
+    return value
 
 
 def _parse_points(text: str) -> list[complex]:
-    return [_parse_complex(part) for part in text.split(",") if part.strip()]
+    points = [_parse_complex(part) for part in text.split(",") if part.strip()]
+    if not points:
+        raise argparse.ArgumentTypeError("expected at least one point")
+    return points
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid int value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative tolerance, got {text!r}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,8 +216,8 @@ def _cmd_kernel_sweep(args) -> int:
 
 def _cmd_kernel_gram(args) -> int:
     rc = _resolve(args)
-    if args.points:
-        pts = _parse_points(args.points)
+    if args.points is not None:
+        pts = args.points
     else:
         rng = np.random.default_rng(rc.seed)
         pts = [complex(r, y) for r, y in zip(rng.uniform(0.2, 4.0, args.count),
@@ -224,8 +250,8 @@ def _verify_paley_wiener(rc: RunConfig):
     cases = []
     worst = 0.0
     for i, f in enumerate(_suite_samples(rc, rc.n)):
-        res = paley_wiener_residual(f, rc.n, rc.quad)
         report = hn_norm(laplace(f), rc.n, rc.quad)
+        res = report.paley_wiener_residual
         worst = max(worst, res)
         cases.append({"sample": i, "terms": f.to_triples(), "residual": res,
                       **report.to_dict()})
@@ -253,14 +279,13 @@ def _verify_bounds(rc: RunConfig):
     tol = rc.tol if rc.tol is not None else 0.0
     grid = rc.grid if rc.grid != GridSpec() else GridSpec(
         log10_r_min=-3, log10_r_max=3, num_r=7, theta_margin=0.05, num_theta=9)
-    n = max(rc.n, 1)
     cases = []
     worst = -math.inf
     for r in grid.radii():
         for t in grid.angles():
             z = complex(r * math.cos(t), r * math.sin(t))
-            nrm = kernel_norm(n, z, rc.quad, theta_margin=grid.theta_margin * 0.5)
-            lo, hi = norm_bounds(n, z)
+            nrm = kernel_norm(rc.n, z, rc.quad, theta_margin=grid.theta_margin * 0.5)
+            lo, hi = norm_bounds(rc.n, z)
             violation = max(lo - nrm, nrm - hi)
             worst = max(worst, violation)
             cases.append({"abs_z": abs(z), "arg_z": t, "norm": nrm,
@@ -270,14 +295,13 @@ def _verify_bounds(rc: RunConfig):
 
 def _verify_reproduce(rc: RunConfig):
     tol = rc.tol if rc.tol is not None else 1e-6
-    n = max(rc.n, 1)
     rng = np.random.default_rng(rc.seed)
     cases = []
     worst = 0.0
     for i in range(rc.samples):
-        f = sample_exppoly(rng, level=n)
+        f = sample_exppoly(rng, level=rc.n)
         w = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
-        res = reproduce_check(n, f, w, rc.quad)
+        res = reproduce_check(rc.n, f, w, rc.quad)
         scaled = res / (1.0 + abs(laplace(f)(w)))
         worst = max(worst, scaled)
         cases.append({"sample": i, "terms": f.to_triples(), "w": str(w), "residual": scaled})
@@ -300,7 +324,6 @@ def _verify_cayley(rc: RunConfig):
 def _verify_hardy_ineq(rc: RunConfig):
     tol = rc.tol if rc.tol is not None else 0.0
     rng = np.random.default_rng(rc.seed)
-    m = max(rc.n, 1)
     cases = []
     worst = -math.inf
     for i in range(rc.samples):
@@ -310,30 +333,33 @@ def _verify_hardy_ineq(rc: RunConfig):
             for _ in range(int(rng.integers(1, 4)))
         )
         phi = ExpPoly(terms)
-        lhs_fn = w_minus_exp(phi, m)
+        lhs_fn = w_minus_exp(phi, rc.n)
         lhs = (lhs_fn * lhs_fn).integral().real
-        weighted = phi.times_power(m)
-        rhs = hardy_constant(m) ** 2 * (weighted * weighted).integral().real
+        weighted = phi.times_power(rc.n)
+        rhs = hardy_constant(rc.n) ** 2 * (weighted * weighted).integral().real
         violation = lhs - rhs
         worst = max(worst, violation)
         cases.append({"sample": i, "lhs": lhs, "rhs": rhs, "violation": violation})
     return cases, worst, tol
 
 
+#: each suite and the least order it runs at
 _VERIFY_SUITES = {
-    "paley-wiener": _verify_paley_wiener,
-    "inner-product": _verify_inner_product,
-    "bounds": _verify_bounds,
-    "reproduce": _verify_reproduce,
-    "cayley": _verify_cayley,
-    "hardy-ineq": _verify_hardy_ineq,
+    "paley-wiener": (_verify_paley_wiener, 0),
+    "inner-product": (_verify_inner_product, 0),
+    "bounds": (_verify_bounds, 1),
+    "reproduce": (_verify_reproduce, 1),
+    "cayley": (_verify_cayley, 0),
+    "hardy-ineq": (_verify_hardy_ineq, 1),
 }
 
 
 def _cmd_verify(args) -> int:
+    suite, min_n = _VERIFY_SUITES[args.suite]
     rc = _resolve(args)
+    rc = dataclasses.replace(rc, n=max(rc.n, min_n))
     try:
-        cases, worst, tol = _VERIFY_SUITES[args.suite](rc)
+        cases, worst, tol = suite(rc)
     except QuadratureError as exc:
         _emit_json(rc, {"suite": args.suite, "error": f"quadrature failure: {exc}"})
         return 1
@@ -345,7 +371,7 @@ def _cmd_verify(args) -> int:
         "seed": rc.seed,
         "samples": len(cases),
         "tolerance": tol,
-        "max_residual": worst,
+        "max_residual": worst if cases else None,
         "pass": passed,
         "cases": cases,
     })
@@ -389,8 +415,8 @@ def _cmd_symbol_classify(args) -> int:
 def _cmd_symbol_jury(args) -> int:
     rc = _resolve(args)
     expr = parse_symbol(args.expression)
-    if args.points:
-        pts = _parse_points(args.points)
+    if args.points is not None:
+        pts = args.points
     else:
         rng = np.random.default_rng(rc.seed)
         pts = [complex(r, y) for r, y in zip(rng.uniform(0.3, 4.0, args.count),
@@ -412,10 +438,10 @@ def _cmd_symbol_jury(args) -> int:
 
 
 def _add_common(p, n_default=0):
-    p.add_argument("--n", type=int, default=n_default, help="space order")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    p.add_argument("--n", type=_int_at_least(0), default=n_default, help="space order")
+    p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled suites")
-    p.add_argument("--samples", type=int, default=20, help="sample count for suites")
+    p.add_argument("--samples", type=_int_at_least(0), default=20, help="sample count for suites")
     p.add_argument("--grid", type=str, default=None,
                    help="log-polar grid: r_min,r_max,num_r,theta_margin,num_theta")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -453,9 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ksub.add_parser("gram", help="Gram matrix and least eigenvalue")
     _add_common(p, n_default=1)
-    p.add_argument("--points", type=str, default=None,
+    p.add_argument("--points", type=_parse_points, default=None,
                    help="comma-separated complex points, e.g. '1,2+1i,0.5-0.2i'")
-    p.add_argument("--count", type=int, default=8, help="seeded point count when --points absent")
+    p.add_argument("--count", type=_int_at_least(1), default=8,
+                   help="seeded point count when --points absent")
     p.set_defaults(func=_cmd_kernel_gram)
 
     verify = top.add_parser("verify", help="numeric verification suites")
@@ -489,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, n_default=0)
     p.add_argument("expression")
     p.add_argument("--m", type=float, required=True, help="candidate operator-norm bound M")
-    p.add_argument("--points", type=str, default=None)
-    p.add_argument("--count", type=int, default=6)
+    p.add_argument("--points", type=_parse_points, default=None)
+    p.add_argument("--count", type=_int_at_least(1), default=6)
     p.set_defaults(func=_cmd_symbol_jury)
 
     return parser

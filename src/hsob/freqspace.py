@@ -69,6 +69,14 @@ class HnNormReport:
     norm_time: float
 
     @property
+    def paley_wiener_residual(self) -> float:
+        """Relative gap |norm_time - norm_boundary| / norm_time between the two
+        quadrature routes of the isometry; the absolute gap when norm_time is 0."""
+        if self.norm_time == 0.0:
+            return float(abs(self.norm_boundary))
+        return float(abs(self.norm_time - self.norm_boundary) / self.norm_time)
+
+    @property
     def max_pairwise_rel_err(self) -> float:
         vals = (self.norm_exact, self.norm_boundary, self.norm_time)
         scale = max(max(vals), 1e-300)
@@ -152,12 +160,8 @@ def laplace_derivative_identity_check(f: ExpPoly, n: int, k: int, z: complex) ->
 
 
 def paley_wiener_residual(f: ExpPoly, n: int, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """Relative gap |norm_time - norm_boundary| / norm_time between the two
-    quadrature routes of the isometry."""
-    report = hn_norm(laplace(f), n, cfg)
-    if report.norm_time == 0.0:
-        return float(abs(report.norm_boundary))
-    return float(abs(report.norm_time - report.norm_boundary) / report.norm_time)
+    """:attr:`HnNormReport.paley_wiener_residual` of the transform of f."""
+    return hn_norm(laplace(f), n, cfg).paley_wiener_residual
 
 
 def point_bound_check(F: RationalComb, n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG) -> float:

@@ -15,34 +15,27 @@ second, takes the 1/r corner singularity out and leaves one smooth integral
 with p_n the polynomial int_0^1 (1-y)^(n-1) (1-yu)^(n-1) dy.  Two evaluation
 paths are provided and cross-checked:
 
-* adaptive 1-D quadrature of the split integral (any n),
-* closed forms: the explicit low-order displays for n = 1, 2, 3, and for
-  n <= 8 a form derived by expanding p_n and integrating term by term, which
-  collapses to
+* adaptive 1-D quadrature of the split integral (any n);
+* for n <= 8 one closed form, derived by expanding p_n and integrating term
+  by term, which collapses to
 
       K_n(z, w) = sum_{m=0}^{n-1} (-1)^m / ((n-1-m)! (n+m)!)
                   * (Q_m(z, v) + Q_m(v, z)),
 
   with Q_m(a, b) = int_0^1 x^m/(a + b x) dx elementary (the coefficient is
   binom(n-1,m)/Gamma(n)^2 times the Beta integral B(m+1, n) picked up by the
-  triangle substitution).
+  triangle substitution).  It is evaluated elementwise on numpy arrays; a
+  scalar call is a one-element batch.
 
-The diagonal z = w of the same integral is the nonsingular trigonometric form
-
-      K_n(z, z) = 2 cos(theta) / (Gamma(n)^2 |z|)
-                  * int_0^1 (1+t) p_n(t) / (t^2 + 1 + 2 t cos(2 theta)) dt,
-
-which makes the homogeneity |z| K_n(z, z) = G_n(theta) manifest.
-
-Principal logarithm branches are safe throughout: z, conj(w) and their sum
-all have positive real part.  Evaluation close to the imaginary axis
-(|arg z| within ``theta_margin`` of pi/2) is refused for the diagonal form
-and is out of warranty in general.
+The diagonal K_n(z, z) is the split integral at w = z, real and nonsingular
+there, and |z| K_n(z, z) depends on arg z alone.  Principal logarithms are
+safe throughout: z, conj(w) and their sum lie in C+.  Evaluation within
+``theta_margin`` of the imaginary axis is refused for the diagonal and is out
+of warranty in general.
 """
 
 from __future__ import annotations
 
-import cmath
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,8 +66,11 @@ __all__ = [
 CLOSED_FORM_MAX_N = 8
 DEFAULT_THETA_MARGIN = 1e-3
 
-#: |z/w| range outside which closed forms lose digits to cancellation
+#: |z/w| range outside which the closed form loses digits to cancellation
 CANCELLATION_SAFE_RATIO = 1e8
+
+#: terms of the series for Q_m, a power of two; its ratio is at most 1/2 in modulus
+SERIES_TERMS = 64
 
 
 class CancellationWarning(UserWarning):
@@ -88,6 +84,13 @@ def _require_halfplane(z: complex, name: str) -> complex:
     return z
 
 
+def _check_request(n: int, method: str) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if method not in ("auto", "quadrature", "closed_form"):
+        raise ValueError("method must be auto, quadrature or closed_form")
+
+
 @dataclass(frozen=True)
 class KernelPoint:
     """A kernel evaluation request: order, arguments, method and tolerances."""
@@ -99,50 +102,28 @@ class KernelPoint:
     cfg: QuadConfig = field(default_factory=QuadConfig)
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        _check_request(self.n, self.method)
         _require_halfplane(self.z, "z")
         _require_halfplane(self.w, "w")
-        if self.method not in ("auto", "quadrature", "closed_form"):
-            raise ValueError("method must be auto, quadrature or closed_form")
 
     @property
     def route(self) -> str:
-        """The method an evaluation takes: ``closed_form`` or ``quadrature``.
-
-        ``auto`` prefers the closed form whenever it exists and the |z|/|w|
-        ratio is cancellation-safe, and falls back to quadrature otherwise.
-        """
-        if self.method != "auto":
-            return self.method
-        ratio = abs(self.z) / abs(self.w)
-        if self.n <= CLOSED_FORM_MAX_N and 1e-6 <= ratio <= 1e6:
-            return "closed_form"
-        return "quadrature"
+        """The method an evaluation takes: ``closed_form`` or ``quadrature``."""
+        closed = _takes_closed_form(self.n, _modulus(self.z) / _modulus(self.w), self.method)
+        return "closed_form" if closed else "quadrature"
 
 
-def _q_integral(m: int, a: complex, b: complex) -> complex:
-    """Q_m(a, b) = int_0^1 x^m / (a + b x) dx, elementary and branch-safe.
+def _modulus(z):
+    """|z| for a number or an array, rounded as Python's abs rounds it."""
+    return np.hypot(z.real, z.imag)
 
-    A geometric series in b/a is used when |b| <= |a|/2; the closed form with
-    the principal log otherwise.  Both a and b sit in the right half-plane, so
-    (a+b)/a never crosses the cut.
-    """
-    if abs(b) <= 0.5 * abs(a):
-        ratio = -b / a
-        total = 0j
-        power = 1.0 + 0j
-        for r in range(300):
-            term = power / (m + r + 1)
-            total += term
-            power *= ratio
-            if abs(power) < 1e-18 * (m + r + 2):
-                break
-        return total / a
-    total = (-a) ** m / b ** (m + 1) * cmath.log((a + b) / a)
-    for p in range(1, m + 1):
-        total += comb(m, p) * (-a) ** (m - p) * ((a + b) ** p - a**p) / (p * b ** (m + 1))
-    return total
+
+def _takes_closed_form(n: int, ratio, method: str):
+    """Whether evaluation at |z|/|w| = ``ratio`` (a float or an array) takes the
+    closed form; ``auto`` takes it where it exists and is cancellation-safe."""
+    if method == "auto":
+        return (n <= CLOSED_FORM_MAX_N) & (1e-6 <= ratio) & (ratio <= 1e6)
+    return np.full(np.shape(ratio), method == "closed_form")
 
 
 @lru_cache(maxsize=None)
@@ -154,64 +135,84 @@ def _derived_coefficients(n: int) -> tuple[float, ...]:
     )
 
 
-def _closed_derived(n: int, z: complex, v: complex) -> complex:
+def _series(n: int, t: np.ndarray) -> np.ndarray:
+    """sum_{r < SERIES_TERMS} t^r / (n + r) by Estrin's scheme on coefficient-major
+    1-D arrays, in which numpy computes each element as it computes a lone one."""
+    p = np.repeat(1.0 / (n + np.arange(SERIES_TERMS, dtype=complex)), len(t))
+    powers = [np.tile(t, SERIES_TERMS // 2)]
+    while len(powers) < SERIES_TERMS.bit_length() - 1:
+        powers.append(powers[-1] * powers[-1])
+    while len(p) > len(t):
+        half = len(p) // 2
+        p = p[:half] + p[half:] * powers.pop()[:half]
+    return p
+
+
+def _q_sum_series(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     coeffs = _derived_coefficients(n)
-    return sum(
-        c * (_q_integral(m, z, v) + _q_integral(m, v, z)) for m, c in enumerate(coeffs)
-    )
+    q = _series(n, -b / a) / a
+    total = coeffs[n - 1] * q
+    for m in reversed(range(n - 1)):
+        q = (1.0 / (m + 1) - b * q) / a
+        total = total + coeffs[m] * q
+    return total
 
 
-def _closed_low_order(n: int, z: complex, v: complex) -> complex:
-    """The explicit displays for n = 1, 2, 3."""
-    l1 = cmath.log((v + z) / v)
-    l2 = cmath.log((v + z) / z)
-    if n == 1:
-        return l1 / z + l2 / v
-    if n == 2:
-        return (
-            -1 / (6 * z)
-            + (3 * z + v) / (6 * z**2) * l1
-            - 1 / (6 * v)
-            + (3 * v + z) / (6 * v**2) * l2
-        )
-    if n == 3:
-        return (
-            -(9 * z + 2 * v) / (240 * z**2)
-            + (10 * z**2 + 5 * z * v + v**2) / (120 * z**3) * l1
-            - (9 * v + 2 * z) / (240 * v**2)
-            + (10 * v**2 + 5 * z * v + z**2) / (120 * v**3) * l2
-        )
-    raise ValueError("low-order displays cover n = 1, 2, 3 only")
+def _q_sum_log(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    coeffs = _derived_coefficients(n)
+    q = (np.log(a + b) - np.log(a)) / b
+    total = coeffs[0] * q
+    for m in range(1, n):
+        q = (1.0 / m - a * q) / b
+        total = total + coeffs[m] * q
+    return total
+
+
+def _q_sum(n: int, a: np.ndarray, b: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """sum_{m<n} c_m Q_m(a, b) elementwise, with the derived coefficients c_m.
+
+    By a Q_m + b Q_{m+1} = 1/(m+1): where |b| <= |a|/2 (``series``), Q_{n-1}
+    is the series in -b/a to a fixed SERIES_TERMS terms, so no element depends
+    on its batch, and the lower m follow downward, stably there; elsewhere
+    Q_0 = (log(a+b) - log(a))/b (principal logs, no quotient to overflow at
+    subnormal a) and the higher m follow upward, each branch on its elements.
+    """
+    out = np.empty_like(a)
+    for branch, mask in ((_q_sum_series, series), (_q_sum_log, ~series)):
+        if mask.all():
+            return branch(n, a, b)
+        if mask.any():
+            out[mask] = branch(n, a[mask], b[mask])
+    return out
+
+
+def _closed_form(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K_n(z, w) at v = conj(w) for 1-D complex arrays, each element on its own and
+    at max(|z|, |w|) = 1 through K_n(cz, cw) = K_n(z, w)/c."""
+    if n == 0:
+        return 1.0 / (z + v)
+    if n > CLOSED_FORM_MAX_N:
+        raise ValueError(f"closed forms are available for n <= {CLOSED_FORM_MAX_N}")
+    mz, mv = _modulus(z), _modulus(v)
+    ratio = mz / mv
+    unsafe = ratio[(ratio < 1.0 / CANCELLATION_SAFE_RATIO) | (ratio > CANCELLATION_SAFE_RATIO)]
+    if unsafe.size:
+        warnings.warn(f"|z|/|w| = {unsafe[0]:.2e} is outside the cancellation-safe range",
+                      CancellationWarning, stacklevel=3)
+    scale = np.maximum(mz, mv)
+    a, b = z / scale, v / scale
+    return (_q_sum(n, a, b, mv <= 0.5 * mz) + _q_sum(n, b, a, mz <= 0.5 * mv)) / scale
 
 
 def kernel_eval_closed(n: int, z: complex, w: complex) -> complex:
-    """Closed-form K_n(z, w) for 0 <= n <= 8.
+    """Closed-form K_n(z, w) for 0 <= n <= 8, bitwise as :func:`gram_matrix` gives it.
 
-    n = 1..3 use the explicit displays; n = 4..8 the derived Q_m combination
-    (quadrature-validated in the test suite).  The displays subtract nearly
-    equal logarithmic terms once |z| and |w| differ by orders of magnitude, so
-    outside a moderate ratio window the evaluation switches to the derived
-    combination, whose geometric-series branch is immune.  A
-    :class:`CancellationWarning` is emitted when |z|/|w| leaves [1e-8, 1e8],
-    beyond which even that loses digits.
+    A :class:`CancellationWarning` is emitted when |z|/|w| leaves [1e-8, 1e8],
+    beyond which the Q_m combination loses digits to cancellation.
     """
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
-    if n == 0:
-        return 1.0 / (z + w.conjugate())
-    if n > CLOSED_FORM_MAX_N:
-        raise ValueError(f"closed forms are available for n <= {CLOSED_FORM_MAX_N}")
-    ratio = abs(z) / abs(w)
-    if not (1.0 / CANCELLATION_SAFE_RATIO <= ratio <= CANCELLATION_SAFE_RATIO):
-        warnings.warn(
-            f"|z|/|w| = {ratio:.2e} is outside the cancellation-safe range",
-            CancellationWarning,
-            stacklevel=2,
-        )
-    v = w.conjugate()
-    if n <= 3 and 1e-3 <= ratio <= 1e3:
-        return _closed_low_order(n, z, v)
-    return _closed_derived(n, z, v)
+    return complex(_closed_form(n, np.array([z]), np.array([w.conjugate()]))[0])
 
 
 @lru_cache(maxsize=None)
@@ -277,25 +278,16 @@ def i_theta(theta: float) -> float:
 
 def kernel_diag(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
                 theta_margin: float = DEFAULT_THETA_MARGIN) -> float:
-    """K_n(z, z) = ||K_{n,z}||^2, real positive, via the trigonometric form.
+    """K_n(z, z) = ||K_{n,z}||^2, real positive: the Duffy integral at w = z.
 
-    Requires |arg z| <= pi/2 - theta_margin; the integrand's denominator
-    degenerates only as the argument approaches the imaginary axis.
+    There the integrand is 2 cos(theta) (1 + u) p_n(u) / (u^2 + 1 + 2 u cos(2 theta)),
+    theta = arg z, whose denominator degenerates only as |theta| nears pi/2:
+    for n >= 1, |arg z| <= pi/2 - theta_margin is required.
     """
     z = _require_halfplane(z, "z")
-    if n == 0:
-        return 1.0 / (2.0 * z.real)
-    theta = np.angle(z)
-    if abs(theta) > pi / 2 - theta_margin:
+    if n > 0 and abs(np.angle(z)) > pi / 2 - theta_margin:
         raise ValueError(f"|arg z| must stay below pi/2 - {theta_margin:g}")
-    cos2t = np.cos(2.0 * theta)
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        return (1.0 + t) * _p_eval(n, t) / (t * t + 1.0 + 2.0 * t * cos2t)
-
-    val = integrate_interval(integrand, 0.0, 1.0, cfg).value.real
-    return 2.0 * np.cos(theta) / (gamma(n) ** 2 * abs(z)) * val
+    return kernel_eval_quadrature(n, z, z, cfg).real
 
 
 def kernel_norm(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
@@ -319,15 +311,22 @@ def norm_bounds(n: int, z: complex) -> tuple[float, float]:
 
 
 def gram_matrix(n: int, points, method: str = "auto", cfg: QuadConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Hermitian Gram matrix G[i, j] = K_n(z_i, z_j) over points of C+."""
-    pts = [_require_halfplane(z, "point") for z in points]
-    m = len(pts)
-    G = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i + 1):
-            val = kernel_eval(KernelPoint(n, pts[i], pts[j], method, cfg))
-            G[i, j] = val
-            G[j, i] = val.conjugate()
+    """Hermitian Gram matrix G[i, j] = K_n(z_i, z_j) over points of C+.
+
+    Each lower-triangle entry is :func:`kernel_eval` bit for bit; the closed-form
+    entries are evaluated in one array call, the rest one at a time.
+    """
+    _check_request(n, method)
+    pts = np.array([_require_halfplane(z, "point") for z in points], dtype=complex)
+    rows, cols = np.nonzero(np.tri(len(pts), dtype=bool))
+    z, w = pts[rows], pts[cols]
+    closed = _takes_closed_form(n, _modulus(z) / _modulus(w), method)
+    G = np.zeros((len(pts), len(pts)), dtype=complex)
+    if closed.any():
+        G[rows[closed], cols[closed]] = _closed_form(n, z[closed], w[closed].conj())
+    for i, j in zip(rows[~closed], cols[~closed]):
+        G[i, j] = kernel_eval_quadrature(n, pts[i], pts[j], cfg)
+    G[cols, rows] = G[rows, cols].conj()
     return G
 
 

@@ -14,6 +14,14 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and +-Infinity, which strict JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestKernelCommands:
     def test_eval_json(self, capsys):
         code, out = run_cli(capsys, "kernel", "eval", "--n", "1", "--z", "1", "--w", "1")
@@ -99,6 +107,25 @@ class TestVerifyCommands:
         assert payload["pass"] is False
         assert payload["cases"] == []
 
+    @pytest.mark.parametrize("argv", [
+        ("hardy-ineq", "--samples", "0"),
+        ("bounds", "--grid", "0.1,10,0,0.1,3"),
+        ("paley-wiener", "--samples", "0"),
+    ])
+    def test_zero_cases_report_null_residual(self, capsys, argv):
+        code, out = run_cli(capsys, "verify", *argv)
+        payload = strict_json(out)
+        assert code == 1
+        assert payload["pass"] is False
+        assert payload["max_residual"] is None
+
+    @pytest.mark.parametrize("suite, n", [("bounds", 1), ("reproduce", 1), ("hardy-ineq", 1),
+                                          ("paley-wiener", 0), ("inner-product", 0)])
+    def test_reports_order_used(self, capsys, suite, n):
+        # without --n, the order-1 suites run (and now report) n = 1
+        _, out = run_cli(capsys, "verify", suite, "--samples", "1", "--grid", "0.5,2,1,0.1,1")
+        assert json.loads(out)["n"] == n
+
     def test_inner_product_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "inner-product", "--n", "2", "--samples", "5")
         assert code == 0
@@ -167,6 +194,28 @@ class TestSymbolCommands:
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "eval", "--z", "1e400", "--w", "1"),
+        ("kernel", "eval", "--z", "1", "--w", "nan"),
+        ("kernel", "eval", "--z", "1+1e999i", "--w", "1"),
+        ("kernel", "gram", "--points", "1,2+1e400i"),
+        ("kernel", "gram", "--points", ","),
+        ("symbol", "jury", "--m", "1", "--points", "inf", "z"),
+        ("verify", "bounds", "--tol", "nan"),
+        ("verify", "bounds", "--tol", "-1"),
+        ("verify", "bounds", "--tol", "inf"),
+        ("kernel", "norm", "--n", "-1", "--z", "1"),
+        ("verify", "reproduce", "--samples", "-2"),
+        ("verify", "reproduce", "--samples", "two"),
+        ("kernel", "gram", "--count", "0"),
+        ("symbol", "jury", "--m", "1", "--count", "0", "z"),
+    ])
+    def test_bad_arguments_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as info:
             main(["kernel", "eval", "--z", "1"])  # missing --w

@@ -24,7 +24,7 @@ from hsob import (
     norm_bounds,
     reproduce_check,
 )
-from hsob.kernel import CANCELLATION_SAFE_RATIO, _closed_derived, _closed_low_order
+from hsob.kernel import CANCELLATION_SAFE_RATIO, _p_eval
 
 LN2 = math.log(2.0)
 
@@ -42,6 +42,44 @@ def graded_square(g, levels=40, order=12):
     nodes = (breaks[:-1, None] + widths[:, None] * 0.5 * (x + 1.0)).ravel()
     weights = (widths[:, None] * 0.5 * wx).ravel()
     return complex(weights @ g(nodes[:, None], nodes[None, :]) @ weights)
+
+
+def displays(n, z, v):
+    """The paper's printed closed forms for n = 1, 2, 3 at v = conj(w), as a test-only oracle."""
+    l1 = cmath.log((v + z) / v)
+    l2 = cmath.log((v + z) / z)
+    if n == 1:
+        return l1 / z + l2 / v
+    if n == 2:
+        return (
+            -1 / (6 * z)
+            + (3 * z + v) / (6 * z**2) * l1
+            - 1 / (6 * v)
+            + (3 * v + z) / (6 * v**2) * l2
+        )
+    return (
+        -(9 * z + 2 * v) / (240 * z**2)
+        + (10 * z**2 + 5 * z * v + v**2) / (120 * z**3) * l1
+        - (9 * v + 2 * z) / (240 * v**2)
+        + (10 * v**2 + 5 * z * v + z**2) / (120 * v**3) * l2
+    )
+
+
+def duffy_reference(n, z, w, mp):
+    """K_n(z, w) as the Duffy integral in mpmath at unit scale, a test-only reference.
+
+    The breakpoints min(|a|, |b|) * 10^k resolve the peak of the integrand
+    near u = min(|a|, |b|) at extreme ratios.
+    """
+    c = max(abs(z), abs(w))
+    a, b = mp.mpc(z) / c, mp.mpc(w).conjugate() / c
+    coeffs = [mp.mpf((-1) ** k * math.comb(n - 1, k) * math.factorial(k) * math.factorial(n - 1))
+              / math.factorial(n + k) for k in range(n)]
+    low = min(abs(a), abs(b))
+    breaks = [mp.mpf(0)] + [low * 10**k for k in range(17) if low * 10**k < 1] + [mp.mpf(1)]
+    value = mp.quad(lambda u: mp.polyval(coeffs[::-1], u) * (1 / (a + u * b) + 1 / (b + u * a)),
+                    breaks)
+    return value / (math.factorial(n - 1) ** 2 * c)
 
 
 class TestAnchors:
@@ -75,9 +113,25 @@ class TestClosedForms:
         for _ in range(10):
             z = complex(rng.uniform(0.1, 5.0), rng.uniform(-4.0, 4.0))
             w = complex(rng.uniform(0.1, 5.0), rng.uniform(-4.0, 4.0))
-            a = _closed_low_order(n, z, w.conjugate())
-            b = _closed_derived(n, z, w.conjugate())
+            a = displays(n, z, w.conjugate())
+            b = kernel_eval_closed(n, z, w)
             assert abs(a - b) <= 1e-12 * abs(a)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_accuracy_map(self, n):
+        # the warranty's ratios, both ends and the decades where the
+        # printed displays lose digits, against a 30-digit reference
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for log_ratio in (-8.0, -2.9, 0.0, 2.9, 8.0):
+            for tz, tw in ((-1.05, 1.05), (0.3, -1.2)):
+                z = 10**log_ratio * cmath.exp(1j * tz)
+                w = cmath.exp(1j * tw)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CancellationWarning)
+                    c = kernel_eval_closed(n, z, w)
+                ref = duffy_reference(n, z, w, mp)
+                assert abs(mp.mpc(c) - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
     def test_derived_orders_match_quadrature(self, n):
@@ -149,6 +203,19 @@ class TestQuadratureAgreement:
             c = kernel_eval_closed(n, 1e-300, 1.0)
         q = kernel_eval_quadrature(n, 1e-300, 1.0)
         assert abs(c - q) <= 1e-9 * abs(c)
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 8))
+    def test_subnormal_argument_stays_finite(self, n):
+        # K_n(z, 1) = log(1/z)/(n Gamma(n)^2) + C_n + o(1) as z -> 0: a
+        # subnormal z must give the same C_n as z = 1e-300
+        def offset(z):
+            with pytest.warns(CancellationWarning):
+                value = kernel_eval_closed(n, z, 1.0)
+            return value, value.real + math.log(z) / (n * math.factorial(n - 1) ** 2)
+
+        value, c_tiny = offset(1e-320)
+        _, c_small = offset(1e-300)
+        assert abs(c_tiny - c_small) <= 1e-12 * abs(value)
 
     def test_kernel_point_dispatch(self):
         p = KernelPoint(1, 1.0, 1.0, "closed_form")
@@ -292,12 +359,58 @@ class TestDiagonalAndBounds:
         for z in (1.0, 0.2 + 0.1j, 50.0 * cmath.exp(1j * 1.4)):
             assert kernel_norm(1, z) <= math.sqrt(2 * math.pi) * kernel_norm(0, z) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 8))
+    def test_diag_matches_trigonometric_form(self, n):
+        # the Duffy integrand at w = z, divided by 2 cos(theta), integrated
+        # on its own as a test-only oracle
+        for theta in (0.0, 0.7, -1.2, math.pi / 2 - 1e-3):
+            z = 3.0 * cmath.exp(1j * theta)
+            trig = integrate_interval(
+                lambda t: (1 + t) * _p_eval(n, t) / (t * t + 1 + 2 * t * math.cos(2 * theta)),
+                0.0, 1.0).value.real
+            expected = 2 * math.cos(theta) * trig / (math.factorial(n - 1) ** 2 * abs(z))
+            assert abs(kernel_diag(n, z) - expected) <= 1e-12 * expected
+
     def test_theta_margin_enforced(self):
         with pytest.raises(ValueError):
             kernel_diag(1, cmath.exp(1j * (math.pi / 2 - 1e-5)))
 
 
 class TestGram:
+    @pytest.mark.parametrize("n", range(10))
+    @pytest.mark.parametrize("method", ("auto", "closed_form", "quadrature"))
+    def test_entries_equal_kernel_eval_exactly(self, n, method):
+        # |z_i|/|z_j| straddles 1e6, so auto routes some entries each way,
+        # and the closed-form batch mixes series ratios from 1e-6 to 1/2;
+        # the diagonal holds the conjugate, as every entry above it does
+        pts = [1.0, 0.7 + 0.5j, 2e-4 - 1e-4j, 3e3 + 4e3j, 8e5 * cmath.exp(-0.3j),
+               0.35 - 0.2j, 2.5 + 1.5j, 0.05 + 0.02j, 40.0 - 70.0j]
+        if method == "closed_form" and n > 8:
+            with pytest.raises(ValueError):
+                gram_matrix(n, pts, method)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CancellationWarning)
+            G = gram_matrix(n, pts, method)
+            for i, z in enumerate(pts):
+                for j in range(i + 1):
+                    value = kernel_eval(KernelPoint(n, z, pts[j], method))
+                    assert G[j, i] == value.conjugate()
+                    assert G[i, j] == (value if i > j else value.conjugate())
+        routes = {KernelPoint(n, z, w, method).route for z in pts for w in pts}
+        if method == "auto" and n <= 8:
+            assert routes == {"closed_form", "quadrature"}
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_closed_form_batch_equals_scalar_calls(self, n):
+        # 780 entries in one batch: no element's value depends on the others
+        rng = np.random.default_rng(90 + n)
+        pts = 10 ** rng.uniform(-3, 3, 40) * np.exp(1j * rng.uniform(-1.5, 1.5, 40))
+        G = gram_matrix(n, pts, "closed_form")
+        for i, z in enumerate(pts):
+            for j in range(i):
+                assert G[i, j] == kernel_eval_closed(n, z, pts[j])
+
     def test_single_point(self):
         G = gram_matrix(1, [1.0])
         assert abs(G[0, 0] - 2 * LN2) < 1e-12
