@@ -5,10 +5,17 @@ Subcommands
     verify paley-wiener|inner-product|bounds|reproduce|cayley|hardy-ineq
     symbol parse|classify|jury
 
+Each subcommand declares only the options it reads; any other option is a
+usage error.  The six verify suites share one option set (``--n --tol --seed
+--samples --grid --config --out``).  Arguments are validated here, once:
+``--grid`` is ``r_min,r_max,num_r,theta_margin,num_theta`` with finite
+positive radii, counts >= 0 and ``0 < theta_margin < pi/2``.
+
 Reports are machine-readable (JSON, or CSV for sweeps), versioned with a
 ``schema: 1`` field.  Exit status: 0 on success, 1 when any verification
-residual exceeds its tolerance (or a numeric routine fails), 2 on usage
-errors.  Randomised suites take ``--seed`` (default 0) and are reproducible.
+residual exceeds its tolerance (or a numeric routine or a file fails), 2 on
+usage errors.  Randomised suites take ``--seed`` (default 0) and are
+reproducible.
 
 A plain-text config file of ``key = value`` lines (``--config``) overrides
 the quadrature defaults.
@@ -84,25 +91,36 @@ def _tolerance(text: str) -> float:
     return value
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved common options for one CLI invocation."""
+def _parse_grid(text: str) -> GridSpec:
+    """An argparse type: the log-polar grid 'r_min,r_max,num_r,theta_margin,num_theta'."""
+    fields = text.split(",")
+    if len(fields) != 5:
+        raise argparse.ArgumentTypeError("expected r_min,r_max,num_r,theta_margin,num_theta")
+    try:
+        r_min, r_max, margin = float(fields[0]), float(fields[1]), float(fields[3])
+        num_r, num_theta = int(fields[2]), int(fields[4])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse grid {text!r}") from None
+    if not (0.0 < r_min < math.inf and 0.0 < r_max < math.inf):
+        raise argparse.ArgumentTypeError("r_min and r_max must be finite and positive")
+    if num_r < 0 or num_theta < 0:
+        raise argparse.ArgumentTypeError("num_r and num_theta must be >= 0")
+    if not 0.0 < margin < math.pi / 2:
+        raise argparse.ArgumentTypeError("theta_margin must lie strictly between 0 and pi/2")
+    return GridSpec(log10_r_min=math.log10(r_min), log10_r_max=math.log10(r_max),
+                    num_r=num_r, theta_margin=margin, num_theta=num_theta)
 
-    n: int
-    tol: float | None
-    seed: int
-    samples: int
-    fmt: str
-    out: str | None
-    quad: QuadConfig
-    grid: GridSpec
+
+#: the 7 x 9 grid of ``kernel sweep`` and the verify suites (``symbol classify``
+#: samples the finer ``GridSpec()``)
+SWEEP_GRID = GridSpec(log10_r_min=-3, log10_r_max=3, num_r=7, theta_margin=0.05, num_theta=9)
 
 
 def _load_quad_config(path: str | None) -> QuadConfig:
     if path is None:
         return QuadConfig()
     overrides = {}
-    fields = {f.name: f.type for f in dataclasses.fields(QuadConfig)}
+    defaults = {f.name: f.default for f in dataclasses.fields(QuadConfig)}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -111,46 +129,15 @@ def _load_quad_config(path: str | None) -> QuadConfig:
             if "=" not in line:
                 raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in fields:
+            if key not in defaults:
                 raise SystemExit(f"{path}:{lineno}: unknown quadrature option {key!r}")
-            caster = int if key in ("max_subdiv", "nodes_per_cell") else float
-            overrides[key] = caster(value)
+            overrides[key] = type(defaults[key])(value)
     return QuadConfig(**overrides)
 
 
-def _parse_grid(text: str | None) -> GridSpec:
-    """Grid flag: 'r_min,r_max,num_r,theta_margin,num_theta' (log-polar)."""
-    if text is None:
-        return GridSpec()
-    parts = text.split(",")
-    if len(parts) != 5:
-        raise SystemExit("--grid expects r_min,r_max,num_r,theta_margin,num_theta")
-    r_min, r_max = float(parts[0]), float(parts[1])
-    return GridSpec(
-        log10_r_min=math.log10(r_min),
-        log10_r_max=math.log10(r_max),
-        num_r=int(parts[2]),
-        theta_margin=float(parts[3]),
-        num_theta=int(parts[4]),
-    )
-
-
-def _resolve(args) -> RunConfig:
-    return RunConfig(
-        n=getattr(args, "n", 0),
-        tol=getattr(args, "tol", None),
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 20),
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        quad=_load_quad_config(getattr(args, "config", None)),
-        grid=_parse_grid(getattr(args, "grid", None)),
-    )
-
-
-def _emit(rc: RunConfig, text: str) -> None:
-    if rc.out:
-        with open(rc.out, "w", encoding="utf-8") as fh:
+def _emit(path: str | None, text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -158,9 +145,25 @@ def _emit(rc: RunConfig, text: str) -> None:
             sys.stdout.write("\n")
 
 
-def _emit_json(rc: RunConfig, payload: dict) -> None:
+def _emit_json(path: str | None, payload: dict) -> None:
     payload = {"schema": SCHEMA, **payload}
-    _emit(rc, json.dumps(payload, indent=2))
+    _emit(path, json.dumps(payload, indent=2))
+
+
+def _grid_rows(n: int, grid: GridSpec, quad: QuadConfig):
+    """Yield (z, grid angle, K_n(z, z), lower, upper) over a log-polar grid."""
+    for r in grid.radii():
+        for t in grid.angles():
+            z = complex(r * math.cos(t), r * math.sin(t))
+            diag = kernel_diag(n, z, quad, theta_margin=grid.theta_margin * 0.5)
+            yield (z, t, diag, *norm_bounds(n, z))
+
+
+def _seeded_points(seed: int, count: int, re_min: float) -> list[complex]:
+    """``count`` seeded points with Re z in [re_min, 4) and Im z in [-2, 2)."""
+    rng = np.random.default_rng(seed)
+    return [complex(r, y) for r, y in zip(rng.uniform(re_min, 4.0, count),
+                                          rng.uniform(-2.0, 2.0, count))]
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +171,10 @@ def _emit_json(rc: RunConfig, payload: dict) -> None:
 
 
 def _cmd_kernel_eval(args) -> int:
-    rc = _resolve(args)
-    point = KernelPoint(rc.n, args.z, args.w, args.method, rc.quad)
+    point = KernelPoint(args.n, args.z, args.w, args.method, _load_quad_config(args.config))
     value = kernel_eval(point)
-    _emit_json(rc, {
-        "n": rc.n,
+    _emit_json(args.out, {
+        "n": args.n,
         "z": str(args.z),
         "w": str(args.w),
         "value_re": value.real,
@@ -183,48 +185,32 @@ def _cmd_kernel_eval(args) -> int:
 
 
 def _cmd_kernel_norm(args) -> int:
-    rc = _resolve(args)
-    norm = kernel_norm(rc.n, args.z, rc.quad)
-    payload = {"n": rc.n, "z": str(args.z), "norm": norm, "diag": norm * norm}
-    if rc.n >= 1:
-        lo, hi = norm_bounds(rc.n, args.z)
+    norm = kernel_norm(args.n, args.z, _load_quad_config(args.config))
+    payload = {"n": args.n, "z": str(args.z), "norm": norm, "diag": norm * norm}
+    if args.n >= 1:
+        lo, hi = norm_bounds(args.n, args.z)
         payload.update(lower_bound=lo, upper_bound=hi)
-    _emit_json(rc, payload)
+    _emit_json(args.out, payload)
     return 0
 
 
 def _cmd_kernel_sweep(args) -> int:
-    rc = _resolve(args)
-    grid = rc.grid if args.grid else GridSpec(log10_r_min=-3, log10_r_max=3, num_r=7,
-                                              theta_margin=0.05, num_theta=9)
-    points = [complex(r * math.cos(t), r * math.sin(t))
-              for r in grid.radii() for t in grid.angles()]
-
-    def row(z):
-        diag = kernel_diag(rc.n, z, rc.quad, theta_margin=grid.theta_margin * 0.5)
-        lo, hi = norm_bounds(rc.n, z)
-        return (rc.n, abs(z), math.atan2(z.imag, z.real), diag, lo, math.sqrt(diag), hi)
-
-    rows = [row(z) for z in points]
+    quad = _load_quad_config(args.config)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "abs_z", "arg_z", "kernel_diag", "lower_bound", "norm", "upper_bound"])
-    writer.writerows(rows)
-    _emit(rc, buf.getvalue())
+    for z, _, diag, lo, hi in _grid_rows(args.n, args.grid, quad):
+        writer.writerow((args.n, abs(z), math.atan2(z.imag, z.real), diag, lo, math.sqrt(diag), hi))
+    _emit(args.out, buf.getvalue())
     return 0
 
 
 def _cmd_kernel_gram(args) -> int:
-    rc = _resolve(args)
-    if args.points is not None:
-        pts = args.points
-    else:
-        rng = np.random.default_rng(rc.seed)
-        pts = [complex(r, y) for r, y in zip(rng.uniform(0.2, 4.0, args.count),
-                                             rng.uniform(-2.0, 2.0, args.count))]
-    G = gram_matrix(rc.n, pts, cfg=rc.quad)
-    _emit_json(rc, {
-        "n": rc.n,
+    quad = _load_quad_config(args.config)
+    pts = args.points or _seeded_points(args.seed, args.count, 0.2)
+    G = gram_matrix(args.n, pts, cfg=quad)
+    _emit_json(args.out, {
+        "n": args.n,
         "points": [str(p) for p in pts],
         "gram_re": G.real.tolist(),
         "gram_im": G.imag.tolist(),
@@ -234,141 +220,139 @@ def _cmd_kernel_gram(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify subcommands: each returns (cases, max_residual)
+# verify subcommands: each takes (args, quad) and returns (cases, max_residual)
 
 
-def _suite_samples(rc: RunConfig, level: int = 0) -> list[ExpPoly]:
-    rng = np.random.default_rng(rc.seed)
+def _suite_samples(args, level: int = 0) -> list[ExpPoly]:
+    rng = np.random.default_rng(args.seed)
     samples = [ExpPoly.exponential(1.0)]
-    while len(samples) < rc.samples:
+    while len(samples) < args.samples:
         samples.append(sample_exppoly(rng, level=level))
-    return samples[: rc.samples]
+    return samples[: args.samples]
 
 
-def _verify_paley_wiener(rc: RunConfig):
-    tol = rc.tol if rc.tol is not None else 1e-6
+def _verify_paley_wiener(args, quad):
+    """time norm vs boundary norm on random samples"""
     cases = []
     worst = 0.0
-    for i, f in enumerate(_suite_samples(rc, rc.n)):
-        report = hn_norm(laplace(f), rc.n, rc.quad)
+    for i, f in enumerate(_suite_samples(args, args.n)):
+        report = hn_norm(laplace(f), args.n, quad)
         res = report.paley_wiener_residual
         worst = max(worst, res)
         cases.append({"sample": i, "terms": f.to_triples(), "residual": res,
                       **report.to_dict()})
-    return cases, worst, tol
+    return cases, worst
 
 
-def _verify_inner_product(rc: RunConfig):
-    tol = rc.tol if rc.tol is not None else 1e-9
-    samples = _suite_samples(rc, rc.n)
+def _verify_inner_product(args, quad):
+    """weighted inner product vs derivative form, exact algebra"""
+    n = args.n
+    samples = _suite_samples(args, n)
     cases = []
     worst = 0.0
     for i, f in enumerate(samples):
         g = samples[(i + 1) % len(samples)]
-        lhs = inner_product_n(f, g, rc.n)
-        rhs = inner_product_n(f.times_power(rc.n).derivative(rc.n),
-                              g.times_power(rc.n).derivative(rc.n), 0)
+        lhs = inner_product_n(f, g, n)
+        rhs = inner_product_n(f.times_power(n).derivative(n), g.times_power(n).derivative(n), 0)
         res = abs(lhs - rhs) / max(abs(lhs), 1e-30)
         worst = max(worst, res)
         cases.append({"sample": i, "terms": f.to_triples(), "residual": res,
                       "lhs_re": lhs.real, "lhs_im": lhs.imag})
-    return cases, worst, tol
+    return cases, worst
 
 
-def _verify_bounds(rc: RunConfig):
-    tol = rc.tol if rc.tol is not None else 0.0
-    grid = rc.grid if rc.grid != GridSpec() else GridSpec(
-        log10_r_min=-3, log10_r_max=3, num_r=7, theta_margin=0.05, num_theta=9)
+def _verify_bounds(args, quad):
+    """kernel-norm sandwich on a log-polar grid"""
     cases = []
     worst = -math.inf
-    for r in grid.radii():
-        for t in grid.angles():
-            z = complex(r * math.cos(t), r * math.sin(t))
-            nrm = kernel_norm(rc.n, z, rc.quad, theta_margin=grid.theta_margin * 0.5)
-            lo, hi = norm_bounds(rc.n, z)
-            violation = max(lo - nrm, nrm - hi)
-            worst = max(worst, violation)
-            cases.append({"abs_z": abs(z), "arg_z": t, "norm": nrm,
-                          "lower": lo, "upper": hi, "violation": violation})
-    return cases, worst, tol
+    for z, t, diag, lo, hi in _grid_rows(args.n, args.grid, quad):
+        nrm = math.sqrt(diag)
+        violation = max(lo - nrm, nrm - hi)
+        worst = max(worst, violation)
+        cases.append({"abs_z": abs(z), "arg_z": t, "norm": nrm,
+                      "lower": lo, "upper": hi, "violation": violation})
+    return cases, worst
 
 
-def _verify_reproduce(rc: RunConfig):
-    tol = rc.tol if rc.tol is not None else 1e-6
-    rng = np.random.default_rng(rc.seed)
+def _verify_reproduce(args, quad):
+    """reproducing identity via time-side quadrature"""
+    rng = np.random.default_rng(args.seed)
     cases = []
     worst = 0.0
-    for i in range(rc.samples):
-        f = sample_exppoly(rng, level=rc.n)
+    for i in range(args.samples):
+        f = sample_exppoly(rng, level=args.n)
         w = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
-        res = reproduce_check(rc.n, f, w, rc.quad)
+        res = reproduce_check(args.n, f, w, quad)
         scaled = res / (1.0 + abs(laplace(f)(w)))
         worst = max(worst, scaled)
         cases.append({"sample": i, "terms": f.to_triples(), "w": str(w), "residual": scaled})
-    return cases, worst, tol
+    return cases, worst
 
 
-def _verify_cayley(rc: RunConfig):
-    tol = rc.tol if rc.tol is not None else 1e-7
-    rng = np.random.default_rng(rc.seed)
+def _verify_cayley(args, quad):
+    """disc-transfer norm equality"""
+    rng = np.random.default_rng(args.seed)
     cases = []
     worst = 0.0
-    for i in range(rc.samples):
+    for i in range(args.samples):
         F = laplace(sample_exppoly(rng, max_terms=3, max_power=2, level=1))
-        lhs, rhs, res = norm_equality_check(F, rc.quad)
+        lhs, rhs, res = norm_equality_check(F, quad)
         worst = max(worst, res)
         cases.append({"sample": i, "lhs": lhs, "rhs": rhs, "residual": res})
-    return cases, worst, tol
+    return cases, worst
 
 
-def _verify_hardy_ineq(rc: RunConfig):
-    tol = rc.tol if rc.tol is not None else 0.0
-    rng = np.random.default_rng(rc.seed)
+def _verify_hardy_ineq(args, quad):
+    """iterated-integral inequality on positive samples"""
+    rng = np.random.default_rng(args.seed)
     cases = []
     worst = -math.inf
-    for i in range(rc.samples):
+    for i in range(args.samples):
         # positive function: positive coefficients, real decay rates
         terms = tuple(
             (float(rng.uniform(0.1, 2.0)), int(rng.integers(0, 3)), float(rng.uniform(0.3, 3.0)))
             for _ in range(int(rng.integers(1, 4)))
         )
         phi = ExpPoly(terms)
-        lhs_fn = w_minus_exp(phi, rc.n)
+        lhs_fn = w_minus_exp(phi, args.n)
         lhs = (lhs_fn * lhs_fn).integral().real
-        weighted = phi.times_power(rc.n)
-        rhs = hardy_constant(rc.n) ** 2 * (weighted * weighted).integral().real
+        weighted = phi.times_power(args.n)
+        rhs = hardy_constant(args.n) ** 2 * (weighted * weighted).integral().real
         violation = lhs - rhs
         worst = max(worst, violation)
         cases.append({"sample": i, "lhs": lhs, "rhs": rhs, "violation": violation})
-    return cases, worst, tol
+    return cases, worst
 
 
-#: each suite and the least order it runs at
+#: each suite (its docstring is its help), the least order it runs at, and its
+#: default tolerance
 _VERIFY_SUITES = {
-    "paley-wiener": (_verify_paley_wiener, 0),
-    "inner-product": (_verify_inner_product, 0),
-    "bounds": (_verify_bounds, 1),
-    "reproduce": (_verify_reproduce, 1),
-    "cayley": (_verify_cayley, 0),
-    "hardy-ineq": (_verify_hardy_ineq, 1),
+    "paley-wiener": (_verify_paley_wiener, 0, 1e-6),
+    "inner-product": (_verify_inner_product, 0, 1e-9),
+    "bounds": (_verify_bounds, 1, 0.0),
+    "reproduce": (_verify_reproduce, 1, 1e-6),
+    "cayley": (_verify_cayley, 0, 1e-7),
+    "hardy-ineq": (_verify_hardy_ineq, 1, 0.0),
 }
 
 
 def _cmd_verify(args) -> int:
-    suite, min_n = _VERIFY_SUITES[args.suite]
-    rc = _resolve(args)
-    rc = dataclasses.replace(rc, n=max(rc.n, min_n))
+    suite, min_n, tol = _VERIFY_SUITES[args.suite]
+    if args.tol is not None:
+        tol = args.tol
+    args.n = max(args.n, min_n)
+    quad = _load_quad_config(args.config)
     try:
-        cases, worst, tol = suite(rc)
+        cases, worst = suite(args, quad)
     except QuadratureError as exc:
-        _emit_json(rc, {"suite": args.suite, "error": f"quadrature failure: {exc}"})
+        _emit_json(args.out, {"suite": args.suite, "error": f"quadrature failure: {exc}"})
         return 1
     # a suite that checked nothing has shown nothing
     passed = bool(cases) and worst <= tol
-    _emit_json(rc, {
+    _emit_json(args.out, {
         "suite": args.suite,
-        "n": rc.n,
-        "seed": rc.seed,
+        "n": args.n,
+        "seed": args.seed,
         "samples": len(cases),
         "tolerance": tol,
         "max_residual": worst if cases else None,
@@ -398,33 +382,26 @@ def _ast_dict(node) -> dict:
 
 
 def _cmd_symbol_parse(args) -> int:
-    rc = _resolve(args)
     expr = parse_symbol(args.expression)
-    _emit_json(rc, {"expression": args.expression, "text": expr.to_text(), "ast": _ast_dict(expr)})
+    _emit_json(args.out, {"expression": args.expression, "text": expr.to_text(),
+                          "ast": _ast_dict(expr)})
     return 0
 
 
 def _cmd_symbol_classify(args) -> int:
-    rc = _resolve(args)
     expr = parse_symbol(args.expression)
-    report = classify(expr, rc.n, rc.grid)
-    _emit_json(rc, report.to_dict())
+    _emit_json(args.out, classify(expr, args.n, args.grid).to_dict())
     return 0
 
 
 def _cmd_symbol_jury(args) -> int:
-    rc = _resolve(args)
+    quad = _load_quad_config(args.config)
     expr = parse_symbol(args.expression)
-    if args.points is not None:
-        pts = args.points
-    else:
-        rng = np.random.default_rng(rc.seed)
-        pts = [complex(r, y) for r, y in zip(rng.uniform(0.3, 4.0, args.count),
-                                             rng.uniform(-2.0, 2.0, args.count))]
-    eig = jury_min_eig(expr, rc.n, args.m, pts, cfg=rc.quad)
-    _emit_json(rc, {
+    pts = args.points or _seeded_points(args.seed, args.count, 0.3)
+    eig = jury_min_eig(expr, args.n, args.m, pts, cfg=quad)
+    _emit_json(args.out, {
         "expression": args.expression,
-        "n": rc.n,
+        "n": args.n,
         "m": args.m,
         "points": [str(p) for p in pts],
         "min_eigenvalue": eig,
@@ -436,18 +413,23 @@ def _cmd_symbol_jury(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+#: options that several subcommands read; each subcommand declares the ones it
+#: reads, and sets its own defaults with ``set_defaults``
+_OPTIONS = {
+    "--n": {"type": _int_at_least(0), "default": 1, "help": "space order"},
+    "--tol": {"type": _tolerance, "help": "tolerance override"},
+    "--seed": {"type": _int_at_least(0), "default": 0, "help": "RNG seed for sampled points"},
+    "--samples": {"type": _int_at_least(0), "default": 20, "help": "sample count for suites"},
+    "--grid": {"type": _parse_grid, "default": SWEEP_GRID,
+               "help": "log-polar grid: r_min,r_max,num_r,theta_margin,num_theta"},
+    "--config": {"help": "quadrature config file of 'key = value' lines"},
+    "--out": {"help": "write the report to a file"},
+}
 
-def _add_common(p, n_default=0):
-    p.add_argument("--n", type=_int_at_least(0), default=n_default, help="space order")
-    p.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled suites")
-    p.add_argument("--samples", type=_int_at_least(0), default=20, help="sample count for suites")
-    p.add_argument("--grid", type=str, default=None,
-                   help="log-polar grid: r_min,r_max,num_r,theta_margin,num_theta")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", type=str, default=None, help="write the report to a file")
-    p.add_argument("--config", type=str, default=None,
-                   help="quadrature config file of 'key = value' lines")
+
+def _add_options(p, *flags) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,23 +444,24 @@ def build_parser() -> argparse.ArgumentParser:
     ksub = kernel.add_subparsers(dest="subcommand", required=True)
 
     p = ksub.add_parser("eval", help="evaluate K_n(z, w)")
-    _add_common(p, n_default=1)
+    _add_options(p, "--n", "--config", "--out")
     p.add_argument("--z", type=_parse_complex, required=True)
     p.add_argument("--w", type=_parse_complex, required=True)
     p.add_argument("--method", choices=("auto", "closed_form", "quadrature"), default="auto")
     p.set_defaults(func=_cmd_kernel_eval)
 
     p = ksub.add_parser("norm", help="kernel norm and bounds at a point")
-    _add_common(p, n_default=1)
+    _add_options(p, "--n", "--config", "--out")
     p.add_argument("--z", type=_parse_complex, required=True)
     p.set_defaults(func=_cmd_kernel_norm)
 
     p = ksub.add_parser("sweep", help="CSV sweep of diagonal, norm and bounds")
-    _add_common(p, n_default=1)
-    p.set_defaults(func=_cmd_kernel_sweep, format="csv")
+    p.add_argument("--n", type=_int_at_least(1), default=1, help="space order (bounds need n >= 1)")
+    _add_options(p, "--grid", "--config", "--out")
+    p.set_defaults(func=_cmd_kernel_sweep)
 
     p = ksub.add_parser("gram", help="Gram matrix and least eigenvalue")
-    _add_common(p, n_default=1)
+    _add_options(p, "--n", "--seed", "--config", "--out")
     p.add_argument("--points", type=_parse_points, default=None,
                    help="comma-separated complex points, e.g. '1,2+1i,0.5-0.2i'")
     p.add_argument("--count", type=_int_at_least(1), default=8,
@@ -487,48 +470,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = top.add_parser("verify", help="numeric verification suites")
     vsub = verify.add_subparsers(dest="suite", required=True)
-    for name, helptext in (
-        ("paley-wiener", "time norm vs boundary norm on random samples"),
-        ("inner-product", "weighted inner product vs derivative form, exact algebra"),
-        ("bounds", "kernel-norm sandwich on a log-polar grid"),
-        ("reproduce", "reproducing identity via time-side quadrature"),
-        ("cayley", "disc-transfer norm equality"),
-        ("hardy-ineq", "iterated-integral inequality on positive samples"),
-    ):
-        p = vsub.add_parser(name, help=helptext)
-        _add_common(p)
-        p.set_defaults(func=_cmd_verify)
+    for name, (suite, _, _) in _VERIFY_SUITES.items():
+        p = vsub.add_parser(name, help=suite.__doc__)
+        _add_options(p, "--n", "--tol", "--seed", "--samples", "--grid", "--config", "--out")
+        p.set_defaults(func=_cmd_verify, n=0)
 
     symbol = top.add_parser("symbol", help="composition-operator symbol analysis")
     ssub = symbol.add_subparsers(dest="subcommand", required=True)
 
     p = ssub.add_parser("parse", help="parse a symbol expression to an AST report")
-    _add_common(p)
+    _add_options(p, "--out")
     p.add_argument("expression")
     p.set_defaults(func=_cmd_symbol_parse)
 
     p = ssub.add_parser("classify", help="boundedness evidence for a symbol")
-    _add_common(p, n_default=1)
+    _add_options(p, "--n", "--grid", "--out")
     p.add_argument("expression")
-    p.set_defaults(func=_cmd_symbol_classify)
+    p.set_defaults(func=_cmd_symbol_classify, grid=GridSpec())
 
     p = ssub.add_parser("jury", help="kernel-inequality eigenvalue certificate")
-    _add_common(p, n_default=0)
+    _add_options(p, "--n", "--seed", "--config", "--out")
     p.add_argument("expression")
-    p.add_argument("--m", type=float, required=True, help="candidate operator-norm bound M")
+    p.add_argument("--m", type=_tolerance, required=True,
+                   help="candidate operator-norm bound M (finite, >= 0)")
     p.add_argument("--points", type=_parse_points, default=None)
     p.add_argument("--count", type=_int_at_least(1), default=6)
-    p.set_defaults(func=_cmd_symbol_jury)
+    p.set_defaults(func=_cmd_symbol_jury, n=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (QuadratureError, ValueError, ZeroDivisionError) as exc:
+    except (QuadratureError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,21 @@ class TestVerifyCommands:
         assert code == 0
         assert payload["max_residual"] <= 0
 
+    def test_bounds_grid_equal_to_symbol_default(self, capsys):
+        # this --grid spells out GridSpec()'s fields; it must not fall back to 7 x 9
+        code, out = run_cli(capsys, "verify", "bounds", "--grid", "1e-4,1e6,41,0.001,33")
+        assert code == 0
+        assert json.loads(out)["samples"] == 41 * 33
+
+    @pytest.mark.parametrize("argv, rows", [
+        (("kernel", "sweep"), lambda out: len(out.strip().splitlines()) - 1),
+        (("verify", "bounds"), lambda out: json.loads(out)["samples"]),
+    ])
+    def test_default_grid_is_seven_by_nine(self, capsys, argv, rows):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert rows(out) == 7 * 9
+
     def test_reproduce_suite(self, capsys):
         code, _ = run_cli(capsys, "verify", "reproduce", "--n", "2", "--samples", "4")
         assert code == 0
@@ -209,12 +227,50 @@ class TestPlumbing:
         ("verify", "reproduce", "--samples", "two"),
         ("kernel", "gram", "--count", "0"),
         ("symbol", "jury", "--m", "1", "--count", "0", "z"),
+        ("verify", "bounds", "--grid", "1,2,3"),
+        ("verify", "bounds", "--grid", "0.1,10,3,0.1,3,7"),
+        ("verify", "bounds", "--grid", "0,10,3,0.1,3"),
+        ("verify", "bounds", "--grid", "0.1,inf,3,0.1,3"),
+        ("verify", "bounds", "--grid", "0.1,10,-1,0.1,3"),
+        ("verify", "bounds", "--grid", "0.1,10,3,0.1,2.5"),
+        ("kernel", "sweep", "--grid", "0.1,10,3,2,3"),
+        ("kernel", "sweep", "--grid", "0.1,10,3,0,3"),
+        ("symbol", "classify", "--grid", "1,2,3,4,5", "z"),
+        ("kernel", "gram", "--seed", "-1"),
+        ("verify", "reproduce", "--seed", "-1"),
+        ("symbol", "jury", "--m", "nan", "--points", "1", "z"),
+        ("symbol", "jury", "--m", "-1", "--points", "1", "z"),
+        ("kernel", "sweep", "--n", "0"),
     ])
     def test_bad_arguments_exit_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(list(argv))
         assert info.value.code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "sweep", "--format", "json"),
+        ("kernel", "eval", "--z", "1", "--w", "1", "--tol", "1e-3"),
+        ("kernel", "gram", "--samples", "3"),
+        ("symbol", "parse", "--n", "2", "z"),
+        ("symbol", "classify", "--config", "q.cfg", "z"),
+        ("symbol", "jury", "--m", "1", "--grid", "0.1,10,3,0.1,3", "z"),
+    ])
+    def test_unread_option_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--out", "{tmp}/missing/x.json"),
+        ("kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--config", "{tmp}/missing.cfg"),
+        ("kernel", "eval", "--n", "200", "--z", "1", "--w", "1"),
+    ])
+    def test_failures_exit_one_without_traceback(self, tmp_path, capsys, argv):
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error [kernel]: ")
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as info:
@@ -265,3 +321,22 @@ class TestPlumbing:
         payload = json.loads(out)
         f = ExpPoly.from_triples(payload["cases"][1]["terms"])
         assert not f.is_zero
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_commands():
+    """The ``hsob ...`` lines of the sh block under README's ``## CLI``, as argv lists."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("hsob ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_commands(), ids=" ".join)
+def test_readme_cli_commands_run(tmp_path, argv):
+    # a later --out wins, so the report of every line lands in tmp_path
+    target = tmp_path / "report"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_text(encoding="utf-8")
