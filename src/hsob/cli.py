@@ -12,10 +12,12 @@ usage error.  The six verify suites share one option set (``--n --tol --seed
 positive radii, counts >= 0 and ``0 < theta_margin < pi/2``.
 
 Reports are machine-readable (JSON, or CSV for sweeps), versioned with a
-``schema: 1`` field.  Exit status: 0 on success, 1 when any verification
-residual exceeds its tolerance (or a numeric routine or a file fails), 2 on
-usage errors.  Randomised suites take ``--seed`` (default 0) and are
-reproducible.
+``schema: 1`` field.  JSON reports are strict: a NaN or infinite field is an
+error, except a divergent supremum of ``symbol classify``, written as the
+number ``1e999``.  Exit status: 0 on success, 1 when any verification
+residual exceeds its tolerance (or a numeric routine or a file fails, or a
+report field is not finite), 2 on usage errors.  Randomised suites take
+``--seed`` (default 0) and are reproducible.
 
 A plain-text config file of ``key = value`` lines (``--config``) overrides
 the quadrature defaults.
@@ -27,6 +29,7 @@ import argparse
 import cmath
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -145,18 +148,55 @@ def _emit(path: str | None, text: str) -> None:
             sys.stdout.write("\n")
 
 
+#: stands in for a supremum that escaped past the divergence cap until the
+#: report is serialised; it is then written as the JSON number 1e999, larger
+#: than any double, which readers of doubles take as infinity
+_DIVERGENT = "\0divergent"
+
+
+def _divergent(value: float):
+    return _DIVERGENT if value == math.inf else value
+
+
+def _nonfinite_field(value, path: str) -> str | None:
+    """The path of the first NaN or infinite number in a report, if any."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, (list, tuple)) else ())
+    for key, item in items:
+        found = _nonfinite_field(item, f"{path}.{key}" if path else str(key))
+        if found:
+            return found
+    return None
+
+
 def _emit_json(path: str | None, payload: dict) -> None:
+    """Write a report as strict JSON; a NaN or infinite field is an error."""
     payload = {"schema": SCHEMA, **payload}
-    _emit(path, json.dumps(payload, indent=2))
+    bad = _nonfinite_field(payload, "")
+    if bad:
+        raise ValueError(f"report field {bad} is not a finite number")
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    _emit(path, text.replace(json.dumps(_DIVERGENT), "1e999"))
 
 
 def _grid_rows(n: int, grid: GridSpec, quad: QuadConfig):
-    """Yield (z, grid angle, K_n(z, z), lower, upper) over a log-polar grid."""
-    for r in grid.radii():
-        for t in grid.angles():
+    """Yield (z, grid angle, K_n(z, z), lower, upper) over a log-polar grid.
+
+    |z| K_n(z, z) depends on arg z alone, and the diagonal quadrature runs at
+    |z| = 1 anyway, so each grid angle takes one quadrature at unit modulus
+    and each radius r divides it by r.
+    """
+    radii, angles = grid.radii(), grid.angles()
+    if not len(radii):
+        return
+    unit = [kernel_diag(n, complex(math.cos(t), math.sin(t)), quad,
+                        theta_margin=grid.theta_margin * 0.5) for t in angles]
+    for r in radii:
+        for t, diag in zip(angles, unit):
             z = complex(r * math.cos(t), r * math.sin(t))
-            diag = kernel_diag(n, z, quad, theta_margin=grid.theta_margin * 0.5)
-            yield (z, t, diag, *norm_bounds(n, z))
+            yield (z, t, diag / r, *norm_bounds(n, z))
 
 
 def _seeded_points(seed: int, count: int, re_min: float) -> list[complex]:
@@ -390,7 +430,11 @@ def _cmd_symbol_parse(args) -> int:
 
 def _cmd_symbol_classify(args) -> int:
     expr = parse_symbol(args.expression)
-    _emit_json(args.out, classify(expr, args.n, args.grid).to_dict())
+    report = classify(expr, args.n, args.grid).to_dict()
+    for key in ("phi_prime_infinity", "radial_sup"):
+        report[key] = _divergent(report[key])
+    report["nbc"] = [_divergent(v) for v in report["nbc"]]
+    _emit_json(args.out, report)
     return 0
 
 
@@ -500,8 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of the process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (QuadratureError, ValueError, ArithmeticError, OSError) as exc:

@@ -36,6 +36,7 @@ of warranty in general.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,6 +80,8 @@ class CancellationWarning(UserWarning):
 
 def _require_halfplane(z: complex, name: str) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite, got {z}")
     if not z.real > 0:
         raise ValueError(f"{name} must lie in the open right half-plane")
     return z

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,10 +82,16 @@ class QuadResult:
         return complex(self.value)
 
 
+@lru_cache(maxsize=None)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # nodes/weights on [0, 1]
+    """Gauss-Legendre nodes and weights on [0, 1], built once per order.
+
+    Every caller shares the arrays, so they are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _eval_nodes(f, xs: np.ndarray) -> np.ndarray:
@@ -109,6 +117,10 @@ def _gl_cell(f, a: float, b: float, nodes: np.ndarray, weights: np.ndarray) -> c
     return complex((b - a) * np.dot(weights, _eval_nodes(f, xs)))
 
 
+#: unit roundoff of a double, for the rounding slack of the running totals
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
+
+
 def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
     """Integrate ``f`` over the finite interval (a, b).
 
@@ -116,6 +128,12 @@ def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) 
     bisected until the summed error estimate meets the tolerance.  Raises
     :class:`QuadratureError` after ``cfg.max_subdiv`` bisections, which usually
     signals a singular or highly oscillatory integrand beyond the budget.
+
+    The stopping test compares the sums of the cells' values and errors, in
+    heap order.  Running totals stand in for those sums while they clear the
+    tolerance by more than their rounding drift; otherwise the heap is summed,
+    so the value, error and bisection count are those of summing the heap on
+    every step.
     """
     if not b > a:
         raise ValueError("integration bounds must satisfy a < b")
@@ -131,20 +149,40 @@ def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) 
 
     heap = [make_cell(a, b, _gl_cell(f, a, b, nodes, weights))]
     nsub = 1
+    # running sums of the cells' values, errors and |values|; drift and
+    # drift_err sum the magnitudes their updates rounded, each update three
+    # roundings of numbers no larger than the heap's sums before and after it
+    total, total_err, total_abs = heap[0][3], -heap[0][0], abs(heap[0][3])
+    drift = drift_err = 0.0
     while True:
-        total = sum(c[3] for c in heap)
-        total_err = sum(-c[0] for c in heap)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            return QuadResult(total, total_err, nsub)
+        # the running sums and the heap sums each stray from the exact sums by
+        # at most u (drift + cells * magnitude); four times that is the slack
+        cells = len(heap)
+        slack = 4 * _UNIT_ROUNDOFF * (drift_err + cells * total_err
+                                      + cfg.rel_tol * (drift + cells * total_abs))
+        if not total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) + slack:
+            total = sum(c[3] for c in heap)
+            total_err = sum(-c[0] for c in heap)
+            if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                return QuadResult(total, total_err, nsub)
+            total_abs = sum(abs(c[3]) for c in heap)
+            drift = drift_err = 0.0
         if nsub >= cfg.max_subdiv:
+            total_err = sum(-c[0] for c in heap)
             raise QuadratureError(
                 f"interval rule did not converge after {nsub} subdivisions "
                 f"(error estimate {total_err:.3e})"
             )
-        _, lo, hi, _, left, right = heapq.heappop(heap)
+        neg_err, lo, hi, fine, left, right = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        heapq.heappush(heap, make_cell(lo, mid, left))
-        heapq.heappush(heap, make_cell(mid, hi, right))
+        first, second = make_cell(lo, mid, left), make_cell(mid, hi, right)
+        heapq.heappush(heap, first)
+        heapq.heappush(heap, second)
+        total += first[3] + second[3] - fine
+        total_err += neg_err - first[0] - second[0]
+        total_abs += abs(first[3]) + abs(second[3]) - abs(fine)
+        drift += 3 * (total_abs + abs(fine))
+        drift_err += 3 * (total_err - neg_err)
         nsub += 2
 
 

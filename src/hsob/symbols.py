@@ -437,6 +437,12 @@ def _safe_ratio(fn, z) -> float:
     return val
 
 
+def _require_points(grid: GridSpec) -> None:
+    """Refuse a grid with no points: it samples nothing, so it is no evidence."""
+    if grid.num_r < 1 or grid.num_theta < 1:
+        raise ValueError("the grid has no points: num_r and num_theta must be at least 1")
+
+
 def _supremum_estimate(fn, grid: GridSpec) -> tuple[float, complex]:
     """Running max of ``fn`` (real-valued, nan to skip) with all refinements.
 
@@ -444,6 +450,7 @@ def _supremum_estimate(fn, grid: GridSpec) -> tuple[float, complex]:
     the divergence cap *and* refinement pushed it past the base-grid value,
     the signature of a supremum escaping to the boundary or to infinity.
     """
+    _require_points(grid)
     best, best_z = -math.inf, 0j
 
     def sweep(points):
@@ -487,6 +494,7 @@ def _supremum_estimate(fn, grid: GridSpec) -> tuple[float, complex]:
 
 def selfmap_witness(e: SymbolExpr, grid: GridSpec = DEFAULT_GRID) -> tuple[bool, complex | None]:
     """Check Re phi > 0 over the grid; returns (ok, violating point or None)."""
+    _require_points(grid)
     for z in _grid_points(grid.radii(), grid.angles()):
         try:
             if e.eval(z).real <= 0:

@@ -14,22 +14,24 @@ the time-side preimage of the reproducing kernel.  Its weighted derivative has
 the stable closed form
 
     t^n g_{w,n}^(n)(t) = (-1)^n E_n(w t),
-    E_n(x) = sum_{m>=0} (-x)^m/(n+m)!  =  (-x)^-n (exp(-x) - sum_{j<n} (-x)^j/j!),
+    E_n(x) = sum_{m>=0} (-x)^m/(n+m)!  =  (-x)^-n (exp(-x) - sum_{j<n} (-x)^j/j!)
+           = int_0^1 (1-s)^(n-1)/(n-1)! exp(-x s) ds,
 
-an exponential-series remainder; the series branch is used for small |x| to
-dodge the cancellation in the remainder form.
+an exponential-series remainder; for small |x| the integral form, by a fixed
+Gauss-Legendre rule, dodges the cancellation in the remainder form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 
 from .expfamily import ExpPoly, norm_n
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_halfline
+from .quadrature import DEFAULT_CONFIG, QuadConfig, _gl_rule, integrate_halfline
 
 __all__ = [
     "w_minus_exp",
@@ -89,38 +91,63 @@ def hardy_constant(m: int) -> float:
     return float(Fraction(4**m * factorial(m), factorial(2 * m)))
 
 
+#: |x| up to which E_n is the Gauss-Legendre rule of its integral form
+E_N_RULE_RADIUS = 12.0
+#: nodes of that rule: its error at |x| = 12 is far below a double's rounding
+E_N_RULE_NODES = 32
+
+
+@lru_cache(maxsize=None)
+def _e_n_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s_k on [0, 1] and weights w_k (1 - s_k)^(n-1)/(n-1)!, read-only."""
+    nodes, weights = _gl_rule(E_N_RULE_NODES)
+    weighted = weights * (1.0 - nodes) ** (n - 1) / factorial(n - 1)
+    weighted.flags.writeable = False
+    return nodes, weighted
+
+
 def exp_series_remainder(n: int, x):
     """E_n(x) = sum_{m>=0} (-x)^m / (n+m)!, vectorised over complex x.
 
-    Equals (-x)^-n (exp(-x) - partial exponential sum); the two forms are
-    switched at |x| = 12 for accuracy.
+    E_n(x) = int_0^1 (1-s)^(n-1)/(n-1)! exp(-x s) ds for n >= 1 (Tricomi's
+    entire incomplete gamma, DLMF 8.2 and 8.7.1), evaluated at a fixed cost:
+
+    * n = 1: -expm1(-x)/x, free of cancellation at the zeros x = 2 pi i k;
+    * n >= 2, |x| <= 12: one 32-node Gauss-Legendre rule of the integral, one
+      ``exp`` of a (points x 32) array and one matrix-vector product;
+    * otherwise (and n = 0): the remainder form
+      (-x)^-n (exp(-x) - sum_{j<n} (-x)^j/j!), whose terms grow with j there.
+
+    On |arg x| <= pi/2 - 1e-3, 1e-3 <= |x| <= 1e3 and n = 1..8 the relative
+    error against a 40-digit reference is below 1e-14.
     """
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=complex))
-    out = np.empty(x.shape, dtype=complex)
-
-    small = np.abs(x) <= 12.0
-    if np.any(small):
-        xs = x[small]
-        term = np.ones_like(xs) / factorial(n)
-        acc = term.copy()
-        m = 0
-        while True:
-            m += 1
-            term = term * (-xs) / (n + m)
-            acc += term
-            if m > 5 and np.all(np.abs(term) <= 1e-18 * (1.0 + np.abs(acc))):
+    if n == 1:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.where(x == 0, 1.0, -np.expm1(-x) / x)
+    else:
+        out = np.empty(x.shape, dtype=complex)
+        by_rule = np.abs(x) <= E_N_RULE_RADIUS if n >= 2 else np.zeros(x.shape, dtype=bool)
+        for branch, mask in ((_e_n_by_rule, by_rule), (_e_n_remainder, ~by_rule)):
+            if mask.all():
+                out = branch(n, x)
                 break
-            if m > 80:  # |x| <= 12 converges far earlier
-                break
-        out[small] = acc
-    if np.any(~small):
-        xl = x[~small]
-        partial = np.zeros_like(xl)
-        for j in range(n):
-            partial += (-xl) ** j / factorial(j)
-        out[~small] = (np.exp(-xl) - partial) / (-xl) ** n
+            if mask.any():
+                out[mask] = branch(n, x[mask])
     return complex(out[0]) if scalar else out
+
+
+def _e_n_by_rule(n: int, x: np.ndarray) -> np.ndarray:
+    nodes, weights = _e_n_rule(n)
+    return np.exp(-np.multiply.outer(x, nodes)) @ weights
+
+
+def _e_n_remainder(n: int, x: np.ndarray) -> np.ndarray:
+    partial = np.zeros_like(x)
+    for j in range(n):
+        partial += (-x) ** j / factorial(j)
+    return (np.exp(-x) - partial) / (-x) ** n
 
 
 @dataclass(frozen=True)

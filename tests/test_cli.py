@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hsob import cli, kernel_diag
 from hsob.cli import main
 
 
@@ -70,6 +71,38 @@ class TestKernelCommands:
             n, abs_z, arg_z, diag, lo, norm, hi = (float(x) for x in line.split(","))
             assert lo <= norm <= hi
             assert abs(norm**2 - diag) < 1e-9
+
+    def test_nonfinite_report_field_exits_one(self, capsys):
+        # the diagonal overflows at a subnormal |z|: no "norm": Infinity on stdout
+        code = main(["kernel", "norm", "--z", "1e-320"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error [kernel]: report field norm is not a finite number")
+
+    def test_grid_rows_take_one_quadrature_per_angle(self, monkeypatch):
+        # |z| K_n(z, z) depends on arg z alone: a 7 x 9 grid makes 9 diagonal
+        # quadratures, and each row matches the per-point diagonal
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return kernel_diag(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "kernel_diag", counting)
+        for n in (1, 2, 5):
+            calls.clear()
+            grid = cli._parse_grid("1e-3,1e3,7,0.05,9")
+            rows = list(cli._grid_rows(n, grid, cli.QuadConfig()))
+            assert len(rows) == 63 and len(calls) == 9
+            assert all(abs(abs(u) - 1.0) < 1e-15 for u in calls)
+            for z, _, diag, _, _ in rows:
+                want = kernel_diag(n, z, theta_margin=grid.theta_margin * 0.5)
+                assert abs(diag - want) <= 1e-14 * want
+
+    def test_empty_grid_takes_no_quadrature(self, monkeypatch):
+        monkeypatch.setattr(cli, "kernel_diag", lambda *a, **k: pytest.fail("quadrature"))
+        assert list(cli._grid_rows(1, cli._parse_grid("0.1,10,0,0.1,3"), cli.QuadConfig())) == []
 
     def test_gram_seeded(self, capsys):
         code, out = run_cli(capsys, "kernel", "gram", "--n", "1", "--count", "4", "--seed", "3")
@@ -197,6 +230,21 @@ class TestSymbolCommands:
         payload = json.loads(out)
         assert payload["radial_sup"] == math.inf
 
+    @pytest.mark.parametrize("text", ["z+i", "sqrt(z)"])
+    def test_classify_divergent_suprema_are_strict_json(self, capsys, text):
+        # a divergent supremum is the number 1e999, which reads back as infinity
+        code, out = run_cli(capsys, "symbol", "classify", "--n", "1", text)
+        payload = strict_json(out)
+        assert code == 0
+        assert math.inf in (payload["phi_prime_infinity"], payload["radial_sup"])
+        assert "1e999" in out
+
+    @pytest.mark.parametrize("grid", ["0.1,10,0,0.1,3", "0.1,10,3,0.1,0"])
+    def test_classify_empty_grid_exits_one(self, capsys, grid):
+        code, out = run_cli(capsys, "symbol", "classify", "--grid", grid, "z")
+        assert code == 1
+        assert out == ""
+
     def test_jury(self, capsys):
         code, out = run_cli(capsys, "symbol", "jury", "--n", "0", "--m", "0.5",
                             "--points", "1,2,0.5+0.2i", "4*z+1")
@@ -271,6 +319,38 @@ class TestPlumbing:
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         assert code == 1
         assert capsys.readouterr().err.startswith("error [kernel]: ")
+
+    def test_parser_built_once_parses_like_fresh_parsers(self, capsys, monkeypatch):
+        # one parser serves every call, failed ones included, and prints the
+        # bytes that a fresh parser per call prints
+        sequence = [
+            ["kernel", "eval", "--n", "2", "--z", "1+2i", "--w", "0.5"],
+            ["kernel", "eval", "--z", "1"],
+            ["verify", "hardy-ineq", "--n", "2", "--samples", "2", "--seed", "4"],
+            ["kernel", "norm", "--z", "1e-320"],
+            ["symbol", "jury", "--m", "0.8", "--points", "1,2", "2*z+1"],
+            ["kernel", "eval", "--n", "2", "--z", "1+2i", "--w", "0.5"],
+            ["verify", "bounds", "--grid", "0.5,2,2,0.1,2"],
+            ["symbol", "parse", "z+"],
+            ["verify", "hardy-ineq", "--n", "2", "--samples", "2", "--seed", "4"],
+        ]
+
+        def run_all():
+            outputs = []
+            for argv in sequence:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                captured = capsys.readouterr()
+                outputs.append((code, captured.out, captured.err))
+            return outputs
+
+        shared = run_all()
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run_all() == shared
+        assert [o[0] for o in shared] == [0, ("exit", 2), 0, 1, 0, 0, 0, 1, 0]
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as info:

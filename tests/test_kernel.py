@@ -239,6 +239,23 @@ class TestQuadratureAgreement:
         with pytest.raises(ValueError):
             KernelPoint(1, 1.0, 1.0, "newton")
 
+    @pytest.mark.parametrize("bad", [complex(1, math.nan), complex(math.nan, 1),
+                                     complex(math.inf, 0), complex(1, -math.inf)])
+    def test_nonfinite_arguments_rejected(self, bad):
+        # every entry point validates once, in the half-plane check
+        for call in (lambda: kernel_eval_closed(1, bad, 1.0),
+                     lambda: kernel_eval_closed(1, 1.0, bad),
+                     lambda: kernel_eval_quadrature(2, bad, 1.0),
+                     lambda: kernel_diag(1, bad),
+                     lambda: KernelPoint(1, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    def test_nonfinite_gram_point_is_a_value_error(self):
+        # not a QuadratureError from deep inside the integrator
+        with pytest.raises(ValueError, match="finite"):
+            gram_matrix(2, [math.inf, 1.0])
+
 
 class TestSquareOracle:
     """The graded square rule on known integrals, then against the Duffy route."""

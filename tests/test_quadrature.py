@@ -1,5 +1,6 @@
 """Quadrature engine: anchors from antiderivative oracles, then properties."""
 
+import heapq
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from hsob import (
     integrate_halfline,
     integrate_interval,
 )
+from hsob.kernel import _p_eval
+from hsob.quadrature import _gl_cell, _gl_rule
 
 # Oracle: d/dt [ (arctan t - t/(1+t^2)) / 2 ] = t^2/(1+t^2)^2, so the
 # half-line integral is the limit pi/4.
@@ -58,6 +61,84 @@ class TestInterval:
         cfg = QuadConfig(max_subdiv=9, abs_tol=1e-14, rel_tol=1e-14)
         with pytest.raises(QuadratureError):
             integrate_interval(lambda t: 1.0 / np.sqrt(t), 1e-300, 1.0, cfg)
+
+
+def resumming_integrate(f, a, b, cfg=QuadConfig()):
+    """The adaptive loop that sums every cell's value and error on each step.
+
+    A test-only reference for :func:`integrate_interval`, whose running totals
+    must leave its value, error and bisection count bit for bit unchanged.
+    """
+    nodes, weights = _gl_rule(cfg.nodes_per_cell)
+
+    def make_cell(lo, hi, coarse):
+        mid = 0.5 * (lo + hi)
+        left = _gl_cell(f, lo, mid, nodes, weights)
+        right = _gl_cell(f, mid, hi, nodes, weights)
+        fine = left + right
+        return (-abs(coarse - fine), lo, hi, fine, left, right)
+
+    heap = [make_cell(a, b, _gl_cell(f, a, b, nodes, weights))]
+    nsub = 1
+    while True:
+        total = sum(c[3] for c in heap)
+        total_err = sum(-c[0] for c in heap)
+        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            return total, total_err, nsub
+        if nsub >= cfg.max_subdiv:
+            raise QuadratureError(
+                f"interval rule did not converge after {nsub} subdivisions "
+                f"(error estimate {total_err:.3e})"
+            )
+        _, lo, hi, _, left, right = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        heapq.heappush(heap, make_cell(lo, mid, left))
+        heapq.heappush(heap, make_cell(mid, hi, right))
+        nsub += 2
+
+
+def _outcome(integrate, f, a, b, cfg):
+    """(value, error, subdivisions), or the failure message, as a string."""
+    try:
+        r = integrate(f, a, b, cfg)
+    except QuadratureError as exc:
+        return str(exc)
+    return repr(tuple(r) if isinstance(r, tuple) else (r.value, r.error, r.subdivisions))
+
+
+def _kernel_integrand(n, a, b):
+    # kernel_eval_quadrature's Duffy integrand at unit scale
+    return lambda u: _p_eval(n, u) * (1.0 / (a + u * b) + 1.0 / (b + u * a))
+
+
+class TestRunningTotals:
+    @pytest.mark.parametrize("cfg", [
+        QuadConfig(),
+        QuadConfig(abs_tol=1e-14, rel_tol=1e-14),
+        QuadConfig(abs_tol=1e-6, rel_tol=1e-3, nodes_per_cell=7),
+        QuadConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdiv=3),
+    ])
+    def test_shallow_integrand_matches_resumming_loop(self, cfg):
+        f = lambda t: np.exp(3j * t) / (0.05 + (t - 0.4) ** 2)
+        want = _outcome(resumming_integrate, f, 0.0, 2.0, cfg)
+        assert _outcome(integrate_interval, f, 0.0, 2.0, cfg) == want
+
+    def test_deep_kernel_integrand_matches_resumming_loop(self):
+        # kernel_eval_quadrature(8, 1e-300, 1): about a thousand bisections
+        f = _kernel_integrand(8, complex(1e-300), complex(1.0).conjugate())
+        value, error, nsub = resumming_integrate(f, 0.0, 1.0)
+        assert nsub > 500
+        assert _outcome(integrate_interval, f, 0.0, 1.0, QuadConfig()) == repr((value, error, nsub))
+
+
+class TestRules:
+    def test_rules_are_cached_and_read_only(self):
+        nodes, weights = _gl_rule(15)
+        assert _gl_rule(15)[0] is nodes
+        for arr in (nodes, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestHalfline:

@@ -9,16 +9,15 @@ from hsob import (
     BranchViolation,
     GridSpec,
     Jet,
-    KernelPoint,
     SymbolSyntaxError,
     angular_derivative,
     caughran_lower_bound,
     classify,
     eval_jet,
     faa_di_bruno,
+    gram_matrix,
     jury_min_eig,
     jury_min_m,
-    kernel_eval,
     min_eigenvalue,
     nbc_suprema,
     parse,
@@ -36,16 +35,17 @@ CRITERION_12_ROWS = ("2*z+1", "z+i", "z+sqrt(z)+1", "z+log1p(z)", "sqrt(z)", "1/
 # straightforward reading of the definitions that the library hoists.
 
 def _oracle_jury_matrix(e, n, M, points, psi=None):
+    # gram_matrix is bit for bit the scalar kernel_eval of each entry
+    # (TestGram in test_kernel.py), so rebuilding with it keeps the oracle exact
     pts = [complex(z) for z in points]
     images = [e.eval(z) for z in pts]
     weight = (lambda z: 1.0 + 0j) if psi is None else psi
+    base, moved = gram_matrix(n, pts), gram_matrix(n, images)
     m = len(pts)
     A = np.zeros((m, m), dtype=complex)
     for i in range(m):
         for j in range(i + 1):
-            base = kernel_eval(KernelPoint(n, pts[i], pts[j]))
-            moved = kernel_eval(KernelPoint(n, images[i], images[j]))
-            val = M**2 * base - np.conj(weight(pts[i])) * weight(pts[j]) * moved
+            val = M**2 * base[i, j] - np.conj(weight(pts[i])) * weight(pts[j]) * moved[i, j]
             A[i, j] = val
             A[j, i] = val.conjugate()
     return A
@@ -363,6 +363,17 @@ class TestJury:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("grid", [GridSpec(num_r=0), GridSpec(num_theta=0)])
+    def test_empty_grid_refused(self, grid):
+        # no sample is no evidence: not a NaN estimate, a "witnessed" self-map
+        # and an "unbounded" verdict
+        e = parse("z")
+        for call in (lambda: classify(e, 1, grid), lambda: selfmap_witness(e, grid),
+                     lambda: angular_derivative(e, grid), lambda: radial_sup(e, grid),
+                     lambda: nbc_suprema(e, 2, grid)):
+            with pytest.raises(ValueError, match="no points"):
+                call()
+
     def test_affine_all_orders(self):
         for n in (1, 2, 3, 4):
             r = classify(parse("2*z+1"), n)

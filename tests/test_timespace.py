@@ -19,6 +19,7 @@ from hsob import (
     w_minus,
     w_minus_exp,
 )
+from hsob.timespace import _e_n_rule
 
 
 class TestWMinus:
@@ -106,6 +107,35 @@ class TestGFunction:
             for x in (11.5 + 0.5j, 12.5 - 1.0j, 11.9, 12.1):
                 series = sum((-x) ** m / math.factorial(n + m) for m in range(120))
                 assert abs(exp_series_remainder(n, x) - series) < 1e-10 * abs(series)
+
+    def test_accuracy_map_against_mpmath(self):
+        # E_n(x) = int_0^1 (1-s)^(n-1)/(n-1)! e^(-xs) ds = 1F1(1; n+1; -x)/n!
+        # (Kummer's integral), by mpmath at 40 digits, over the whole range the
+        # kernel side reaches, both sides of |x| = 12, and the zeros x = 2 pi i k
+        # of E_1 approached from the right half-plane
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n, x in ((1, 3 + 4j), (4, 0.5 + 11.9j), (8, 30 - 20j)):
+                integral = mp.quad(lambda s: (1 - s) ** (n - 1) * mp.exp(-mp.mpc(x) * s),
+                                   mp.linspace(0, 1, 9)) / mp.factorial(n - 1)
+                assert abs(mp.hyp1f1(1, n + 1, -x) / mp.factorial(n) - integral) < 1e-30
+            moduli = np.concatenate((np.geomspace(1e-3, 1e3, 25),
+                                     [11.99, 12.0, 12.01, 2 * math.pi, 4 * math.pi]))
+            half = math.pi / 2 - 1e-3
+            args = np.concatenate((np.linspace(-half, half, 11), [-half + 1e-4, half - 1e-4]))
+            xs = (moduli[:, None] * np.exp(1j * args)[None, :]).ravel()
+            for n in range(1, 9):
+                ref = np.array([complex(mp.hyp1f1(1, n + 1, -mp.mpc(x)) / mp.factorial(n))
+                                for x in xs])
+                rel = np.abs(exp_series_remainder(n, xs) - ref) / np.abs(ref)
+                assert rel.max() <= 5e-14, (n, xs[rel.argmax()], rel.max())
+
+    def test_rule_weights_are_cached_and_read_only(self):
+        nodes, weights = _e_n_rule(3)
+        assert _e_n_rule(3)[1] is weights
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        # the weights integrate (1-s)^(n-1)/(n-1)! exactly: E_n(0) = 1/n!
+        assert abs(weights.sum() - 1 / 6) < 1e-15
 
     def test_norm_bound_on_log_polar_grid(self):
         for r in (0.1, 1.0, 10.0):
