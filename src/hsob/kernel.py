@@ -41,7 +41,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gamma, pi
+from math import comb, factorial, gamma, pi, sqrt
 
 import numpy as np
 
@@ -295,8 +295,17 @@ def kernel_diag(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
 
 def kernel_norm(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
                 theta_margin: float = DEFAULT_THETA_MARGIN) -> float:
-    """||K_{n,z}|| = sqrt(K_n(z, z)); 1/sqrt(2 Re z) at n = 0."""
-    return float(np.sqrt(kernel_diag(n, z, cfg, theta_margin)))
+    """||K_{n,z}|| = sqrt(K_n(z, z)); 1/sqrt(2 Re z) at n = 0.
+
+    For n >= 1 it is taken at unit scale, sqrt(K_n(u, u)) / sqrt|z| with
+    u = z/|z| (K_n(cz, cz) = K_n(z, z)/c), so the norm stays finite where
+    K_n(z, z) itself overflows, as it does below |z| of about 1e-308.
+    """
+    z = _require_halfplane(z, "z")
+    if n == 0:
+        return 1.0 / (sqrt(2.0) * sqrt(z.real))  # 2 Re z would overflow past 9e307
+    r = abs(z)
+    return sqrt(kernel_diag(n, z / r, cfg, theta_margin)) / sqrt(r)
 
 
 def norm_bounds(n: int, z: complex) -> tuple[float, float]:

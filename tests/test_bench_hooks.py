@@ -1,0 +1,42 @@
+"""The benchmark's tracer still finds every library hook it patches.
+
+``bench/tracing.py`` patches ``Jet.__post_init__`` and the ``eval``/``jet``
+methods of each symbol node class, as well as the public functions.  A
+refactor that drops one of them breaks ``bench/run.py --trace 1``; this test
+makes it fail here first.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from hsob import jets, symbols
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_symbol_request_counts_classify_and_jets():
+    originals = (symbols.classify, jets.Jet.__dict__["__post_init__"],
+                 symbols.Pow.__dict__["eval"], symbols.Pow.__dict__["jet"])
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        with tracer.request("symbol", 0):
+            symbols.classify(symbols.parse("z+sqrt(z)+1"), 2)
+            symbols.jury_min_m(symbols.parse("sqrt(z)+1"), 1, [1.0, 2.0 + 1.0j, 0.5 - 0.5j])
+    finally:
+        tracer.uninstall()
+    metrics = {name: value for name, (value, _unit) in tracer.layer_metrics().items()}
+    assert metrics["jets.objects"] > 0
+    assert metrics["jets.jet.calls"] > 0
+    assert metrics["symbols.points"] > metrics["jets.jet.calls"]
+    assert metrics["symbols.classify.calls"] == 1
+    assert metrics["symbols.jury_m.calls"] == 1
+    assert (symbols.classify, jets.Jet.__dict__["__post_init__"],
+            symbols.Pow.__dict__["eval"], symbols.Pow.__dict__["jet"]) == originals

@@ -73,12 +73,13 @@ class TestKernelCommands:
             assert abs(norm**2 - diag) < 1e-9
 
     def test_nonfinite_report_field_exits_one(self, capsys):
-        # the diagonal overflows at a subnormal |z|: no "norm": Infinity on stdout
+        # the diagonal overflows at a subnormal |z| (the norm, 1.2e160, does
+        # not): no "diag": Infinity on stdout
         code = main(["kernel", "norm", "--z", "1e-320"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error [kernel]: report field norm is not a finite number")
+        assert captured.err.startswith("error [kernel]: report field diag is not a finite number")
 
     def test_grid_rows_take_one_quadrature_per_angle(self, monkeypatch):
         # |z| K_n(z, z) depends on arg z alone: a 7 x 9 grid makes 9 diagonal

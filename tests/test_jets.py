@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import scalar_route
 from hsob import Jet, JetDomainError
 
 
@@ -93,3 +95,56 @@ class TestCompose:
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             Jet.variable(1.0, 2).compose(Jet.variable(1.0, 3))
+
+
+class TestArrayLanes:
+    """A jet at m base points is m jets, one lane each; failing lanes are nan."""
+
+    Z = np.array([1.0, 2.0 + 1.0j, -3.0, 0.5 - 4.0j, 1e3j + 1.0])
+
+    @staticmethod
+    def build(z, order, jet_type):
+        zj = jet_type.variable(z, order)
+        one = jet_type.constant(1.0, order) if jet_type is scalar_route.Jet else 1.0
+        return ((zj * zj + one) / (zj + one + one)).power(0.3) - (zj * zj).log1p()
+
+    def test_lanes_match_scalar_jets(self):
+        j = self.build(self.Z, 4, Jet)
+        assert j.coeffs.shape == (5, len(self.Z))
+        for i, z in enumerate(self.Z):
+            try:
+                want = self.build(complex(z), 4, scalar_route.Jet)
+            except scalar_route.JetDomainError:
+                assert np.isnan(j.coeffs[:, i]).all()
+                continue
+            for k in range(5):
+                assert abs(j.coeffs[k, i] - want.coeffs[k]) <= 1e-14 * abs(want.coeffs[0])
+
+    def test_failing_lanes_are_masked_and_scalars_raise(self):
+        z = np.array([1.0, 2.0, -1.0, 0.0])
+        q = 1.0 / (Jet.variable(z, 2) - 1.0)
+        assert np.isnan(q.coeffs[:, 0]).all() and np.isfinite(q.coeffs[:, 1:]).all()
+        assert q.derivative(1)[1] == -1.0
+        p = Jet.variable(z, 2).power(0.5)
+        assert np.isnan(p.coeffs[:, 2:]).all() and np.isfinite(p.coeffs[:, :2]).all()
+        lg = (Jet.variable(z, 2) - 1.0).log1p()
+        assert np.isnan(lg.coeffs[:, 2:]).all() and np.isfinite(lg.coeffs[:, :2]).all()
+        # a nan lane stays nan through later divisions, with no numpy warning
+        assert np.isnan((1.0 / q).coeffs[:, 0]).all()
+        with pytest.raises(JetDomainError):
+            Jet.variable(0.0, 2).power(0.5)
+
+    def test_power_overflow(self):
+        j = Jet.variable(np.array([1e10, 2.0]), 1).power(40.0)
+        assert np.isnan(j.coeffs[:, 0]).all() and j.value[1] == 2.0**40
+        with pytest.raises(OverflowError):
+            Jet.variable(1e10, 1).power(40.0)
+
+    def test_array_composition(self):
+        z = np.array([1.0, 0.5 + 2.0j])
+        phi = Jet.variable(z, 3) * Jet.variable(z, 3)
+        f = 1.0 / (Jet.variable(phi.value, 3) + 1.0)
+        composed = f.compose(phi)
+        for i, zi in enumerate(z):
+            want = (1.0 / (Jet.variable(zi, 3) * Jet.variable(zi, 3) + 1.0)).coeffs
+            assert np.allclose(composed.coeffs[:, i], want, rtol=1e-14, atol=0)

@@ -325,6 +325,20 @@ class TestDiagonalAndBounds:
         assert abs(kernel_norm(1, 1.0) - math.sqrt(2 * LN2)) < 1e-10
         assert abs(kernel_norm(0, 4.0) - 1 / math.sqrt(8)) < 1e-15
 
+    @pytest.mark.parametrize("n", (0, 1, 2, 5))
+    def test_norm_ray_identity(self, n):
+        # ||K_{n,ru}|| sqrt(r) = ||K_{n,u}||, also at subnormal |z|, where
+        # K_n(z, z) itself overflows; powers of two keep r u exact
+        for u in (1.0, 3 + 4j, 1 - 2j, 1 + 8j):
+            want = kernel_norm(n, u)
+            for r in (2.0**-1030, 2.0**-997, 1.0, 2.0**997):  # |z| ~ 1e-310, 1e-300, 1, 1e300
+                got = kernel_norm(n, r * u) * math.sqrt(r)
+                assert abs(got - want) <= 1e-14 * want
+
+    def test_norm_past_diagonal_overflow(self):
+        # K_1(z, z) = 2 log 2 / z overflows at z = 1e-310; the norm is 1.18e155
+        assert abs(kernel_norm(1, 1e-310) * math.sqrt(1e-310) - math.sqrt(2 * LN2)) < 1e-10
+
     def test_diag_matches_closed_form(self):
         for n in (1, 2, 3):
             for z in (1.0, 2.0 + 1.0j, 0.05 * cmath.exp(-1j * 1.3)):

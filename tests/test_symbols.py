@@ -24,21 +24,42 @@ from hsob import (
     radial_sup,
     selfmap_witness,
 )
-from hsob.symbols import DEFAULT_GRID, Add, Div, Log1p, Pow, _supremum_estimate
+from hsob.symbols import (
+    DEFAULT_GRID,
+    Add,
+    Const,
+    Div,
+    Log1p,
+    Mul,
+    Pow,
+    Var,
+    _derivative_ratios,
+    _supremum_estimate,
+)
+
+import scalar_route
 
 #: the symbols of acceptance criterion 12's classification table
 CRITERION_12_ROWS = ("2*z+1", "z+i", "z+sqrt(z)+1", "z+log1p(z)", "sqrt(z)", "1/(z+1)")
+#: affine maps a*z+b with Re b > 0, written as the benchmark writes them
+AFFINE_MAPS = ("0.3981*z+1.2057-0.6612i", "3.1623*z+0.2000+1.9000i")
+#: symbols with masked lanes on the default grid: a denominator exactly 0 at
+#: the grid point z = 1, branch cuts over part of the grid, and powers that
+#: overflow along the outward rays
+MASKED_SYMBOLS = ("1/(z-1)", "sqrt(z-10)", "log1p(z-5)", "z^40")
 
 
 # Reference routes for the symbol analysis, kept as oracles: they rebuild every
 # kernel value on each bisection step and a fresh order-k jet for each k, the
-# straightforward reading of the definitions that the library hoists.
+# straightforward reading of the definitions that the library hoists.  The
+# point-by-point route itself is in scalar_route.py.
 
 def _oracle_jury_matrix(e, n, M, points, psi=None):
     # gram_matrix is bit for bit the scalar kernel_eval of each entry
-    # (TestGram in test_kernel.py), so rebuilding with it keeps the oracle exact
+    # (TestGram in test_kernel.py), so rebuilding with it keeps the oracle exact;
+    # the images come from the same array evaluation as the library's
     pts = [complex(z) for z in points]
-    images = [e.eval(z) for z in pts]
+    images = e.eval(np.array(pts))
     weight = (lambda z: 1.0 + 0j) if psi is None else psi
     base, moved = gram_matrix(n, pts), gram_matrix(n, images)
     m = len(pts)
@@ -69,18 +90,22 @@ def _oracle_jury_min_m(e, n, points, tol=1e-10):
     return hi
 
 
-def _oracle_nbc_suprema(e, n, grid=DEFAULT_GRID):
+def _per_order_nbc_suprema(e, n, grid=DEFAULT_GRID):
+    # a fresh order-k array jet for each k, and one supremum estimate each
     out = []
     for k in range(1, n + 1):
         def ratio(z, k=k):
-            jet = e.jet(z, k)
-            phi = jet.value
-            if phi == 0:
-                return math.inf
-            return abs(z**k * jet.derivative(k) / phi)
+            return _derivative_ratios(z, e.jet(z, k), k)[k - 1]
 
-        out.append(_supremum_estimate(ratio, grid)[0])
+        out.append(float(_supremum_estimate(ratio, grid)[0][0]))
     return out
+
+
+def _agree(got, want, rtol=1e-14):
+    """Equal infinities and nans, finite values to ``rtol`` relative."""
+    if math.isnan(want) or math.isinf(want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= rtol * abs(want)
 
 
 def _jury_points(rng, m):
@@ -141,6 +166,14 @@ class TestParser:
         e = parse("z + sqrt(z) + 1")
         assert parse(e.to_text())(2.3 + 0.4j) == e(2.3 + 0.4j)
 
+    @pytest.mark.parametrize("value", [-0.5, 1 - 2j, -3j, 2.5j, 0.1, -1 + 0.25j, 7.0])
+    def test_constant_text_round_trips(self, value):
+        # the grammar has no unary minus, so negative parts are subtracted
+        for e in (Const(value), Add(Var(), Const(value)), Mul(Const(value), Var())):
+            back = parse(e.to_text())
+            for z in (1.0, 2.3 + 0.4j, 0.5 - 3j):
+                assert back(z) == e(z)
+
 
 class TestEvalJet:
     def test_square(self):
@@ -181,6 +214,45 @@ class TestSelfmapWitness:
     def test_imaginary_shift(self):
         assert selfmap_witness(parse("z+i"))[0]
 
+    @pytest.mark.parametrize("text", ["z-10", "sqrt(z-10)", "1/(z-1)", "log1p(z-5)", "z+1"])
+    def test_witness_is_first_bad_point_of_scalar_route(self, text):
+        e = parse(text)
+        assert selfmap_witness(e) == scalar_route.selfmap_witness(e)
+
+
+class TestArrayEvaluation:
+    """One array call per point set: masked lanes where a point would raise."""
+
+    POINTS = np.array([1.0, 2.0 + 1.0j, 10.0, 0.5 - 3.0j, 25.0 + 0.5j])
+
+    @pytest.mark.parametrize("text", ["1/(z-10)", "sqrt(z-10)", "log1p(z-11)", "z^40", "(z+1)^2.5"])
+    def test_lanes_match_points(self, text):
+        e = parse(text)
+        values = e.eval(self.POINTS)
+        jet = e.jet(self.POINTS, 3)
+        for i, z in enumerate(self.POINTS):
+            try:
+                want = scalar_route.scalar_jet(e, complex(z), 3)
+            except (BranchViolation, ZeroDivisionError):
+                assert np.isnan(values[i]) and np.isnan(jet.coeffs[:, i]).all()
+                with pytest.raises((BranchViolation, ZeroDivisionError)):
+                    e(z)
+                continue
+            assert values[i] == jet.value[i]
+            for k in range(4):
+                assert abs(jet.coeffs[k, i] - want.coeffs[k]) <= 1e-14 * abs(want.coeffs[k])
+
+    def test_power_overflow_is_masked(self):
+        # Python's complex power raises OverflowError at 1e10^40: a masked lane
+        e = parse("z^40")
+        assert np.isnan(e.eval(np.array([1e10, 2.0]))[0])
+        assert np.isnan(e.jet(np.array([1e10, 2.0]), 2).coeffs[:, 0]).all()
+        with pytest.raises(OverflowError):
+            e(1e10)
+
+    def test_constant_symbol_gives_an_array(self):
+        assert parse("2+i").eval(self.POINTS).shape == self.POINTS.shape
+
 
 class TestSuprema:
     def test_angular_affine(self):
@@ -212,10 +284,32 @@ class TestSuprema:
 
     @pytest.mark.parametrize("text", CRITERION_12_ROWS)
     def test_nbc_matches_per_order_oracle_exactly(self, text):
-        # one order-n jet per point gives bit for bit the per-k jets' suprema
+        # one order-n jet per pass gives bit for bit the per-k jets' suprema,
+        # and the point-by-point route to rounding
         e = parse(text)
         for n in (1, 2, 3):
-            assert nbc_suprema(e, n) == _oracle_nbc_suprema(e, n)
+            got = nbc_suprema(e, n)
+            assert got == _per_order_nbc_suprema(e, n)
+            assert all(map(_agree, got, scalar_route.nbc_suprema(e, n)))
+
+    @pytest.mark.parametrize("a, b", [(2.0, 1.0), (0.3981, 1.2057), (3.1623, 0.2)])
+    def test_affine_angular_and_nbc(self, a, b):
+        # a*z+b: Re z / Re phi rises to 1/a at infinity, |z phi'/phi| to 1,
+        # and every higher derivative vanishes
+        for im in (0.0, -0.6612, 1.9):
+            e = Add(Mul(Const(a), Var()), Const(complex(b, im)))
+            assert abs(angular_derivative(e) - 1 / a) <= 1e-12 / a
+        vals = nbc_suprema(Add(Mul(Const(a), Var()), Const(b)), 3)
+        assert abs(vals[0] - 1.0) <= 1e-12
+        assert vals[1:] == [0.0, 0.0]
+
+    def test_overflowing_ratio_is_skipped(self):
+        # z^2 phi''/phi overflows at z = 10 here: a point to skip, as where
+        # the power itself overflows; phi = 0 is a pole of the ratio
+        z = np.array([10.0, 2.0, 3.0])
+        jet = Jet(np.array([[1e300, 0.0, 1.0], [0.0, 0.0, 0.0], [1e307, 1.0, 1.0]]), base=z)
+        rows = _derivative_ratios(z, jet, 2)
+        assert np.isnan(rows[1, 0]) and rows[1, 1] == math.inf and rows[1, 2] == 18.0
 
     def test_nbc_log_map_finite(self):
         vals = nbc_suprema(parse("z + log1p(z)"), 2)
@@ -241,10 +335,10 @@ class TestSuprema:
             e = parse(text)
 
             def ratio(z):
-                return abs(z) / abs(e.eval(z))
+                return np.abs(z) / np.abs(e.eval(z))
 
-            coarse, _ = _supremum_estimate(ratio, bare(11, 9))
-            fine, _ = _supremum_estimate(ratio, bare(21, 17))
+            (coarse,), _ = _supremum_estimate(ratio, bare(11, 9))
+            (fine,), _ = _supremum_estimate(ratio, bare(21, 17))
             assert fine >= coarse - 1e-15
 
 
@@ -333,6 +427,18 @@ class TestJury:
         with pytest.raises(ValueError):
             jury_min_m(parse("z-10"), 1, [1.0, 2.0])  # images leave C+
 
+    def test_first_bad_point_is_named(self):
+        # one array evaluation of the images, but the error is the one a
+        # point-by-point check raises at the first bad point
+        with pytest.raises(ValueError, match=r"^image \(-9\+0j\) violates"):
+            jury_min_eig(parse("z-10"), 0, 1.0, [20.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^point \(-1\+0j\) violates"):
+            jury_min_eig(parse("z-10"), 0, 1.0, [20.0, -1.0, 1.0])
+        with pytest.raises(BranchViolation):
+            jury_min_m(parse("sqrt(z-10)"), 1, [20.0, 1.0, -1.0])
+        with pytest.raises(ZeroDivisionError):
+            caughran_lower_bound(parse("1/(z-1)"), 1, [2.0, 1.0])
+
     def test_weighted_min_m(self):
         # psi = 2 and phi = identity: (M^2 - 4) K is PSD exactly when M >= 2
         m_star = jury_min_m(parse("z"), 0, [0.5, 1.0 + 0.5j, 3.0], psi=parse("2"))
@@ -406,6 +512,18 @@ class TestClassify:
         r = classify(parse("1/(z+1)"), 1)
         assert r.verdict_H2 == "unbounded"
         assert r.verdict_Hn == "necessary-failed"
+
+    @pytest.mark.parametrize("text", CRITERION_12_ROWS + AFFINE_MAPS + MASKED_SYMBOLS)
+    def test_matches_scalar_route(self, text):
+        e = parse(text)
+        for n in range(4):
+            got, want = classify(e, n), scalar_route.classify(e, n)
+            assert (got.verdict_H2, got.verdict_Hn) == (want.verdict_H2, want.verdict_Hn)
+            assert got.selfmap_witnessed == want.selfmap_witnessed
+            assert _agree(got.phi_prime_infinity, want.phi_prime_infinity)
+            assert _agree(got.radial_sup, want.radial_sup)
+            assert len(got.nbc) == len(want.nbc) == n
+            assert all(map(_agree, got.nbc, want.nbc))
 
     def test_report_serialises(self):
         import json
