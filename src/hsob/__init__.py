@@ -17,13 +17,7 @@ from .quadrature import (
 )
 from .specfun import (
     BellPartitionTable,
-    CnMatrix,
     bell_partitions,
-    cn_inverse,
-    cn_matrix,
-    laguerre,
-    legendre,
-    legendre_leading_coefficient,
 )
 from .expfamily import (
     ExpPoly,
@@ -33,28 +27,17 @@ from .expfamily import (
     norm_n,
     sample_exppoly,
 )
-from .timespace import (
-    GFunction,
-    exp_series_remainder,
-    hardy_constant,
-    point_estimate_check,
-    point_estimate_constant,
-    w_minus,
-    w_minus_exp,
-)
+from .timespace import exp_series_remainder, hardy_constant, w_minus_exp
 from .freqspace import (
     HnNormReport,
-    h2_norm,
     hn_norm,
     laplace_derivative_identity_check,
     paley_wiener_residual,
-    point_bound_check,
 )
 from .kernel import (
     CancellationWarning,
     KernelPoint,
     gram_matrix,
-    i_theta,
     kernel_diag,
     kernel_eval,
     kernel_eval_closed,
@@ -89,7 +72,6 @@ from .symbols import (
     nbc_suprema,
     parse,
     radial_sup,
-    selfmap_witness,
 )
 
 __version__ = "0.1.0"
@@ -97,22 +79,18 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadConfig", "QuadResult", "QuadratureError",
     "integrate_interval", "integrate_halfline",
-    "laguerre", "legendre", "legendre_leading_coefficient",
-    "CnMatrix", "cn_matrix", "cn_inverse",
     "BellPartitionTable", "bell_partitions",
     "ExpPoly", "RationalComb", "laplace", "inner_product_n", "norm_n", "sample_exppoly",
-    "w_minus", "w_minus_exp", "hardy_constant", "exp_series_remainder",
-    "GFunction", "point_estimate_constant", "point_estimate_check",
-    "h2_norm", "HnNormReport", "hn_norm",
-    "laplace_derivative_identity_check", "paley_wiener_residual", "point_bound_check",
+    "w_minus_exp", "hardy_constant", "exp_series_remainder",
+    "HnNormReport", "hn_norm", "laplace_derivative_identity_check", "paley_wiener_residual",
     "CancellationWarning", "KernelPoint", "kernel_eval", "kernel_eval_closed",
-    "kernel_eval_quadrature", "i_theta", "kernel_diag", "kernel_norm",
+    "kernel_eval_quadrature", "kernel_diag", "kernel_norm",
     "norm_bounds", "gram_matrix", "min_eigenvalue", "reproduce_check",
     "cayley", "cayley_inverse", "DiscFunction", "disc_h2_norm",
     "norm_equality_check", "disc_membership_report",
     "Jet", "JetDomainError",
     "SymbolExpr", "SymbolSyntaxError", "BranchViolation", "parse", "eval_jet",
-    "GridSpec", "selfmap_witness", "angular_derivative", "radial_sup",
+    "GridSpec", "angular_derivative", "radial_sup",
     "nbc_suprema", "faa_di_bruno", "jury_min_eig", "jury_min_m",
     "caughran_lower_bound", "SymbolReport", "classify",
 ]

@@ -12,51 +12,28 @@ Three independent routes to the same norm are reported side by side:
 * ``norm_boundary`` -- imaginary-axis quadrature of |z^n F^(n)|^2,
 * ``norm_time``     -- half-line quadrature of |t^n f^(n)|^2.
 
-Their agreement is the working form of the extended Paley-Wiener isometry.
+Their agreement is the working form of the extended Paley-Wiener isometry;
+at n = 0 they are the plain Hardy-space norm.  The derivative-exchange
+identities between z^k F^(k) and the transforms of t^j f^(j) are checked at
+points of C+ from exact term algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, gamma
 
 import numpy as np
 
 from .expfamily import ExpPoly, RationalComb, inner_product_n, laplace
 from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_halfline
+from .specfun import cn_coefficient
 
 __all__ = [
-    "h2_norm",
     "HnNormReport",
     "hn_norm",
     "laplace_derivative_identity_check",
     "paley_wiener_residual",
-    "point_bound_check",
 ]
-
-
-def h2_norm(F, decay_scale: float | None = None, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """Boundary norm (1/2pi int_R |F(it)|^2 dt)^(1/2).
-
-    Accepts a RationalComb or any callable defined on the imaginary axis with
-    square-integrable boundary values; the two half-axes are folded into one
-    half-line integral.
-    """
-    if isinstance(F, RationalComb):
-        if F.is_zero:
-            return 0.0
-        scale = F.pole_scale()
-    else:
-        scale = decay_scale if decay_scale is not None else 1.0
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        up = np.asarray(F(1j * t), dtype=complex)
-        down = np.asarray(F(-1j * t), dtype=complex)
-        return np.abs(up) ** 2 + np.abs(down) ** 2
-
-    val = integrate_halfline(integrand, scale, cfg).value
-    return float(np.sqrt(max(val.real, 0.0) / (2.0 * np.pi)))
 
 
 @dataclass(frozen=True)
@@ -133,8 +110,10 @@ def hn_norm(F: RationalComb, n: int, cfg: QuadConfig = DEFAULT_CONFIG) -> HnNorm
 def laplace_derivative_identity_check(f: ExpPoly, n: int, k: int, z: complex) -> float:
     """Residual of the two derivative-exchange identities at a point of C+.
 
-    Forward:  (-1)^k z^k (Lf)^(k)(z) = sum_j binom(k,j) (k!/j!) L(t^j f^(j))(z).
-    Inverted: (-1)^k L(t^k f^(k))(z) = sum_j binom(k,j) (k!/j!) z^j (Lf)^(j)(z).
+    Forward:  (-1)^k z^k (Lf)^(k)(z) = sum_j c_{k,j} L(t^j f^(j))(z).
+    Inverted: (-1)^k L(t^k f^(k))(z) = sum_j c_{k,j} z^j (Lf)^(j)(z),
+
+    with c_{k,j} = binom(k,j) k!/j! (:func:`hsob.specfun.cn_coefficient`).
 
     Every side is assembled from exact term algebra and only evaluated at z,
     so the residuals sit at rounding level.
@@ -147,15 +126,11 @@ def laplace_derivative_identity_check(f: ExpPoly, n: int, k: int, z: complex) ->
 
     lhs_fwd = (-1) ** k * z**k * F.derivative(k)(z)
     rhs_fwd = sum(
-        comb(k, j) * factorial(k) // factorial(j) * laplace(f.derivative(j).times_power(j))(z)
-        for j in range(k + 1)
+        cn_coefficient(k, j) * laplace(f.derivative(j).times_power(j))(z) for j in range(k + 1)
     )
 
     lhs_inv = (-1) ** k * laplace(f.derivative(k).times_power(k))(z)
-    rhs_inv = sum(
-        comb(k, j) * factorial(k) // factorial(j) * z**j * F.derivative(j)(z)
-        for j in range(k + 1)
-    )
+    rhs_inv = sum(cn_coefficient(k, j) * z**j * F.derivative(j)(z) for j in range(k + 1))
     return float(max(abs(lhs_fwd - rhs_fwd), abs(lhs_inv - rhs_inv)))
 
 
@@ -163,14 +138,3 @@ def paley_wiener_residual(f: ExpPoly, n: int, cfg: QuadConfig = DEFAULT_CONFIG) 
     """:attr:`HnNormReport.paley_wiener_residual` of the transform of f."""
     return hn_norm(laplace(f), n, cfg).paley_wiener_residual
 
-
-def point_bound_check(F: RationalComb, n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """Margin pi ||F||^2_(n) / (Gamma(n)^2 n |z|) - |F(z)|^2, nonnegative on success."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not complex(z).real > 0:
-        raise ValueError("z must lie in the right half-plane")
-    f = F.inverse_laplace()
-    norm_sq = inner_product_n(f, f, n).real
-    bound = np.pi * norm_sq / (gamma(n) ** 2 * n * abs(z))
-    return float(bound - abs(F(z)) ** 2)

@@ -70,6 +70,11 @@ def principal_power(g, alpha: float):
     return guard(p, ~np.isfinite(p), OverflowError, "complex exponentiation")
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("jet order must be nonnegative")
+
+
 @dataclass(frozen=True, eq=False)
 class Jet:
     """Taylor coefficients ``coeffs[k]`` = c_k of an analytic map at ``base``.
@@ -92,6 +97,7 @@ class Jet:
     @staticmethod
     def variable(z, order: int) -> "Jet":
         """The identity map z + h as a jet of the given order."""
+        _check_order(order)
         z = np.asarray(z, dtype=complex)
         coeffs = np.zeros((order + 1,) + z.shape, dtype=complex)
         coeffs[0] = z
@@ -102,6 +108,7 @@ class Jet:
     @staticmethod
     def constant(value, order: int, base=None) -> "Jet":
         """The constant ``value`` as a jet, with one lane per point of ``base``."""
+        _check_order(order)
         lanes = np.broadcast_shapes(np.shape(value), np.shape(base))
         coeffs = np.zeros((order + 1,) + lanes, dtype=complex)
         coeffs[0] = value

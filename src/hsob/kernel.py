@@ -55,7 +55,6 @@ __all__ = [
     "kernel_eval",
     "kernel_eval_closed",
     "kernel_eval_quadrature",
-    "i_theta",
     "kernel_diag",
     "kernel_norm",
     "norm_bounds",
@@ -263,20 +262,6 @@ def kernel_eval(p: KernelPoint) -> complex:
     if p.route == "closed_form":
         return kernel_eval_closed(p.n, p.z, p.w)
     return kernel_eval_quadrature(p.n, p.z, p.w, p.cfg)
-
-
-def i_theta(theta: float) -> float:
-    """The angular factor I(theta) = theta / (2 sin theta) on (-pi/2, pi/2).
-
-    Equals int_0^1 cos(theta) / (t^2 + 1 + 2 t cos(2 theta)) dt; the removable
-    singularity at 0 is handled by series, and 1/2 <= I <= pi/4 on the range.
-    """
-    if not abs(theta) < pi / 2:
-        raise ValueError("theta must lie in (-pi/2, pi/2)")
-    if abs(theta) < 1e-4:
-        t2 = theta * theta
-        return 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)
-    return 0.5 * theta / np.sin(theta)
 
 
 def kernel_diag(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,

@@ -1,107 +1,32 @@
-"""Exact special-function and combinatorial kernels.
+"""Exact combinatorial coefficients.
 
-Laguerre/Legendre values come from the stable three-term recurrences.  The
-triangular derivative-exchange matrices and the partition tables behind the
-higher-order chain rule are built in exact integer arithmetic (Python ints,
-so there is no overflow limit; the partition enumeration is capped at n = 12
-simply because table sizes grow quickly).
+The derivative-exchange coefficients c_{i,j} of the Laplace identities and
+the partition tables behind the higher-order chain rule, in exact integer
+arithmetic (Python ints, so there is no overflow limit; the partition
+enumeration is capped at n = 12 simply because table sizes grow quickly).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 __all__ = [
-    "laguerre",
-    "legendre",
-    "legendre_leading_coefficient",
-    "CnMatrix",
-    "cn_matrix",
-    "cn_inverse",
+    "cn_coefficient",
     "BellPartitionTable",
     "bell_partitions",
 ]
 
 
-def laguerre(n: int, x):
-    """Laguerre polynomial L_n(x) via (k+1)L_{k+1} = (2k+1-x)L_k - k L_{k-1}."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return 1.0 + 0.0 * x
-    prev, cur = 1.0 + 0.0 * x, 1.0 - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
-    return cur
+def cn_coefficient(i: int, j: int) -> int:
+    """c_{i,j} = binom(i,j) i!/j!, zero above the diagonal (j > i).
 
-
-def legendre(n: int, x):
-    """Legendre polynomial P_n(x) via (k+1)P_{k+1} = (2k+1)x P_k - k P_{k-1}."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n == 0:
-        return 1.0 + 0.0 * x
-    prev, cur = 1.0 + 0.0 * x, x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
-    return cur
-
-
-def legendre_leading_coefficient(n: int) -> Fraction:
-    """Exact leading coefficient (2n)! / (2^n (n!)^2) of P_n."""
-    return Fraction(factorial(2 * n), 2**n * factorial(n) ** 2)
-
-
-@dataclass(frozen=True)
-class CnMatrix:
-    """Lower-triangular (n+1)-square integer matrix with entries binom(i,j) i!/j!.
-
-    These coefficients exchange n-fold differentiation with multiplication by
-    t^n: (t^n f)^(n) = sum_k c_{n,k} t^k f^(k).  The inverse simply alternates
-    signs, and the row sums 1, 2, 7, 34, 209, ... count partial permutation
-    matchings (OEIS A002720).
+    These coefficients exchange i-fold differentiation with multiplication by
+    t^i: (t^i f)^(i) = sum_j c_{i,j} t^j f^(j).
     """
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
-
-    def multiply(self, other: "CnMatrix") -> "CnMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        m = self.n + 1
-        prod = tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(m)) for j in range(m))
-            for i in range(m)
-        )
-        return CnMatrix(self.n, prod)
-
-
-def _cn_entry(i: int, j: int) -> int:
     if i < j:
         return 0
     return comb(i, j) * factorial(i) // factorial(j)
-
-
-def cn_matrix(n: int) -> CnMatrix:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return CnMatrix(n, tuple(tuple(_cn_entry(i, j) for j in range(n + 1)) for i in range(n + 1)))
-
-
-def cn_inverse(n: int) -> CnMatrix:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return CnMatrix(
-        n,
-        tuple(
-            tuple((-1) ** (i + j) * _cn_entry(i, j) for j in range(n + 1)) for i in range(n + 1)
-        ),
-    )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ point raises (see :mod:`hsob.jets`).  Each pass of a supremum estimate (the
 base grid, each refinement, each boundary pass, the rays) is one array call,
 and ``classify`` evaluates each point set once: one order-n jet serves the
 self-map check, the angular derivative, the radial supremum and every k.
+A pass runs with numpy's overflow warnings off: a value or coefficient that
+overflows comes out inf or nan, as Python's complex arithmetic gives it at a
+single point, and a nan ratio is skipped.
 The jury routines build the two Gram matrices of the inequality once, from
 one array evaluation of the images, since neither depends on M;
 ``jury_min_m`` then bisects on M rather than reading M off the Cholesky
@@ -37,7 +40,6 @@ proofs.  Reports carry the grid metadata.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -63,7 +65,6 @@ __all__ = [
     "parse",
     "eval_jet",
     "GridSpec",
-    "selfmap_witness",
     "angular_derivative",
     "radial_sup",
     "nbc_suprema",
@@ -373,9 +374,13 @@ class _Parser:
         if not seen_digit:
             self.error("expected a number")
         try:
-            return float(self.text[start : self.pos])
+            value = float(self.text[start : self.pos])
         except ValueError:
             self.error("malformed number")
+        if not math.isfinite(value):
+            self.pos = start
+            self.error("number overflows a double")
+        return value
 
     def signed_real(self) -> float:
         self.skip_ws()
@@ -454,6 +459,17 @@ def _base_points(grid: GridSpec) -> np.ndarray:
     return _polar(grid.radii(), grid.angles())
 
 
+def _silently(fn, *args):
+    """``fn(*args)`` with numpy's overflow and invalid-value warnings off.
+
+    A symbol, a jet coefficient or a ratio that overflows at a sampled point
+    comes out inf or nan there, as Python's complex arithmetic gives it at a
+    single point; the estimates read nan as a point to skip.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args)
+
+
 def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.ndarray, np.ndarray]:
     """Running maxima of the rows of ``fn`` with all refinements.
 
@@ -475,7 +491,7 @@ def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.nd
     _require_points(grid)
     radii = grid.radii()
     pts = _polar(radii, grid.angles())
-    vals = np.atleast_2d(fn(pts) if first is None else first)
+    vals = np.atleast_2d(_silently(fn, pts) if first is None else first)
     q = len(vals)
     best = np.full(q, -math.inf)
     best_z = np.zeros(q, dtype=complex)
@@ -497,7 +513,7 @@ def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.nd
         points = np.concatenate(point_sets)
         if not len(points):
             return
-        values = np.atleast_2d(fn(points))
+        values = np.atleast_2d(_silently(fn, points))
         stop = 0
         for row, block in zip(rows, point_sets):
             start, stop = stop, stop + len(block)
@@ -523,7 +539,7 @@ def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.nd
         margin *= 1e-2
         edge = math.pi / 2 - margin
         points = _polar(radii, [-edge, edge])
-        values = np.atleast_2d(fn(points))
+        values = np.atleast_2d(_silently(fn, points))
         for row in rows:
             sweep(row, points, values[row])
 
@@ -564,29 +580,18 @@ def _derivative_ratios(z, jet: Jet, n: int):
 
     Row k reads only the value and coefficient k of the jet, so an order-n
     jet gives every row bit for bit as an order-k jet would.  inf where
-    phi = 0; nan, a point to skip, on masked lanes and where the ratio
+    phi = 0; nan, a point to skip, where phi is nan (a masked lane, or a
+    value that overflowed while coefficient k did not) and where the ratio
     overflows, as at a point where the power itself overflows.
     """
     phi = jet.value
     zero = phi == 0
-    denom = np.where(zero | np.isnan(phi), 1.0, phi)
+    denom = np.where(zero, 1.0, phi)
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.array([np.abs(z**k * jet.derivative(k) / denom)
                          for k in range(1, n + 1)]).reshape(n, len(z))
     rows = np.where(np.isfinite(rows), rows, math.nan)
     return np.where(zero, math.inf, rows)
-
-
-def selfmap_witness(e: SymbolExpr, grid: GridSpec = DEFAULT_GRID) -> tuple[bool, complex | None]:
-    """Check Re phi > 0 over the grid; returns (ok, first violating point or None).
-
-    A point where phi cannot be evaluated (a masked lane) violates.
-    """
-    pts = _base_points(grid)
-    bad = ~(e.eval(pts).real > 0)
-    if bad.any():
-        return False, complex(pts[np.argmax(bad)])
-    return True, None
 
 
 def angular_derivative(e: SymbolExpr, grid: GridSpec | None = None) -> float:
@@ -773,7 +778,6 @@ class SymbolReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
             "symbol": self.text,
             "n": self.n,
             "selfmap_witnessed": self.selfmap_witnessed,
@@ -793,9 +797,6 @@ class SymbolReport:
             "disclaimer": self.disclaimer,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolReport:
     """Assemble the sampled estimates and verdicts for a symbol at order n.
@@ -814,7 +815,7 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
     if n < 0:
         raise ValueError("n must be nonnegative")
     pts = _base_points(grid)
-    jet = e.jet(pts, n)
+    jet = _silently(e.jet, pts, n)
     ok = bool(np.all(jet.value.real > 0))
 
     def ratios(z, jet=None):
@@ -824,7 +825,7 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
                           _derivative_ratios(z, jet, n)])
 
     caps = [min(grid.diverge_cap, 1e6)] + [grid.diverge_cap] * (n + 1)
-    estimates, _ = _supremum_estimate(ratios, grid, caps, first=ratios(pts, jet))
+    estimates, _ = _supremum_estimate(ratios, grid, caps, first=_silently(ratios, pts, jet))
     phi_inf, rad = float(estimates[0]), float(estimates[1])
     nbc = tuple(float(v) for v in estimates[2:])
 

@@ -1,5 +1,5 @@
 """The weighted time-domain space: repeated integration, Hardy constants, and
-the kernel-generating family g_{w,n}.
+the weighted derivative of the kernel-generating family.
 
 W^-n integrates n times from t to infinity,
 
@@ -7,40 +7,35 @@ W^-n integrates n times from t to infinity,
 
 and inverts n-fold differentiation up to sign: (-1)^n (W^-n f)^(n) = f.  For
 exponential polynomials the integral stays inside the algebra and is computed
-exactly.
+exactly (``w_minus_exp``); ``hardy_constant`` bounds it in Hardy's inequality.
 
-g_{w,n} = W^-n applied to t^-n * int_0^1 (1-x)^(n-1)/(n-1)! exp(-t x w) dx is
-the time-side preimage of the reproducing kernel.  Its weighted derivative has
-the stable closed form
+The time-side preimage g_{w,n} of the reproducing kernel enters the library
+only through its weighted derivative, which has the stable closed form
 
     t^n g_{w,n}^(n)(t) = (-1)^n E_n(w t),
     E_n(x) = sum_{m>=0} (-x)^m/(n+m)!  =  (-x)^-n (exp(-x) - sum_{j<n} (-x)^j/j!)
            = int_0^1 (1-s)^(n-1)/(n-1)! exp(-x s) ds,
 
 an exponential-series remainder; for small |x| the integral form, by a fixed
-Gauss-Legendre rule, dodges the cancellation in the remainder form.
+Gauss-Legendre rule, dodges the cancellation in the remainder form.  The
+kernel's reproducing check (:func:`hsob.kernel.reproduce_check`) pairs with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 
-from .expfamily import ExpPoly, norm_n
-from .quadrature import DEFAULT_CONFIG, QuadConfig, _gl_rule, integrate_halfline
+from .expfamily import ExpPoly
+from .quadrature import _gl_rule
 
 __all__ = [
     "w_minus_exp",
-    "w_minus",
     "hardy_constant",
     "exp_series_remainder",
-    "GFunction",
-    "point_estimate_constant",
-    "point_estimate_check",
 ]
 
 
@@ -58,26 +53,6 @@ def w_minus_exp(f: ExpPoly, n: int) -> ExpPoly:
             coeff = a * comb(k, r) * factorial(n - 1 + r) / (factorial(n - 1) * lam ** (n + r))
             terms.append((coeff, k - r, lam))
     return ExpPoly(tuple(terms))
-
-
-def w_minus(f, n: int, t: float, decay_scale: float | None = None,
-            cfg: QuadConfig = DEFAULT_CONFIG) -> complex:
-    """Value of (W^-n f)(t): exact for ExpPoly, quadrature for callables.
-
-    Callables must decay at least algebraically of order > 1 on the given
-    scale; insufficient decay shows up as quadrature non-convergence.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if isinstance(f, ExpPoly):
-        return complex(w_minus_exp(f, n)(t))
-    scale = decay_scale if decay_scale is not None else 1.0
-
-    def integrand(u):
-        u = np.asarray(u, dtype=float)
-        return u ** (n - 1) * np.asarray(f(t + u), dtype=complex) / factorial(n - 1)
-
-    return complex(integrate_halfline(integrand, scale, cfg).value)
 
 
 def hardy_constant(m: int) -> float:
@@ -149,75 +124,3 @@ def _e_n_remainder(n: int, x: np.ndarray) -> np.ndarray:
         partial += (-x) ** j / factorial(j)
     return (np.exp(-x) - partial) / (-x) ** n
 
-
-@dataclass(frozen=True)
-class GFunction:
-    """The kernel-generating time function g_{w,n}, Re w > 0, n >= 1.
-
-    Satisfies ||g_{w,n}||_(n) <= 2 log 2 / sqrt(Re w) and Laplace-transforms to
-    the reproducing kernel at conj(w).
-    """
-
-    w: complex
-    n: int
-
-    def __post_init__(self):
-        if not complex(self.w).real > 0:
-            raise ValueError("w must lie in the right half-plane")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-
-    def weighted_derivative(self, t):
-        """t^n g^(n)(t) from the closed form (-1)^n E_n(w t); stable for n <= 8."""
-        return (-1) ** self.n * exp_series_remainder(self.n, self.w * np.asarray(t))
-
-    def __call__(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> complex:
-        """g_{w,n}(t) from the defining double integral.
-
-        The inner unit-interval integral is the exact E_n form; the outer
-        integral over (t, inf) is quadrature with algebraic decay.
-        """
-        if t <= 0:
-            raise ValueError("t must be positive")
-        n, w = self.n, self.w
-
-        def integrand(u):
-            u = np.asarray(u, dtype=float)
-            s = t + u
-            return u ** (n - 1) / s**n * exp_series_remainder(n, s * w) / factorial(n - 1)
-
-        scale = max(t, 1.0, 1.0 / abs(w))
-        return complex(integrate_halfline(integrand, scale, cfg).value)
-
-    def norm(self, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-        """||g_{w,n}||_(n) via the single-integral form of the weighted derivative."""
-
-        def integrand(t):
-            v = exp_series_remainder(self.n, self.w * np.asarray(t))
-            return np.abs(v) ** 2
-
-        scale = 1.0 / self.w.real
-        val = integrate_halfline(integrand, scale, cfg).value
-        return float(np.sqrt(max(val.real, 0.0)))
-
-
-def point_estimate_constant(n: int, k: int) -> float:
-    """Constant C with |f^(k)(t)| <= C t^(-k-1/2) ||f||_(n), 0 <= k <= n-1.
-
-    Cauchy-Schwarz on the W^-(n-k) representation of f^(k) gives
-    C = sqrt(B(2(n-k)-1, 2k+1)) / (n-k-1)!, with B the Beta function at
-    integer arguments.
-    """
-    if not 0 <= k <= n - 1:
-        raise ValueError("need 0 <= k <= n-1")
-    a, b = 2 * (n - k) - 1, 2 * k + 1
-    beta = Fraction(factorial(a - 1) * factorial(b - 1), factorial(a + b - 1))
-    return float(np.sqrt(float(beta))) / factorial(n - k - 1)
-
-
-def point_estimate_check(f: ExpPoly, n: int, k: int, t: float) -> float:
-    """Margin C t^(-k-1/2) ||f||_(n) - |f^(k)(t)|, nonnegative when the bound holds."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    bound = point_estimate_constant(n, k) * t ** (-k - 0.5) * norm_n(f, n)
-    return float(bound - abs(f.derivative(k)(t)))

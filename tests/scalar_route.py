@@ -238,14 +238,15 @@ def supremum_estimate(fn, grid: GridSpec) -> tuple[float, complex]:
     return best, best_z
 
 
-def selfmap_witness(e, grid: GridSpec = DEFAULT_GRID) -> tuple[bool, complex | None]:
+def is_selfmap(e, grid: GridSpec = DEFAULT_GRID) -> bool:
+    """Whether Re phi > 0 at every base-grid point; a point that raises violates."""
     for z in grid_points(grid.radii(), grid.angles()):
         try:
             if scalar_eval(e, z).real <= 0:
-                return False, z
+                return False
         except (BranchViolation, ZeroDivisionError):
-            return False, z
-    return True, None
+            return False
+    return True
 
 
 def angular_derivative(e, grid: GridSpec | None = None) -> float:
@@ -286,7 +287,7 @@ def nbc_suprema(e, n: int, grid: GridSpec = DEFAULT_GRID) -> list[float]:
 
 
 def classify(e, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolReport:
-    ok, _ = selfmap_witness(e, grid)
+    ok = is_selfmap(e, grid)
     phi_inf = angular_derivative(
         e, dataclasses.replace(grid, diverge_cap=min(grid.diverge_cap, 1e6))
     )

@@ -12,12 +12,9 @@ import numpy as np
 from hsob import (
     ExpPoly,
     bell_partitions,
-    cn_inverse,
-    cn_matrix,
     faa_di_bruno,
     gram_matrix,
     hardy_constant,
-    i_theta,
     inner_product_n,
     integrate_interval,
     jury_min_eig,
@@ -32,13 +29,13 @@ from hsob import (
     norm_n,
     parse,
     paley_wiener_residual,
-    point_bound_check,
     reproduce_check,
     sample_exppoly,
     w_minus_exp,
 )
 from hsob.jets import Jet
 from hsob.symbols import classify
+from oracles import cn_inverse, cn_matrix, i_theta, point_bound_check
 
 
 def _criterion(num: int, description: str, ok: bool, detail: str = ""):

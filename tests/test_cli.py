@@ -253,6 +253,15 @@ class TestSymbolCommands:
         assert code == 0
         assert payload["psd"] is True
 
+    @pytest.mark.parametrize("argv", [("parse", "1e999"), ("classify", "--n", "1", "1e999*z")])
+    def test_overflowing_literal_exits_one(self, capsys, argv):
+        # refused at parse time, before any analysis runs
+        code = main(["symbol", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "number overflows a double (at position 0)" in captured.err
+
     def test_parse_error_is_reported(self, capsys):
         code = main(["symbol", "parse", "2*z +"])
         captured = capsys.readouterr()

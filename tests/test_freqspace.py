@@ -1,4 +1,7 @@
-"""Boundary norms, the transform isometry, derivative identities, point bounds."""
+"""Boundary norms, the transform isometry, derivative identities, point bounds.
+
+The point bound is a test oracle (``oracles.py``).
+"""
 
 import math
 
@@ -9,35 +12,26 @@ from hsob import (
     ExpPoly,
     RationalComb,
     hardy_constant,
-    h2_norm,
     hn_norm,
     laplace,
     laplace_derivative_identity_check,
     paley_wiener_residual,
-    point_bound_check,
     sample_exppoly,
 )
+from oracles import point_bound_check
 
 
 class TestH2Norm:
+    """The plain Hardy-space norm: the boundary route of the order-0 norm."""
+
     def test_kernel_function_norms(self):
         # ||1/(z+w)||_2 = 1/sqrt(2 Re w)
-        assert abs(h2_norm(laplace(ExpPoly.exponential(1.0))) - 1 / math.sqrt(2)) < 1e-9
-        assert abs(h2_norm(laplace(ExpPoly.exponential(2.0))) - 0.5) < 1e-9
+        e1, e2 = ExpPoly.exponential(1.0), ExpPoly.exponential(2.0)
+        assert abs(hn_norm(laplace(e1), 0).norm_boundary - 1 / math.sqrt(2)) < 1e-9
+        assert abs(hn_norm(laplace(e2), 0).norm_boundary - 0.5) < 1e-9
 
     def test_zero(self):
-        assert h2_norm(RationalComb()) == 0.0
-
-    def test_callable_route(self):
-        val = h2_norm(lambda z: 1.0 / (z + 1.0), decay_scale=1.0)
-        assert abs(val - 1 / math.sqrt(2)) < 1e-9
-
-    def test_decay_failure_signals(self):
-        from hsob import QuadratureError
-
-        # |F(it)|^2 ~ 1/|t| is not integrable at infinity
-        with pytest.raises(QuadratureError):
-            h2_norm(lambda z: (1.0 + abs(z)) ** -0.25, decay_scale=1.0)
+        assert hn_norm(RationalComb(), 0).norm_boundary == 0.0
 
 
 class TestHnNorm:

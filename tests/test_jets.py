@@ -29,6 +29,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             Jet.variable(1.0, 13)
 
+    def test_negative_order_rejected(self):
+        from hsob import parse
+
+        for make in (lambda: Jet.variable(1.0, -1), lambda: Jet.constant(2.0, -1),
+                     lambda: parse("z").jet(1.0, -1), lambda: parse("2").jet(1.0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                make()
+
 
 class TestDivision:
     def test_reciprocal_derivatives(self):

@@ -12,7 +12,6 @@ from hsob import (
     ExpPoly,
     KernelPoint,
     gram_matrix,
-    i_theta,
     integrate_interval,
     kernel_diag,
     kernel_eval,
@@ -25,6 +24,7 @@ from hsob import (
     reproduce_check,
 )
 from hsob.kernel import CANCELLATION_SAFE_RATIO, _p_eval
+from oracles import i_theta
 
 LN2 = math.log(2.0)
 

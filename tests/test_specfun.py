@@ -1,19 +1,18 @@
-"""Polynomial recurrences, derivative-exchange matrices, partition tables."""
+"""Polynomial recurrences, derivative-exchange matrices, partition tables.
+
+The recurrences and the matrices are test oracles (``oracles.py``); the
+Laguerre and Legendre classes also check ``ExpPoly`` differentiation and the
+quadrature engine's Gauss-Legendre nodes against them.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from hsob import (
-    ExpPoly,
-    bell_partitions,
-    cn_inverse,
-    cn_matrix,
-    laguerre,
-    legendre,
-    legendre_leading_coefficient,
-)
+from hsob import ExpPoly, bell_partitions
+from hsob.quadrature import _gl_rule
+from oracles import cn_inverse, cn_matrix, laguerre, legendre, legendre_leading_coefficient
 
 
 class TestLaguerre:
@@ -37,6 +36,14 @@ class TestLaguerre:
         assert abs(laguerre(3, x) - (1 - 3 * x + 1.5 * x**2 - x**3 / 6)) < 1e-12
         assert abs(laguerre(4, x) - (1 - 4 * x + 3 * x**2 - (2 / 3) * x**3 + x**4 / 24)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rodrigues_formula_checks_exppoly_derivative(self, n):
+        # L_n(t) e^{-t} = (t^n e^{-t})^(n) / n!, the left side by the recurrence
+        f = ExpPoly.monomial(1.0 / math.factorial(n), n, 1.0).derivative(n)
+        for t in (0.0, 0.3, 1.0, 2.5, 7.0):
+            want = laguerre(n, t) * math.exp(-t)
+            assert abs(f(t) - want) <= 1e-13 * max(1.0, abs(laguerre(n, t)))
+
 
 class TestLegendre:
     @pytest.mark.parametrize("n", range(8))
@@ -57,6 +64,14 @@ class TestLegendre:
         # consistency with the recurrence at large argument
         x = 1e6
         assert abs(legendre(3, x) / x**3 - 2.5) < 1e-5
+
+    @pytest.mark.parametrize("order", (2, 5, 15, 32))
+    def test_gauss_rule_nodes_are_zeros(self, order):
+        # the quadrature engine's nodes on [0, 1] map to the zeros of P_order
+        nodes, weights = _gl_rule(order)
+        x = 2.0 * nodes - 1.0
+        assert np.all(np.abs(legendre(order, x)) < 1e-13)
+        assert abs(weights.sum() - 1.0) < 1e-14
 
 
 class TestCnMatrix:

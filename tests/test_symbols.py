@@ -1,6 +1,7 @@
 """Symbol parsing, jets of expressions, sampled suprema, kernel certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from hsob import (
     nbc_suprema,
     parse,
     radial_sup,
-    selfmap_witness,
 )
 from hsob.symbols import (
     DEFAULT_GRID,
@@ -156,6 +156,17 @@ class TestParser:
         with pytest.raises(SymbolSyntaxError):
             parse("z + q")
 
+    @pytest.mark.parametrize("text, position",
+                             [("1e999*z", 0), ("z^1e999", 2), ("1e999i", 0), ("z + 2e400", 4)])
+    def test_overflowing_literal_rejected(self, text, position):
+        with pytest.raises(SymbolSyntaxError, match="overflows a double") as info:
+            parse(text)
+        assert info.value.position == position
+
+    def test_largest_literals_parse(self):
+        assert parse("1e308*z")(1.0) == 1e308
+        assert parse("z + 1e-999")(2.0) == 2.0  # an underflowing literal is a finite 0
+
     def test_nonpositive_exponent_rejected(self):
         with pytest.raises(SymbolSyntaxError):
             parse("z^-2")
@@ -201,23 +212,16 @@ class TestEvalJet:
 
 
 class TestSelfmapWitness:
+    """The self-map flag of :func:`classify`: Re phi > 0 over the base grid."""
+
     def test_translation(self):
-        ok, witness = selfmap_witness(parse("z+1"))
-        assert ok and witness is None
+        assert classify(parse("z+1"), 0).selfmap_witnessed
 
     def test_left_shift_fails(self):
-        ok, witness = selfmap_witness(parse("z-10"))
-        assert not ok
-        assert witness is not None
-        assert (witness - 10).real <= 0
+        assert not classify(parse("z-10"), 0).selfmap_witnessed
 
     def test_imaginary_shift(self):
-        assert selfmap_witness(parse("z+i"))[0]
-
-    @pytest.mark.parametrize("text", ["z-10", "sqrt(z-10)", "1/(z-1)", "log1p(z-5)", "z+1"])
-    def test_witness_is_first_bad_point_of_scalar_route(self, text):
-        e = parse(text)
-        assert selfmap_witness(e) == scalar_route.selfmap_witness(e)
+        assert classify(parse("z+i"), 0).selfmap_witnessed
 
 
 class TestArrayEvaluation:
@@ -474,9 +478,8 @@ class TestClassify:
         # no sample is no evidence: not a NaN estimate, a "witnessed" self-map
         # and an "unbounded" verdict
         e = parse("z")
-        for call in (lambda: classify(e, 1, grid), lambda: selfmap_witness(e, grid),
-                     lambda: angular_derivative(e, grid), lambda: radial_sup(e, grid),
-                     lambda: nbc_suprema(e, 2, grid)):
+        for call in (lambda: classify(e, 1, grid), lambda: angular_derivative(e, grid),
+                     lambda: radial_sup(e, grid), lambda: nbc_suprema(e, 2, grid)):
             with pytest.raises(ValueError, match="no points"):
                 call()
 
@@ -525,11 +528,36 @@ class TestClassify:
             assert len(got.nbc) == len(want.nbc) == n
             assert all(map(_agree, got.nbc, want.nbc))
 
-    def test_report_serialises(self):
+    @pytest.mark.parametrize("text, rtol", [("z^7*z^7*z^7", 1e-14),
+                                            ("z^7*z^7*z^7 - z^7*z^7*z^7 + z", 1e-14),
+                                            ("(z+1)^300", 1e-13)])
+    def test_overflowing_symbols_match_scalar_route(self, text, rtol):
+        # values and jet coefficients overflow on the outer grid and the rays,
+        # silently, as Python's complex arithmetic does at one point; where
+        # phi(z) overflows to nan but phi'(z) stays finite, the ratio is
+        # skipped.  (z+1)^300 is exp(300 log(z+1)) in both routes, by
+        # different libraries, so their last-bit differences grow 300-fold:
+        # the radial supremum agrees to 3.0e-14.  At n = 3 the per-point route
+        # reads an overflowed coefficient as an infinite ratio, so n stops at 2.
+        e = parse(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pairs = [(angular_derivative(e), scalar_route.angular_derivative(e)),
+                     (radial_sup(e), scalar_route.radial_sup(e))]
+            for n in range(3):
+                got, want = classify(e, n), scalar_route.classify(e, n)
+                assert (got.verdict_H2, got.verdict_Hn) == (want.verdict_H2, want.verdict_Hn)
+                pairs += zip((got.phi_prime_infinity, got.radial_sup, *got.nbc),
+                             (want.phi_prime_infinity, want.radial_sup, *want.nbc))
+        assert all(_agree(a, b, rtol) for a, b in pairs)
+
+    def test_report_serialises(self, capsys):
         import json
 
-        r = classify(parse("z+i"), 1)
-        payload = json.loads(r.to_json())
+        from hsob.cli import main
+
+        assert main(["symbol", "classify", "--n", "1", "z+i"]) == 0
+        payload = json.loads(capsys.readouterr().out)  # radial_sup is the number 1e999
         assert payload["schema"] == 1
         assert payload["radial_sup"] == math.inf
         assert payload["disclaimer"]

@@ -1,4 +1,8 @@
-"""Repeated integration, the Hardy-type inequality, the g family, point bounds."""
+"""Repeated integration, the Hardy-type inequality, the g family, point bounds.
+
+The g family, W^-n of a callable and the point bounds are test oracles
+(``oracles.py``).
+"""
 
 import math
 
@@ -7,19 +11,16 @@ import pytest
 
 from hsob import (
     ExpPoly,
-    GFunction,
     QuadConfig,
     exp_series_remainder,
     hardy_constant,
     integrate_halfline,
     kernel_eval_closed,
     norm_n,
-    point_estimate_check,
-    point_estimate_constant,
-    w_minus,
     w_minus_exp,
 )
 from hsob.timespace import _e_n_rule
+from oracles import GFunction, point_estimate_check, point_estimate_constant, w_minus
 
 
 class TestWMinus:
