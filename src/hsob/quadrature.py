@@ -8,6 +8,15 @@ Two integrators share one configuration object:
 Both integrators accept complex-valued integrands and return a :class:`QuadResult`
 whose ``error`` field is a best-effort estimate (difference of successive
 refinements), not a rigorous bound.
+
+One engine runs both.  Each refinement step makes one call of the integrand
+on every node the step needs: the coarse cell and both its halves at the
+start, then the four quarters of each bisected cell.  The half-line is two
+pieces, the head on (0, T) and the tail pulled back to (0, 1), refined in
+lockstep with one call per step for both; each piece keeps its own cells,
+totals and stopping test.  An integrand whose value at a node does not depend
+on the other nodes of the call gets, cell for cell, the values, error
+estimates and bisection counts of one call per cell and one piece at a time.
 """
 
 from __future__ import annotations
@@ -95,39 +104,67 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_nodes(f, xs: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array of nodes, falling back to a scalar loop.
-
-    Overflow is deliberately silent here: a non-finite value is converted to
-    a :class:`QuadratureError`, which is how divergent tails surface.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            ys = np.asarray(f(xs), dtype=complex)
-            if ys.shape != xs.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            ys = np.array([f(float(x)) for x in xs], dtype=complex)
-    if not np.all(np.isfinite(ys.view(float))):
-        raise QuadratureError("integrand returned a non-finite value")
+    """Evaluate ``f`` on an array of nodes, falling back to a scalar loop."""
+    try:
+        ys = np.asarray(f(xs), dtype=complex)
+        if ys.shape != xs.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        ys = np.array([f(float(x)) for x in xs], dtype=complex)
     return ys
 
 
-def _gl_cell(f, a: float, b: float, nodes: np.ndarray, weights: np.ndarray) -> complex:
-    xs = a + (b - a) * nodes
-    return complex((b - a) * np.dot(weights, _eval_nodes(f, xs)))
+def _pulled_back(f, T: float):
+    """The tail of ``f`` beyond T as an integrand on (0, 1), through t = T + u/(1-u)."""
+
+    def tail(u):
+        u = np.asarray(u, dtype=float)
+        return np.asarray(f(T + u / (1.0 - u)), dtype=complex) / (1.0 - u) ** 2
+
+    return tail
+
+
+def _step_values(f, tails: list, xs: list) -> list:
+    """Each piece's integrand at its nodes ``xs[i]``, from one call of ``f``.
+
+    ``tails[i]`` is None for a piece that integrates ``f`` itself and T for
+    one that integrates ``_pulled_back(f, T)``; the tail's nodes are mapped
+    and its values divided by (1-u)^2 exactly as that integrand does, so each
+    node gets the value a call of its own piece would give it.  An ``f`` that
+    takes no array is evaluated piece by piece through :func:`_eval_nodes`.
+
+    Overflow is deliberately silent here: the caller turns a non-finite value
+    into a :class:`QuadratureError`, which is how divergent tails surface.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        flat = np.concatenate([x if T is None else T + x / (1.0 - x) for x, T in zip(xs, tails)])
+        try:
+            ys = np.asarray(f(flat), dtype=complex)
+            if ys.shape != flat.shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            return [_eval_nodes(f if T is None else _pulled_back(f, T), x)
+                    for x, T in zip(xs, tails)]
+        values, start = [], 0
+        for x, T in zip(xs, tails):
+            y = ys[start:start + len(x)]
+            values.append(y if T is None else y / (1.0 - x) ** 2)
+            start += len(x)
+    return values
 
 
 #: unit roundoff of a double, for the rounding slack of the running totals
 _UNIT_ROUNDOFF = sys.float_info.epsilon / 2
 
 
-def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
-    """Integrate ``f`` over the finite interval (a, b).
+def _refine(a: float, b: float, cfg: QuadConfig):
+    """Globally adaptive refinement of one piece (a, b), as a generator.
 
-    Globally adaptive: the worst cell (by the coarse-vs-bisected difference) is
-    bisected until the summed error estimate meets the tolerance.  Raises
-    :class:`QuadratureError` after ``cfg.max_subdiv`` bisections, which usually
-    signals a singular or highly oscillatory integrand beyond the budget.
+    Each step yields the cells whose rule values it needs, as (lo, hi) pairs,
+    and is sent back their values: first the coarse cell (a, b) and its two
+    halves, then the four quarters of the worst cell, which is bisected.  The
+    generator returns the :class:`QuadResult`, or raises
+    :class:`QuadratureError` after ``cfg.max_subdiv`` bisections.
 
     The stopping test compares the sums of the cells' values and errors, in
     heap order.  Running totals stand in for those sums while they clear the
@@ -135,19 +172,10 @@ def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) 
     so the value, error and bisection count are those of summing the heap on
     every step.
     """
-    if not b > a:
-        raise ValueError("integration bounds must satisfy a < b")
-    nodes, weights = _gl_rule(cfg.nodes_per_cell)
-
-    def make_cell(lo: float, hi: float, coarse: complex):
-        mid = 0.5 * (lo + hi)
-        left = _gl_cell(f, lo, mid, nodes, weights)
-        right = _gl_cell(f, mid, hi, nodes, weights)
-        fine = left + right
-        err = abs(coarse - fine)
-        return (-err, lo, hi, fine, left, right)
-
-    heap = [make_cell(a, b, _gl_cell(f, a, b, nodes, weights))]
+    mid = 0.5 * (a + b)
+    coarse, left, right = yield ((a, b), (a, mid), (mid, b))
+    fine = left + right
+    heap = [(-abs(coarse - fine), a, b, fine, left, right)]
     nsub = 1
     # running sums of the cells' values, errors and |values|; drift and
     # drift_err sum the magnitudes their updates rounded, each update three
@@ -175,7 +203,11 @@ def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) 
             )
         neg_err, lo, hi, fine, left, right = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        first, second = make_cell(lo, mid, left), make_cell(mid, hi, right)
+        q1, q2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        ll, lr, rl, rr = yield ((lo, q1), (q1, mid), (mid, q2), (q2, hi))
+        first_fine, second_fine = ll + lr, rl + rr
+        first = (-abs(left - first_fine), lo, mid, first_fine, ll, lr)
+        second = (-abs(right - second_fine), mid, hi, second_fine, rl, rr)
         heapq.heappush(heap, first)
         heapq.heappush(heap, second)
         total += first[3] + second[3] - fine
@@ -186,6 +218,63 @@ def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) 
         nsub += 2
 
 
+def _lockstep(f, pieces: list, cfg: QuadConfig) -> list:
+    """Refine the pieces side by side, with one call of ``f`` per step.
+
+    A piece is ``(a, b, T)``: ``f`` on (a, b) when T is None, else the tail
+    of ``f`` beyond T pulled back to (a, b).  Each piece keeps its own heap,
+    running totals and stopping test, and one that fails stops on its own.
+    The first failure in piece order is raised as soon as every piece before
+    it has converged, which is the failure that running the pieces one after
+    another would raise.  Returns the pieces' results in order.
+    """
+    for a, b, _ in pieces:
+        if not b > a:
+            raise ValueError("integration bounds must satisfy a < b")
+    nodes, weights = _gl_rule(cfg.nodes_per_cell)
+    n = len(nodes)
+    runs = [_refine(a, b, cfg) for a, b, _ in pieces]
+    wants = [next(run) for run in runs]
+    outcomes = [None] * len(runs)
+    while True:
+        live = [i for i, out in enumerate(outcomes) if out is None]
+        xs = []
+        for i in live:
+            bounds = np.array(wants[i], dtype=float)
+            lo = bounds[:, :1]
+            xs.append((lo + (bounds[:, 1:] - lo) * nodes).ravel())
+        for i, ys in zip(live, _step_values(f, [pieces[i][2] for i in live], xs)):
+            if not np.isfinite(ys).all():
+                outcomes[i] = QuadratureError("integrand returned a non-finite value")
+                continue
+            values = [complex((hi - lo) * np.dot(weights, ys[k * n:(k + 1) * n]))
+                      for k, (lo, hi) in enumerate(wants[i])]
+            try:
+                wants[i] = runs[i].send(values)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except QuadratureError as exc:
+                outcomes[i] = exc
+        for out in outcomes:
+            if out is None:
+                break
+            if isinstance(out, QuadratureError):
+                raise out
+        else:
+            return outcomes
+
+
+def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
+    """Integrate ``f`` over the finite interval (a, b).
+
+    Globally adaptive: the worst cell (by the coarse-vs-bisected difference) is
+    bisected until the summed error estimate meets the tolerance.  Raises
+    :class:`QuadratureError` after ``cfg.max_subdiv`` bisections, which usually
+    signals a singular or highly oscillatory integrand beyond the budget.
+    """
+    return _lockstep(f, [(a, b, None)], cfg)[0]
+
+
 def integrate_halfline(f, decay_scale: float = 1.0, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
     """Integrate ``f`` over (0, inf) assuming decay on the given scale.
 
@@ -193,21 +282,15 @@ def integrate_halfline(f, decay_scale: float = 1.0, cfg: QuadConfig = DEFAULT_CO
     is pulled back to (0, 1) through ``t = T + u/(1-u)``, which regularises
     exponential decay and algebraic decay of order > 1.  A tail that fails to
     settle (decay slower than assumed) surfaces as a :class:`QuadratureError`.
+    The head on (0, T) and the tail are refined in lockstep, each to its own
+    tolerance; a failing head is reported before a failing tail.
     """
     if decay_scale <= 0:
         raise ValueError("decay_scale must be positive")
     T = cfg.halfline_truncation * decay_scale
-    head = integrate_interval(f, 0.0, T, cfg)
-
-    def tail_integrand(u):
-        u = np.asarray(u, dtype=float)
-        t = T + u / (1.0 - u)
-        return np.asarray(f(t), dtype=complex) / (1.0 - u) ** 2
-
-    tail = integrate_interval(tail_integrand, 0.0, 1.0, cfg)
+    head, tail = _lockstep(f, [(0.0, T, None), (0.0, 1.0, T)], cfg)
     return QuadResult(
         head.value + tail.value,
         head.error + tail.error,
         head.subdivisions + tail.subdivisions,
     )
-

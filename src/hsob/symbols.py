@@ -653,10 +653,21 @@ def _as_callable(psi):
     return psi
 
 
-def _raise_masked(e: SymbolExpr, z: complex, u: complex) -> None:
-    """A nan image marks a point where the evaluation of phi raises: raise it."""
+def _require_finite_image(e: SymbolExpr, z: complex, u: complex) -> None:
+    """Raise at a point z whose image u is not finite.
+
+    A nan image marks a point where the evaluation of phi raises, and the
+    point's own evaluation raises that error there.  An image that overflows
+    raises a ``ValueError`` naming the point.
+    """
+    if cmath.isfinite(u):
+        return
     if cmath.isnan(u):
-        e.eval(z)
+        try:
+            e.eval(z)
+        except OverflowError:
+            pass
+    raise ValueError(f"image of point {z} is not finite")
 
 
 def _jury_matrices(e: SymbolExpr, n: int, points, psi=None,
@@ -664,25 +675,26 @@ def _jury_matrices(e: SymbolExpr, n: int, points, psi=None,
                    theta_margin: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """The two Hermitian matrices of the kernel inequality, built once.
 
-    Checks that every point and its image keep the argument margin, then
-    returns ``(base, moved)`` with base[i, j] = K_n(z_i, z_j) and
+    Checks that every image is finite and that every point and its image
+    keep the argument margin, then returns ``(base, moved)`` with
+    base[i, j] = K_n(z_i, z_j) and
     moved[i, j] = conj(psi(z_i)) psi(z_j) K_n(phi(z_i), phi(z_j)).  Neither
     depends on M: the inequality at M is the matrix M^2 * base - moved.
     The images come from one array evaluation; the first point that fails
-    raises as a point-by-point check would.
+    raises as a point-by-point check would (see :func:`_require_finite_image`).
     """
     pts = [complex(z) for z in points]
     zs = np.array(pts, dtype=complex)
-    images = e.eval(zs)
+    images = _silently(e.eval, zs)
     limit = math.pi / 2 - theta_margin
 
     def off_margin(v):
         return np.logical_not(v.real > 0) | (np.abs(np.angle(v)) > limit)
 
-    bad = off_margin(zs) | off_margin(images)
+    bad = off_margin(zs) | off_margin(images) | ~np.isfinite(images)
     if bad.any():
         i = int(np.argmax(bad))
-        _raise_masked(e, pts[i], images[i])
+        _require_finite_image(e, pts[i], complex(images[i]))
         for val, name in ((pts[i], "point"), (complex(images[i]), "image")):
             if off_margin(val):
                 raise ValueError(f"{name} {val} violates the half-plane margin")
@@ -750,8 +762,8 @@ def caughran_lower_bound(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAUL
     """
     pts = [complex(z) for z in points]
     best = 0.0
-    for z, u in zip(pts, e.eval(np.array(pts, dtype=complex))):
-        _raise_masked(e, z, u)
+    for z, u in zip(pts, _silently(e.eval, np.array(pts, dtype=complex))):
+        _require_finite_image(e, z, complex(u))
         best = max(best, kernel_norm(n, complex(u), cfg) / kernel_norm(n, z, cfg))
     return best
 
@@ -816,6 +828,8 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
         raise ValueError("n must be nonnegative")
     pts = _base_points(grid)
     jet = _silently(e.jet, pts, n)
+    if not np.isfinite(jet.value).any():
+        raise ValueError("phi took no finite value at any base-grid point")
     ok = bool(np.all(jet.value.real > 0))
 
     def ratios(z, jet=None):

@@ -115,7 +115,11 @@ def exp_series_remainder(n: int, x):
 
 def _e_n_by_rule(n: int, x: np.ndarray) -> np.ndarray:
     nodes, weights = _e_n_rule(n)
-    return np.exp(-np.multiply.outer(x, nodes)) @ weights
+    # numpy takes a one-row product as a dot product, which rounds
+    # differently from the matrix-vector product of two or more rows;
+    # doubling a lone row gives each point the value it gets in any batch
+    rows = x if len(x) > 1 else np.repeat(x, 2)
+    return (np.exp(-np.multiply.outer(rows, nodes)) @ weights)[:len(x)]
 
 
 def _e_n_remainder(n: int, x: np.ndarray) -> np.ndarray:

@@ -1,15 +1,16 @@
 """The benchmark's tracer still finds every library hook it patches.
 
 ``bench/tracing.py`` patches ``Jet.__post_init__`` and the ``eval``/``jet``
-methods of each symbol node class, as well as the public functions.  A
-refactor that drops one of them breaks ``bench/run.py --trace 1``; this test
-makes it fail here first.
+methods of each symbol node class, as well as the public functions, among
+them the quadrature entry points whose calls, nodes and subdivisions it
+counts.  A refactor that drops one of them breaks ``bench/run.py --trace 1``;
+these tests make it fail here first.
 """
 
 import importlib.util
 from pathlib import Path
 
-from hsob import jets, symbols
+from hsob import cli, jets, symbols
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -40,3 +41,21 @@ def test_traced_symbol_request_counts_classify_and_jets():
     assert metrics["symbols.jury_m.calls"] == 1
     assert (symbols.classify, jets.Jet.__dict__["__post_init__"],
             symbols.Pow.__dict__["eval"], symbols.Pow.__dict__["jet"]) == originals
+
+
+def test_traced_reproduce_request_counts_halfline_quadratures():
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    patched = list(tracer._patches)
+    try:
+        with tracer.request("verify", 0):
+            assert cli.main(["verify", "reproduce", "--n", "2", "--samples", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = {name: value for name, (value, _unit) in tracer.layer_metrics().items()}
+    assert metrics["quadrature.halfline.calls"] == 2
+    assert metrics["quadrature.nodes"] > 0
+    assert metrics["quadrature.subdivisions"] > 0
+    assert metrics["quadrature.failures"] == 0
+    assert patched
+    assert all(owner.__dict__[attr] is original for owner, attr, original in patched)

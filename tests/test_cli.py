@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,23 @@ class TestSymbolCommands:
         assert code == 1
         assert captured.out == ""
         assert "number overflows a double (at position 0)" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("jury", "--n", "1", "--m", "1", "--points", "1e200,1", "z*z"),
+         "image of point (1e+200+0j) is not finite"),
+        (("jury", "--n", "1", "--m", "1", "--points", "1e200,1", "z^2"),
+         "image of point (1e+200+0j) is not finite"),
+        (("classify", "--n", "1", "(1e300*z)^3"),
+         "phi took no finite value at any base-grid point"),
+    ])
+    def test_nonfinite_symbol_values_exit_one_silently(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["symbol", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error [symbol]: {message}\n"
 
     def test_parse_error_is_reported(self, capsys):
         code = main(["symbol", "parse", "2*z +"])

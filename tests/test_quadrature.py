@@ -12,8 +12,10 @@ from hsob import (
     integrate_halfline,
     integrate_interval,
 )
+from hsob.expfamily import sample_exppoly
 from hsob.kernel import _p_eval
-from hsob.quadrature import _gl_cell, _gl_rule
+from hsob.quadrature import _eval_nodes, _gl_rule
+from hsob.timespace import exp_series_remainder
 
 # Oracle: d/dt [ (arctan t - t/(1+t^2)) / 2 ] = t^2/(1+t^2)^2, so the
 # half-line integral is the limit pi/4.
@@ -63,11 +65,23 @@ class TestInterval:
             integrate_interval(lambda t: 1.0 / np.sqrt(t), 1e-300, 1.0, cfg)
 
 
+def _gl_cell(f, a, b, nodes, weights):
+    """One Gauss-Legendre cell, evaluated by a call of ``f`` of its own."""
+    xs = a + (b - a) * nodes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ys = _eval_nodes(f, xs)
+    if not np.all(np.isfinite(ys.view(float))):
+        raise QuadratureError("integrand returned a non-finite value")
+    return complex((b - a) * np.dot(weights, ys))
+
+
 def resumming_integrate(f, a, b, cfg=QuadConfig()):
     """The adaptive loop that sums every cell's value and error on each step.
 
-    A test-only reference for :func:`integrate_interval`, whose running totals
-    must leave its value, error and bisection count bit for bit unchanged.
+    A test-only reference for :func:`integrate_interval`, which keeps running
+    totals and evaluates all the cells of a step in one call; neither may
+    change its value, error or bisection count by a bit.  Here each cell is
+    one call of ``f``.
     """
     nodes, weights = _gl_rule(cfg.nodes_per_cell)
 
@@ -97,10 +111,31 @@ def resumming_integrate(f, a, b, cfg=QuadConfig()):
         nsub += 2
 
 
-def _outcome(integrate, f, a, b, cfg):
+def _halfline_pieces(f, decay_scale, cfg):
+    """(integrand, a, b) of the half-line's head on (0, T) and of its tail
+    pulled back to (0, 1) through t = T + u/(1-u)."""
+    T = cfg.halfline_truncation * decay_scale
+
+    def tail(u):
+        u = np.asarray(u, dtype=float)
+        return np.asarray(f(T + u / (1.0 - u)), dtype=complex) / (1.0 - u) ** 2
+
+    return (f, 0.0, T), (tail, 0.0, 1.0)
+
+
+def sequential_halfline(f, decay_scale, cfg=QuadConfig()):
+    """The half-line as :func:`resumming_integrate` on the head, then on the
+    tail.  A test-only reference for :func:`integrate_halfline`, which refines
+    the two in lockstep and must raise the failure this order raises."""
+    (hv, he, hn), (tv, te, tn) = (resumming_integrate(g, a, b, cfg)
+                                  for g, a, b in _halfline_pieces(f, decay_scale, cfg))
+    return hv + tv, he + te, hn + tn
+
+
+def _outcome(integrate, *args):
     """(value, error, subdivisions), or the failure message, as a string."""
     try:
-        r = integrate(f, a, b, cfg)
+        r = integrate(*args)
     except QuadratureError as exc:
         return str(exc)
     return repr(tuple(r) if isinstance(r, tuple) else (r.value, r.error, r.subdivisions))
@@ -129,6 +164,101 @@ class TestRunningTotals:
         value, error, nsub = resumming_integrate(f, 0.0, 1.0)
         assert nsub > 500
         assert _outcome(integrate_interval, f, 0.0, 1.0, QuadConfig()) == repr((value, error, nsub))
+
+
+class _Counting:
+    """An integrand that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.f(t)
+
+
+def _steps(nsub):
+    # the first step evaluates three cells, each later one bisects a cell
+    return 1 + (nsub - 1) // 2
+
+
+class TestLockstep:
+    """One integrand call per step, and the outcomes of one call per cell."""
+
+    @pytest.mark.parametrize("cfg", [
+        QuadConfig(),
+        QuadConfig(abs_tol=1e-14, rel_tol=1e-14),
+        QuadConfig(abs_tol=1e-6, rel_tol=1e-3, nodes_per_cell=7),
+    ])
+    def test_interval_calls_f_once_per_step(self, cfg):
+        f = _Counting(lambda t: np.exp(3j * t) / (0.05 + (t - 0.4) ** 2))
+        r = integrate_interval(f, 0.0, 2.0, cfg)
+        assert r.subdivisions > 3
+        assert f.calls == _steps(r.subdivisions)
+
+    def test_halfline_calls_f_once_per_lockstep_step(self):
+        g = lambda t: np.cos(3 * t) / (1 + t**2) ** 2
+        cfg = QuadConfig()
+        head, tail = (resumming_integrate(*piece, cfg)
+                      for piece in _halfline_pieces(g, 1.0, cfg))
+        f = _Counting(g)
+        r = integrate_halfline(f, 1.0, cfg)
+        assert r.subdivisions == head[2] + tail[2]
+        assert _steps(head[2]) != _steps(tail[2])
+        assert f.calls == max(_steps(head[2]), _steps(tail[2]))
+
+    # seeds 48, 53, 104, 137 and 144 each put a lone node of some cell into
+    # E_n's rule branch: the reference evaluates that cell alone, the engine
+    # evaluates it with the rest of its step
+    @pytest.mark.parametrize("seed", [0, 1, 2, 48, 53, 104, 137, 144])
+    def test_seeded_exppoly_halflines_match_sequential_runs(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = QuadConfig()
+        for n in (2, 3, 4):
+            f = sample_exppoly(rng, level=n)
+            w = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
+            fn, scale = f.derivative(n), 0.5 * f.decay_scale()
+            # the time sides of verify paley-wiener and verify reproduce
+            for g in (lambda t: t ** (2 * n) * np.abs(fn(t)) ** 2,
+                      lambda t: t**n * fn(t) * (-1) ** n * exp_series_remainder(n, w * t)):
+                want = _outcome(sequential_halfline, g, scale, cfg)
+                assert _outcome(integrate_halfline, g, scale, cfg) == want
+
+    @pytest.mark.parametrize("f, failing", [
+        # a singular head exhausts its budget while the exponential tail settles
+        (lambda t: np.exp(-t) / np.sqrt(t), "head"),
+        # a smooth head settles while the slowly decaying tail does not
+        (lambda t: (1.0 + t) ** -1.1, "tail"),
+    ])
+    def test_one_failing_piece_matches_sequential_runs(self, f, failing):
+        cfg = QuadConfig(max_subdiv=15)
+        head, tail = (_outcome(resumming_integrate, *piece, cfg)
+                      for piece in _halfline_pieces(f, 1.0, cfg))
+        fails = {"head": head, "tail": tail}[failing]
+        settles = {"head": tail, "tail": head}[failing]
+        assert fails.startswith("interval rule did not converge")
+        assert settles.startswith("(")
+        assert _outcome(integrate_halfline, f, 1.0, cfg) == fails
+        assert _outcome(sequential_halfline, f, 1.0, cfg) == fails
+
+    def test_head_failure_wins_over_non_finite_tail(self):
+        # the head exhausts its budget; exp overflows on the tail's first step
+        f = lambda t: 1.0 / np.sqrt(t) + np.exp(t - 40.0)
+        cfg = QuadConfig(max_subdiv=9)
+        head, tail = (_outcome(resumming_integrate, *piece, cfg)
+                      for piece in _halfline_pieces(f, 1.0, cfg))
+        assert tail == "integrand returned a non-finite value"
+        assert head.startswith("interval rule did not converge")
+        assert _outcome(integrate_halfline, f, 1.0, cfg) == head
+
+    def test_scalar_only_integrand_falls_back(self):
+        f = lambda t: math.exp(-t) * math.cos(3 * t)
+        with pytest.raises(TypeError):
+            f(np.ones(2))
+        assert (_outcome(integrate_interval, f, 0.0, 2.0, QuadConfig())
+                == _outcome(resumming_integrate, f, 0.0, 2.0, QuadConfig()))
+        assert (_outcome(integrate_halfline, f, 1.0, QuadConfig())
+                == _outcome(sequential_halfline, f, 1.0, QuadConfig()))
 
 
 class TestRules:

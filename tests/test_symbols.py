@@ -443,6 +443,19 @@ class TestJury:
         with pytest.raises(ZeroDivisionError):
             caughran_lower_bound(parse("1/(z-1)"), 1, [2.0, 1.0])
 
+    @pytest.mark.parametrize("text", ["z*z", "z^2", "z*z - z*z + z"])
+    def test_overflowing_image_names_its_point(self, text):
+        # the images overflow (inf, or nan where z^2 overflows) at 1e200;
+        # numpy stays silent and the error names the point, not the image
+        e = parse(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for bound in (lambda pts: jury_min_eig(e, 1, 1.0, pts),
+                          lambda pts: jury_min_m(e, 1, pts),
+                          lambda pts: caughran_lower_bound(e, 1, pts)):
+                with pytest.raises(ValueError, match=r"^image of point \(1e\+200\+0j\) is not finite$"):
+                    bound([1.0, 1e200, 2.0])
+
     def test_weighted_min_m(self):
         # psi = 2 and phi = identity: (M^2 - 4) K is PSD exactly when M >= 2
         m_star = jury_min_m(parse("z"), 0, [0.5, 1.0 + 0.5j, 3.0], psi=parse("2"))
@@ -482,6 +495,11 @@ class TestClassify:
                      lambda: radial_sup(e, grid), lambda: nbc_suprema(e, 2, grid)):
             with pytest.raises(ValueError, match="no points"):
                 call()
+
+    @pytest.mark.parametrize("text", ["(1e300*z)^3", "z - z/0"])
+    def test_nowhere_finite_symbol_refused(self, text):
+        with pytest.raises(ValueError, match="^phi took no finite value at any base-grid point$"):
+            classify(parse(text), 1)
 
     def test_affine_all_orders(self):
         for n in (1, 2, 3, 4):

@@ -131,6 +131,19 @@ class TestGFunction:
                 rel = np.abs(exp_series_remainder(n, xs) - ref) / np.abs(ref)
                 assert rel.max() <= 5e-14, (n, xs[rel.argmax()], rel.max())
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_value_does_not_depend_on_the_batch(self, n):
+        # a quadrature evaluates E_n on cells of any size, mixing points on both
+        # sides of |x| = 12, so a lone point of the rule branch must not round
+        # otherwise than a point among others
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(0.0, 24.0, 90) * np.exp(1j * rng.uniform(-1.5, 1.5, 90))
+        batch = exp_series_remainder(n, xs)
+        for size in (1, 2, 7, 15):
+            parts = [exp_series_remainder(n, xs[i:i + size]) for i in range(0, len(xs), size)]
+            assert np.array_equal(np.concatenate(parts), batch)
+        assert [exp_series_remainder(n, x) for x in xs] == list(batch)
+
     def test_rule_weights_are_cached_and_read_only(self):
         nodes, weights = _e_n_rule(3)
         assert _e_n_rule(3)[1] is weights
