@@ -35,7 +35,6 @@ from .freqspace import (
     paley_wiener_residual,
 )
 from .kernel import (
-    CancellationWarning,
     KernelPoint,
     gram_matrix,
     kernel_diag,
@@ -83,7 +82,7 @@ __all__ = [
     "ExpPoly", "RationalComb", "laplace", "inner_product_n", "norm_n", "sample_exppoly",
     "w_minus_exp", "hardy_constant", "exp_series_remainder",
     "HnNormReport", "hn_norm", "laplace_derivative_identity_check", "paley_wiener_residual",
-    "CancellationWarning", "KernelPoint", "kernel_eval", "kernel_eval_closed",
+    "KernelPoint", "kernel_eval", "kernel_eval_closed",
     "kernel_eval_quadrature", "kernel_diag", "kernel_norm",
     "norm_bounds", "gram_matrix", "min_eigenvalue", "reproduce_check",
     "cayley", "cayley_inverse", "DiscFunction", "disc_h2_norm",

@@ -184,15 +184,14 @@ def _emit_json(path: str | None, payload: dict) -> None:
 def _grid_rows(n: int, grid: GridSpec, quad: QuadConfig):
     """Yield (z, grid angle, K_n(z, z), lower, upper) over a log-polar grid.
 
-    |z| K_n(z, z) depends on arg z alone, and the diagonal quadrature runs at
-    |z| = 1 anyway, so each grid angle takes one quadrature at unit modulus
-    and each radius r divides it by r.
+    |z| K_n(z, z) depends on arg z alone, so the grid's angles take one
+    diagonal call at unit modulus and each radius r divides it by r.
     """
     radii, angles = grid.radii(), grid.angles()
-    if not len(radii):
+    if not (len(radii) and len(angles)):
         return
-    unit = [kernel_diag(n, complex(math.cos(t), math.sin(t)), quad,
-                        theta_margin=grid.theta_margin * 0.5) for t in angles]
+    unit = kernel_diag(n, np.array([complex(math.cos(t), math.sin(t)) for t in angles]), quad,
+                       theta_margin=grid.theta_margin * 0.5).tolist()
     for r in radii:
         for t, diag in zip(angles, unit):
             z = complex(r * math.cos(t), r * math.sin(t))

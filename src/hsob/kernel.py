@@ -12,32 +12,32 @@ second, takes the 1/r corner singularity out and leaves one smooth integral
     K_n(z, w) = 1/Gamma(n)^2 * int_0^1 p_n(u) (1/(z + u v) + 1/(v + u z)) du,
                                                         v = conj(w),
 
-with p_n the polynomial int_0^1 (1-y)^(n-1) (1-yu)^(n-1) dy.  Two evaluation
-paths are provided and cross-checked:
-
-* adaptive 1-D quadrature of the split integral (any n);
-* for n <= 8 one closed form, derived by expanding p_n and integrating term
-  by term, which collapses to
+with p_n the polynomial int_0^1 (1-y)^(n-1) (1-yu)^(n-1) dy.  For n <= 8 the
+one production route is a closed form, derived by expanding p_n and
+integrating term by term, which collapses to
 
       K_n(z, w) = sum_{m=0}^{n-1} (-1)^m / ((n-1-m)! (n+m)!)
                   * (Q_m(z, v) + Q_m(v, z)),
 
   with Q_m(a, b) = int_0^1 x^m/(a + b x) dx elementary (the coefficient is
   binom(n-1,m)/Gamma(n)^2 times the Beta integral B(m+1, n) picked up by the
-  triangle substitution).  It is evaluated elementwise on numpy arrays; a
-  scalar call is a one-element batch.
+  triangle substitution).  It is evaluated elementwise on numpy arrays, at
+  unit scale, so it holds at every ratio |z|/|w| down to subnormal ones and on
+  the diagonal; a scalar call is a one-element batch.
 
-The diagonal K_n(z, z) is the split integral at w = z, real and nonsingular
-there, and |z| K_n(z, z) depends on arg z alone.  Principal logarithms are
-safe throughout: z, conj(w) and their sum lie in C+.  Evaluation within
-``theta_margin`` of the imaginary axis is refused for the diagonal and is out
-of warranty in general.
+Adaptive 1-D quadrature of the split integral is its independent check, and
+the route past n = 8 or when ``quadrature`` is asked for.
+
+The diagonal K_n(z, z) is real and nonsingular, and |z| K_n(z, z) depends on
+arg z alone.  Principal logarithms are safe throughout: z, conj(w) and their
+sum lie in C+.  Evaluation within ``theta_margin`` of the imaginary axis is
+refused for the diagonal.
 """
 
 from __future__ import annotations
 
 import cmath
-import warnings
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +50,6 @@ from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_halfline, integrat
 from .timespace import exp_series_remainder
 
 __all__ = [
-    "CancellationWarning",
     "KernelPoint",
     "kernel_eval",
     "kernel_eval_closed",
@@ -66,15 +65,8 @@ __all__ = [
 CLOSED_FORM_MAX_N = 8
 DEFAULT_THETA_MARGIN = 1e-3
 
-#: |z/w| range outside which the closed form loses digits to cancellation
-CANCELLATION_SAFE_RATIO = 1e8
-
 #: terms of the series for Q_m, a power of two; its ratio is at most 1/2 in modulus
 SERIES_TERMS = 64
-
-
-class CancellationWarning(UserWarning):
-    """Closed-form kernel evaluation at an extreme |z|/|w| ratio."""
 
 
 def _require_halfplane(z: complex, name: str) -> complex:
@@ -86,11 +78,9 @@ def _require_halfplane(z: complex, name: str) -> complex:
     return z
 
 
-def _check_request(n: int, method: str) -> None:
+def _check_order(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if method not in ("auto", "quadrature", "closed_form"):
-        raise ValueError("method must be auto, quadrature or closed_form")
 
 
 @dataclass(frozen=True)
@@ -104,28 +94,24 @@ class KernelPoint:
     cfg: QuadConfig = field(default_factory=QuadConfig)
 
     def __post_init__(self):
-        _check_request(self.n, self.method)
+        _check_order(self.n)
+        if self.method not in ("auto", "quadrature", "closed_form"):
+            raise ValueError("method must be auto, quadrature or closed_form")
         _require_halfplane(self.z, "z")
         _require_halfplane(self.w, "w")
 
     @property
     def route(self) -> str:
-        """The method an evaluation takes: ``closed_form`` or ``quadrature``."""
-        closed = _takes_closed_form(self.n, _modulus(self.z) / _modulus(self.w), self.method)
-        return "closed_form" if closed else "quadrature"
+        """The method an evaluation takes: ``auto`` takes ``closed_form`` through
+        n = 8 and ``quadrature`` past it."""
+        if self.method == "quadrature" or (self.method == "auto" and self.n > CLOSED_FORM_MAX_N):
+            return "quadrature"
+        return "closed_form"
 
 
 def _modulus(z):
     """|z| for a number or an array, rounded as Python's abs rounds it."""
     return np.hypot(z.real, z.imag)
-
-
-def _takes_closed_form(n: int, ratio, method: str):
-    """Whether evaluation at |z|/|w| = ``ratio`` (a float or an array) takes the
-    closed form; ``auto`` takes it where it exists and is cancellation-safe."""
-    if method == "auto":
-        return (n <= CLOSED_FORM_MAX_N) & (1e-6 <= ratio) & (ratio <= 1e6)
-    return np.full(np.shape(ratio), method == "closed_form")
 
 
 @lru_cache(maxsize=None)
@@ -196,22 +182,13 @@ def _closed_form(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     if n > CLOSED_FORM_MAX_N:
         raise ValueError(f"closed forms are available for n <= {CLOSED_FORM_MAX_N}")
     mz, mv = _modulus(z), _modulus(v)
-    ratio = mz / mv
-    unsafe = ratio[(ratio < 1.0 / CANCELLATION_SAFE_RATIO) | (ratio > CANCELLATION_SAFE_RATIO)]
-    if unsafe.size:
-        warnings.warn(f"|z|/|w| = {unsafe[0]:.2e} is outside the cancellation-safe range",
-                      CancellationWarning, stacklevel=3)
     scale = np.maximum(mz, mv)
     a, b = z / scale, v / scale
     return (_q_sum(n, a, b, mv <= 0.5 * mz) + _q_sum(n, b, a, mz <= 0.5 * mv)) / scale
 
 
 def kernel_eval_closed(n: int, z: complex, w: complex) -> complex:
-    """Closed-form K_n(z, w) for 0 <= n <= 8, bitwise as :func:`gram_matrix` gives it.
-
-    A :class:`CancellationWarning` is emitted when |z|/|w| leaves [1e-8, 1e8],
-    beyond which the Q_m combination loses digits to cancellation.
-    """
+    """Closed-form K_n(z, w) for 0 <= n <= 8, bitwise as :func:`gram_matrix` gives it."""
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
     return complex(_closed_form(n, np.array([z]), np.array([w.conjugate()]))[0])
@@ -239,13 +216,19 @@ def kernel_eval_quadrature(n: int, z: complex, w: complex, cfg: QuadConfig = DEF
 
     The integral runs at max(|z|, |w|) = 1 through K_n(cz, cw) = K_n(z, w)/c,
     so ``cfg.abs_tol`` stays small against the value whatever the size of
-    the arguments.
+    the arguments.  There the integrand reaches max(|z|, |w|)/min(|z|, |w|),
+    so a ratio at which that overflows is refused.
     """
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
     if n == 0:
         return 1.0 / (z + w.conjugate())
     scale = max(abs(z), abs(w))
+    ratio = min(abs(z), abs(w)) / scale
+    if ratio * sys.float_info.max < 1.0:
+        raise ValueError(f"the quadrature route cannot take |z|/|w| = {abs(z) / abs(w):.3g}: "
+                         "at unit scale its integrand reaches max(|z|, |w|)/min(|z|, |w|), "
+                         "which overflows")
     a = z / scale
     b = w.conjugate() / scale
 
@@ -264,18 +247,25 @@ def kernel_eval(p: KernelPoint) -> complex:
     return kernel_eval_quadrature(p.n, p.z, p.w, p.cfg)
 
 
-def kernel_diag(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
-                theta_margin: float = DEFAULT_THETA_MARGIN) -> float:
-    """K_n(z, z) = ||K_{n,z}||^2, real positive: the Duffy integral at w = z.
+def kernel_diag(n: int, z, cfg: QuadConfig = DEFAULT_CONFIG,
+                theta_margin: float = DEFAULT_THETA_MARGIN):
+    """K_n(z, z) = ||K_{n,z}||^2, real positive, at a point or elementwise over a
+    1-D array of points; through n = 8 the closed form in one array call.
 
-    There the integrand is 2 cos(theta) (1 + u) p_n(u) / (u^2 + 1 + 2 u cos(2 theta)),
+    There the Duffy integrand is 2 cos(theta) (1 + u) p_n(u) / (u^2 + 1 + 2 u cos(2 theta)),
     theta = arg z, whose denominator degenerates only as |theta| nears pi/2:
-    for n >= 1, |arg z| <= pi/2 - theta_margin is required.
+    for n >= 1, |arg z| <= pi/2 - theta_margin is required.  Past n = 8 each
+    point takes the quadrature with ``cfg``.
     """
-    z = _require_halfplane(z, "z")
-    if n > 0 and abs(np.angle(z)) > pi / 2 - theta_margin:
+    _check_order(n)
+    zs = np.array([_require_halfplane(u, "z") for u in np.atleast_1d(z)], dtype=complex)
+    if n > 0 and (np.abs(np.angle(zs)) > pi / 2 - theta_margin).any():
         raise ValueError(f"|arg z| must stay below pi/2 - {theta_margin:g}")
-    return kernel_eval_quadrature(n, z, z, cfg).real
+    if n > CLOSED_FORM_MAX_N:
+        diag = np.array([kernel_eval_quadrature(n, u, u, cfg).real for u in zs])
+    else:
+        diag = _closed_form(n, zs, zs.conj()).real
+    return diag if np.ndim(z) else float(diag[0])
 
 
 def kernel_norm(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
@@ -307,22 +297,21 @@ def norm_bounds(n: int, z: complex) -> tuple[float, float]:
     return float(lower), float(upper)
 
 
-def gram_matrix(n: int, points, method: str = "auto", cfg: QuadConfig = DEFAULT_CONFIG) -> np.ndarray:
+def gram_matrix(n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = K_n(z_i, z_j) over points of C+.
 
-    Each lower-triangle entry is :func:`kernel_eval` bit for bit; the closed-form
-    entries are evaluated in one array call, the rest one at a time.
+    Each lower-triangle entry is :func:`kernel_eval` bit for bit: through n = 8
+    all of them come from one closed-form array call, past it one quadrature each.
     """
-    _check_request(n, method)
+    _check_order(n)
     pts = np.array([_require_halfplane(z, "point") for z in points], dtype=complex)
     rows, cols = np.nonzero(np.tri(len(pts), dtype=bool))
-    z, w = pts[rows], pts[cols]
-    closed = _takes_closed_form(n, _modulus(z) / _modulus(w), method)
     G = np.zeros((len(pts), len(pts)), dtype=complex)
-    if closed.any():
-        G[rows[closed], cols[closed]] = _closed_form(n, z[closed], w[closed].conj())
-    for i, j in zip(rows[~closed], cols[~closed]):
-        G[i, j] = kernel_eval_quadrature(n, pts[i], pts[j], cfg)
+    if n > CLOSED_FORM_MAX_N:
+        for i, j in zip(rows, cols):
+            G[i, j] = kernel_eval_quadrature(n, pts[i], pts[j], cfg)
+    else:
+        G[rows, cols] = _closed_form(n, pts[rows], pts[cols].conj())
     G[cols, rows] = G[rows, cols].conj()
     return G
 

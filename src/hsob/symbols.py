@@ -670,8 +670,7 @@ def _require_finite_image(e: SymbolExpr, z: complex, u: complex) -> None:
     raise ValueError(f"image of point {z} is not finite")
 
 
-def _jury_matrices(e: SymbolExpr, n: int, points, psi=None,
-                   cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto",
+def _jury_matrices(e: SymbolExpr, n: int, points, psi=None, cfg: QuadConfig = DEFAULT_CONFIG,
                    theta_margin: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """The two Hermitian matrices of the kernel inequality, built once.
 
@@ -700,21 +699,20 @@ def _jury_matrices(e: SymbolExpr, n: int, points, psi=None,
                 raise ValueError(f"{name} {val} violates the half-plane margin")
     weight = _as_callable(psi)
     w = np.array([weight(z) for z in pts], dtype=complex)
-    base = gram_matrix(n, pts, method, cfg)
-    moved = np.outer(np.conj(w), w) * gram_matrix(n, images, method, cfg)
+    base = gram_matrix(n, pts, cfg)
+    moved = np.outer(np.conj(w), w) * gram_matrix(n, images, cfg)
     return base, moved
 
 
 def jury_min_eig(e: SymbolExpr, n: int, M: float, points, psi=None,
-                 cfg: QuadConfig = DEFAULT_CONFIG, method: str = "auto",
-                 theta_margin: float = 1e-6) -> float:
+                 cfg: QuadConfig = DEFAULT_CONFIG, theta_margin: float = 1e-6) -> float:
     """Least eigenvalue of [M^2 K_n(z_i,z_j) - conj(psi(z_i)) psi(z_j) K_n(phi(z_i),phi(z_j))].
 
     Nonnegative (up to rounding) for every point set exactly when M dominates
     the weighted composition operator's norm.  All points and their images
     must stay in C+ with the given argument margin.
     """
-    base, moved = _jury_matrices(e, n, points, psi, cfg, method, theta_margin)
+    base, moved = _jury_matrices(e, n, points, psi, cfg, theta_margin)
     return min_eigenvalue(M**2 * base - moved)
 
 

@@ -38,16 +38,36 @@ class TestKernelCommands:
         assert payload["method"] == "closed_form"
 
     @pytest.mark.parametrize("argv", [
-        ("--n", "1", "--z", "1e7", "--w", "1"),
+        ("--n", "9", "--z", "1e7", "--w", "1"),
         ("--n", "9", "--z", "1+1i", "--w", "2"),
     ])
     def test_eval_auto_falls_back_to_quadrature(self, capsys, argv):
-        # |z|/|w| past the closed form's auto window, and an order without one
+        # an order without a closed form, at a large ratio and at O(1)
         code, out = run_cli(capsys, "kernel", "eval", *argv)
         payload = json.loads(out)
         assert code == 0
         assert payload["method"] == "quadrature"
         assert math.isfinite(payload["value_re"])
+
+    @pytest.mark.parametrize("z, value_re", [("1e7", 8.309048124669643e-07),
+                                             ("1e-320", 368.66362044548695)])
+    def test_eval_auto_takes_closed_form_at_any_ratio(self, capsys, z, value_re):
+        # at a large ratio and at a subnormal z, against the 30-digit Duffy
+        # integral rounded to a double
+        code, out = run_cli(capsys, "kernel", "eval", "--n", "2", "--z", z, "--w", "1")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["method"] == "closed_form"
+        assert abs(payload["value_re"] - value_re) <= 1e-15 * value_re
+
+    @pytest.mark.parametrize("argv", [("--method", "quadrature", "--n", "2"), ("--n", "9")])
+    def test_quadrature_refuses_subnormal_ratio(self, capsys, argv):
+        code = main(["kernel", "eval", *argv, "--z", "1e-320", "--w", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error [kernel]: the quadrature route cannot take |z|/|w| = 1e-320")
+        assert "overflows" in captured.err
 
     def test_eval_complex_arguments(self, capsys):
         code, out = run_cli(capsys, "kernel", "eval", "--n", "2", "--z", "1+2i", "--w", "0.5-0.1i")
@@ -82,29 +102,32 @@ class TestKernelCommands:
         assert captured.out == ""
         assert captured.err.startswith("error [kernel]: report field diag is not a finite number")
 
-    def test_grid_rows_take_one_quadrature_per_angle(self, monkeypatch):
-        # |z| K_n(z, z) depends on arg z alone: a 7 x 9 grid makes 9 diagonal
-        # quadratures, and each row matches the per-point diagonal
+    def test_grid_rows_take_one_diagonal_call(self, monkeypatch):
+        # |z| K_n(z, z) depends on arg z alone: a 7 x 9 grid makes one diagonal
+        # call on its 9 angles at unit modulus (9 quadratures past n = 8), and
+        # each row matches the per-point diagonal
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return kernel_diag(*args, **kwargs)
+        def counting(n, z, *args, **kwargs):
+            calls.append(z)
+            return kernel_diag(n, z, *args, **kwargs)
 
         monkeypatch.setattr(cli, "kernel_diag", counting)
-        for n in (1, 2, 5):
+        for n in (1, 2, 5, 9):
             calls.clear()
             grid = cli._parse_grid("1e-3,1e3,7,0.05,9")
             rows = list(cli._grid_rows(n, grid, cli.QuadConfig()))
-            assert len(rows) == 63 and len(calls) == 9
-            assert all(abs(abs(u) - 1.0) < 1e-15 for u in calls)
+            assert len(rows) == 63 and len(calls) == 1 and len(calls[0]) == 9
+            assert all(abs(abs(u) - 1.0) < 1e-15 for u in calls[0])
             for z, _, diag, _, _ in rows:
                 want = kernel_diag(n, z, theta_margin=grid.theta_margin * 0.5)
                 assert abs(diag - want) <= 1e-14 * want
 
     def test_empty_grid_takes_no_quadrature(self, monkeypatch):
-        monkeypatch.setattr(cli, "kernel_diag", lambda *a, **k: pytest.fail("quadrature"))
-        assert list(cli._grid_rows(1, cli._parse_grid("0.1,10,0,0.1,3"), cli.QuadConfig())) == []
+        # no radius or no angle: no diagonal call at all
+        monkeypatch.setattr(cli, "kernel_diag", lambda *a, **k: pytest.fail("diagonal call"))
+        for grid in ("0.1,10,0,0.1,3", "0.1,10,3,0.1,0"):
+            assert list(cli._grid_rows(1, cli._parse_grid(grid), cli.QuadConfig())) == []
 
     def test_gram_seeded(self, capsys):
         code, out = run_cli(capsys, "kernel", "gram", "--n", "1", "--count", "4", "--seed", "3")

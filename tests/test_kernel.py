@@ -2,13 +2,11 @@
 
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from hsob import (
-    CancellationWarning,
     ExpPoly,
     KernelPoint,
     gram_matrix,
@@ -23,10 +21,12 @@ from hsob import (
     norm_bounds,
     reproduce_check,
 )
-from hsob.kernel import CANCELLATION_SAFE_RATIO, _p_eval
+from hsob.kernel import _p_eval
 from oracles import i_theta
 
 LN2 = math.log(2.0)
+#: arguments within 1e-6 of the imaginary axis
+MARGIN = math.pi / 2 - 1e-6
 
 
 def graded_square(g, levels=40, order=12):
@@ -68,18 +68,47 @@ def displays(n, z, v):
 def duffy_reference(n, z, w, mp):
     """K_n(z, w) as the Duffy integral in mpmath at unit scale, a test-only reference.
 
-    The breakpoints min(|a|, |b|) * 10^k resolve the peak of the integrand
-    near u = min(|a|, |b|) at extreme ratios.
+    The integrand peaks near u = low = min(|a|, |b|) and is smooth on the
+    scale of u above it: [0, low] is integrated in u, and [low, 1] in s = log u
+    with a breakpoint every 23 e-folds, so every ratio down to subnormal ones
+    is resolved.  At n = 0 it is 1/(z + conj(w)) in mpmath.
     """
+    z, w = mp.mpc(z), mp.mpc(w)
+    if n == 0:
+        return 1 / (z + mp.conj(w))
     c = max(abs(z), abs(w))
-    a, b = mp.mpc(z) / c, mp.mpc(w).conjugate() / c
+    a, b = z / c, mp.conj(w) / c
     coeffs = [mp.mpf((-1) ** k * math.comb(n - 1, k) * math.factorial(k) * math.factorial(n - 1))
               / math.factorial(n + k) for k in range(n)]
+
+    def integrand(u):
+        return mp.polyval(coeffs[::-1], u) * (1 / (a + u * b) + 1 / (b + u * a))
+
     low = min(abs(a), abs(b))
-    breaks = [mp.mpf(0)] + [low * 10**k for k in range(17) if low * 10**k < 1] + [mp.mpf(1)]
-    value = mp.quad(lambda u: mp.polyval(coeffs[::-1], u) * (1 / (a + u * b) + 1 / (b + u * a)),
-                    breaks)
+    value = mp.quad(integrand, [0, low])
+    if low < 1:
+        s0 = mp.log(low)
+        steps = int(mp.ceil(-s0 / 23))
+        value += mp.quad(lambda s: integrand(mp.exp(s)) * mp.exp(s), mp.linspace(s0, 0, steps + 1))
     return value / (math.factorial(n - 1) ** 2 * c)
+
+
+#: (|z|/|w|, arg z, arg w) of the accuracy map at every order: near 1 on both
+#: sides of the closed form's series/log switch at 1/2, down to 1e-8, and with
+#: a + u b nearly vanishing at u = |z|/|w| (both arguments at the margin)
+MAP_CASES = ((1.0, -1.05, 1.05), (0.55, -1.05, 1.05), (0.45, -1.05, 1.05), (0.1, -1.05, 1.05),
+             (1e-8, -1.05, 1.05), (0.45, MARGIN, MARGIN), (1e-4, MARGIN, MARGIN))
+#: one extreme |z|/|w| per order (all of them at n = 0, whose reference is
+#: free), 1e-320 (subnormal) at both ends of 1..8
+MAP_EXTREMES = {0: (1e-16, 1e-50, 1e-100, 1e-200, 1e-300, 1e-320), 1: (1e-320,), 2: (1e-300,),
+                3: (1e-200,), 4: (1e-100,), 5: (1e-50,), 6: (1e-16,), 7: (1e-30,), 8: (1e-320,)}
+#: relative error bound of the map: the worst measured was 7.0e-16 (n = 7,
+#: |z| = |w|, args -1.05 and 1.05), with 30-digit references
+MAP_TOL = 1e-15
+#: the quadrature diagonal checks the closed-form one to its own accuracy: over
+#: n = 1..8 and |arg z| <= pi/2 - 1e-3 it is off by up to 2.1e-13 (n = 2,
+#: |arg z| = 1.452), where the closed form is within 1e-16 of the reference
+DIAG_TOL = 1e-12
 
 
 class TestAnchors:
@@ -117,21 +146,32 @@ class TestClosedForms:
             b = kernel_eval_closed(n, z, w)
             assert abs(a - b) <= 1e-12 * abs(a)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(9))
     def test_accuracy_map(self, n):
-        # the warranty's ratios, both ends and the decades where the
-        # printed displays lose digits, against a 30-digit reference
+        # the closed form against a 30-digit reference: |z|/|w| from 1 down
+        # to 1e-320, both arguments within 1e-6 of the imaginary axis where
+        # a + u b nearly vanishes, and the diagonal, there by kernel_diag;
+        # |z|/|w| > 1 by Hermitian symmetry, against the same reference
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
-        for log_ratio in (-8.0, -2.9, 0.0, 2.9, 8.0):
-            for tz, tw in ((-1.05, 1.05), (0.3, -1.2)):
-                z = 10**log_ratio * cmath.exp(1j * tz)
-                w = cmath.exp(1j * tw)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", CancellationWarning)
-                    c = kernel_eval_closed(n, z, w)
-                ref = duffy_reference(n, z, w, mp)
-                assert abs(mp.mpc(c) - ref) <= 1e-13 * abs(ref)
+        cases = MAP_CASES + tuple((r, 0.3, -1.2) for r in MAP_EXTREMES[n])
+        for r, tz, tw in cases:
+            z, w = r * cmath.exp(1j * tz), cmath.exp(1j * tw)
+            ref = duffy_reference(n, z, w, mp)
+            for value in (kernel_eval_closed(n, z, w), kernel_eval_closed(n, w, z).conjugate()):
+                assert abs(mp.mpc(value) - ref) <= MAP_TOL * abs(ref), (r, tz, tw)
+        for z in (1.0, cmath.exp(-1j * MARGIN)):
+            ref = duffy_reference(n, z, z, mp)
+            assert abs(kernel_diag(n, z, theta_margin=1e-7) - ref) <= MAP_TOL * abs(ref), z
+
+    @pytest.mark.parametrize("n", (1, 8))
+    def test_reference_matches_asymptote(self, n):
+        # K_n(z, 1) = log(1/z)/(n Gamma(n)^2) + O(1) as z -> 0: at z = 1e-300
+        # the reference sits just above the leading term
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        lead = math.log(1e300) / (n * math.factorial(n - 1) ** 2)
+        assert 1.0001 < duffy_reference(n, 1e-300, 1.0, mp).real / lead < 1.0015
 
     @pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
     def test_derived_orders_match_quadrature(self, n):
@@ -148,10 +188,6 @@ class TestClosedForms:
             a = kernel_eval_closed(n, z, w)
             b = kernel_eval_closed(n, w, z)
             assert abs(a - b.conjugate()) <= 1e-12 * abs(a)
-
-    def test_cancellation_warning(self):
-        with pytest.warns(CancellationWarning):
-            kernel_eval_closed(2, 1e9, 1.0)
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
@@ -173,20 +209,19 @@ class TestQuadratureAgreement:
                     assert abs(c - q) <= 1e-7 * abs(c)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("modulus, warns", ((CANCELLATION_SAFE_RATIO, False),
-                                                (10 * CANCELLATION_SAFE_RATIO, True)))
-    def test_warranty_edge_ratio(self, n, modulus, warns):
-        # |z|/|w| = modulus^(+-1), at the closed form's warranty edge and one
-        # decade past it; the value is ~1/modulus, far below abs_tol unless
-        # the route integrates at scale 1
-        for z, w in ((modulus * cmath.exp(1j * math.pi / 3), cmath.exp(-1j * 0.4)),
-                     (cmath.exp(1j * 0.4), modulus * cmath.exp(-1j * math.pi / 3))):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                c = kernel_eval_closed(n, z, w)
-            assert any(issubclass(r.category, CancellationWarning) for r in caught) == warns
-            q = kernel_eval_quadrature(n, z, w)
-            assert abs(c - q) <= 1e-9 * abs(c)
+    @pytest.mark.parametrize("w_large", (False, True))
+    @pytest.mark.parametrize("modulus", (1e8, 1e9))
+    def test_warranty_edge_ratio(self, n, modulus, w_large):
+        # |z|/|w| = modulus^(+-1), with either argument the large one; the
+        # value is ~1/modulus, far below abs_tol unless the quadrature
+        # integrates at scale 1
+        if w_large:
+            z, w = cmath.exp(1j * 0.4), modulus * cmath.exp(-1j * math.pi / 3)
+        else:
+            z, w = modulus * cmath.exp(1j * math.pi / 3), cmath.exp(-1j * 0.4)
+        c = kernel_eval_closed(n, z, w)
+        q = kernel_eval_quadrature(n, z, w)
+        assert abs(c - q) <= 1e-9 * abs(c)
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("c", (1e6, 1e-6))
@@ -199,8 +234,7 @@ class TestQuadratureAgreement:
 
     @pytest.mark.parametrize("n", (1, 8))
     def test_tiny_argument_converges(self, n):
-        with pytest.warns(CancellationWarning):
-            c = kernel_eval_closed(n, 1e-300, 1.0)
+        c = kernel_eval_closed(n, 1e-300, 1.0)
         q = kernel_eval_quadrature(n, 1e-300, 1.0)
         assert abs(c - q) <= 1e-9 * abs(c)
 
@@ -209,8 +243,7 @@ class TestQuadratureAgreement:
         # K_n(z, 1) = log(1/z)/(n Gamma(n)^2) + C_n + o(1) as z -> 0: a
         # subnormal z must give the same C_n as z = 1e-300
         def offset(z):
-            with pytest.warns(CancellationWarning):
-                value = kernel_eval_closed(n, z, 1.0)
+            value = kernel_eval_closed(n, z, 1.0)
             return value, value.real + math.log(z) / (n * math.factorial(n - 1) ** 2)
 
         value, c_tiny = offset(1e-320)
@@ -227,11 +260,22 @@ class TestQuadratureAgreement:
         assert abs(kernel_eval(p) - kernel_eval_quadrature(12, 1.0, 1.0)) < 1e-12
 
     def test_auto_route(self):
-        assert KernelPoint(8, 1.0, 1.0).route == "closed_form"
-        assert KernelPoint(1, 1e6, 1.0).route == "closed_form"
-        assert KernelPoint(1, 1e7, 1.0).route == "quadrature"
-        assert KernelPoint(1, 1.0, 1e7).route == "quadrature"
-        assert KernelPoint(1, 1e7, 1.0, "closed_form").route == "closed_form"
+        # auto takes the closed form wherever it exists, at any ratio
+        for z, w in ((1.0, 1.0), (1e7, 1.0), (1.0, 1e7), (1e-320, 1.0)):
+            assert KernelPoint(8, z, w).route == "closed_form"
+        assert KernelPoint(9, 1.0, 1.0).route == "quadrature"
+        assert KernelPoint(1, 1e7, 1.0, "quadrature").route == "quadrature"
+
+    @pytest.mark.parametrize("n", (1, 2, 9))
+    def test_quadrature_refuses_overflowing_ratio(self, n):
+        # at unit scale the Duffy integrand reaches max(|z|, |w|)/min(|z|, |w|),
+        # which overflows below a ratio of about 5.6e-309
+        for z, w in ((1e-320, 1.0), (1.0, 5e-309), (1e-300, 1e10)):
+            with pytest.raises(ValueError, match="overflows"):
+                kernel_eval_quadrature(n, z, w)
+        q = kernel_eval_quadrature(n, 5.6e-309, 1.0)
+        if n <= 8:
+            assert abs(q - kernel_eval_closed(n, 5.6e-309, 1.0)) <= 1e-9 * abs(q)
 
     def test_kernel_point_validation(self):
         with pytest.raises(ValueError):
@@ -340,12 +384,29 @@ class TestDiagonalAndBounds:
         assert abs(kernel_norm(1, 1e-310) * math.sqrt(1e-310) - math.sqrt(2 * LN2)) < 1e-10
 
     def test_diag_matches_closed_form(self):
-        for n in (1, 2, 3):
-            for z in (1.0, 2.0 + 1.0j, 0.05 * cmath.exp(-1j * 1.3)):
+        # the diagonal is the closed form at w = z, real to the last bit; the
+        # quadrature diagonal checks it, also at the default argument margin
+        edge = math.pi / 2 - 1e-3
+        for n in range(1, 9):
+            for z in (1.0, 2.0 + 1.0j, 0.05 * cmath.exp(-1j * 1.3), cmath.exp(1j * edge),
+                      1e3 * cmath.exp(-1j * edge)):
                 d = kernel_diag(n, z)
                 c = kernel_eval_closed(n, z, z)
-                assert abs(d - c.real) <= 1e-10 * abs(c)
-                assert abs(c.imag) <= 1e-10 * abs(c.real)
+                assert d == c.real and c.imag == 0.0
+                q = kernel_eval_quadrature(n, z, z)
+                assert abs(d - q.real) <= DIAG_TOL * d
+
+    @pytest.mark.parametrize("n", (0, 1, 5, 8, 9))
+    def test_diag_array_equals_scalar_calls(self, n):
+        # an array of points is one call, each element as a lone point gives it
+        rng = np.random.default_rng(n)
+        pts = 10 ** rng.uniform(-3, 3, 12) * np.exp(1j * rng.uniform(-1.5, 1.5, 12))
+        diag = kernel_diag(n, pts)
+        assert diag.shape == (12,)
+        assert diag.tolist() == [kernel_diag(n, z) for z in pts]
+        assert kernel_diag(n, pts[:0]).shape == (0,)
+        with pytest.raises(ValueError):
+            kernel_diag(n, np.append(pts, 1j))
 
     def test_bounds_examples(self):
         lo, hi = norm_bounds(1, 1.0)
@@ -411,33 +472,37 @@ class TestGram:
     @pytest.mark.parametrize("n", range(10))
     @pytest.mark.parametrize("method", ("auto", "closed_form", "quadrature"))
     def test_entries_equal_kernel_eval_exactly(self, n, method):
-        # |z_i|/|z_j| straddles 1e6, so auto routes some entries each way,
-        # and the closed-form batch mixes series ratios from 1e-6 to 1/2;
-        # the diagonal holds the conjugate, as every entry above it does
+        # each entry is kernel_eval of the KernelPoint with ``method`` bit for
+        # bit where that takes gram_matrix's route (the closed form through
+        # n = 8, quadrature past it), and within 1e-9 of the quadrature check
+        # elsewhere; |z_i|/|z_j| reaches 3.6e9, and the closed-form batch mixes
+        # series ratios from 3e-10 to 1/2; the diagonal holds the conjugate, as
+        # every entry above it does
         pts = [1.0, 0.7 + 0.5j, 2e-4 - 1e-4j, 3e3 + 4e3j, 8e5 * cmath.exp(-0.3j),
                0.35 - 0.2j, 2.5 + 1.5j, 0.05 + 0.02j, 40.0 - 70.0j]
-        if method == "closed_form" and n > 8:
-            with pytest.raises(ValueError):
-                gram_matrix(n, pts, method)
-            return
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CancellationWarning)
-            G = gram_matrix(n, pts, method)
-            for i, z in enumerate(pts):
-                for j in range(i + 1):
-                    value = kernel_eval(KernelPoint(n, z, pts[j], method))
+        G = gram_matrix(n, pts)
+        assert {KernelPoint(n, z, w).route for z in pts for w in pts} == {
+            "closed_form" if n <= 8 else "quadrature"}
+        for i, z in enumerate(pts):
+            for j in range(i + 1):
+                point = KernelPoint(n, z, pts[j], method)
+                if method == "closed_form" and n > 8:
+                    with pytest.raises(ValueError):
+                        kernel_eval(point)
+                elif method == "quadrature" and n <= 8:
+                    value = kernel_eval(point)
+                    assert abs(G[i, j] - value) <= 1e-9 * abs(value)
+                else:
+                    value = kernel_eval(point)
                     assert G[j, i] == value.conjugate()
                     assert G[i, j] == (value if i > j else value.conjugate())
-        routes = {KernelPoint(n, z, w, method).route for z in pts for w in pts}
-        if method == "auto" and n <= 8:
-            assert routes == {"closed_form", "quadrature"}
 
     @pytest.mark.parametrize("n", range(9))
     def test_closed_form_batch_equals_scalar_calls(self, n):
         # 780 entries in one batch: no element's value depends on the others
         rng = np.random.default_rng(90 + n)
         pts = 10 ** rng.uniform(-3, 3, 40) * np.exp(1j * rng.uniform(-1.5, 1.5, 40))
-        G = gram_matrix(n, pts, "closed_form")
+        G = gram_matrix(n, pts)
         for i, z in enumerate(pts):
             for j in range(i):
                 assert G[i, j] == kernel_eval_closed(n, z, pts[j])
