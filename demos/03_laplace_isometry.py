@@ -7,16 +7,7 @@ what makes the Laplace transform an isometry between the weighted time space
 and the Hardy-Sobolev space.
 """
 
-import numpy as np
-
-from hsob import (
-    ExpPoly,
-    hn_norm,
-    laplace,
-    laplace_derivative_identity_check,
-    paley_wiener_residual,
-    sample_exppoly,
-)
+from hsob import ExpPoly, hn_norm, laplace, laplace_derivative_identity_check, verify
 
 f = ExpPoly.exponential(1.0) + 2.0 * ExpPoly.monomial(1.0, 1, 3.0)
 F = laplace(f)
@@ -35,10 +26,5 @@ for k in range(4):
 
 print()
 print("== seeded random sweep ==")
-rng = np.random.default_rng(0)
-worst = 0.0
-for _ in range(25):
-    sample = sample_exppoly(rng)
-    for n in range(5):
-        worst = max(worst, paley_wiener_residual(sample, n))
+worst = max(verify.run("paley-wiener", n, seed=0, samples=25)["max_residual"] for n in range(5))
 print(f"worst relative isometry residual over 25 samples x 5 orders: {worst:.2e}")

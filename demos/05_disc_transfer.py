@@ -5,8 +5,6 @@ disc-space memberships, with the exact norm identity
 sqrt(2) ||F||_(1) = ||(1+lam) F_D'||_{H2(D)}.
 """
 
-import numpy as np
-
 from hsob import (
     ExpPoly,
     cayley,
@@ -15,7 +13,7 @@ from hsob import (
     disc_membership_report,
     laplace,
     norm_equality_check,
-    sample_exppoly,
+    verify,
 )
 
 print("== the conformal map ==")
@@ -38,11 +36,7 @@ print(f"gap             = {res:.1e}   (both sides are exactly 1/sqrt 2)")
 
 print()
 print("== seeded random samples ==")
-rng = np.random.default_rng(4)
-worst = 0.0
-for _ in range(10):
-    sample = laplace(sample_exppoly(rng, max_terms=3, max_power=2, level=1))
-    worst = max(worst, norm_equality_check(sample)[2])
+worst = verify.run("cayley", seed=4, samples=10)["max_residual"]
 print(f"worst equality gap over 10 samples: {worst:.2e}")
 
 print()

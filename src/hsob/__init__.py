@@ -32,7 +32,6 @@ from .freqspace import (
     HnNormReport,
     hn_norm,
     laplace_derivative_identity_check,
-    paley_wiener_residual,
 )
 from .kernel import (
     KernelPoint,
@@ -81,7 +80,7 @@ __all__ = [
     "BellPartitionTable", "bell_partitions",
     "ExpPoly", "RationalComb", "laplace", "inner_product_n", "norm_n", "sample_exppoly",
     "w_minus_exp", "hardy_constant", "exp_series_remainder",
-    "HnNormReport", "hn_norm", "laplace_derivative_identity_check", "paley_wiener_residual",
+    "HnNormReport", "hn_norm", "laplace_derivative_identity_check",
     "KernelPoint", "kernel_eval", "kernel_eval_closed",
     "kernel_eval_quadrature", "kernel_diag", "kernel_norm",
     "norm_bounds", "gram_matrix", "min_eigenvalue", "reproduce_check",

@@ -30,6 +30,11 @@ __all__ = [
     "disc_membership_report",
 ]
 
+#: trapezoid nodes on each circle of :func:`disc_h2_norm`
+DISC_NODES = 4096
+#: the circles have radii 1 - DISC_OFFSET * {1, 2, 4}
+DISC_OFFSET = 1e-6
+
 
 def cayley(lam: complex) -> complex:
     """gamma(lam) = (1+lam)/(1-lam), disc onto right half-plane."""
@@ -72,22 +77,22 @@ def _gamma(lam):
     return (1.0 + lam) / (1.0 - lam)
 
 
-def disc_h2_norm(g, num_nodes: int = 4096, base_offset: float = 1e-6) -> float:
+def disc_h2_norm(g) -> float:
     """H2(D) norm of a callable by circle quadrature with a radial limit.
 
-    Mean-square values over circles of radius 1 - base_offset * {1, 2, 4} are
+    Mean-square values over circles of radius 1 - DISC_OFFSET * {1, 2, 4} are
     combined by quadratic Richardson extrapolation toward r = 1; the mean over
     each circle is a trapezoid sum, exact up to spectral accuracy for analytic
     integrands (and exact outright for polynomials).
     """
-    angles = 2.0 * np.pi * np.arange(num_nodes) / num_nodes
+    angles = 2.0 * np.pi * np.arange(DISC_NODES) / DISC_NODES
     unit = np.exp(1j * angles)
 
     def mean_square(r: float) -> float:
         vals = np.asarray(g(r * unit), dtype=complex)
         return float(np.mean(np.abs(vals) ** 2))
 
-    s = base_offset
+    s = DISC_OFFSET
     v1, v2, v4 = mean_square(1.0 - s), mean_square(1.0 - 2 * s), mean_square(1.0 - 4 * s)
     # quadratic in s through (s, 2s, 4s), evaluated at s = 0
     extrapolated = (8.0 * v1 - 6.0 * v2 + v4) / 3.0

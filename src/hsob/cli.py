@@ -7,7 +7,8 @@ Subcommands
 
 Each subcommand declares only the options it reads; any other option is a
 usage error.  The six verify suites share one option set (``--n --tol --seed
---samples --grid --config --out``).  Arguments are validated here, once:
+--samples --grid --config --out``) and print :func:`hsob.verify.run`'s report.
+Arguments are validated here, once:
 ``--grid`` is ``r_min,r_max,num_r,theta_margin,num_theta`` with finite
 positive radii, counts >= 0 and ``0 < theta_margin < pi/2``.
 
@@ -37,23 +38,10 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .cayley import norm_equality_check
-from .expfamily import ExpPoly, inner_product_n, laplace, sample_exppoly
-from .freqspace import hn_norm
-from .kernel import (
-    KernelPoint,
-    gram_matrix,
-    kernel_diag,
-    kernel_eval,
-    kernel_norm,
-    min_eigenvalue,
-    norm_bounds,
-    reproduce_check,
-)
+from . import __version__, verify
+from .kernel import KernelPoint, gram_matrix, kernel_eval, kernel_norm, min_eigenvalue, norm_bounds
 from .quadrature import QuadConfig, QuadratureError
 from .symbols import GridSpec, classify, jury_min_eig, parse as parse_symbol
-from .timespace import hardy_constant, w_minus_exp
 
 SCHEMA = 1
 
@@ -112,11 +100,6 @@ def _parse_grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError("theta_margin must lie strictly between 0 and pi/2")
     return GridSpec(log10_r_min=math.log10(r_min), log10_r_max=math.log10(r_max),
                     num_r=num_r, theta_margin=margin, num_theta=num_theta)
-
-
-#: the 7 x 9 grid of ``kernel sweep`` and the verify suites (``symbol classify``
-#: samples the finer ``GridSpec()``)
-SWEEP_GRID = GridSpec(log10_r_min=-3, log10_r_max=3, num_r=7, theta_margin=0.05, num_theta=9)
 
 
 def _load_quad_config(path: str | None) -> QuadConfig:
@@ -181,23 +164,6 @@ def _emit_json(path: str | None, payload: dict) -> None:
     _emit(path, text.replace(json.dumps(_DIVERGENT), "1e999"))
 
 
-def _grid_rows(n: int, grid: GridSpec, quad: QuadConfig):
-    """Yield (z, grid angle, K_n(z, z), lower, upper) over a log-polar grid.
-
-    |z| K_n(z, z) depends on arg z alone, so the grid's angles take one
-    diagonal call at unit modulus and each radius r divides it by r.
-    """
-    radii, angles = grid.radii(), grid.angles()
-    if not (len(radii) and len(angles)):
-        return
-    unit = kernel_diag(n, np.array([complex(math.cos(t), math.sin(t)) for t in angles]), quad,
-                       theta_margin=grid.theta_margin * 0.5).tolist()
-    for r in radii:
-        for t, diag in zip(angles, unit):
-            z = complex(r * math.cos(t), r * math.sin(t))
-            yield (z, t, diag / r, *norm_bounds(n, z))
-
-
 def _seeded_points(seed: int, count: int, re_min: float) -> list[complex]:
     """``count`` seeded points with Re z in [re_min, 4) and Im z in [-2, 2)."""
     rng = np.random.default_rng(seed)
@@ -238,7 +204,7 @@ def _cmd_kernel_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "abs_z", "arg_z", "kernel_diag", "lower_bound", "norm", "upper_bound"])
-    for z, _, diag, lo, hi in _grid_rows(args.n, args.grid, quad):
+    for z, _, diag, lo, hi in verify.grid_rows(args.n, args.grid, quad):
         writer.writerow((args.n, abs(z), math.atan2(z.imag, z.real), diag, lo, math.sqrt(diag), hi))
     _emit(args.out, buf.getvalue())
     return 0
@@ -259,146 +225,19 @@ def _cmd_kernel_gram(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify subcommands: each takes (args, quad) and returns (cases, max_residual)
-
-
-def _suite_samples(args, level: int = 0) -> list[ExpPoly]:
-    rng = np.random.default_rng(args.seed)
-    samples = [ExpPoly.exponential(1.0)]
-    while len(samples) < args.samples:
-        samples.append(sample_exppoly(rng, level=level))
-    return samples[: args.samples]
-
-
-def _verify_paley_wiener(args, quad):
-    """time norm vs boundary norm on random samples"""
-    cases = []
-    worst = 0.0
-    for i, f in enumerate(_suite_samples(args, args.n)):
-        report = hn_norm(laplace(f), args.n, quad)
-        res = report.paley_wiener_residual
-        worst = max(worst, res)
-        cases.append({"sample": i, "terms": f.to_triples(), "residual": res,
-                      **report.to_dict()})
-    return cases, worst
-
-
-def _verify_inner_product(args, quad):
-    """weighted inner product vs derivative form, exact algebra"""
-    n = args.n
-    samples = _suite_samples(args, n)
-    cases = []
-    worst = 0.0
-    for i, f in enumerate(samples):
-        g = samples[(i + 1) % len(samples)]
-        lhs = inner_product_n(f, g, n)
-        rhs = inner_product_n(f.times_power(n).derivative(n), g.times_power(n).derivative(n), 0)
-        res = abs(lhs - rhs) / max(abs(lhs), 1e-30)
-        worst = max(worst, res)
-        cases.append({"sample": i, "terms": f.to_triples(), "residual": res,
-                      "lhs_re": lhs.real, "lhs_im": lhs.imag})
-    return cases, worst
-
-
-def _verify_bounds(args, quad):
-    """kernel-norm sandwich on a log-polar grid"""
-    cases = []
-    worst = -math.inf
-    for z, t, diag, lo, hi in _grid_rows(args.n, args.grid, quad):
-        nrm = math.sqrt(diag)
-        violation = max(lo - nrm, nrm - hi)
-        worst = max(worst, violation)
-        cases.append({"abs_z": abs(z), "arg_z": t, "norm": nrm,
-                      "lower": lo, "upper": hi, "violation": violation})
-    return cases, worst
-
-
-def _verify_reproduce(args, quad):
-    """reproducing identity via time-side quadrature"""
-    rng = np.random.default_rng(args.seed)
-    cases = []
-    worst = 0.0
-    for i in range(args.samples):
-        f = sample_exppoly(rng, level=args.n)
-        w = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
-        res = reproduce_check(args.n, f, w, quad)
-        scaled = res / (1.0 + abs(laplace(f)(w)))
-        worst = max(worst, scaled)
-        cases.append({"sample": i, "terms": f.to_triples(), "w": str(w), "residual": scaled})
-    return cases, worst
-
-
-def _verify_cayley(args, quad):
-    """disc-transfer norm equality"""
-    rng = np.random.default_rng(args.seed)
-    cases = []
-    worst = 0.0
-    for i in range(args.samples):
-        F = laplace(sample_exppoly(rng, max_terms=3, max_power=2, level=1))
-        lhs, rhs, res = norm_equality_check(F, quad)
-        worst = max(worst, res)
-        cases.append({"sample": i, "lhs": lhs, "rhs": rhs, "residual": res})
-    return cases, worst
-
-
-def _verify_hardy_ineq(args, quad):
-    """iterated-integral inequality on positive samples"""
-    rng = np.random.default_rng(args.seed)
-    cases = []
-    worst = -math.inf
-    for i in range(args.samples):
-        # positive function: positive coefficients, real decay rates
-        terms = tuple(
-            (float(rng.uniform(0.1, 2.0)), int(rng.integers(0, 3)), float(rng.uniform(0.3, 3.0)))
-            for _ in range(int(rng.integers(1, 4)))
-        )
-        phi = ExpPoly(terms)
-        lhs_fn = w_minus_exp(phi, args.n)
-        lhs = (lhs_fn * lhs_fn).integral().real
-        weighted = phi.times_power(args.n)
-        rhs = hardy_constant(args.n) ** 2 * (weighted * weighted).integral().real
-        violation = lhs - rhs
-        worst = max(worst, violation)
-        cases.append({"sample": i, "lhs": lhs, "rhs": rhs, "violation": violation})
-    return cases, worst
-
-
-#: each suite (its docstring is its help), the least order it runs at, and its
-#: default tolerance
-_VERIFY_SUITES = {
-    "paley-wiener": (_verify_paley_wiener, 0, 1e-6),
-    "inner-product": (_verify_inner_product, 0, 1e-9),
-    "bounds": (_verify_bounds, 1, 0.0),
-    "reproduce": (_verify_reproduce, 1, 1e-6),
-    "cayley": (_verify_cayley, 0, 1e-7),
-    "hardy-ineq": (_verify_hardy_ineq, 1, 0.0),
-}
+# verify subcommands
 
 
 def _cmd_verify(args) -> int:
-    suite, min_n, tol = _VERIFY_SUITES[args.suite]
-    if args.tol is not None:
-        tol = args.tol
-    args.n = max(args.n, min_n)
     quad = _load_quad_config(args.config)
     try:
-        cases, worst = suite(args, quad)
+        report = verify.run(args.suite, args.n, seed=args.seed, samples=args.samples,
+                            grid=args.grid, tol=args.tol, cfg=quad)
     except QuadratureError as exc:
         _emit_json(args.out, {"suite": args.suite, "error": f"quadrature failure: {exc}"})
         return 1
-    # a suite that checked nothing has shown nothing
-    passed = bool(cases) and worst <= tol
-    _emit_json(args.out, {
-        "suite": args.suite,
-        "n": args.n,
-        "seed": args.seed,
-        "samples": len(cases),
-        "tolerance": tol,
-        "max_residual": worst if cases else None,
-        "pass": passed,
-        "cases": cases,
-    })
-    return 0 if passed else 1
+    _emit_json(args.out, report)
+    return 0 if report["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +302,7 @@ _OPTIONS = {
     "--tol": {"type": _tolerance, "help": "tolerance override"},
     "--seed": {"type": _int_at_least(0), "default": 0, "help": "RNG seed for sampled points"},
     "--samples": {"type": _int_at_least(0), "default": 20, "help": "sample count for suites"},
-    "--grid": {"type": _parse_grid, "default": SWEEP_GRID,
+    "--grid": {"type": _parse_grid, "default": verify.SWEEP_GRID,
                "help": "log-polar grid: r_min,r_max,num_r,theta_margin,num_theta"},
     "--config": {"help": "quadrature config file of 'key = value' lines"},
     "--out": {"help": "write the report to a file"},
@@ -511,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeded point count when --points absent")
     p.set_defaults(func=_cmd_kernel_gram)
 
-    verify = top.add_parser("verify", help="numeric verification suites")
-    vsub = verify.add_subparsers(dest="suite", required=True)
-    for name, (suite, _, _) in _VERIFY_SUITES.items():
+    verify_cmd = top.add_parser("verify", help="numeric verification suites")
+    vsub = verify_cmd.add_subparsers(dest="suite", required=True)
+    for name, (suite, *_) in verify.SUITES.items():
         p = vsub.add_parser(name, help=suite.__doc__)
         _add_options(p, "--n", "--tol", "--seed", "--samples", "--grid", "--config", "--out")
         p.set_defaults(func=_cmd_verify, n=0)

@@ -32,7 +32,6 @@ __all__ = [
     "HnNormReport",
     "hn_norm",
     "laplace_derivative_identity_check",
-    "paley_wiener_residual",
 ]
 
 
@@ -132,9 +131,4 @@ def laplace_derivative_identity_check(f: ExpPoly, n: int, k: int, z: complex) ->
     lhs_inv = (-1) ** k * laplace(f.derivative(k).times_power(k))(z)
     rhs_inv = sum(cn_coefficient(k, j) * z**j * F.derivative(j)(z) for j in range(k + 1))
     return float(max(abs(lhs_fwd - rhs_fwd), abs(lhs_inv - rhs_inv)))
-
-
-def paley_wiener_residual(f: ExpPoly, n: int, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """:attr:`HnNormReport.paley_wiener_residual` of the transform of f."""
-    return hn_norm(laplace(f), n, cfg).paley_wiener_residual
 

@@ -268,8 +268,7 @@ def kernel_diag(n: int, z, cfg: QuadConfig = DEFAULT_CONFIG,
     return diag if np.ndim(z) else float(diag[0])
 
 
-def kernel_norm(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
-                theta_margin: float = DEFAULT_THETA_MARGIN) -> float:
+def kernel_norm(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """||K_{n,z}|| = sqrt(K_n(z, z)); 1/sqrt(2 Re z) at n = 0.
 
     For n >= 1 it is taken at unit scale, sqrt(K_n(u, u)) / sqrt|z| with
@@ -280,7 +279,7 @@ def kernel_norm(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG,
     if n == 0:
         return 1.0 / (sqrt(2.0) * sqrt(z.real))  # 2 Re z would overflow past 9e307
     r = abs(z)
-    return sqrt(kernel_diag(n, z / r, cfg, theta_margin)) / sqrt(r)
+    return sqrt(kernel_diag(n, z / r, cfg)) / sqrt(r)
 
 
 def norm_bounds(n: int, z: complex) -> tuple[float, float]:

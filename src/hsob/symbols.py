@@ -13,8 +13,8 @@ operator f -> f o phi:
 * ``nbc_suprema``        -- sup of |z^k phi^(k)(z)/phi(z)| for k = 1..n, which
   together with a finite angular derivative is sufficient,
 * ``jury_min_eig``       -- eigenvalue certificates for the kernel inequality
-  M^2 K(x, y) >= conj(psi(x)) psi(y) K(phi(x), phi(y)); the least admissible M
-  equals the weighted composition operator's norm.
+  M^2 K(x, y) >= K(phi(x), phi(y)); the least admissible M equals the
+  composition operator's norm.
 
 Symbols are evaluated on point arrays.  ``SymbolExpr.eval`` and ``.jet``
 take a 1-D array and return one lane per point; a point on a branch cut or at
@@ -645,12 +645,10 @@ def faa_di_bruno(fjet: Jet, phijet: Jet, n: int) -> complex:
 # Kernel-inequality certificates
 
 
-def _as_callable(psi):
-    if psi is None:
-        return lambda z: 1.0 + 0j
-    if isinstance(psi, SymbolExpr):
-        return psi.eval
-    return psi
+#: the argument margin that every jury point and its image keep from the axis
+JURY_THETA_MARGIN = 1e-6
+#: M is admissible in ``jury_min_m`` when the least eigenvalue is >= -JURY_TOL
+JURY_TOL = 1e-10
 
 
 def _require_finite_image(e: SymbolExpr, z: complex, u: complex) -> None:
@@ -670,14 +668,13 @@ def _require_finite_image(e: SymbolExpr, z: complex, u: complex) -> None:
     raise ValueError(f"image of point {z} is not finite")
 
 
-def _jury_matrices(e: SymbolExpr, n: int, points, psi=None, cfg: QuadConfig = DEFAULT_CONFIG,
-                   theta_margin: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def _jury_matrices(e: SymbolExpr, n: int, points,
+                   cfg: QuadConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """The two Hermitian matrices of the kernel inequality, built once.
 
     Checks that every image is finite and that every point and its image
     keep the argument margin, then returns ``(base, moved)`` with
-    base[i, j] = K_n(z_i, z_j) and
-    moved[i, j] = conj(psi(z_i)) psi(z_j) K_n(phi(z_i), phi(z_j)).  Neither
+    base[i, j] = K_n(z_i, z_j) and moved[i, j] = K_n(phi(z_i), phi(z_j)).  Neither
     depends on M: the inequality at M is the matrix M^2 * base - moved.
     The images come from one array evaluation; the first point that fails
     raises as a point-by-point check would (see :func:`_require_finite_image`).
@@ -685,7 +682,7 @@ def _jury_matrices(e: SymbolExpr, n: int, points, psi=None, cfg: QuadConfig = DE
     pts = [complex(z) for z in points]
     zs = np.array(pts, dtype=complex)
     images = _silently(e.eval, zs)
-    limit = math.pi / 2 - theta_margin
+    limit = math.pi / 2 - JURY_THETA_MARGIN
 
     def off_margin(v):
         return np.logical_not(v.real > 0) | (np.abs(np.angle(v)) > limit)
@@ -697,27 +694,22 @@ def _jury_matrices(e: SymbolExpr, n: int, points, psi=None, cfg: QuadConfig = DE
         for val, name in ((pts[i], "point"), (complex(images[i]), "image")):
             if off_margin(val):
                 raise ValueError(f"{name} {val} violates the half-plane margin")
-    weight = _as_callable(psi)
-    w = np.array([weight(z) for z in pts], dtype=complex)
-    base = gram_matrix(n, pts, cfg)
-    moved = np.outer(np.conj(w), w) * gram_matrix(n, images, cfg)
-    return base, moved
+    return gram_matrix(n, pts, cfg), gram_matrix(n, images, cfg)
 
 
-def jury_min_eig(e: SymbolExpr, n: int, M: float, points, psi=None,
-                 cfg: QuadConfig = DEFAULT_CONFIG, theta_margin: float = 1e-6) -> float:
-    """Least eigenvalue of [M^2 K_n(z_i,z_j) - conj(psi(z_i)) psi(z_j) K_n(phi(z_i),phi(z_j))].
+def jury_min_eig(e: SymbolExpr, n: int, M: float, points,
+                 cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+    """Least eigenvalue of [M^2 K_n(z_i,z_j) - K_n(phi(z_i),phi(z_j))].
 
     Nonnegative (up to rounding) for every point set exactly when M dominates
-    the weighted composition operator's norm.  All points and their images
-    must stay in C+ with the given argument margin.
+    the composition operator's norm.  All points and their images must stay
+    in C+ with the argument margin ``JURY_THETA_MARGIN``.
     """
-    base, moved = _jury_matrices(e, n, points, psi, cfg, theta_margin)
+    base, moved = _jury_matrices(e, n, points, cfg)
     return min_eigenvalue(M**2 * base - moved)
 
 
-def jury_min_m(e: SymbolExpr, n: int, points, psi=None, tol: float = 1e-10,
-               cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def jury_min_m(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """Least M making the sampled kernel inequality hold on these points.
 
     A lower bound for the operator norm that grows toward it as the point set
@@ -730,12 +722,12 @@ def jury_min_m(e: SymbolExpr, n: int, points, psi=None, tol: float = 1e-10,
     conditioned (on 72 point sets like the benchmark's, cond(base) had a median
     of 6.3e9 and reached 2e17 for 2*z+1 at n = 2 on 12 points), so the Cholesky
     factor fails or amplifies rounding noise, which the feasibility slack
-    ``tol`` keeps out of the bisection.
+    ``JURY_TOL`` keeps out of the bisection.
     """
-    base, moved = _jury_matrices(e, n, points, psi, cfg)
+    base, moved = _jury_matrices(e, n, points, cfg)
 
     def feasible(M):
-        return min_eigenvalue(M**2 * base - moved) >= -tol
+        return min_eigenvalue(M**2 * base - moved) >= -JURY_TOL
 
     lo, hi = 0.0, 1.0
     while not feasible(hi):

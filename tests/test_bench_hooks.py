@@ -10,9 +10,25 @@ these tests make it fail here first.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from hsob import cli, jets, symbols
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+#: each verify suite, the layer metric that counts its work (None where no
+#: metric does), and spans of layer functions that ``hsob.verify`` calls for it
+#: directly; a ``from .x import f`` binding in ``hsob.verify`` escapes the
+#: tracer's patches and leaves these at zero
+SUITE_LAYERS = [
+    ("paley-wiener", "freqspace.hn_norm.calls", ("expfamily.laplace",)),
+    ("inner-product", "expfamily.inner_product.calls", ("expfamily.sample_exppoly",)),
+    ("bounds", "kernel.diag.calls", ("kernel.norm_bounds",)),
+    ("reproduce", "quadrature.halfline.calls", ("kernel.reproduce_check", "expfamily.laplace")),
+    ("cayley", "cayley.disc_norm.calls", ("cayley.norm_equality_check", "expfamily.laplace")),
+    ("hardy-ineq", None, ("timespace.w_minus_exp", "timespace.hardy_constant")),
+]
 
 
 def _load_tracing():
@@ -59,3 +75,19 @@ def test_traced_reproduce_request_counts_halfline_quadratures():
     assert metrics["quadrature.failures"] == 0
     assert patched
     assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
+
+
+@pytest.mark.parametrize("suite, metric, spans", SUITE_LAYERS)
+def test_traced_verify_suite_counts_its_layers(suite, metric, spans):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        with tracer.request("verify", 0):
+            assert cli.main(["verify", suite, "--n", "2", "--samples", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = {name: value for name, (value, _unit) in tracer.layer_metrics().items()}
+    assert metrics["cli.calls"] == 1
+    if metric:
+        assert metrics[metric] > 0
+    assert all(tracer.calls[span] > 0 for span in spans), dict(tracer.calls)

@@ -16,6 +16,7 @@ from hsob import (
     laplace,
     norm_equality_check,
     sample_exppoly,
+    verify,
 )
 
 
@@ -70,11 +71,8 @@ class TestNormEquality:
         assert norm_equality_check(RationalComb()) == (0.0, 0.0, 0.0)
 
     def test_random_samples(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            F = laplace(sample_exppoly(rng, max_terms=3, max_power=2, level=1))
-            _, _, res = norm_equality_check(F)
-            assert res <= 1e-7
+        report = verify.run("cayley", seed=14, samples=20)
+        assert report["samples"] == 20 and report["max_residual"] <= 1e-7
 
 
 class TestMembershipTransfer:

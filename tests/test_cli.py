@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hsob import cli, kernel_diag
+from hsob import QuadConfig, cli, kernel, kernel_diag, verify
 from hsob.cli import main
 
 
@@ -112,11 +112,11 @@ class TestKernelCommands:
             calls.append(z)
             return kernel_diag(n, z, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "kernel_diag", counting)
+        monkeypatch.setattr(kernel, "kernel_diag", counting)
         for n in (1, 2, 5, 9):
             calls.clear()
             grid = cli._parse_grid("1e-3,1e3,7,0.05,9")
-            rows = list(cli._grid_rows(n, grid, cli.QuadConfig()))
+            rows = list(verify.grid_rows(n, grid, QuadConfig()))
             assert len(rows) == 63 and len(calls) == 1 and len(calls[0]) == 9
             assert all(abs(abs(u) - 1.0) < 1e-15 for u in calls[0])
             for z, _, diag, _, _ in rows:
@@ -125,9 +125,9 @@ class TestKernelCommands:
 
     def test_empty_grid_takes_no_quadrature(self, monkeypatch):
         # no radius or no angle: no diagonal call at all
-        monkeypatch.setattr(cli, "kernel_diag", lambda *a, **k: pytest.fail("diagonal call"))
+        monkeypatch.setattr(kernel, "kernel_diag", lambda *a, **k: pytest.fail("diagonal call"))
         for grid in ("0.1,10,0,0.1,3", "0.1,10,3,0.1,0"):
-            assert list(cli._grid_rows(1, cli._parse_grid(grid), cli.QuadConfig())) == []
+            assert list(verify.grid_rows(1, cli._parse_grid(grid), QuadConfig())) == []
 
     def test_gram_seeded(self, capsys):
         code, out = run_cli(capsys, "kernel", "gram", "--n", "1", "--count", "4", "--seed", "3")
@@ -144,6 +144,14 @@ class TestKernelCommands:
 
 
 class TestVerifyCommands:
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_prints_library_report(self, capsys, suite):
+        # the command adds the schema field to verify.run's report, and nothing else
+        code, out = run_cli(capsys, "verify", suite, "--n", "2", "--seed", "5", "--samples", "3")
+        report = verify.run(suite, 2, seed=5, samples=3)
+        assert out == json.dumps({"schema": 1, **report}, indent=2, allow_nan=False) + "\n"
+        assert code == (0 if report["pass"] else 1)
+
     def test_paley_wiener_anchor(self, capsys):
         code, out = run_cli(capsys, "verify", "paley-wiener", "--n", "0", "--samples", "1")
         payload = json.loads(out)

@@ -14,6 +14,7 @@ from hsob import (
     laplace,
     norm_n,
     sample_exppoly,
+    verify,
 )
 
 
@@ -159,14 +160,8 @@ class TestDerivativeFormIdentity:
 
     @pytest.mark.parametrize("n", range(5))
     def test_random_pairs(self, n):
-        rng = np.random.default_rng(100 + n)
-        for _ in range(8):
-            f, g = sample_exppoly(rng), sample_exppoly(rng)
-            lhs = inner_product_n(f, g, n)
-            rhs = inner_product_n(
-                f.times_power(n).derivative(n), g.times_power(n).derivative(n), 0
-            )
-            assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1e-6)
+        report = verify.run("inner-product", n, seed=100 + n, samples=8)
+        assert report["samples"] == 8 and report["max_residual"] <= 1e-9
 
 
 class TestEmbedding:

@@ -15,8 +15,8 @@ from hsob import (
     hn_norm,
     laplace,
     laplace_derivative_identity_check,
-    paley_wiener_residual,
     sample_exppoly,
+    verify,
 )
 from oracles import point_bound_check
 
@@ -90,19 +90,18 @@ class TestDerivativeIdentities:
 
 class TestPaleyWiener:
     def test_anchor_cases(self):
-        e1 = ExpPoly.exponential(1.0)
-        assert paley_wiener_residual(e1, 1) <= 1e-8
-        assert paley_wiener_residual(e1, 0) <= 1e-8
+        F = laplace(ExpPoly.exponential(1.0))
+        assert hn_norm(F, 1).paley_wiener_residual <= 1e-8
+        assert hn_norm(F, 0).paley_wiener_residual <= 1e-8
 
     def test_mixed_sample(self):
         f = ExpPoly.exponential(1.0) + 2.0 * ExpPoly.monomial(1.0, 1, 3.0)
-        assert paley_wiener_residual(f, 2) <= 1e-6
+        assert hn_norm(laplace(f), 2).paley_wiener_residual <= 1e-6
 
     @pytest.mark.parametrize("n", range(5))
     def test_random_isometry(self, n):
-        rng = np.random.default_rng(200 + n)
-        for _ in range(10):
-            assert paley_wiener_residual(sample_exppoly(rng, level=n), n) <= 1e-6
+        report = verify.run("paley-wiener", n, seed=200 + n, samples=10)
+        assert report["samples"] == 10 and report["max_residual"] <= 1e-6
 
 
 class TestMonotoneEmbedding:

@@ -20,6 +20,7 @@ from hsob import (
     min_eigenvalue,
     norm_bounds,
     reproduce_check,
+    verify,
 )
 from hsob.kernel import _p_eval
 from oracles import i_theta
@@ -545,13 +546,6 @@ class TestReproduce:
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_random_samples(self, n):
-        rng = np.random.default_rng(80 + n)
-        for _ in range(5):
-            f = ExpPoly(tuple(
-                (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), int(rng.integers(0, 4)),
-                 complex(rng.uniform(0.3, 2.5), rng.uniform(-2.0, 2.0)))
-                for _ in range(3)
-            ))
-            w = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
-            target = abs(laplace(f)(w))
-            assert reproduce_check(n, f, w) <= 1e-6 * (1 + target)
+        # the residual is scaled by 1 + |(Lf)(w)|
+        report = verify.run("reproduce", n, seed=80 + n, samples=5)
+        assert report["samples"] == 5 and report["max_residual"] <= 1e-6

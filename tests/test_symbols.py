@@ -54,19 +54,18 @@ MASKED_SYMBOLS = ("1/(z-1)", "sqrt(z-10)", "log1p(z-5)", "z^40")
 # straightforward reading of the definitions that the library hoists.  The
 # point-by-point route itself is in scalar_route.py.
 
-def _oracle_jury_matrix(e, n, M, points, psi=None):
+def _oracle_jury_matrix(e, n, M, points):
     # gram_matrix is bit for bit the scalar kernel_eval of each entry
     # (TestGram in test_kernel.py), so rebuilding with it keeps the oracle exact;
     # the images come from the same array evaluation as the library's
     pts = [complex(z) for z in points]
     images = e.eval(np.array(pts))
-    weight = (lambda z: 1.0 + 0j) if psi is None else psi
     base, moved = gram_matrix(n, pts), gram_matrix(n, images)
     m = len(pts)
     A = np.zeros((m, m), dtype=complex)
     for i in range(m):
         for j in range(i + 1):
-            val = M**2 * base[i, j] - np.conj(weight(pts[i])) * weight(pts[j]) * moved[i, j]
+            val = M**2 * base[i, j] - moved[i, j]
             A[i, j] = val
             A[j, i] = val.conjugate()
     return A
@@ -410,17 +409,6 @@ class TestJury:
             m_star = jury_min_m(e, n, pts)
             assert lower <= m_star + 1e-8
 
-    def test_weighted_certificate(self):
-        # psi = 2 and phi = identity: M^2 K - 4 K is PSD exactly when M >= 2
-        pts = [0.5, 1.0 + 0.5j, 3.0]
-        assert jury_min_eig(parse("z"), 0, 2.0, pts, psi=lambda z: 2.0) >= -1e-12
-        assert jury_min_eig(parse("z"), 0, 1.5, pts, psi=lambda z: 2.0) < 0
-
-    def test_weight_as_symbol_expression(self):
-        pts = [1.0, 2.0]
-        val = jury_min_eig(parse("z"), 1, 3.0, pts, psi=parse("1/(z+1)"))
-        assert val >= 0  # |psi| < 1 on these points, so M = 3 dominates easily
-
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             jury_min_eig(parse("z"), 0, 1.0, [-1.0])
@@ -456,11 +444,6 @@ class TestJury:
                 with pytest.raises(ValueError, match=r"^image of point \(1e\+200\+0j\) is not finite$"):
                     bound([1.0, 1e200, 2.0])
 
-    def test_weighted_min_m(self):
-        # psi = 2 and phi = identity: (M^2 - 4) K is PSD exactly when M >= 2
-        m_star = jury_min_m(parse("z"), 0, [0.5, 1.0 + 0.5j, 3.0], psi=parse("2"))
-        assert abs(m_star - 2.0) < 1e-9
-
     @pytest.mark.parametrize("text", CRITERION_12_ROWS)
     def test_min_m_matches_rebuilding_oracle_exactly(self, text):
         # Gram matrices built once give bit for bit the per-step rebuilt bound
@@ -470,19 +453,6 @@ class TestJury:
             for m in (6, 12):
                 pts = _jury_points(rng, m)
                 assert jury_min_m(e, n, pts) == _oracle_jury_min_m(e, n, pts)
-
-    @pytest.mark.parametrize("text", CRITERION_12_ROWS)
-    def test_weighted_min_eig_matches_oracle(self, text):
-        # numpy forms the weights conj(psi_i) psi_j elementwise, which may move
-        # entries by an ulp: the eigenvalue agrees to rounding of the matrix
-        rng = np.random.default_rng(sum(map(ord, text)) + 1)
-        e, psi = parse(text), parse("1/(z+1)")
-        for n in (0, 1, 2):
-            pts = _jury_points(rng, 7)
-            for M in (0.3, 1.0, 2.5):
-                A = _oracle_jury_matrix(e, n, M, pts, psi)
-                got = jury_min_eig(e, n, M, pts, psi=psi)
-                assert abs(got - min_eigenvalue(A)) <= 1e-13 * np.linalg.norm(A, 2)
 
 
 class TestClassify:
