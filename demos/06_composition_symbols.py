@@ -8,19 +8,11 @@ The kernel inequality M^2 K >= K o phi gives eigenvalue certificates whose
 threshold is the operator norm.
 """
 
-from hsob import (
-    angular_derivative,
-    classify,
-    eval_jet,
-    jury_min_eig,
-    jury_min_m,
-    parse,
-    radial_sup,
-)
+from hsob import classify, jury_min_eig, jury_min_m, parse
 
 print("== jets of a parsed symbol ==")
 phi = parse("z + log1p(z)")
-jet = eval_jet(phi, 1.0, 3)
+jet = phi.jet(1.0, 3)
 print("phi(1), phi'(1), phi''(1), phi'''(1):",
       [complex(round(jet.derivative(k).real, 6), round(jet.derivative(k).imag, 6))
        for k in range(4)])
@@ -48,5 +40,6 @@ print(f"  least admissible M on this point set: {m_star:.6f}")
 
 print()
 print("== suprema are sampled estimates, not proofs ==")
-print("angular_derivative(2z+1) =", angular_derivative(parse("2*z+1")))
-print("radial_sup(z+i)          =", radial_sup(parse("z+i")), " (escapes to the boundary)")
+# classify's fields, labelled by the quantities they estimate
+print("angular_derivative(2z+1) =", classify(parse("2*z+1"), 0).phi_prime_infinity)
+print("radial_sup(z+i)          =", classify(parse("z+i"), 0).radial_sup, " (escapes to the boundary)")

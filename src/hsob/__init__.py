@@ -60,16 +60,12 @@ from .symbols import (
     SymbolExpr,
     SymbolReport,
     SymbolSyntaxError,
-    angular_derivative,
     caughran_lower_bound,
     classify,
-    eval_jet,
     faa_di_bruno,
     jury_min_eig,
     jury_min_m,
-    nbc_suprema,
     parse,
-    radial_sup,
 )
 
 __version__ = "0.1.0"
@@ -87,8 +83,7 @@ __all__ = [
     "cayley", "cayley_inverse", "DiscFunction", "disc_h2_norm",
     "norm_equality_check", "disc_membership_report",
     "Jet", "JetDomainError",
-    "SymbolExpr", "SymbolSyntaxError", "BranchViolation", "parse", "eval_jet",
-    "GridSpec", "angular_derivative", "radial_sup",
-    "nbc_suprema", "faa_di_bruno", "jury_min_eig", "jury_min_m",
+    "SymbolExpr", "SymbolSyntaxError", "BranchViolation", "parse",
+    "GridSpec", "faa_di_bruno", "jury_min_eig", "jury_min_m",
     "caughran_lower_bound", "SymbolReport", "classify",
 ]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfamily import RationalComb, inner_product_n
-from .quadrature import DEFAULT_CONFIG, QuadConfig
 
 __all__ = [
     "cayley",
@@ -99,7 +98,7 @@ def disc_h2_norm(g) -> float:
     return float(np.sqrt(max(extrapolated, 0.0)))
 
 
-def norm_equality_check(F: RationalComb, cfg: QuadConfig = DEFAULT_CONFIG) -> tuple[float, float, float]:
+def norm_equality_check(F: RationalComb) -> tuple[float, float, float]:
     """Both sides of sqrt(2) ||F||_(1) = ||(1+lam) F_D'||_{H2(D)} and their gap.
 
     The left side uses the exact inner-product route; the right side circle

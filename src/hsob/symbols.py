@@ -1,20 +1,22 @@
 """Analytic self-maps of the right half-plane as composition-operator symbols.
 
 A :class:`SymbolExpr` is an immutable AST (rational operations, real powers,
-log(1+.)) evaluable on C+ with principal branches throughout.  The analysis
-operations estimate the quantities governing boundedness of the composition
-operator f -> f o phi:
+log(1+.)) evaluable on C+ with principal branches throughout.  ``classify``
+estimates the quantities governing boundedness of the composition operator
+f -> f o phi, and reports them as :class:`SymbolReport` fields:
 
-* ``angular_derivative`` -- sup of Re z / Re phi(z); finite exactly when the
-  operator is bounded on the plain Hardy space, with norm and spectral radius
-  sqrt of that supremum,
+* ``phi_prime_infinity`` -- sup of Re z / Re phi(z), the angular derivative at
+  infinity; finite exactly when the operator is bounded on the plain Hardy
+  space, with norm and spectral radius sqrt of that supremum (``h2_norm``),
 * ``radial_sup``         -- sup of |z|/|phi(z)|, necessary for boundedness on
   the order-n spaces (n >= 1),
-* ``nbc_suprema``        -- sup of |z^k phi^(k)(z)/phi(z)| for k = 1..n, which
-  together with a finite angular derivative is sufficient,
-* ``jury_min_eig``       -- eigenvalue certificates for the kernel inequality
-  M^2 K(x, y) >= K(phi(x), phi(y)); the least admissible M equals the
-  composition operator's norm.
+* ``nbc``                -- sup of |z^k phi^(k)(z)/phi(z)| for k = 1..n, which
+  together with a finite angular derivative is sufficient.
+
+``jury_min_eig`` and ``jury_min_m`` give eigenvalue certificates for the kernel
+inequality M^2 K(x, y) >= K(phi(x), phi(y)), whose least admissible M equals
+the composition operator's norm; ``caughran_lower_bound`` reads a lower bound
+off the diagonals of the same two Gram matrices.
 
 Symbols are evaluated on point arrays.  ``SymbolExpr.eval`` and ``.jet``
 take a 1-D array and return one lane per point; a point on a branch cut or at
@@ -41,12 +43,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jets import Jet, JetDomainError, guard, masked, on_cut, principal_power
-from .kernel import gram_matrix, kernel_norm, min_eigenvalue
+from .kernel import gram_matrix, min_eigenvalue
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 from .specfun import bell_partitions
 
@@ -63,11 +66,7 @@ __all__ = [
     "SymbolSyntaxError",
     "BranchViolation",
     "parse",
-    "eval_jet",
     "GridSpec",
-    "angular_derivative",
-    "radial_sup",
-    "nbc_suprema",
     "faa_di_bruno",
     "jury_min_eig",
     "jury_min_m",
@@ -393,27 +392,29 @@ def parse(text: str) -> SymbolExpr:
     return _Parser(text).parse()
 
 
-def eval_jet(e: SymbolExpr, z: complex, order: int) -> Jet:
-    """Taylor jet of the symbol at z, by exact series arithmetic node by node."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return e.jet(complex(z), order)
-
-
 # ---------------------------------------------------------------------------
 # Sampled suprema over log-polar grids
 
 
+#: refinement passes around the running argmax
+REFINE_PASSES = 2
+#: boundary passes, each shrinking the argument margin by a factor of 100
+BOUNDARY_PASSES = 3
+#: the rays through the argmax extend out to modulus 10**LOG10_R_EXTEND
+LOG10_R_EXTEND = 18.0
+#: a supremum past its cap that refinement pushed above the base-grid value
+#: is declared infinite; the angular derivative's cap is the lower one
+DIVERGE_CAP = 1e8
+ANGULAR_CAP = 1e6
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Log-polar sampling grid on C+ with refinement and divergence policy.
+    """Log-polar sampling grid on C+, the five fields of ``--grid``.
 
     Moduli run geometrically over ``10**log10_r_min .. 10**log10_r_max``;
-    arguments stay ``theta_margin`` away from +-pi/2.  Estimation refines
-    around the running argmax (``refine_passes``), shrinks the margin by
-    factors of 100 (``boundary_passes``), and extends outward along the argmax
-    ray up to ``10**log10_r_extend``.  A supremum is declared infinite when
-    the running maximum exceeds ``diverge_cap`` while still growing.
+    arguments stay ``theta_margin`` away from +-pi/2.  The refinement and
+    divergence policy of the estimates is the module's constants.
     """
 
     log10_r_min: float = -4.0
@@ -421,17 +422,12 @@ class GridSpec:
     num_r: int = 41
     theta_margin: float = 1e-3
     num_theta: int = 33
-    refine_passes: int = 2
-    boundary_passes: int = 3
-    log10_r_extend: float = 18.0
-    diverge_cap: float = 1e8
 
     def radii(self) -> np.ndarray:
         return np.logspace(self.log10_r_min, self.log10_r_max, self.num_r)
 
-    def angles(self, margin: float | None = None) -> np.ndarray:
-        m = self.theta_margin if margin is None else margin
-        half = math.pi / 2 - m
+    def angles(self) -> np.ndarray:
+        half = math.pi / 2 - self.theta_margin
         return np.linspace(-half, half, self.num_theta)
 
 
@@ -448,14 +444,10 @@ def _polar(radii, angles) -> np.ndarray:
     return pts.ravel()
 
 
-def _require_points(grid: GridSpec) -> None:
-    """Refuse a grid with no points: it samples nothing, so it is no evidence."""
+def _base_points(grid: GridSpec) -> np.ndarray:
+    # a grid with no points samples nothing, so it is no evidence
     if grid.num_r < 1 or grid.num_theta < 1:
         raise ValueError("the grid has no points: num_r and num_theta must be at least 1")
-
-
-def _base_points(grid: GridSpec) -> np.ndarray:
-    _require_points(grid)
     return _polar(grid.radii(), grid.angles())
 
 
@@ -470,29 +462,27 @@ def _silently(fn, *args):
         return fn(*args)
 
 
-def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.ndarray, np.ndarray]:
+def _supremum_estimate(fn, grid: GridSpec, caps, first) -> np.ndarray:
     """Running maxima of the rows of ``fn`` with all refinements.
 
-    ``fn`` maps a 1-D point array to q rows of ratios, shape (q, m), or to
-    one row, shape (m,); nan marks a point to skip.  Each row is estimated on
-    its own: refinement passes around its own argmax, then the boundary
-    passes, then the ray through its argmax.  Every pass is one call of
-    ``fn``: the refinements and the ray concatenate the rows' point sets, and
-    each row reads its own block.  Within a pass a row's running maximum
-    moves to the first maximum in point order, if it is larger.  ``first``,
-    when given, is ``fn`` already evaluated on the base grid.
+    ``fn`` maps a 1-D point array to q rows of ratios, shape (q, m); nan
+    marks a point to skip.  ``first`` is ``fn`` already evaluated on the base
+    grid.  Each row is estimated on its own: ``REFINE_PASSES`` refinements
+    around its own argmax, then the ``BOUNDARY_PASSES``, then the ray through
+    its argmax.  Every pass is one call of ``fn``: the refinements and the
+    ray concatenate the rows' point sets, and each row reads its own block.
+    Within a pass a row's running maximum moves to the first maximum in
+    point order, if it is larger.
 
-    Returns (estimates, argmaxes), arrays of length q.  A row's estimate is
-    declared +inf when it exceeds its divergence cap (``caps``, by default
-    the grid's) *and* refinement pushed it past the base-grid value, the
-    signature of a supremum escaping to the boundary or to infinity; it is
-    nan when no base-grid point gave a value.
+    Returns the q estimates.  A row's estimate is declared +inf when it
+    exceeds its divergence cap (``caps``, one per row) *and* refinement
+    pushed it past the base-grid value, the signature of a supremum escaping
+    to the boundary or to infinity; it is nan when no base-grid point gave a
+    value.
     """
-    _require_points(grid)
     radii = grid.radii()
     pts = _polar(radii, grid.angles())
-    vals = np.atleast_2d(_silently(fn, pts) if first is None else first)
-    q = len(vals)
+    q = len(first)
     best = np.full(q, -math.inf)
     best_z = np.zeros(q, dtype=complex)
 
@@ -503,7 +493,7 @@ def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.nd
             best[row], best_z[row] = values[i], points[i]
 
     for row in range(q):
-        sweep(row, pts, vals[row])
+        sweep(row, pts, first[row])
     base_estimate = best.copy()
     # a row without a base-grid value gets no further pass
     rows = [row for row in range(q) if best[row] > -math.inf]
@@ -513,7 +503,7 @@ def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.nd
         points = np.concatenate(point_sets)
         if not len(points):
             return
-        values = np.atleast_2d(_silently(fn, points))
+        values = _silently(fn, points)
         stop = 0
         for row, block in zip(rows, point_sets):
             start, stop = stop, stop + len(block)
@@ -526,7 +516,7 @@ def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.nd
 
     half = math.pi / 2 - grid.theta_margin
     scales = np.logspace(-0.5, 0.5, 9)
-    for _ in range(grid.refine_passes if rows else 0):
+    for _ in range(REFINE_PASSES if rows else 0):
         point_sets = []
         for row in rows:
             r0, t0 = polar_of(row)
@@ -535,11 +525,11 @@ def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.nd
         blocked_pass(point_sets)
 
     margin = grid.theta_margin
-    for _ in range(grid.boundary_passes if rows else 0):
+    for _ in range(BOUNDARY_PASSES if rows else 0):
         margin *= 1e-2
         edge = math.pi / 2 - margin
         points = _polar(radii, [-edge, edge])
-        values = np.atleast_2d(_silently(fn, points))
+        values = _silently(fn, points)
         for row in rows:
             sweep(row, points, values[row])
 
@@ -548,18 +538,17 @@ def _supremum_estimate(fn, grid: GridSpec, caps=None, first=None) -> tuple[np.nd
         r, t0 = polar_of(row)
         r = max(r, 10.0 ** grid.log10_r_max)
         ray = []
-        while r < 10.0 ** grid.log10_r_extend:
+        while r < 10.0 ** LOG10_R_EXTEND:
             r *= 10.0
             ray.append(r)
         point_sets.append(_polar(ray, [t0]))
     if rows:
         blocked_pass(point_sets)
 
-    caps = np.broadcast_to(grid.diverge_cap if caps is None else caps, (q,))
     grew = best > base_estimate * (1.0 + 1e-9)
     estimates = np.where((best > caps) & grew, math.inf, best)
     estimates[base_estimate == -math.inf] = math.nan
-    return estimates, best_z
+    return estimates
 
 
 def _angular_ratio(z, phi):
@@ -592,32 +581,6 @@ def _derivative_ratios(z, jet: Jet, n: int):
                          for k in range(1, n + 1)]).reshape(n, len(z))
     rows = np.where(np.isfinite(rows), rows, math.nan)
     return np.where(zero, math.inf, rows)
-
-
-def angular_derivative(e: SymbolExpr, grid: GridSpec | None = None) -> float:
-    """Estimate sup Re z / Re phi(z); +inf when rays diverge past the cap.
-
-    The cap defaults to 1e6 for this quantity (the estimate grows without
-    bound exactly when the operator is unbounded on the plain Hardy space).
-    """
-    g = grid if grid is not None else GridSpec(diverge_cap=1e6)
-    return float(_supremum_estimate(lambda z: _angular_ratio(z, e.eval(z)), g)[0][0])
-
-
-def radial_sup(e: SymbolExpr, grid: GridSpec = DEFAULT_GRID) -> float:
-    """Estimate sup |z| / |phi(z)| with boundary-refinement passes."""
-    return float(_supremum_estimate(lambda z: _radial_ratio(z, e.eval(z)), grid)[0][0])
-
-
-def nbc_suprema(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> list[float]:
-    """Estimates of sup |z^k phi^(k)(z)/phi(z)| for k = 1..n.
-
-    One order-n jet per pass serves every k (see :func:`_derivative_ratios`).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    estimates, _ = _supremum_estimate(lambda z: _derivative_ratios(z, e.jet(z, n), n), grid)
-    return [float(v) for v in estimates]
 
 
 def faa_di_bruno(fjet: Jet, phijet: Jet, n: int) -> complex:
@@ -672,8 +635,9 @@ def _jury_matrices(e: SymbolExpr, n: int, points,
                    cfg: QuadConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """The two Hermitian matrices of the kernel inequality, built once.
 
-    Checks that every image is finite and that every point and its image
-    keep the argument margin, then returns ``(base, moved)`` with
+    Checks that every image is finite, that every point and its image keep
+    the argument margin and that no kernel value overflows (K_n(z, z) grows
+    without bound as z nears 0), then returns ``(base, moved)`` with
     base[i, j] = K_n(z_i, z_j) and moved[i, j] = K_n(phi(z_i), phi(z_j)).  Neither
     depends on M: the inequality at M is the matrix M^2 * base - moved.
     The images come from one array evaluation; the first point that fails
@@ -694,7 +658,12 @@ def _jury_matrices(e: SymbolExpr, n: int, points,
         for val, name in ((pts[i], "point"), (complex(images[i]), "image")):
             if off_margin(val):
                 raise ValueError(f"{name} {val} violates the half-plane margin")
-    return gram_matrix(n, pts, cfg), gram_matrix(n, images, cfg)
+    base, moved = _silently(gram_matrix, n, pts, cfg), _silently(gram_matrix, n, images, cfg)
+    for name, values, matrix in (("point", zs, base), ("image", images, moved)):
+        over = ~np.isfinite(matrix).all(axis=1)
+        if over.any():
+            raise ValueError(f"kernel value at {name} {complex(values[np.argmax(over)])} overflows")
+    return base, moved
 
 
 def jury_min_eig(e: SymbolExpr, n: int, M: float, points,
@@ -713,7 +682,8 @@ def jury_min_m(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) 
     """Least M making the sampled kernel inequality hold on these points.
 
     A lower bound for the operator norm that grows toward it as the point set
-    refines; computed by bisection (the least eigenvalue is monotone in M).
+    refines; computed by bisection (the least eigenvalue is monotone in M),
+    at most 80 steps and none once the bracket's midpoint is one of its ends.
     Both Gram matrices are built once; each bisection step only forms
     M^2 * base - moved and takes its least eigenvalue.
 
@@ -736,6 +706,9 @@ def jury_min_m(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) 
             return math.inf
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            # the bracket is two adjacent doubles: a further step changes nothing
+            break
         if feasible(mid):
             hi = mid
         else:
@@ -747,15 +720,14 @@ def caughran_lower_bound(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAUL
     """sup over the sample of ||K_{n,phi(x)}|| / ||K_{n,x}||.
 
     The adjoint of a bounded composition operator maps the kernel function at
-    x to the one at phi(x), so this ratio never exceeds the operator norm; on
-    a fixed point set it also never exceeds the sampled jury bound.
+    x to the one at phi(x), so this ratio never exceeds the operator norm.
+    The squared norms are the diagonals of the jury's two Gram matrices, with
+    the jury's checks on the points: at a feasible M every diagonal entry of
+    M^2 * base - moved is at least its least eigenvalue, so on a fixed point
+    set the bound never exceeds the sampled jury bound.
     """
-    pts = [complex(z) for z in points]
-    best = 0.0
-    for z, u in zip(pts, _silently(e.eval, np.array(pts, dtype=complex))):
-        _require_finite_image(e, z, complex(u))
-        best = max(best, kernel_norm(n, complex(u), cfg) / kernel_norm(n, z, cfg))
-    return best
+    base, moved = _jury_matrices(e, n, points, cfg)
+    return math.sqrt(np.max(moved.diagonal().real / base.diagonal().real, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -789,13 +761,7 @@ class SymbolReport:
             "verdict_H2": self.verdict_H2,
             "verdict_Hn": self.verdict_Hn,
             "h2_norm": self.h2_norm,
-            "grid": {
-                "log10_r_min": self.grid.log10_r_min,
-                "log10_r_max": self.grid.log10_r_max,
-                "num_r": self.grid.num_r,
-                "theta_margin": self.grid.theta_margin,
-                "num_theta": self.grid.num_theta,
-            },
+            "grid": dataclasses.asdict(self.grid),
             "disclaimer": self.disclaimer,
         }
 
@@ -811,8 +777,8 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
 
     All estimates share one order-n jet per pass of :func:`_supremum_estimate`;
     the base grid's jet also gives the self-map flag.  The angular
-    derivative's divergence cap is at most 1e6, as in
-    :func:`angular_derivative`.
+    derivative diverges past ``ANGULAR_CAP``, the other suprema past
+    ``DIVERGE_CAP``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -828,8 +794,8 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
         return np.vstack([_angular_ratio(z, jet.value), _radial_ratio(z, jet.value),
                           _derivative_ratios(z, jet, n)])
 
-    caps = [min(grid.diverge_cap, 1e6)] + [grid.diverge_cap] * (n + 1)
-    estimates, _ = _supremum_estimate(ratios, grid, caps, first=_silently(ratios, pts, jet))
+    caps = [ANGULAR_CAP] + [DIVERGE_CAP] * (n + 1)
+    estimates = _supremum_estimate(ratios, grid, caps, _silently(ratios, pts, jet))
     phi_inf, rad = float(estimates[0]), float(estimates[1])
     nbc = tuple(float(v) for v in estimates[2:])
 

@@ -6,14 +6,13 @@ straightforward reading it replaced: a tuple-based :class:`Jet` of Python
 complex numbers, evaluation of the AST one point at a time with an exception
 at each branch cut or vanishing denominator, and supremum sweeps that try one
 grid point after the other.  It shares nothing with the library but the AST
-node classes and the report type, so agreement between the two is evidence
-for both.
+node classes, the grid and report types and the estimates' policy constants,
+so agreement between the two is evidence for both.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
 from math import factorial
@@ -21,7 +20,12 @@ from math import factorial
 import numpy as np
 
 from hsob.symbols import (
+    ANGULAR_CAP,
+    BOUNDARY_PASSES,
     DEFAULT_GRID,
+    DIVERGE_CAP,
+    LOG10_R_EXTEND,
+    REFINE_PASSES,
     Add,
     BranchViolation,
     Const,
@@ -195,8 +199,9 @@ def safe_ratio(fn, z) -> float:
     return val
 
 
-def supremum_estimate(fn, grid: GridSpec) -> tuple[float, complex]:
-    """Running max of ``fn`` point by point, with every refinement pass."""
+def supremum_estimate(fn, grid: GridSpec, cap: float) -> tuple[float, complex]:
+    """Running max of ``fn`` point by point, with every refinement pass;
+    infinite past ``cap`` when refinement raised it above the base grid's."""
     best, best_z = -math.inf, 0j
 
     def sweep(points):
@@ -211,7 +216,7 @@ def supremum_estimate(fn, grid: GridSpec) -> tuple[float, complex]:
     if best == -math.inf:
         return math.nan, 0j
 
-    for _ in range(grid.refine_passes):
+    for _ in range(REFINE_PASSES):
         r0, t0 = abs(best_z), math.atan2(best_z.imag, best_z.real)
         half = math.pi / 2 - grid.theta_margin
         radii = r0 * np.logspace(-0.5, 0.5, 9)
@@ -219,7 +224,7 @@ def supremum_estimate(fn, grid: GridSpec) -> tuple[float, complex]:
         sweep(grid_points(radii, angles))
 
     margin = grid.theta_margin
-    for _ in range(grid.boundary_passes):
+    for _ in range(BOUNDARY_PASSES):
         margin *= 1e-2
         edge = math.pi / 2 - margin
         sweep(grid_points(grid.radii(), np.array([-edge, edge])))
@@ -227,13 +232,13 @@ def supremum_estimate(fn, grid: GridSpec) -> tuple[float, complex]:
     t0 = math.atan2(best_z.imag, best_z.real)
     r = max(abs(best_z), 10.0 ** grid.log10_r_max)
     ray = []
-    while r < 10.0 ** grid.log10_r_extend:
+    while r < 10.0 ** LOG10_R_EXTEND:
         r *= 10.0
         ray.append(complex(r * math.cos(t0), r * math.sin(t0)))
     sweep(ray)
 
     grew = best > base_estimate * (1.0 + 1e-9)
-    if best > grid.diverge_cap and grew:
+    if best > cap and grew:
         return math.inf, best_z
     return best, best_z
 
@@ -249,16 +254,14 @@ def is_selfmap(e, grid: GridSpec = DEFAULT_GRID) -> bool:
     return True
 
 
-def angular_derivative(e, grid: GridSpec | None = None) -> float:
-    g = grid if grid is not None else GridSpec(diverge_cap=1e6)
-
+def angular_derivative(e, grid: GridSpec = DEFAULT_GRID) -> float:
     def ratio(z):
         denom = scalar_eval(e, z).real
         if denom <= 0:
             return math.nan
         return z.real / denom
 
-    return supremum_estimate(ratio, g)[0]
+    return supremum_estimate(ratio, grid, ANGULAR_CAP)[0]
 
 
 def radial_sup(e, grid: GridSpec = DEFAULT_GRID) -> float:
@@ -268,7 +271,7 @@ def radial_sup(e, grid: GridSpec = DEFAULT_GRID) -> float:
             return math.inf
         return abs(z) / denom
 
-    return supremum_estimate(ratio, grid)[0]
+    return supremum_estimate(ratio, grid, DIVERGE_CAP)[0]
 
 
 def nbc_suprema(e, n: int, grid: GridSpec = DEFAULT_GRID) -> list[float]:
@@ -282,15 +285,13 @@ def nbc_suprema(e, n: int, grid: GridSpec = DEFAULT_GRID) -> list[float]:
                 return math.inf
             return abs(z**k * jet.derivative(k) / phi)
 
-        out.append(supremum_estimate(ratio, grid)[0])
+        out.append(supremum_estimate(ratio, grid, DIVERGE_CAP)[0])
     return out
 
 
 def classify(e, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolReport:
     ok = is_selfmap(e, grid)
-    phi_inf = angular_derivative(
-        e, dataclasses.replace(grid, diverge_cap=min(grid.diverge_cap, 1e6))
-    )
+    phi_inf = angular_derivative(e, grid)
     rad = radial_sup(e, grid)
     nbc = tuple(nbc_suprema(e, n, grid)) if n >= 1 else ()
 

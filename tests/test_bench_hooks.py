@@ -54,6 +54,8 @@ def test_traced_symbol_request_counts_classify_and_jets():
     assert metrics["jets.jet.calls"] > 0
     assert metrics["symbols.points"] > metrics["jets.jet.calls"]
     assert metrics["symbols.classify.calls"] == 1
+    # symbols.supremum.self_s reads this span: a renamed estimator would zero it
+    assert tracer.calls["symbols.supremum"] == 1
     assert metrics["symbols.jury_m.calls"] == 1
     assert (symbols.classify, jets.Jet.__dict__["__post_init__"],
             symbols.Pow.__dict__["eval"], symbols.Pow.__dict__["jet"]) == originals

@@ -438,20 +438,16 @@ class TestPlumbing:
         assert abs(json.loads(out)["value_re"] - 2 * math.log(2)) < 1e-8
 
     def test_config_file_rejects_unknown_key(self, tmp_path):
+        # the half-line split is a fixed constant: a large one converged falsely
         cfg = tmp_path / "quad.cfg"
-        for line in ("warp_factor = 9\n", "grading_ratio = 0.5\n"):
+        for line in ("warp_factor = 9\n", "grading_ratio = 0.5\n",
+                     "halfline_truncation = 30\n", "halfline_truncation = nan\n"):
             cfg.write_text(line)
-            with pytest.raises(SystemExit):
-                main(["kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--config", str(cfg)])
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_config_file_rejects_nonfinite_truncation(self, tmp_path, capsys, value):
-        cfg = tmp_path / "quad.cfg"
-        cfg.write_text(f"halfline_truncation = {value}\n")
-        code = main(["verify", "paley-wiener", "--n", "1", "--samples", "1",
-                     "--config", str(cfg)])
-        assert code == 1
-        assert "halfline_truncation" in capsys.readouterr().err
+            key = line.split()[0]
+            for argv in (["kernel", "eval", "--n", "1", "--z", "1", "--w", "1"],
+                         ["verify", "paley-wiener", "--n", "1", "--samples", "1"]):
+                with pytest.raises(SystemExit, match=f"unknown quadrature option '{key}'"):
+                    main([*argv, "--config", str(cfg)])
 
     def test_verify_reports_sample_terms(self, capsys):
         from hsob import ExpPoly

@@ -14,7 +14,7 @@ from hsob import (
 )
 from hsob.expfamily import sample_exppoly
 from hsob.kernel import _p_eval
-from hsob.quadrature import _eval_nodes, _gl_rule
+from hsob.quadrature import HALFLINE_TRUNCATION, _eval_nodes, _gl_rule
 from hsob.timespace import exp_series_remainder
 
 # Oracle: d/dt [ (arctan t - t/(1+t^2)) / 2 ] = t^2/(1+t^2)^2, so the
@@ -114,7 +114,7 @@ def resumming_integrate(f, a, b, cfg=QuadConfig()):
 def _halfline_pieces(f, decay_scale, cfg):
     """(integrand, a, b) of the half-line's head on (0, T) and of its tail
     pulled back to (0, 1) through t = T + u/(1-u)."""
-    T = cfg.halfline_truncation * decay_scale
+    T = HALFLINE_TRUNCATION * decay_scale
 
     def tail(u):
         u = np.asarray(u, dtype=float)
@@ -320,11 +320,9 @@ class TestConfigValidation:
         {"abs_tol": 0.0},
         {"rel_tol": -1.0},
         {"abs_tol": math.nan},
-        {"halfline_truncation": 0.0},
         {"nodes_per_cell": 1},
         {"max_subdiv": 0},
-        {"halfline_truncation": math.nan},
-        {"halfline_truncation": math.inf},
+        {"rel_tol": math.nan},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

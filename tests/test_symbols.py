@@ -1,5 +1,6 @@
 """Symbol parsing, jets of expressions, sampled suprema, kernel certificates."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,21 +12,21 @@ from hsob import (
     GridSpec,
     Jet,
     SymbolSyntaxError,
-    angular_derivative,
     caughran_lower_bound,
     classify,
-    eval_jet,
     faa_di_bruno,
     gram_matrix,
     jury_min_eig,
     jury_min_m,
+    kernel_norm,
     min_eigenvalue,
-    nbc_suprema,
     parse,
-    radial_sup,
+    symbols,
 )
+from hsob.cli import _parse_grid
 from hsob.symbols import (
     DEFAULT_GRID,
+    DIVERGE_CAP,
     Add,
     Const,
     Div,
@@ -33,6 +34,7 @@ from hsob.symbols import (
     Mul,
     Pow,
     Var,
+    _base_points,
     _derivative_ratios,
     _supremum_estimate,
 )
@@ -94,10 +96,19 @@ def _per_order_nbc_suprema(e, n, grid=DEFAULT_GRID):
     out = []
     for k in range(1, n + 1):
         def ratio(z, k=k):
-            return _derivative_ratios(z, e.jet(z, k), k)[k - 1]
+            return _derivative_ratios(z, e.jet(z, k), k)[k - 1:k]
 
-        out.append(float(_supremum_estimate(ratio, grid)[0][0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = ratio(_base_points(grid))
+        out.append(float(_supremum_estimate(ratio, grid, [DIVERGE_CAP], first)[0]))
     return out
+
+
+def _oracle_caughran(e, n, points):
+    # one kernel_norm of each point and of its image, images from one array call
+    pts = [complex(z) for z in points]
+    return max(kernel_norm(n, complex(u)) / kernel_norm(n, z)
+               for z, u in zip(pts, e.eval(np.array(pts, dtype=complex))))
 
 
 def _agree(got, want, rtol=1e-14):
@@ -187,27 +198,27 @@ class TestParser:
 
 class TestEvalJet:
     def test_square(self):
-        j = eval_jet(parse("z^2"), 1.0, 2)
+        j = parse("z^2").jet(1.0, 2)
         assert [j.derivative(k) for k in range(3)] == [1.0, 2.0, 2.0]
 
     def test_log_map_second_derivative(self):
         # phi = z + log(1+z): phi'' = -1/(1+z)^2, so -1/4 at z = 1
-        j = eval_jet(parse("z + log1p(z)"), 1.0, 2)
+        j = parse("z + log1p(z)").jet(1.0, 2)
         assert abs(j.derivative(2) + 0.25) < 1e-14
 
     def test_sqrt_jet(self):
-        j = eval_jet(parse("sqrt(z)"), 4.0, 2)
+        j = parse("sqrt(z)").jet(4.0, 2)
         assert abs(j.derivative(0) - 2.0) < 1e-14
         assert abs(j.derivative(1) - 0.25) < 1e-14
         assert abs(j.derivative(2) + 1 / 32) < 1e-14
 
     def test_branch_violation_surfaces(self):
         with pytest.raises(BranchViolation):
-            eval_jet(parse("sqrt(z-10)"), 1.0, 2)
+            parse("sqrt(z-10)").jet(1.0, 2)
 
     def test_division_by_zero_jet(self):
         with pytest.raises(ZeroDivisionError):
-            eval_jet(parse("1/(z-1)"), 1.0, 2)
+            parse("1/(z-1)").jet(1.0, 2)
 
 
 class TestSelfmapWitness:
@@ -258,30 +269,32 @@ class TestArrayEvaluation:
 
 
 class TestSuprema:
+    """The suprema that :func:`classify` reports."""
+
     def test_angular_affine(self):
-        assert abs(angular_derivative(parse("2*z+1")) - 0.5) < 1e-6
+        assert abs(classify(parse("2*z+1"), 0).phi_prime_infinity - 0.5) < 1e-6
 
     def test_angular_power_mix(self):
-        assert abs(angular_derivative(parse("z + sqrt(z) + 1")) - 1.0) < 1e-3
+        assert abs(classify(parse("z + sqrt(z) + 1"), 0).phi_prime_infinity - 1.0) < 1e-3
 
     def test_angular_sqrt_diverges(self):
-        assert math.isinf(angular_derivative(parse("sqrt(z)")))
+        assert math.isinf(classify(parse("sqrt(z)"), 0).phi_prime_infinity)
 
     def test_angular_bounded_map_diverges(self):
-        assert math.isinf(angular_derivative(parse("1/(z+1)")))
+        assert math.isinf(classify(parse("1/(z+1)"), 0).phi_prime_infinity)
 
     def test_radial_translation(self):
-        v = radial_sup(parse("z+1"))
+        v = classify(parse("z+1"), 0).radial_sup
         assert 0.999 <= v <= 1.0 + 1e-9
 
     def test_radial_imaginary_shift_diverges(self):
-        assert math.isinf(radial_sup(parse("z+i")))
+        assert math.isinf(classify(parse("z+i"), 0).radial_sup)
 
     def test_radial_affine(self):
-        assert abs(radial_sup(parse("2*z+1")) - 0.5) < 1e-6
+        assert abs(classify(parse("2*z+1"), 0).radial_sup - 0.5) < 1e-6
 
     def test_nbc_affine(self):
-        vals = nbc_suprema(parse("2*z+1"), 2)
+        vals = classify(parse("2*z+1"), 2).nbc
         assert abs(vals[0] - 1.0) < 1e-6
         assert vals[1] == 0.0
 
@@ -291,7 +304,7 @@ class TestSuprema:
         # and the point-by-point route to rounding
         e = parse(text)
         for n in (1, 2, 3):
-            got = nbc_suprema(e, n)
+            got = list(classify(e, n).nbc)
             assert got == _per_order_nbc_suprema(e, n)
             assert all(map(_agree, got, scalar_route.nbc_suprema(e, n)))
 
@@ -301,10 +314,10 @@ class TestSuprema:
         # and every higher derivative vanishes
         for im in (0.0, -0.6612, 1.9):
             e = Add(Mul(Const(a), Var()), Const(complex(b, im)))
-            assert abs(angular_derivative(e) - 1 / a) <= 1e-12 / a
-        vals = nbc_suprema(Add(Mul(Const(a), Var()), Const(b)), 3)
+            assert abs(classify(e, 0).phi_prime_infinity - 1 / a) <= 1e-12 / a
+        vals = classify(Add(Mul(Const(a), Var()), Const(b)), 3).nbc
         assert abs(vals[0] - 1.0) <= 1e-12
-        assert vals[1:] == [0.0, 0.0]
+        assert vals[1:] == (0.0, 0.0)
 
     def test_overflowing_ratio_is_skipped(self):
         # z^2 phi''/phi overflows at z = 10 here: a point to skip, as where
@@ -315,45 +328,28 @@ class TestSuprema:
         assert np.isnan(rows[1, 0]) and rows[1, 1] == math.inf and rows[1, 2] == 18.0
 
     def test_nbc_log_map_finite(self):
-        vals = nbc_suprema(parse("z + log1p(z)"), 2)
+        vals = classify(parse("z + log1p(z)"), 2).nbc
         assert all(math.isfinite(v) for v in vals)
 
     def test_ordering_angular_below_radial(self):
         # the real-part supremum never exceeds the modulus supremum when the
         # latter is finite; grid estimates agree up to sampling slack
         for text in ("2*z+1", "z+1", "z+sqrt(z)+1", "z+log1p(z)", "z+1+10i"):
-            e = parse(text)
-            rad = radial_sup(e)
-            ang = angular_derivative(e)
+            r = classify(parse(text), 0)
+            rad, ang = r.radial_sup, r.phi_prime_infinity
             assert math.isfinite(rad)
             assert ang <= rad + 1e-6 * (1 + rad)
-
-    def test_refinement_monotonicity(self):
-        # pure base-grid estimates over nested grids never decrease
-        def bare(num_r, num_theta):
-            return GridSpec(num_r=num_r, num_theta=num_theta, refine_passes=0,
-                            boundary_passes=0, log10_r_extend=6.0)
-
-        for text in ("2*z+1", "z+sqrt(z)+1", "z+log1p(z)"):
-            e = parse(text)
-
-            def ratio(z):
-                return np.abs(z) / np.abs(e.eval(z))
-
-            (coarse,), _ = _supremum_estimate(ratio, bare(11, 9))
-            (fine,), _ = _supremum_estimate(ratio, bare(21, 17))
-            assert fine >= coarse - 1e-15
 
 
 class TestFaaDiBruno:
     def test_chain_rule(self):
-        phi = eval_jet(parse("z^2"), 2.0, 1)
+        phi = parse("z^2").jet(2.0, 1)
         f = 1.0 / (Jet.variable(phi.value, 1) + 1.0)
         assert abs(faa_di_bruno(f, phi, 1) - f.derivative(1) * phi.derivative(1)) < 1e-14
 
     def test_second_order_example(self):
         # f = 1/(u+1), phi = z^2 at z = 1: (f o phi)'' = 1/2
-        phi = eval_jet(parse("z^2"), 1.0, 2)
+        phi = parse("z^2").jet(1.0, 2)
         f = 1.0 / (Jet.variable(phi.value, 2) + 1.0)
         assert abs(faa_di_bruno(f, phi, 2) - 0.5) < 1e-12
 
@@ -373,7 +369,7 @@ class TestFaaDiBruno:
             assert abs(direct - partition) <= 1e-9 * max(abs(direct), 1e-12)
 
     def test_order_guard(self):
-        phi = eval_jet(parse("z^2"), 1.0, 1)
+        phi = parse("z^2").jet(1.0, 1)
         f = Jet.variable(phi.value, 1)
         with pytest.raises(ValueError):
             faa_di_bruno(f, phi, 2)
@@ -408,6 +404,38 @@ class TestJury:
             lower = caughran_lower_bound(e, n, pts)
             m_star = jury_min_m(e, n, pts)
             assert lower <= m_star + 1e-8
+
+    @pytest.mark.parametrize("text", CRITERION_12_ROWS)
+    def test_caughran_reads_the_jury_diagonals(self, text):
+        # the diagonals of the jury's Gram matrices give the per-point kernel
+        # norms' bound to rounding, and never more than the jury bound
+        rng = np.random.default_rng(sum(map(ord, text)) + 1)
+        e = parse(text)
+        for n in (0, 1, 2):
+            for m in (6, 12):
+                pts = _jury_points(rng, m)
+                lower, want = caughran_lower_bound(e, n, pts), _oracle_caughran(e, n, pts)
+                assert abs(lower - want) <= 1e-15 * want
+                assert lower <= jury_min_m(e, n, pts) * (1.0 + 1e-8)
+
+    def test_bisection_stops_at_adjacent_doubles(self, monkeypatch):
+        # once the bracket's midpoint is one of its ends no step can move it:
+        # the bisection ends well before its 80 steps, on the oracle's bound
+        # (the oracle reads this module's unpatched min_eigenvalue)
+        calls = []
+
+        def counting(A):
+            calls.append(1)
+            return min_eigenvalue(A)
+
+        monkeypatch.setattr(symbols, "min_eigenvalue", counting)
+        rng = np.random.default_rng(14)
+        for text in CRITERION_12_ROWS:
+            for n in (0, 1, 2):
+                pts = _jury_points(rng, 6)
+                calls.clear()
+                assert jury_min_m(parse(text), n, pts) == _oracle_jury_min_m(parse(text), n, pts)
+                assert len(calls) <= 64
 
     def test_margin_validation(self):
         with pytest.raises(ValueError):
@@ -444,6 +472,21 @@ class TestJury:
                 with pytest.raises(ValueError, match=r"^image of point \(1e\+200\+0j\) is not finite$"):
                     bound([1.0, 1e200, 2.0])
 
+    @pytest.mark.parametrize("text, pts, message", [
+        ("2*z+1", [1.0, 1e-310], r"^kernel value at point \(1e-310\+0j\) overflows$"),
+        ("1e-300*z", [1.0, 1e-10], r"^kernel value at image \(1e-310\+0j\) overflows$"),
+    ])
+    def test_overflowing_kernel_value_names_its_point(self, text, pts, message):
+        # K_n(z, z) passes the largest double next to 0: an error, not a nan
+        # bound or a wrong eigenvalue, and numpy stays silent
+        e = parse(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for bound in (lambda: jury_min_eig(e, 1, 1.0, pts), lambda: jury_min_m(e, 1, pts),
+                          lambda: caughran_lower_bound(e, 1, pts)):
+                with pytest.raises(ValueError, match=message):
+                    bound()
+
     @pytest.mark.parametrize("text", CRITERION_12_ROWS)
     def test_min_m_matches_rebuilding_oracle_exactly(self, text):
         # Gram matrices built once give bit for bit the per-step rebuilt bound
@@ -460,11 +503,19 @@ class TestClassify:
     def test_empty_grid_refused(self, grid):
         # no sample is no evidence: not a NaN estimate, a "witnessed" self-map
         # and an "unbounded" verdict
-        e = parse("z")
-        for call in (lambda: classify(e, 1, grid), lambda: angular_derivative(e, grid),
-                     lambda: radial_sup(e, grid), lambda: nbc_suprema(e, 2, grid)):
-            with pytest.raises(ValueError, match="no points"):
-                call()
+        with pytest.raises(ValueError, match="no points"):
+            classify(parse("z"), 1, grid)
+
+    def test_grid_is_the_grid_option(self):
+        # GridSpec holds the five fields of --grid and no policy; the report
+        # prints them as they are
+        fields = ["log10_r_min", "log10_r_max", "num_r", "theta_margin", "num_theta"]
+        assert [f.name for f in dataclasses.fields(GridSpec)] == fields
+        grid = _parse_grid("1e-2,1e2,11,0.01,7")
+        assert dataclasses.astuple(grid) == (-2.0, 2.0, 11, 0.01, 7)
+        report = classify(parse("2*z+1"), 1, grid).to_dict()
+        assert report["grid"] == dataclasses.asdict(grid)
+        assert list(report["grid"]) == fields
 
     @pytest.mark.parametrize("text", ["(1e300*z)^3", "z - z/0"])
     def test_nowhere_finite_symbol_refused(self, text):
@@ -530,8 +581,7 @@ class TestClassify:
         e = parse(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            pairs = [(angular_derivative(e), scalar_route.angular_derivative(e)),
-                     (radial_sup(e), scalar_route.radial_sup(e))]
+            pairs = []
             for n in range(3):
                 got, want = classify(e, n), scalar_route.classify(e, n)
                 assert (got.verdict_H2, got.verdict_Hn) == (want.verdict_H2, want.verdict_Hn)
