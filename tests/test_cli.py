@@ -441,13 +441,22 @@ class TestPlumbing:
         # the half-line split is a fixed constant: a large one converged falsely
         cfg = tmp_path / "quad.cfg"
         for line in ("warp_factor = 9\n", "grading_ratio = 0.5\n",
-                     "halfline_truncation = 30\n", "halfline_truncation = nan\n"):
+                     "halfline_truncation = 30\n"):
             cfg.write_text(line)
             key = line.split()[0]
             for argv in (["kernel", "eval", "--n", "1", "--z", "1", "--w", "1"],
                          ["verify", "paley-wiener", "--n", "1", "--samples", "1"]):
                 with pytest.raises(SystemExit, match=f"unknown quadrature option '{key}'"):
                     main([*argv, "--config", str(cfg)])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_config_file_rejects_nonfinite_truncation(self, tmp_path, value):
+        # no longer a field: a non-finite split is refused by name before any quadrature
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(f"halfline_truncation = {value}\n")
+        with pytest.raises(SystemExit, match="unknown quadrature option 'halfline_truncation'"):
+            main(["verify", "paley-wiener", "--n", "1", "--samples", "1",
+                  "--config", str(cfg)])
 
     def test_verify_reports_sample_terms(self, capsys):
         from hsob import ExpPoly
