@@ -184,7 +184,11 @@ def _closed_form(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     mz, mv = _modulus(z), _modulus(v)
     scale = np.maximum(mz, mv)
     a, b = z / scale, v / scale
-    return (_q_sum(n, a, b, mv <= 0.5 * mz) + _q_sum(n, b, a, mz <= 0.5 * mv)) / scale
+    # Q_m(a, b) and Q_m(b, a) in one pass over the 2N elements: each element
+    # comes out as it would alone, so the halves are the two argument orders
+    q = _q_sum(n, np.concatenate((a, b)), np.concatenate((b, a)),
+               np.concatenate((mv <= 0.5 * mz, mz <= 0.5 * mv)))
+    return (q[:len(z)] + q[len(z):]) / scale
 
 
 def kernel_eval_closed(n: int, z: complex, w: complex) -> complex:
@@ -296,22 +300,38 @@ def norm_bounds(n: int, z: complex) -> tuple[float, float]:
     return float(lower), float(upper)
 
 
+class _KernelOverflow(ValueError):
+    """A Gram matrix entry that overflows, raised at the first point whose row holds one."""
+
+    def __init__(self, point: complex):
+        super().__init__(f"kernel value at point {point} overflows")
+        self.point = point
+
+
 def gram_matrix(n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = K_n(z_i, z_j) over points of C+.
 
     Each lower-triangle entry is :func:`kernel_eval` bit for bit: through n = 8
     all of them come from one closed-form array call, past it one quadrature each.
+    Each entry above the diagonal is exactly the conjugate of its mirror
+    entry, and the diagonal is real, so ``G == G.conj().T`` holds bit for bit.
+    A point next to 0, where K_n(z, z) passes the largest double, raises a
+    ``ValueError`` naming it, with numpy's warnings kept off.
     """
     _check_order(n)
     pts = np.array([_require_halfplane(z, "point") for z in points], dtype=complex)
     rows, cols = np.nonzero(np.tri(len(pts), dtype=bool))
-    G = np.zeros((len(pts), len(pts)), dtype=complex)
-    if n > CLOSED_FORM_MAX_N:
-        for i, j in zip(rows, cols):
-            G[i, j] = kernel_eval_quadrature(n, pts[i], pts[j], cfg)
-    else:
-        G[rows, cols] = _closed_form(n, pts[rows], pts[cols].conj())
-    G[cols, rows] = G[rows, cols].conj()
+    G = np.empty((len(pts), len(pts)), dtype=complex)
+    with np.errstate(all="ignore"):
+        if n > CLOSED_FORM_MAX_N:
+            lower = np.array([kernel_eval_quadrature(n, pts[i], pts[j], cfg)
+                              for i, j in zip(rows, cols)], dtype=complex)
+        else:
+            lower = _closed_form(n, pts[rows], pts[cols].conj())
+    G[rows, cols] = lower
+    G[cols, rows] = lower.conj()
+    if not np.isfinite(lower).all():
+        raise _KernelOverflow(complex(pts[np.argmax(~np.isfinite(G).all(axis=1))]))
     return G
 
 

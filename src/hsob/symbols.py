@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import Jet, JetDomainError, guard, masked, on_cut, principal_power
-from .kernel import gram_matrix, min_eigenvalue
+from .kernel import _KernelOverflow, gram_matrix, min_eigenvalue
 from .quadrature import DEFAULT_CONFIG, QuadConfig
 from .specfun import bell_partitions
 
@@ -635,15 +635,18 @@ def _jury_matrices(e: SymbolExpr, n: int, points,
                    cfg: QuadConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """The two Hermitian matrices of the kernel inequality, built once.
 
-    Checks that every image is finite, that every point and its image keep
-    the argument margin and that no kernel value overflows (K_n(z, z) grows
-    without bound as z nears 0), then returns ``(base, moved)`` with
-    base[i, j] = K_n(z_i, z_j) and moved[i, j] = K_n(phi(z_i), phi(z_j)).  Neither
-    depends on M: the inequality at M is the matrix M^2 * base - moved.
+    Checks that there is a point, that every image is finite, that every
+    point and its image keep the argument margin and that no kernel value
+    overflows (K_n(z, z) grows without bound as z nears 0), then returns
+    ``(base, moved)`` with base[i, j] = K_n(z_i, z_j) and
+    moved[i, j] = K_n(phi(z_i), phi(z_j)).  Neither depends on M: the
+    inequality at M is the matrix M^2 * base - moved.
     The images come from one array evaluation; the first point that fails
     raises as a point-by-point check would (see :func:`_require_finite_image`).
     """
     pts = [complex(z) for z in points]
+    if not pts:
+        raise ValueError("the kernel inequality needs at least one point")
     zs = np.array(pts, dtype=complex)
     images = _silently(e.eval, zs)
     limit = math.pi / 2 - JURY_THETA_MARGIN
@@ -658,11 +661,11 @@ def _jury_matrices(e: SymbolExpr, n: int, points,
         for val, name in ((pts[i], "point"), (complex(images[i]), "image")):
             if off_margin(val):
                 raise ValueError(f"{name} {val} violates the half-plane margin")
-    base, moved = _silently(gram_matrix, n, pts, cfg), _silently(gram_matrix, n, images, cfg)
-    for name, values, matrix in (("point", zs, base), ("image", images, moved)):
-        over = ~np.isfinite(matrix).all(axis=1)
-        if over.any():
-            raise ValueError(f"kernel value at {name} {complex(values[np.argmax(over)])} overflows")
+    base = gram_matrix(n, pts, cfg)
+    try:
+        moved = gram_matrix(n, images, cfg)
+    except _KernelOverflow as err:
+        raise ValueError(f"kernel value at image {err.point} overflows") from None
     return base, moved
 
 
@@ -693,11 +696,19 @@ def jury_min_m(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) 
     of 6.3e9 and reached 2e17 for 2*z+1 at n = 2 on 12 points), so the Cholesky
     factor fails or amplifies rounding noise, which the feasibility slack
     ``JURY_TOL`` keeps out of the bisection.
+
+    Each step writes M^2 * base - moved into one reused buffer and hands it
+    to ``eigvalsh`` as it is, skipping :func:`min_eigenvalue`'s Hermitised
+    copy, which would change no bit: ``gram_matrix`` makes each entry above
+    the diagonal exactly the conjugate of its mirror and the diagonal real,
+    and LAPACK reads only the lower triangle and the diagonal's real part.
     """
     base, moved = _jury_matrices(e, n, points, cfg)
+    step = np.empty_like(base)
 
     def feasible(M):
-        return min_eigenvalue(M**2 * base - moved) >= -JURY_TOL
+        np.subtract(np.multiply(base, M**2, out=step), moved, out=step)
+        return np.linalg.eigvalsh(step)[0] >= -JURY_TOL
 
     lo, hi = 0.0, 1.0
     while not feasible(hi):

@@ -12,6 +12,8 @@ route:
 * the pointwise bounds implied by the order-n norms ``norm_n`` and
   ``inner_product_n``;
 * the angular factor I(theta) in closed form, against the quadrature engine;
+* the kernel's closed form with one ``Q_m`` sum per argument order, against
+  the production form that takes both orders in one array pass, bit for bit;
 * the Laguerre polynomials (Rodrigues' formula, against ``ExpPoly``
   differentiation) and the Legendre polynomials (whose zeros are the nodes of
   the quadrature engine's Gauss-Legendre rules).
@@ -35,6 +37,7 @@ from hsob import (
     norm_n,
     w_minus_exp,
 )
+from hsob.kernel import _modulus, _q_sum
 from hsob.quadrature import DEFAULT_CONFIG
 from hsob.specfun import cn_coefficient
 
@@ -252,3 +255,17 @@ def i_theta(theta: float) -> float:
         t2 = theta * theta
         return 0.5 * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)
     return 0.5 * theta / np.sin(theta)
+
+
+# ---------------------------------------------------------------------------
+# The kernel's closed form, one argument order per call
+
+
+def closed_form_two_calls(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K_n(z, w) at v = conj(w) for 1 <= n <= 8 as one ``Q_m`` sum for each
+    argument order, at max(|z|, |w|) = 1; every operation is elementwise, so
+    it equals the one-pass production form bit for bit."""
+    mz, mv = _modulus(z), _modulus(v)
+    scale = np.maximum(mz, mv)
+    a, b = z / scale, v / scale
+    return (_q_sum(n, a, b, mv <= 0.5 * mz) + _q_sum(n, b, a, mz <= 0.5 * mv)) / scale

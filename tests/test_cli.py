@@ -136,6 +136,17 @@ class TestKernelCommands:
         assert payload["min_eigenvalue"] >= -1e-8
         assert len(payload["gram_re"]) == 4
 
+    def test_gram_overflowing_entry_exits_one(self, capsys):
+        # K_1(z, z) passes the largest double at z = 1e-310: one line naming
+        # the point, and no numpy warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["kernel", "gram", "--n", "1", "--points", "1e-310,1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error [kernel]: kernel value at point (1e-310+0j) overflows\n"
+
     def test_gram_explicit_points(self, capsys):
         code, out = run_cli(capsys, "kernel", "gram", "--n", "0", "--points", "1,2+1i")
         payload = json.loads(out)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from hsob import (
     reproduce_check,
     verify,
 )
-from hsob.kernel import _p_eval
-from oracles import i_theta
+from hsob.kernel import _closed_form, _p_eval
+from oracles import closed_form_two_calls, i_theta
 
 LN2 = math.log(2.0)
 #: arguments within 1e-6 of the imaginary axis
@@ -164,6 +165,23 @@ class TestClosedForms:
         for z in (1.0, cmath.exp(-1j * MARGIN)):
             ref = duffy_reference(n, z, z, mp)
             assert abs(kernel_diag(n, z, theta_margin=1e-7) - ref) <= MAP_TOL * abs(ref), z
+
+    def test_one_pass_equals_two_calls_exactly(self):
+        # both argument orders in one _q_sum pass give each element bit for
+        # bit as one call per order does: the accuracy map's arguments in
+        # both directions and its diagonals, as one batch per order and as
+        # one-element batches
+        for n in range(1, 9):
+            cases = MAP_CASES + tuple((r, 0.3, -1.2) for r in MAP_EXTREMES[n])
+            zs = [r * cmath.exp(1j * tz) for r, tz, _ in cases]
+            ws = [cmath.exp(1j * tw) for _, _, tw in cases]
+            diag = [1.0, cmath.exp(-1j * MARGIN)]
+            z = np.array(zs + ws + diag)
+            v = np.array(ws + zs + diag).conj()
+            want = closed_form_two_calls(n, z, v)
+            assert _closed_form(n, z, v).tobytes() == want.tobytes(), n
+            for i in range(len(z)):
+                assert _closed_form(n, z[i:i + 1], v[i:i + 1]).tobytes() == want[i:i + 1].tobytes(), (n, i)
 
     @pytest.mark.parametrize("n", (1, 8))
     def test_reference_matches_asymptote(self, n):
@@ -525,9 +543,26 @@ class TestGram:
         assert min_eigenvalue(G) >= -1e-8
 
     def test_hermitian(self):
-        pts = [1.0, 2.0 + 1.0j, 0.5 - 0.3j]
-        G = gram_matrix(2, pts)
-        assert np.max(np.abs(G - G.conj().T)) < 1e-13
+        # exactly, not to rounding: the jury hands its matrices to eigvalsh
+        # without a Hermitised copy on the strength of this
+        rng = np.random.default_rng(47)
+        for n in range(10):
+            pts = 10 ** rng.uniform(-3, 3, 12) * np.exp(1j * rng.uniform(-1.5, 1.5, 12))
+            G = gram_matrix(n, pts)
+            for i in range(len(pts)):
+                for j in range(len(pts)):
+                    assert G[j, i] == G[i, j].conjugate(), (n, i, j)
+                assert G[i, i].imag == 0.0, (n, i)
+
+    def test_overflowing_entry_names_its_point(self):
+        # K_1(z, z) passes the largest double at z = 1e-310: an error naming
+        # the point, not a nan entry, and numpy stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^kernel value at point \(1e-310\+0j\) overflows$"):
+                gram_matrix(1, [1e-310, 1.0])
+            with pytest.raises(ValueError, match=r"^kernel value at point \(1e-320\+0j\) overflows$"):
+                gram_matrix(3, [1.0, 2.0 + 1.0j, 1e-320])
 
 
 class TestReproduce:

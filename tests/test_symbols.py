@@ -21,7 +21,6 @@ from hsob import (
     kernel_norm,
     min_eigenvalue,
     parse,
-    symbols,
 )
 from hsob.cli import _parse_grid
 from hsob.symbols import (
@@ -421,21 +420,24 @@ class TestJury:
     def test_bisection_stops_at_adjacent_doubles(self, monkeypatch):
         # once the bracket's midpoint is one of its ends no step can move it:
         # the bisection ends well before its 80 steps, on the oracle's bound
-        # (the oracle reads this module's unpatched min_eigenvalue)
+        # (each step is one eigvalsh call; the oracle's are not counted)
         calls = []
+        eigvalsh = np.linalg.eigvalsh
 
         def counting(A):
             calls.append(1)
-            return min_eigenvalue(A)
+            return eigvalsh(A)
 
-        monkeypatch.setattr(symbols, "min_eigenvalue", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         rng = np.random.default_rng(14)
-        for text in CRITERION_12_ROWS:
-            for n in (0, 1, 2):
-                pts = _jury_points(rng, 6)
+        for text in CRITERION_12_ROWS + AFFINE_MAPS:
+            for n, m in ((0, 6), (1, 6), (2, 6), (3, 12), (3, 20)):
+                pts = _jury_points(rng, m)
                 calls.clear()
-                assert jury_min_m(parse(text), n, pts) == _oracle_jury_min_m(parse(text), n, pts)
-                assert len(calls) <= 64
+                bound = jury_min_m(parse(text), n, pts)
+                steps = len(calls)
+                assert bound == _oracle_jury_min_m(parse(text), n, pts)
+                assert 0 < steps <= 64
 
     def test_margin_validation(self):
         with pytest.raises(ValueError):
@@ -487,15 +489,25 @@ class TestJury:
                 with pytest.raises(ValueError, match=message):
                     bound()
 
-    @pytest.mark.parametrize("text", CRITERION_12_ROWS)
+    @pytest.mark.parametrize("text", CRITERION_12_ROWS + AFFINE_MAPS)
     def test_min_m_matches_rebuilding_oracle_exactly(self, text):
-        # Gram matrices built once give bit for bit the per-step rebuilt bound
+        # Gram matrices built once, and each step's matrix handed to eigvalsh
+        # without a Hermitised copy, give bit for bit the per-step rebuilt bound
         rng = np.random.default_rng(sum(map(ord, text)))
         e = parse(text)
-        for n in (0, 1, 2):
-            for m in (6, 12):
-                pts = _jury_points(rng, m)
-                assert jury_min_m(e, n, pts) == _oracle_jury_min_m(e, n, pts)
+        for n, m in ((0, 6), (0, 12), (1, 6), (1, 12), (2, 6), (2, 12), (3, 12), (3, 20)):
+            pts = _jury_points(rng, m)
+            assert jury_min_m(e, n, pts) == _oracle_jury_min_m(e, n, pts)
+
+    @pytest.mark.parametrize("bound", [
+        lambda e: jury_min_eig(e, 1, 1.0, []),
+        lambda e: jury_min_m(e, 1, []),
+        lambda e: caughran_lower_bound(e, 1, []),
+    ], ids=("jury_min_eig", "jury_min_m", "caughran_lower_bound"))
+    def test_empty_point_set_refused(self, bound):
+        # no point is no evidence: not an IndexError from eigvalsh, nor a bound of 0
+        with pytest.raises(ValueError, match="^the kernel inequality needs at least one point$"):
+            bound(parse("2*z+1"))
 
 
 class TestClassify:
