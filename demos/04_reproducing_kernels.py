@@ -2,7 +2,7 @@
 
 The kernel is a double integral over the unit square with a 1/r corner
 singularity; Duffy's split turns it into one smooth integral over (0, 1), and
-closed forms exist through order 8.  The diagonal K_n(z, z) is
+one closed form serves orders 0 to 16.  The diagonal K_n(z, z) is
 the squared norm of the kernel function, scales like 1/|z| along rays, and is
 sandwiched between explicit constants.
 """

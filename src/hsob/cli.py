@@ -21,7 +21,9 @@ report field is not finite), 2 on usage errors.  Randomised suites take
 ``--seed`` (default 0) and are reproducible.
 
 A plain-text config file of ``key = value`` lines (``--config``) overrides
-the quadrature defaults.
+the quadrature defaults for the verify suites and ``kernel eval``.  A reader
+that closes the pipe early (``| head``) ends the command with status 1 and
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -190,7 +193,7 @@ def _cmd_kernel_eval(args) -> int:
 
 
 def _cmd_kernel_norm(args) -> int:
-    norm = kernel_norm(args.n, args.z, _load_quad_config(args.config))
+    norm = kernel_norm(args.n, args.z)
     payload = {"n": args.n, "z": str(args.z), "norm": norm, "diag": norm * norm}
     if args.n >= 1:
         lo, hi = norm_bounds(args.n, args.z)
@@ -200,20 +203,18 @@ def _cmd_kernel_norm(args) -> int:
 
 
 def _cmd_kernel_sweep(args) -> int:
-    quad = _load_quad_config(args.config)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["n", "abs_z", "arg_z", "kernel_diag", "lower_bound", "norm", "upper_bound"])
-    for z, _, diag, lo, hi in verify.grid_rows(args.n, args.grid, quad):
+    for z, _, diag, lo, hi in verify.grid_rows(args.n, args.grid):
         writer.writerow((args.n, abs(z), math.atan2(z.imag, z.real), diag, lo, math.sqrt(diag), hi))
     _emit(args.out, buf.getvalue())
     return 0
 
 
 def _cmd_kernel_gram(args) -> int:
-    quad = _load_quad_config(args.config)
     pts = args.points or _seeded_points(args.seed, args.count, 0.2)
-    G = gram_matrix(args.n, pts, cfg=quad)
+    G = gram_matrix(args.n, pts)
     _emit_json(args.out, {
         "n": args.n,
         "points": [str(p) for p in pts],
@@ -277,10 +278,9 @@ def _cmd_symbol_classify(args) -> int:
 
 
 def _cmd_symbol_jury(args) -> int:
-    quad = _load_quad_config(args.config)
     expr = parse_symbol(args.expression)
     pts = args.points or _seeded_points(args.seed, args.count, 0.3)
-    eig = jury_min_eig(expr, args.n, args.m, pts, cfg=quad)
+    eig = jury_min_eig(expr, args.n, args.m, pts)
     _emit_json(args.out, {
         "expression": args.expression,
         "n": args.n,
@@ -333,17 +333,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kernel_eval)
 
     p = ksub.add_parser("norm", help="kernel norm and bounds at a point")
-    _add_options(p, "--n", "--config", "--out")
+    _add_options(p, "--n", "--out")
     p.add_argument("--z", type=_parse_complex, required=True)
     p.set_defaults(func=_cmd_kernel_norm)
 
     p = ksub.add_parser("sweep", help="CSV sweep of diagonal, norm and bounds")
     p.add_argument("--n", type=_int_at_least(1), default=1, help="space order (bounds need n >= 1)")
-    _add_options(p, "--grid", "--config", "--out")
+    _add_options(p, "--grid", "--out")
     p.set_defaults(func=_cmd_kernel_sweep)
 
     p = ksub.add_parser("gram", help="Gram matrix and least eigenvalue")
-    _add_options(p, "--n", "--seed", "--config", "--out")
+    _add_options(p, "--n", "--seed", "--out")
     p.add_argument("--points", type=_parse_points, default=None,
                    help="comma-separated complex points, e.g. '1,2+1i,0.5-0.2i'")
     p.add_argument("--count", type=_int_at_least(1), default=8,
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_symbol_classify, grid=GridSpec())
 
     p = ssub.add_parser("jury", help="kernel-inequality eigenvalue certificate")
-    _add_options(p, "--n", "--seed", "--config", "--out")
+    _add_options(p, "--n", "--seed", "--out")
     p.add_argument("expression")
     p.add_argument("--m", type=_tolerance, required=True,
                    help="candidate operator-norm bound M (finite, >= 0)")
@@ -391,7 +391,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull, as Python's docs
+        # advise, so the flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (QuadratureError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return 1

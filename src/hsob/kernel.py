@@ -12,7 +12,7 @@ second, takes the 1/r corner singularity out and leaves one smooth integral
     K_n(z, w) = 1/Gamma(n)^2 * int_0^1 p_n(u) (1/(z + u v) + 1/(v + u z)) du,
                                                         v = conj(w),
 
-with p_n the polynomial int_0^1 (1-y)^(n-1) (1-yu)^(n-1) dy.  For n <= 8 the
+with p_n the polynomial int_0^1 (1-y)^(n-1) (1-yu)^(n-1) dy.  For n <= 16 the
 one production route is a closed form, derived by expanding p_n and
 integrating term by term, which collapses to
 
@@ -26,7 +26,8 @@ integrating term by term, which collapses to
   the diagonal; a scalar call is a one-element batch.
 
 Adaptive 1-D quadrature of the split integral is its independent check, and
-the route past n = 8 or when ``quadrature`` is asked for.
+the route when ``quadrature`` is asked for; it alone takes orders past 16.
+Every other entry point refuses them.
 
 The diagonal K_n(z, z) is real and nonsingular, and |z| K_n(z, z) depends on
 arg z alone.  Principal logarithms are safe throughout: z, conj(w) and their
@@ -62,7 +63,7 @@ __all__ = [
     "reproduce_check",
 ]
 
-CLOSED_FORM_MAX_N = 8
+CLOSED_FORM_MAX_N = 16
 DEFAULT_THETA_MARGIN = 1e-3
 
 #: terms of the series for Q_m, a power of two; its ratio is at most 1/2 in modulus
@@ -78,9 +79,14 @@ def _require_halfplane(z: complex, name: str) -> complex:
     return z
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int, closed: bool = True) -> None:
+    """Refuse a negative order, and past CLOSED_FORM_MAX_N one that the closed
+    form is asked to take."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if closed and n > CLOSED_FORM_MAX_N:
+        raise ValueError(f"the closed form covers n <= {CLOSED_FORM_MAX_N}, got n = {n}; "
+                         "only the quadrature route takes higher orders")
 
 
 @dataclass(frozen=True)
@@ -94,19 +100,17 @@ class KernelPoint:
     cfg: QuadConfig = field(default_factory=QuadConfig)
 
     def __post_init__(self):
-        _check_order(self.n)
         if self.method not in ("auto", "quadrature", "closed_form"):
             raise ValueError("method must be auto, quadrature or closed_form")
+        _check_order(self.n, closed=self.method != "quadrature")
         _require_halfplane(self.z, "z")
         _require_halfplane(self.w, "w")
 
     @property
     def route(self) -> str:
-        """The method an evaluation takes: ``auto`` takes ``closed_form`` through
-        n = 8 and ``quadrature`` past it."""
-        if self.method == "quadrature" or (self.method == "auto" and self.n > CLOSED_FORM_MAX_N):
-            return "quadrature"
-        return "closed_form"
+        """The method an evaluation takes: ``quadrature`` when asked for, else
+        ``closed_form`` (construction refuses an order past its cap)."""
+        return "quadrature" if self.method == "quadrature" else "closed_form"
 
 
 def _modulus(z):
@@ -179,8 +183,6 @@ def _closed_form(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     at max(|z|, |w|) = 1 through K_n(cz, cw) = K_n(z, w)/c."""
     if n == 0:
         return 1.0 / (z + v)
-    if n > CLOSED_FORM_MAX_N:
-        raise ValueError(f"closed forms are available for n <= {CLOSED_FORM_MAX_N}")
     mz, mv = _modulus(z), _modulus(v)
     scale = np.maximum(mz, mv)
     a, b = z / scale, v / scale
@@ -192,7 +194,8 @@ def _closed_form(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def kernel_eval_closed(n: int, z: complex, w: complex) -> complex:
-    """Closed-form K_n(z, w) for 0 <= n <= 8, bitwise as :func:`gram_matrix` gives it."""
+    """Closed-form K_n(z, w) for 0 <= n <= 16, bitwise as :func:`gram_matrix` gives it."""
+    _check_order(n)
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
     return complex(_closed_form(n, np.array([z]), np.array([w.conjugate()]))[0])
@@ -251,29 +254,24 @@ def kernel_eval(p: KernelPoint) -> complex:
     return kernel_eval_quadrature(p.n, p.z, p.w, p.cfg)
 
 
-def kernel_diag(n: int, z, cfg: QuadConfig = DEFAULT_CONFIG,
-                theta_margin: float = DEFAULT_THETA_MARGIN):
+def kernel_diag(n: int, z, theta_margin: float = DEFAULT_THETA_MARGIN):
     """K_n(z, z) = ||K_{n,z}||^2, real positive, at a point or elementwise over a
-    1-D array of points; through n = 8 the closed form in one array call.
+    1-D array of points: the closed form in one array call, for n <= 16.
 
     There the Duffy integrand is 2 cos(theta) (1 + u) p_n(u) / (u^2 + 1 + 2 u cos(2 theta)),
     theta = arg z, whose denominator degenerates only as |theta| nears pi/2:
-    for n >= 1, |arg z| <= pi/2 - theta_margin is required.  Past n = 8 each
-    point takes the quadrature with ``cfg``.
+    for n >= 1, |arg z| <= pi/2 - theta_margin is required.
     """
     _check_order(n)
     zs = np.array([_require_halfplane(u, "z") for u in np.atleast_1d(z)], dtype=complex)
     if n > 0 and (np.abs(np.angle(zs)) > pi / 2 - theta_margin).any():
         raise ValueError(f"|arg z| must stay below pi/2 - {theta_margin:g}")
-    if n > CLOSED_FORM_MAX_N:
-        diag = np.array([kernel_eval_quadrature(n, u, u, cfg).real for u in zs])
-    else:
-        diag = _closed_form(n, zs, zs.conj()).real
+    diag = _closed_form(n, zs, zs.conj()).real
     return diag if np.ndim(z) else float(diag[0])
 
 
-def kernel_norm(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
-    """||K_{n,z}|| = sqrt(K_n(z, z)); 1/sqrt(2 Re z) at n = 0.
+def kernel_norm(n: int, z: complex) -> float:
+    """||K_{n,z}|| = sqrt(K_n(z, z)); 1/sqrt(2 Re z) at n = 0; n <= 16.
 
     For n >= 1 it is taken at unit scale, sqrt(K_n(u, u)) / sqrt|z| with
     u = z/|z| (K_n(cz, cz) = K_n(z, z)/c), so the norm stays finite where
@@ -283,7 +281,7 @@ def kernel_norm(n: int, z: complex, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     if n == 0:
         return 1.0 / (sqrt(2.0) * sqrt(z.real))  # 2 Re z would overflow past 9e307
     r = abs(z)
-    return sqrt(kernel_diag(n, z / r, cfg)) / sqrt(r)
+    return sqrt(kernel_diag(n, z / r)) / sqrt(r)
 
 
 def norm_bounds(n: int, z: complex) -> tuple[float, float]:
@@ -308,11 +306,11 @@ class _KernelOverflow(ValueError):
         self.point = point
 
 
-def gram_matrix(n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Hermitian Gram matrix G[i, j] = K_n(z_i, z_j) over points of C+.
+def gram_matrix(n: int, points) -> np.ndarray:
+    """Hermitian Gram matrix G[i, j] = K_n(z_i, z_j) over points of C+, n <= 16.
 
-    Each lower-triangle entry is :func:`kernel_eval` bit for bit: through n = 8
-    all of them come from one closed-form array call, past it one quadrature each.
+    Each lower-triangle entry is :func:`kernel_eval` bit for bit: all of them
+    come from one closed-form array call.
     Each entry above the diagonal is exactly the conjugate of its mirror
     entry, and the diagonal is real, so ``G == G.conj().T`` holds bit for bit.
     A point next to 0, where K_n(z, z) passes the largest double, raises a
@@ -323,11 +321,7 @@ def gram_matrix(n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) -> np.ndarray:
     rows, cols = np.nonzero(np.tri(len(pts), dtype=bool))
     G = np.empty((len(pts), len(pts)), dtype=complex)
     with np.errstate(all="ignore"):
-        if n > CLOSED_FORM_MAX_N:
-            lower = np.array([kernel_eval_quadrature(n, pts[i], pts[j], cfg)
-                              for i, j in zip(rows, cols)], dtype=complex)
-        else:
-            lower = _closed_form(n, pts[rows], pts[cols].conj())
+        lower = _closed_form(n, pts[rows], pts[cols].conj())
     G[rows, cols] = lower
     G[cols, rows] = lower.conj()
     if not np.isfinite(lower).all():

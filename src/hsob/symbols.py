@@ -50,7 +50,6 @@ import numpy as np
 
 from .jets import Jet, JetDomainError, guard, masked, on_cut, principal_power
 from .kernel import _KernelOverflow, gram_matrix, min_eigenvalue
-from .quadrature import DEFAULT_CONFIG, QuadConfig
 from .specfun import bell_partitions
 
 __all__ = [
@@ -631,8 +630,7 @@ def _require_finite_image(e: SymbolExpr, z: complex, u: complex) -> None:
     raise ValueError(f"image of point {z} is not finite")
 
 
-def _jury_matrices(e: SymbolExpr, n: int, points,
-                   cfg: QuadConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
+def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarray]:
     """The two Hermitian matrices of the kernel inequality, built once.
 
     Checks that there is a point, that every image is finite, that every
@@ -640,7 +638,8 @@ def _jury_matrices(e: SymbolExpr, n: int, points,
     overflows (K_n(z, z) grows without bound as z nears 0), then returns
     ``(base, moved)`` with base[i, j] = K_n(z_i, z_j) and
     moved[i, j] = K_n(phi(z_i), phi(z_j)).  Neither depends on M: the
-    inequality at M is the matrix M^2 * base - moved.
+    inequality at M is the matrix M^2 * base - moved; ``gram_matrix``
+    refuses an order past the closed form's cap n <= 16.
     The images come from one array evaluation; the first point that fails
     raises as a point-by-point check would (see :func:`_require_finite_image`).
     """
@@ -661,27 +660,26 @@ def _jury_matrices(e: SymbolExpr, n: int, points,
         for val, name in ((pts[i], "point"), (complex(images[i]), "image")):
             if off_margin(val):
                 raise ValueError(f"{name} {val} violates the half-plane margin")
-    base = gram_matrix(n, pts, cfg)
+    base = gram_matrix(n, pts)
     try:
-        moved = gram_matrix(n, images, cfg)
+        moved = gram_matrix(n, images)
     except _KernelOverflow as err:
         raise ValueError(f"kernel value at image {err.point} overflows") from None
     return base, moved
 
 
-def jury_min_eig(e: SymbolExpr, n: int, M: float, points,
-                 cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def jury_min_eig(e: SymbolExpr, n: int, M: float, points) -> float:
     """Least eigenvalue of [M^2 K_n(z_i,z_j) - K_n(phi(z_i),phi(z_j))].
 
     Nonnegative (up to rounding) for every point set exactly when M dominates
     the composition operator's norm.  All points and their images must stay
     in C+ with the argument margin ``JURY_THETA_MARGIN``.
     """
-    base, moved = _jury_matrices(e, n, points, cfg)
+    base, moved = _jury_matrices(e, n, points)
     return min_eigenvalue(M**2 * base - moved)
 
 
-def jury_min_m(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def jury_min_m(e: SymbolExpr, n: int, points) -> float:
     """Least M making the sampled kernel inequality hold on these points.
 
     A lower bound for the operator norm that grows toward it as the point set
@@ -703,7 +701,7 @@ def jury_min_m(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) 
     the diagonal exactly the conjugate of its mirror and the diagonal real,
     and LAPACK reads only the lower triangle and the diagonal's real part.
     """
-    base, moved = _jury_matrices(e, n, points, cfg)
+    base, moved = _jury_matrices(e, n, points)
     step = np.empty_like(base)
 
     def feasible(M):
@@ -727,7 +725,7 @@ def jury_min_m(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) 
     return hi
 
 
-def caughran_lower_bound(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def caughran_lower_bound(e: SymbolExpr, n: int, points) -> float:
     """sup over the sample of ||K_{n,phi(x)}|| / ||K_{n,x}||.
 
     The adjoint of a bounded composition operator maps the kernel function at
@@ -737,7 +735,7 @@ def caughran_lower_bound(e: SymbolExpr, n: int, points, cfg: QuadConfig = DEFAUL
     M^2 * base - moved is at least its least eigenvalue, so on a fixed point
     set the bound never exceeds the sampled jury bound.
     """
-    base, moved = _jury_matrices(e, n, points, cfg)
+    base, moved = _jury_matrices(e, n, points)
     return math.sqrt(np.max(moved.diagonal().real / base.diagonal().real, initial=0.0))
 
 

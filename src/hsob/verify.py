@@ -25,7 +25,7 @@ _cayley_module = importlib.import_module(f"{__package__}.cayley")
 SWEEP_GRID = GridSpec(log10_r_min=-3, log10_r_max=3, num_r=7, theta_margin=0.05, num_theta=9)
 
 
-def grid_rows(n: int, grid: GridSpec, quad: QuadConfig):
+def grid_rows(n: int, grid: GridSpec):
     """Yield (z, grid angle, K_n(z, z), lower, upper) over a log-polar grid.
 
     |z| K_n(z, z) depends on arg z alone, so the grid's angles take one
@@ -35,7 +35,7 @@ def grid_rows(n: int, grid: GridSpec, quad: QuadConfig):
     if not (len(radii) and len(angles)):
         return
     unit = kernel.kernel_diag(n, np.array([complex(math.cos(t), math.sin(t)) for t in angles]),
-                              quad, theta_margin=grid.theta_margin * 0.5).tolist()
+                              theta_margin=grid.theta_margin * 0.5).tolist()
     for r in radii:
         for t, diag in zip(angles, unit):
             z = complex(r * math.cos(t), r * math.sin(t))
@@ -78,7 +78,7 @@ def _inner_product(n, seed, samples, grid, quad):
 
 def _bounds(n, seed, samples, grid, quad):
     """kernel-norm sandwich on a log-polar grid"""
-    for z, t, diag, lo, hi in grid_rows(n, grid, quad):
+    for z, t, diag, lo, hi in grid_rows(n, grid):
         nrm = math.sqrt(diag)
         violation = max(lo - nrm, nrm - hi)
         yield violation, {"abs_z": abs(z), "arg_z": t, "norm": nrm,

@@ -262,7 +262,7 @@ def i_theta(theta: float) -> float:
 
 
 def closed_form_two_calls(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K_n(z, w) at v = conj(w) for 1 <= n <= 8 as one ``Q_m`` sum for each
+    """K_n(z, w) at v = conj(w) for 1 <= n <= 16 as one ``Q_m`` sum for each
     argument order, at max(|z|, |w|) = 1; every operation is elementwise, so
     it equals the one-pass production form bit for bit."""
     mz, mv = _modulus(z), _modulus(v)

@@ -2,14 +2,16 @@
 
 import json
 import math
+import os
 import re
 import shlex
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from hsob import QuadConfig, cli, kernel, kernel_diag, verify
+from hsob import cli, kernel, kernel_diag, verify
 from hsob.cli import main
 
 
@@ -38,16 +40,29 @@ class TestKernelCommands:
         assert payload["method"] == "closed_form"
 
     @pytest.mark.parametrize("argv", [
-        ("--n", "9", "--z", "1e7", "--w", "1"),
-        ("--n", "9", "--z", "1+1i", "--w", "2"),
+        ("--n", "16", "--z", "1e7", "--w", "1"),
+        ("--n", "16", "--z", "1+1i", "--w", "2"),
     ])
-    def test_eval_auto_falls_back_to_quadrature(self, capsys, argv):
-        # an order without a closed form, at a large ratio and at O(1)
+    def test_eval_auto_takes_closed_form_through_the_cap(self, capsys, argv):
+        # the closed form's highest order, at a large ratio and at O(1)
         code, out = run_cli(capsys, "kernel", "eval", *argv)
         payload = json.loads(out)
         assert code == 0
-        assert payload["method"] == "quadrature"
-        assert math.isfinite(payload["value_re"])
+        assert payload["method"] == "closed_form"
+        assert math.isfinite(payload["value_re"]) and payload["value_re"] > 0
+
+    @pytest.mark.parametrize("method", ("auto", "closed_form"))
+    def test_eval_past_the_cap_exits_one(self, capsys, method):
+        # no silent fallback: only --method quadrature takes n = 17
+        code = main(["kernel", "eval", "--n", "17", "--z", "1", "--w", "1", "--method", method])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error [kernel]: the closed form covers n <= 16, got n = 17; "
+                                "only the quadrature route takes higher orders\n")
+        code, out = run_cli(capsys, "kernel", "eval", "--n", "17", "--z", "1", "--w", "1",
+                            "--method", "quadrature")
+        assert code == 0 and json.loads(out)["method"] == "quadrature"
 
     @pytest.mark.parametrize("z, value_re", [("1e7", 8.309048124669643e-07),
                                              ("1e-320", 368.66362044548695)])
@@ -60,7 +75,8 @@ class TestKernelCommands:
         assert payload["method"] == "closed_form"
         assert abs(payload["value_re"] - value_re) <= 1e-15 * value_re
 
-    @pytest.mark.parametrize("argv", [("--method", "quadrature", "--n", "2"), ("--n", "9")])
+    @pytest.mark.parametrize("argv", [("--method", "quadrature", "--n", "2"),
+                                      ("--method", "quadrature", "--n", "9")])
     def test_quadrature_refuses_subnormal_ratio(self, capsys, argv):
         code = main(["kernel", "eval", *argv, "--z", "1e-320", "--w", "1"])
         captured = capsys.readouterr()
@@ -104,8 +120,8 @@ class TestKernelCommands:
 
     def test_grid_rows_take_one_diagonal_call(self, monkeypatch):
         # |z| K_n(z, z) depends on arg z alone: a 7 x 9 grid makes one diagonal
-        # call on its 9 angles at unit modulus (9 quadratures past n = 8), and
-        # each row matches the per-point diagonal
+        # call on its 9 angles at unit modulus, and each row matches the
+        # per-point diagonal
         calls = []
 
         def counting(n, z, *args, **kwargs):
@@ -113,10 +129,10 @@ class TestKernelCommands:
             return kernel_diag(n, z, *args, **kwargs)
 
         monkeypatch.setattr(kernel, "kernel_diag", counting)
-        for n in (1, 2, 5, 9):
+        for n in (1, 2, 5, 9, 16):
             calls.clear()
             grid = cli._parse_grid("1e-3,1e3,7,0.05,9")
-            rows = list(verify.grid_rows(n, grid, QuadConfig()))
+            rows = list(verify.grid_rows(n, grid))
             assert len(rows) == 63 and len(calls) == 1 and len(calls[0]) == 9
             assert all(abs(abs(u) - 1.0) < 1e-15 for u in calls[0])
             for z, _, diag, _, _ in rows:
@@ -127,7 +143,7 @@ class TestKernelCommands:
         # no radius or no angle: no diagonal call at all
         monkeypatch.setattr(kernel, "kernel_diag", lambda *a, **k: pytest.fail("diagonal call"))
         for grid in ("0.1,10,0,0.1,3", "0.1,10,3,0.1,0"):
-            assert list(verify.grid_rows(1, cli._parse_grid(grid), QuadConfig())) == []
+            assert list(verify.grid_rows(1, cli._parse_grid(grid))) == []
 
     def test_gram_seeded(self, capsys):
         code, out = run_cli(capsys, "kernel", "gram", "--n", "1", "--count", "4", "--seed", "3")
@@ -373,6 +389,11 @@ class TestPlumbing:
         ("symbol", "parse", "--n", "2", "z"),
         ("symbol", "classify", "--config", "q.cfg", "z"),
         ("symbol", "jury", "--m", "1", "--grid", "0.1,10,3,0.1,3", "z"),
+        # the kernel's closed form reads no quadrature setting
+        ("kernel", "norm", "--z", "1", "--config", "q.cfg"),
+        ("kernel", "sweep", "--config", "q.cfg"),
+        ("kernel", "gram", "--config", "q.cfg"),
+        ("symbol", "jury", "--m", "1", "--config", "q.cfg", "z"),
     ])
     def test_unread_option_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -389,6 +410,18 @@ class TestPlumbing:
         code = main([arg.format(tmp=tmp_path) for arg in argv])
         assert code == 1
         assert capsys.readouterr().err.startswith("error [kernel]: ")
+
+    @pytest.mark.parametrize("argv", [("symbol", "classify", "--n", "1", "z*z"),
+                                      ("kernel", "gram", "--n", "12", "--count", "3")])
+    def test_closed_pipe_exits_one_silently(self, capsys, monkeypatch, argv):
+        # the reader has gone, as behind `| head -c 10`: status 1, nothing on
+        # stderr, and closing stdout afterwards raises nothing
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(list(argv)) == 1
+        assert capsys.readouterr().err == ""
 
     def test_parser_built_once_parses_like_fresh_parsers(self, capsys, monkeypatch):
         # one parser serves every call, failed ones included, and prints the

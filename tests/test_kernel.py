@@ -7,11 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
+import hsob
 from hsob import (
     ExpPoly,
     KernelPoint,
     gram_matrix,
     integrate_interval,
+    jury_min_m,
     kernel_diag,
     kernel_eval,
     kernel_eval_closed,
@@ -20,10 +22,11 @@ from hsob import (
     laplace,
     min_eigenvalue,
     norm_bounds,
+    parse,
     reproduce_check,
     verify,
 )
-from hsob.kernel import _closed_form, _p_eval
+from hsob.kernel import CLOSED_FORM_MAX_N, _closed_form, _p_eval
 from oracles import closed_form_two_calls, i_theta
 
 LN2 = math.log(2.0)
@@ -101,12 +104,25 @@ def duffy_reference(n, z, w, mp):
 MAP_CASES = ((1.0, -1.05, 1.05), (0.55, -1.05, 1.05), (0.45, -1.05, 1.05), (0.1, -1.05, 1.05),
              (1e-8, -1.05, 1.05), (0.45, MARGIN, MARGIN), (1e-4, MARGIN, MARGIN))
 #: one extreme |z|/|w| per order (all of them at n = 0, whose reference is
-#: free), 1e-320 (subnormal) at both ends of 1..8
+#: free), 1e-320 (subnormal) at 1, 8, 15 and 16
 MAP_EXTREMES = {0: (1e-16, 1e-50, 1e-100, 1e-200, 1e-300, 1e-320), 1: (1e-320,), 2: (1e-300,),
-                3: (1e-200,), 4: (1e-100,), 5: (1e-50,), 6: (1e-16,), 7: (1e-30,), 8: (1e-320,)}
-#: relative error bound of the map: the worst measured was 7.0e-16 (n = 7,
-#: |z| = |w|, args -1.05 and 1.05), with 30-digit references
+                3: (1e-200,), 4: (1e-100,), 5: (1e-50,), 6: (1e-16,), 7: (1e-30,), 8: (1e-320,),
+                9: (1e-16,), 10: (1e-30,), 11: (1e-50,), 12: (1e-100,), 13: (1e-200,),
+                14: (1e-300,), 15: (1e-320,), 16: (1e-320,)}
+#: relative error bound of the map: the worst measured was 9.2e-16 (n = 14,
+#: |z| = |w|, args -1.05 and 1.05), with 30-digit references.  The band
+#: 1/2 < |z|/|w| < 1, which the map does not sample, breaks it from n = 7 on
+#: (1.0e-15 there, 3.4e-15 at n = 16): see ``test_accuracy_band``
 MAP_TOL = 1e-15
+#: (|z|/|w|, arg z, arg w) of the band 1/2 < |z|/|w| < 1, where both argument
+#: orders take the log branch of ``_q_sum``
+BAND_CASES = tuple((r, tz, tw) for r in (0.54, 0.6, 0.75, 0.88)
+                   for tz, tw in ((1.2, -1.2), (-1.05, 1.05)))
+#: worst relative error over BAND_CASES of each order that breaks MAP_TOL, measured
+#: against 30- and 40-digit references alike; the excess comes from evaluating
+#: Q_m on the log branch, not from the final sum (condition about 2)
+BAND_WORST = {7: 1.02e-15, 8: 1.37e-15, 9: 1.35e-15, 10: 1.77e-15, 11: 1.85e-15, 12: 2.18e-15,
+              13: 2.29e-15, 14: 2.49e-15, 15: 3.03e-15, 16: 3.36e-15}
 #: the quadrature diagonal checks the closed-form one to its own accuracy: over
 #: n = 1..8 and |arg z| <= pi/2 - 1e-3 it is off by up to 2.1e-13 (n = 2,
 #: |arg z| = 1.452), where the closed form is within 1e-16 of the reference
@@ -148,7 +164,7 @@ class TestClosedForms:
             b = kernel_eval_closed(n, z, w)
             assert abs(a - b) <= 1e-12 * abs(a)
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(CLOSED_FORM_MAX_N + 1))
     def test_accuracy_map(self, n):
         # the closed form against a 30-digit reference: |z|/|w| from 1 down
         # to 1e-320, both arguments within 1e-6 of the imaginary axis where
@@ -166,12 +182,28 @@ class TestClosedForms:
             ref = duffy_reference(n, z, z, mp)
             assert abs(kernel_diag(n, z, theta_margin=1e-7) - ref) <= MAP_TOL * abs(ref), z
 
+    @pytest.mark.parametrize("n", [
+        pytest.param(n, marks=pytest.mark.xfail(
+            strict=True, reason=f"log-branch Q_m: worst band error {BAND_WORST[n]:.3g}"))
+        if n in BAND_WORST else n
+        for n in range(CLOSED_FORM_MAX_N + 1)])
+    def test_accuracy_band(self, n):
+        # the closed form against a 30-digit reference at 1/2 < |z|/|w| < 1,
+        # both argument orders, to the map's bound
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for r, tz, tw in BAND_CASES:
+            z, w = r * cmath.exp(1j * tz), cmath.exp(1j * tw)
+            ref = duffy_reference(n, z, w, mp)
+            for value in (kernel_eval_closed(n, z, w), kernel_eval_closed(n, w, z).conjugate()):
+                assert abs(mp.mpc(value) - ref) <= MAP_TOL * abs(ref), (r, tz, tw)
+
     def test_one_pass_equals_two_calls_exactly(self):
         # both argument orders in one _q_sum pass give each element bit for
         # bit as one call per order does: the accuracy map's arguments in
         # both directions and its diagonals, as one batch per order and as
         # one-element batches
-        for n in range(1, 9):
+        for n in range(1, CLOSED_FORM_MAX_N + 1):
             cases = MAP_CASES + tuple((r, 0.3, -1.2) for r in MAP_EXTREMES[n])
             zs = [r * cmath.exp(1j * tz) for r, tz, _ in cases]
             ws = [cmath.exp(1j * tw) for _, _, tw in cases]
@@ -192,7 +224,7 @@ class TestClosedForms:
         lead = math.log(1e300) / (n * math.factorial(n - 1) ** 2)
         assert 1.0001 < duffy_reference(n, 1e-300, 1.0, mp).real / lead < 1.0015
 
-    @pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
+    @pytest.mark.parametrize("n", (4, 5, 6, 7, 8, 12, 16))
     def test_derived_orders_match_quadrature(self, n):
         for z, w in ((1.0, 1.0), (1.5 + 0.7j, 0.8 - 0.4j), (0.3 - 0.2j, 2.5 + 1.0j)):
             c = kernel_eval_closed(n, z, w)
@@ -211,8 +243,8 @@ class TestClosedForms:
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             kernel_eval_closed(1, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            kernel_eval_closed(9, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"n <= 16, got n = 17"):
+            kernel_eval_closed(17, 1.0, 1.0)
 
 
 class TestQuadratureAgreement:
@@ -274,18 +306,25 @@ class TestQuadratureAgreement:
         assert abs(kernel_eval(p) - 2 * LN2) < 1e-14
         p = KernelPoint(1, 1.0, 1.0, "quadrature")
         assert abs(kernel_eval(p) - 2 * LN2) < 1e-9
-        p = KernelPoint(12, 1.0, 1.0, "auto")  # no closed form at this order
+        p = KernelPoint(17, 1.0, 1.0, "quadrature")  # past the closed form's cap
         assert p.route == "quadrature"
-        assert abs(kernel_eval(p) - kernel_eval_quadrature(12, 1.0, 1.0)) < 1e-12
+        assert kernel_eval(p) == kernel_eval_quadrature(17, 1.0, 1.0)
+        for method in ("auto", "closed_form"):
+            # refused once, at construction
+            with pytest.raises(ValueError, match=r"closed form covers n <= 16, got n = 17"):
+                KernelPoint(17, 1.0, 1.0, method)
 
     def test_auto_route(self):
-        # auto takes the closed form wherever it exists, at any ratio
+        # auto takes the closed form at every order through the cap, at any
+        # ratio, and refuses an order past it rather than fall back
         for z, w in ((1.0, 1.0), (1e7, 1.0), (1.0, 1e7), (1e-320, 1.0)):
             assert KernelPoint(8, z, w).route == "closed_form"
-        assert KernelPoint(9, 1.0, 1.0).route == "quadrature"
+            assert KernelPoint(16, z, w).route == "closed_form"
+        with pytest.raises(ValueError, match="n <= 16"):
+            KernelPoint(17, 1.0, 1.0)
         assert KernelPoint(1, 1e7, 1.0, "quadrature").route == "quadrature"
 
-    @pytest.mark.parametrize("n", (1, 2, 9))
+    @pytest.mark.parametrize("n", (1, 2, 9, 17))
     def test_quadrature_refuses_overflowing_ratio(self, n):
         # at unit scale the Duffy integrand reaches max(|z|, |w|)/min(|z|, |w|),
         # which overflows below a ratio of about 5.6e-309
@@ -293,7 +332,7 @@ class TestQuadratureAgreement:
             with pytest.raises(ValueError, match="overflows"):
                 kernel_eval_quadrature(n, z, w)
         q = kernel_eval_quadrature(n, 5.6e-309, 1.0)
-        if n <= 8:
+        if n <= CLOSED_FORM_MAX_N:
             assert abs(q - kernel_eval_closed(n, 5.6e-309, 1.0)) <= 1e-9 * abs(q)
 
     def test_kernel_point_validation(self):
@@ -415,7 +454,7 @@ class TestDiagonalAndBounds:
                 q = kernel_eval_quadrature(n, z, z)
                 assert abs(d - q.real) <= DIAG_TOL * d
 
-    @pytest.mark.parametrize("n", (0, 1, 5, 8, 9))
+    @pytest.mark.parametrize("n", (0, 1, 5, 8, 9, 16))
     def test_diag_array_equals_scalar_calls(self, n):
         # an array of points is one call, each element as a lone point gives it
         rng = np.random.default_rng(n)
@@ -488,35 +527,38 @@ class TestDiagonalAndBounds:
 
 
 class TestGram:
-    @pytest.mark.parametrize("n", range(10))
+    @pytest.mark.parametrize("n", range(CLOSED_FORM_MAX_N + 2))
     @pytest.mark.parametrize("method", ("auto", "closed_form", "quadrature"))
     def test_entries_equal_kernel_eval_exactly(self, n, method):
-        # each entry is kernel_eval of the KernelPoint with ``method`` bit for
-        # bit where that takes gram_matrix's route (the closed form through
-        # n = 8, quadrature past it), and within 1e-9 of the quadrature check
-        # elsewhere; |z_i|/|z_j| reaches 3.6e9, and the closed-form batch mixes
-        # series ratios from 3e-10 to 1/2; the diagonal holds the conjugate, as
-        # every entry above it does
+        # through the cap each entry is kernel_eval of the KernelPoint with
+        # ``method`` bit for bit where that takes the closed form, and within
+        # 1e-9 of the quadrature check; |z_i|/|z_j| reaches 3.6e9, and the
+        # batch mixes series ratios from 3e-10 to 1/2; the diagonal holds the
+        # conjugate, as every entry above it does.  Past the cap the matrix
+        # and every closed-form point are refused
         pts = [1.0, 0.7 + 0.5j, 2e-4 - 1e-4j, 3e3 + 4e3j, 8e5 * cmath.exp(-0.3j),
                0.35 - 0.2j, 2.5 + 1.5j, 0.05 + 0.02j, 40.0 - 70.0j]
+        if n > CLOSED_FORM_MAX_N:
+            with pytest.raises(ValueError, match="n <= 16"):
+                gram_matrix(n, pts)
+            if method == "quadrature":
+                assert KernelPoint(n, 1.0, 1.0, method).route == "quadrature"
+            else:
+                with pytest.raises(ValueError, match="n <= 16"):
+                    KernelPoint(n, 1.0, 1.0, method)
+            return
         G = gram_matrix(n, pts)
-        assert {KernelPoint(n, z, w).route for z in pts for w in pts} == {
-            "closed_form" if n <= 8 else "quadrature"}
         for i, z in enumerate(pts):
             for j in range(i + 1):
                 point = KernelPoint(n, z, pts[j], method)
-                if method == "closed_form" and n > 8:
-                    with pytest.raises(ValueError):
-                        kernel_eval(point)
-                elif method == "quadrature" and n <= 8:
-                    value = kernel_eval(point)
+                value = kernel_eval(point)
+                if method == "quadrature":
                     assert abs(G[i, j] - value) <= 1e-9 * abs(value)
                 else:
-                    value = kernel_eval(point)
                     assert G[j, i] == value.conjugate()
                     assert G[i, j] == (value if i > j else value.conjugate())
 
-    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("n", range(CLOSED_FORM_MAX_N + 1))
     def test_closed_form_batch_equals_scalar_calls(self, n):
         # 780 entries in one batch: no element's value depends on the others
         rng = np.random.default_rng(90 + n)
@@ -546,8 +588,12 @@ class TestGram:
         # exactly, not to rounding: the jury hands its matrices to eigvalsh
         # without a Hermitised copy on the strength of this
         rng = np.random.default_rng(47)
-        for n in range(10):
+        for n in range(CLOSED_FORM_MAX_N + 2):
             pts = 10 ** rng.uniform(-3, 3, 12) * np.exp(1j * rng.uniform(-1.5, 1.5, 12))
+            if n > CLOSED_FORM_MAX_N:
+                with pytest.raises(ValueError, match="n <= 16"):
+                    gram_matrix(n, pts)
+                continue
             G = gram_matrix(n, pts)
             for i in range(len(pts)):
                 for j in range(len(pts)):
@@ -563,6 +609,37 @@ class TestGram:
                 gram_matrix(1, [1e-310, 1.0])
             with pytest.raises(ValueError, match=r"^kernel value at point \(1e-320\+0j\) overflows$"):
                 gram_matrix(3, [1.0, 2.0 + 1.0j, 1e-320])
+
+
+class TestOneRoute:
+    """The closed form is the only production route through n = 16, and every
+    entry point that would take it refuses a higher order."""
+
+    @pytest.mark.parametrize("call", [
+        lambda n: gram_matrix(n, [1.0, 2.0 + 1.0j]),
+        lambda n: kernel_diag(n, 1.0),
+        lambda n: kernel_diag(n, np.array([1.0, 2.0 + 1.0j])),
+        lambda n: kernel_norm(n, 2.0 + 1.0j),
+    ], ids=("gram", "diag", "diag_array", "norm"))
+    def test_orders_past_the_cap_are_refused(self, call):
+        call(CLOSED_FORM_MAX_N)
+        with pytest.raises(ValueError, match=r"^the closed form covers n <= 16, got n = 17; "):
+            call(CLOSED_FORM_MAX_N + 1)
+
+    def test_no_quadrature_below_the_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_interval called")
+
+        monkeypatch.setattr(hsob.kernel, "integrate_interval", refuse)
+        monkeypatch.setattr(hsob.quadrature, "integrate_interval", refuse)
+        pts = [1.0, 0.7 + 0.5j, 2e-4 - 1e-4j, 3e3 + 4e3j, 0.35 - 0.2j]
+        for n in range(9, CLOSED_FORM_MAX_N + 1):
+            assert np.isfinite(gram_matrix(n, pts)).all()
+            assert np.isfinite(kernel_diag(n, np.array(pts))).all()
+            assert math.isfinite(kernel_norm(n, 0.7 + 0.5j))
+            assert math.isfinite(jury_min_m(parse("2*z+1"), n, pts[:3]))
+        with pytest.raises(AssertionError, match="integrate_interval called"):
+            kernel_eval_quadrature(9, 1.0, 1.0)
 
 
 class TestReproduce:

@@ -509,6 +509,18 @@ class TestJury:
         with pytest.raises(ValueError, match="^the kernel inequality needs at least one point$"):
             bound(parse("2*z+1"))
 
+    @pytest.mark.parametrize("bound", [
+        lambda e, n, pts: jury_min_eig(e, n, 1.0, pts),
+        jury_min_m,
+        caughran_lower_bound,
+    ], ids=("jury_min_eig", "jury_min_m", "caughran_lower_bound"))
+    def test_order_past_the_closed_form_refused(self, bound):
+        # the kernel's cap, as gram_matrix words it; n = 16 is served
+        e, pts = parse("2*z+1"), [1.0, 2.0 + 1.0j]
+        assert math.isfinite(bound(e, 16, pts))
+        with pytest.raises(ValueError, match=r"^the closed form covers n <= 16, got n = 17; "):
+            bound(e, 17, pts)
+
 
 class TestClassify:
     @pytest.mark.parametrize("grid", [GridSpec(num_r=0), GridSpec(num_theta=0)])
