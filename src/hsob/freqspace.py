@@ -87,9 +87,9 @@ def hn_norm(F: RationalComb, n: int, cfg: QuadConfig = DEFAULT_CONFIG) -> HnNorm
 
     def boundary_integrand(t):
         t = np.asarray(t, dtype=float)
-        up = np.asarray(Fn(1j * t), dtype=complex)
-        down = np.asarray(Fn(-1j * t), dtype=complex)
-        return t ** (2 * n) * (np.abs(up) ** 2 + np.abs(down) ** 2)
+        # both half-axes in one evaluation
+        both = np.abs(np.asarray(Fn(np.concatenate((1j * t, -1j * t))), dtype=complex)) ** 2
+        return t ** (2 * n) * (both[:t.size] + both[t.size:])
 
     bval = integrate_halfline(boundary_integrand, pole_scale, cfg).value
     boundary = float(np.sqrt(max(bval.real, 0.0) / (2.0 * np.pi)))

@@ -14,6 +14,11 @@ route:
 * the angular factor I(theta) in closed form, against the quadrature engine;
 * the kernel's closed form with one ``Q_m`` sum per argument order, against
   the production form that takes both orders in one array pass, bit for bit;
+* ``ExpPoly`` and ``RationalComb`` evaluated term by term, with every power
+  and exponential recomputed, against the production evaluation that takes
+  each distinct power and decay rate once, bit for bit;
+* the disc norm with one integrand call per circle, against
+  ``disc_h2_norm``'s one call on all three circles, bit for bit;
 * the Laguerre polynomials (Rodrigues' formula, against ``ExpPoly``
   differentiation) and the Legendre polynomials (whose zeros are the nodes of
   the quadrature engine's Gauss-Legendre rules).
@@ -37,6 +42,7 @@ from hsob import (
     norm_n,
     w_minus_exp,
 )
+from hsob.cayley import DISC_NODES, DISC_OFFSET
 from hsob.kernel import _modulus, _q_sum
 from hsob.quadrature import DEFAULT_CONFIG
 from hsob.specfun import cn_coefficient
@@ -269,3 +275,40 @@ def closed_form_two_calls(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     scale = np.maximum(mz, mv)
     a, b = z / scale, v / scale
     return (_q_sum(n, a, b, mv <= 0.5 * mz) + _q_sum(n, b, a, mz <= 0.5 * mv)) / scale
+
+
+# ---------------------------------------------------------------------------
+# Evaluation term by term
+
+
+def exppoly_per_term(f: ExpPoly, t):
+    """f(t) with t^k and exp(-lam t) recomputed for every term, summed in term
+    order as ``ExpPoly.__call__`` sums them."""
+    t = np.asarray(t, dtype=float) if not np.isscalar(t) else t
+    total = 0j if np.isscalar(t) else np.zeros(np.shape(t), dtype=complex)
+    for a, k, lam in f.terms:
+        total = total + a * t**k * np.exp(-lam * t)
+    return total
+
+
+def rational_per_term(F: RationalComb, z):
+    """F(z) with z + lam recomputed for every term, summed in term order."""
+    if np.isscalar(z):
+        return sum((a * factorial(k) / (z + lam) ** (k + 1) for a, k, lam in F.terms), 0j)
+    z = np.asarray(z, dtype=complex)
+    total = np.zeros(z.shape, dtype=complex)
+    for a, k, lam in F.terms:
+        total += a * factorial(k) / (z + lam) ** (k + 1)
+    return total
+
+
+def disc_norm_per_circle(g, nodes: int = DISC_NODES) -> float:
+    """``disc_h2_norm`` with one call of ``g`` per circle."""
+    unit = np.exp(1j * (2.0 * np.pi * np.arange(nodes) / nodes))
+
+    def mean_square(r: float) -> float:
+        return float(np.mean(np.abs(np.asarray(g(r * unit), dtype=complex)) ** 2))
+
+    s = DISC_OFFSET
+    v1, v2, v4 = mean_square(1.0 - s), mean_square(1.0 - 2 * s), mean_square(1.0 - 4 * s)
+    return float(np.sqrt(max((8.0 * v1 - 6.0 * v2 + v4) / 3.0, 0.0)))

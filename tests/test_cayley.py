@@ -1,5 +1,6 @@
 """Disc transfer: the conformal map, circle norms, the order-1 norm equality."""
 
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,22 @@ from hsob import (
     sample_exppoly,
     verify,
 )
+from hsob.cayley import DISC_NODES, MIN_DISC_NODES, _sized_nodes
+from oracles import disc_norm_per_circle
+
+# the package exports a function named cayley, which shadows the module
+cayley_module = importlib.import_module("hsob.cayley")
+
+
+def _weighted_derivative(F):
+    FD = DiscFunction(F)
+    return lambda lam: (1.0 + lam) * FD.derivative(lam)
+
+
+def _verify_draws(seed, count):
+    """``count`` rational images of verify cayley's sample distribution."""
+    rng = np.random.default_rng(seed)
+    return [laplace(sample_exppoly(rng, max_terms=3, max_power=2, level=1)) for _ in range(count)]
 
 
 class TestCayleyMap:
@@ -50,6 +67,62 @@ class TestDiscNorm:
     @pytest.mark.parametrize("k", (1, 3, 8))
     def test_monomials_orthonormal(self, k):
         assert abs(disc_h2_norm(lambda lam: lam**k) - 1.0) < 1e-9
+
+
+class TestSizedRule:
+    """The circle rule sized from the poles against the DISC_NODES rule."""
+
+    def test_verify_draws_match_the_full_rule(self):
+        worst, sizes = 0.0, set()
+        for F in _verify_draws(17, 1000):
+            rhs = norm_equality_check(F)[1]
+            full = disc_h2_norm(_weighted_derivative(F), DISC_NODES)
+            worst = max(worst, abs(rhs - full) / full)
+            sizes.add(_sized_nodes(F, 1))
+        assert worst <= 1e-14
+        assert min(sizes) == MIN_DISC_NODES and max(sizes) < DISC_NODES
+
+    def test_pole_near_the_circle_takes_the_cap_bit_for_bit(self):
+        F = laplace(ExpPoly(((0.8 - 0.3j, 2, 0.01 + 0.7j), (0.5, 0, 1.3 - 0.4j))))
+        assert _sized_nodes(F, 1) == DISC_NODES
+        assert norm_equality_check(F)[1] == disc_norm_per_circle(_weighted_derivative(F))
+
+    def test_single_call_matches_per_circle_calls(self):
+        for F in _verify_draws(18, 20):
+            g = _weighted_derivative(F)
+            for nodes in (MIN_DISC_NODES, 256, DISC_NODES):
+                assert disc_h2_norm(g, nodes) == disc_norm_per_circle(g, nodes)
+
+    def test_pole_free_pullback_takes_the_floor(self, monkeypatch):
+        # F = 1/(z+1) pulls back to the polynomial (1-lam)/2
+        F = laplace(ExpPoly.exponential(1.0))
+        assert _sized_nodes(F, 1) == MIN_DISC_NODES
+        seen = []
+        original = cayley_module.disc_h2_norm
+
+        def spy(g, nodes=DISC_NODES):
+            seen.append(nodes)
+            return original(g, nodes)
+
+        # norm_equality_check calls disc_h2_norm through the module, as a tracer sees it
+        monkeypatch.setattr(cayley_module, "disc_h2_norm", spy)
+        norm_equality_check(F)
+        disc_membership_report(F)
+        assert seen == [MIN_DISC_NODES] * 4
+
+    def test_membership_norms_match_the_full_rule(self):
+        for F in _verify_draws(19, 60):
+            FD = DiscFunction(F)
+            full = {
+                "quotient": disc_h2_norm(lambda lam: FD(lam) / (1.0 - lam)),
+                "weighted_derivative": disc_h2_norm(_weighted_derivative(F)),
+                "weighted_second_derivative": disc_h2_norm(
+                    lambda lam: (1.0 + lam) ** 2 * (1.0 - lam) * FD.second_derivative(lam)),
+            }
+            report = disc_membership_report(F)
+            assert report.keys() == full.keys()
+            for key, value in full.items():
+                assert abs(report[key] - value) <= 1e-14 * value, key
 
 
 class TestNormEquality:
