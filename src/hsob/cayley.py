@@ -89,7 +89,12 @@ def _gamma(lam):
     return (1.0 + lam) / (1.0 - lam)
 
 
-@lru_cache(maxsize=None)
+#: node counts whose circles stay cached: the seven powers of two from
+#: MIN_DISC_NODES to DISC_NODES that a sized rule takes, and one more
+CIRCLE_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=CIRCLE_CACHE_SIZE)
 def _circle_points(nodes: int) -> np.ndarray:
     """The ``nodes`` trapezoid nodes on each of the three circles, one after
     another, built once per count.
@@ -133,6 +138,8 @@ def disc_h2_norm(g, nodes: int = DISC_NODES) -> float:
     :func:`disc_membership_report` size ``nodes`` from the poles so that this
     is below 2^-53.  An opaque callable gets DISC_NODES.
     """
+    if nodes < 1:
+        raise ValueError("a circle rule needs at least one node")
     points = _circle_points(nodes)
     squares = np.abs(np.asarray(g(points), dtype=complex)) ** 2
     v1, v2, v4 = (float(np.mean(squares[i * nodes:(i + 1) * nodes])) for i in range(3))

@@ -115,14 +115,8 @@ class ExpPoly:
     def __call__(self, t):
         t = np.asarray(t, dtype=float) if not np.isscalar(t) else t
         total = 0j if np.isscalar(t) else np.zeros(np.shape(t), dtype=complex)
-        # each distinct power and decay rate once; the sum keeps the term order
-        powers, decays = {}, {}
         for a, k, lam in self.terms:
-            if k not in powers:
-                powers[k] = t**k
-            if lam not in decays:
-                decays[lam] = np.exp(-lam * t)
-            total = total + a * powers[k] * decays[lam]
+            total = total + a * t**k * np.exp(-lam * t)
         return total
 
     def integral(self) -> complex:
@@ -180,16 +174,11 @@ class RationalComb:
 
     def __call__(self, z):
         if np.isscalar(z):
-            total = 0j
-        else:
-            z = np.asarray(z, dtype=complex)
-            total = np.zeros(z.shape, dtype=complex)
-        # z + lam once per distinct decay rate; the sum keeps the term order
-        shifted = {}
+            return sum((a * factorial(k) / (z + lam) ** (k + 1) for a, k, lam in self.terms), 0j)
+        z = np.asarray(z, dtype=complex)
+        total = np.zeros(z.shape, dtype=complex)
         for a, k, lam in self.terms:
-            if lam not in shifted:
-                shifted[lam] = z + lam
-            total = total + a * factorial(k) / shifted[lam] ** (k + 1)
+            total += a * factorial(k) / (z + lam) ** (k + 1)
         return total
 
     def inverse_laplace(self) -> ExpPoly:

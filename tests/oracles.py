@@ -14,9 +14,6 @@ route:
 * the angular factor I(theta) in closed form, against the quadrature engine;
 * the kernel's closed form with one ``Q_m`` sum per argument order, against
   the production form that takes both orders in one array pass, bit for bit;
-* ``ExpPoly`` and ``RationalComb`` evaluated term by term, with every power
-  and exponential recomputed, against the production evaluation that takes
-  each distinct power and decay rate once, bit for bit;
 * the disc norm with one integrand call per circle, against
   ``disc_h2_norm``'s one call on all three circles, bit for bit;
 * the Laguerre polynomials (Rodrigues' formula, against ``ExpPoly``
@@ -278,28 +275,7 @@ def closed_form_two_calls(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation term by term
-
-
-def exppoly_per_term(f: ExpPoly, t):
-    """f(t) with t^k and exp(-lam t) recomputed for every term, summed in term
-    order as ``ExpPoly.__call__`` sums them."""
-    t = np.asarray(t, dtype=float) if not np.isscalar(t) else t
-    total = 0j if np.isscalar(t) else np.zeros(np.shape(t), dtype=complex)
-    for a, k, lam in f.terms:
-        total = total + a * t**k * np.exp(-lam * t)
-    return total
-
-
-def rational_per_term(F: RationalComb, z):
-    """F(z) with z + lam recomputed for every term, summed in term order."""
-    if np.isscalar(z):
-        return sum((a * factorial(k) / (z + lam) ** (k + 1) for a, k, lam in F.terms), 0j)
-    z = np.asarray(z, dtype=complex)
-    total = np.zeros(z.shape, dtype=complex)
-    for a, k, lam in F.terms:
-        total += a * factorial(k) / (z + lam) ** (k + 1)
-    return total
+# Disc norm circle by circle
 
 
 def disc_norm_per_circle(g, nodes: int = DISC_NODES) -> float:

@@ -19,7 +19,7 @@ from hsob import (
     sample_exppoly,
     verify,
 )
-from hsob.cayley import DISC_NODES, MIN_DISC_NODES, _sized_nodes
+from hsob.cayley import CIRCLE_CACHE_SIZE, DISC_NODES, MIN_DISC_NODES, _sized_nodes
 from oracles import disc_norm_per_circle
 
 # the package exports a function named cayley, which shadows the module
@@ -67,6 +67,20 @@ class TestDiscNorm:
     @pytest.mark.parametrize("k", (1, 3, 8))
     def test_monomials_orthonormal(self, k):
         assert abs(disc_h2_norm(lambda lam: lam**k) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("nodes", (0, -64))
+    def test_rejects_empty_rule(self, nodes):
+        with pytest.raises(ValueError, match="at least one node"):
+            disc_h2_norm(lambda lam: 1.0 + lam, nodes)
+
+    def test_circle_cache_is_bounded(self):
+        # a caller passing many counts keeps at most CIRCLE_CACHE_SIZE circles
+        for nodes in range(3, 40):
+            disc_h2_norm(lambda lam: 1.0 + lam, nodes)
+        info = cayley_module._circle_points.cache_info()
+        assert info.maxsize == CIRCLE_CACHE_SIZE and info.currsize <= CIRCLE_CACHE_SIZE
+        # the sized rule's seven counts fit
+        assert DISC_NODES == MIN_DISC_NODES * 2 ** (CIRCLE_CACHE_SIZE - 2)
 
 
 class TestSizedRule:

@@ -16,7 +16,6 @@ from hsob import (
     sample_exppoly,
     verify,
 )
-from oracles import exppoly_per_term, rational_per_term
 
 
 class TestAlgebra:
@@ -52,47 +51,6 @@ class TestAlgebra:
     def test_triple_serialisation_round_trip(self):
         f = ExpPoly(((1.5 - 0.5j, 2, 1.0 + 0.25j), (2.0, 0, 0.75)))
         assert ExpPoly.from_triples(f.to_triples()) == f
-
-
-def _bits(value) -> bytes:
-    return np.asarray(value, dtype=complex).tobytes()
-
-
-class TestEvaluationOracle:
-    """Each distinct power and decay rate once gives the term-by-term sum bit
-    for bit: the derivatives, powers and products repeat decay rates."""
-
-    @staticmethod
-    def _family(rng):
-        f = sample_exppoly(rng, max_terms=4, max_power=3)
-        g = sample_exppoly(rng, max_terms=2, max_power=1)
-        return (f, f.derivative(int(rng.integers(1, 4))), f.times_power(2),
-                f.times_power(1).derivative(2), f * g, f * f.conjugate())
-
-    def test_exppoly_matches_term_by_term(self):
-        rng = np.random.default_rng(41)
-        repeated = 0
-        for _ in range(40):
-            ts = np.concatenate(([0.0], rng.uniform(0.0, 30.0, 17)))
-            for f in self._family(rng):
-                repeated += len({lam for _, _, lam in f.terms}) < len(f.terms)
-                assert _bits(f(ts)) == _bits(exppoly_per_term(f, ts))
-                assert _bits(f(ts.reshape(3, 6))) == _bits(exppoly_per_term(f, ts.reshape(3, 6)))
-                for t in (0.0, float(ts[1]), 7):
-                    assert _bits(f(t)) == _bits(exppoly_per_term(f, t))
-        assert repeated >= 60
-
-    def test_rational_matches_term_by_term(self):
-        rng = np.random.default_rng(42)
-        for _ in range(40):
-            zs = np.concatenate((1j * rng.uniform(-20.0, 20.0, 9),
-                                 rng.uniform(0.0, 5.0, 9) + 1j * rng.uniform(-5.0, 5.0, 9)))
-            for f in self._family(rng):
-                F = laplace(f)
-                for G in (F, F.derivative(int(rng.integers(1, 4)))):
-                    assert _bits(G(zs)) == _bits(rational_per_term(G, zs))
-                    for z in (complex(zs[0]), complex(zs[-1]), 2.5, 1):
-                        assert _bits(G(z)) == _bits(rational_per_term(G, z))
 
 
 class TestLaplace:
