@@ -34,10 +34,8 @@ from .freqspace import (
     laplace_derivative_identity_check,
 )
 from .kernel import (
-    KernelPoint,
     gram_matrix,
     kernel_diag,
-    kernel_eval,
     kernel_eval_closed,
     kernel_eval_quadrature,
     kernel_norm,
@@ -77,8 +75,7 @@ __all__ = [
     "ExpPoly", "RationalComb", "laplace", "inner_product_n", "norm_n", "sample_exppoly",
     "w_minus_exp", "hardy_constant", "exp_series_remainder",
     "HnNormReport", "hn_norm", "laplace_derivative_identity_check",
-    "KernelPoint", "kernel_eval", "kernel_eval_closed",
-    "kernel_eval_quadrature", "kernel_diag", "kernel_norm",
+    "kernel_eval_closed", "kernel_eval_quadrature", "kernel_diag", "kernel_norm",
     "norm_bounds", "gram_matrix", "min_eigenvalue", "reproduce_check",
     "cayley", "cayley_inverse", "DiscFunction", "disc_h2_norm",
     "norm_equality_check", "disc_membership_report",

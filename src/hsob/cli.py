@@ -7,7 +7,9 @@ Subcommands
 
 Each subcommand declares only the options it reads; any other option is a
 usage error.  The six verify suites share one option set (``--n --tol --seed
---samples --grid --config --out``) and print :func:`hsob.verify.run`'s report.
+--samples --grid --out``) and print :func:`hsob.verify.run`'s report.
+``kernel eval --method`` names the route, ``closed_form`` (the default) or
+``quadrature``, and calls that route's function directly.
 Arguments are validated here, once:
 ``--grid`` is ``r_min,r_max,num_r,theta_margin,num_theta`` with finite
 positive radii, counts >= 0 and ``0 < theta_margin < pi/2``.
@@ -20,10 +22,9 @@ residual exceeds its tolerance (or a numeric routine or a file fails, or a
 report field is not finite), 2 on usage errors.  Randomised suites take
 ``--seed`` (default 0) and are reproducible.
 
-A plain-text config file of ``key = value`` lines (``--config``) overrides
-the quadrature defaults for the verify suites and ``kernel eval``.  A reader
-that closes the pipe early (``| head``) ends the command with status 1 and
-nothing on stderr.
+No command takes a quadrature setting: every quadrature runs at the
+integrators' defaults.  A reader that closes the pipe early (``| head``) ends
+the command with status 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -42,8 +42,9 @@ import sys
 import numpy as np
 
 from . import __version__, verify
-from .kernel import KernelPoint, gram_matrix, kernel_eval, kernel_norm, min_eigenvalue, norm_bounds
-from .quadrature import QuadConfig, QuadratureError
+from .kernel import (gram_matrix, kernel_eval_closed, kernel_eval_quadrature, kernel_norm,
+                     min_eigenvalue, norm_bounds)
+from .quadrature import QuadratureError
 from .symbols import GridSpec, classify, jury_min_eig, parse as parse_symbol
 
 SCHEMA = 1
@@ -105,25 +106,6 @@ def _parse_grid(text: str) -> GridSpec:
                     num_r=num_r, theta_margin=margin, num_theta=num_theta)
 
 
-def _load_quad_config(path: str | None) -> QuadConfig:
-    if path is None:
-        return QuadConfig()
-    overrides = {}
-    defaults = {f.name: f.default for f in dataclasses.fields(QuadConfig)}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in defaults:
-                raise SystemExit(f"{path}:{lineno}: unknown quadrature option {key!r}")
-            overrides[key] = type(defaults[key])(value)
-    return QuadConfig(**overrides)
-
-
 def _emit(path: str | None, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -178,16 +160,19 @@ def _seeded_points(seed: int, count: int, re_min: float) -> list[complex]:
 # kernel subcommands
 
 
+#: ``kernel eval --method``: each route's function
+_KERNEL_ROUTES = {"closed_form": kernel_eval_closed, "quadrature": kernel_eval_quadrature}
+
+
 def _cmd_kernel_eval(args) -> int:
-    point = KernelPoint(args.n, args.z, args.w, args.method, _load_quad_config(args.config))
-    value = kernel_eval(point)
+    value = _KERNEL_ROUTES[args.method](args.n, args.z, args.w)
     _emit_json(args.out, {
         "n": args.n,
         "z": str(args.z),
         "w": str(args.w),
         "value_re": value.real,
         "value_im": value.imag,
-        "method": point.route,
+        "method": args.method,
     })
     return 0
 
@@ -230,10 +215,9 @@ def _cmd_kernel_gram(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    quad = _load_quad_config(args.config)
     try:
         report = verify.run(args.suite, args.n, seed=args.seed, samples=args.samples,
-                            grid=args.grid, tol=args.tol, cfg=quad)
+                            grid=args.grid, tol=args.tol)
     except QuadratureError as exc:
         _emit_json(args.out, {"suite": args.suite, "error": f"quadrature failure: {exc}"})
         return 1
@@ -304,7 +288,6 @@ _OPTIONS = {
     "--samples": {"type": _int_at_least(0), "default": 20, "help": "sample count for suites"},
     "--grid": {"type": _parse_grid, "default": verify.SWEEP_GRID,
                "help": "log-polar grid: r_min,r_max,num_r,theta_margin,num_theta"},
-    "--config": {"help": "quadrature config file of 'key = value' lines"},
     "--out": {"help": "write the report to a file"},
 }
 
@@ -326,10 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     ksub = kernel.add_subparsers(dest="subcommand", required=True)
 
     p = ksub.add_parser("eval", help="evaluate K_n(z, w)")
-    _add_options(p, "--n", "--config", "--out")
+    _add_options(p, "--n", "--out")
     p.add_argument("--z", type=_parse_complex, required=True)
     p.add_argument("--w", type=_parse_complex, required=True)
-    p.add_argument("--method", choices=("auto", "closed_form", "quadrature"), default="auto")
+    p.add_argument("--method", choices=tuple(_KERNEL_ROUTES), default="closed_form")
     p.set_defaults(func=_cmd_kernel_eval)
 
     p = ksub.add_parser("norm", help="kernel norm and bounds at a point")
@@ -354,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify_cmd.add_subparsers(dest="suite", required=True)
     for name, (suite, *_) in verify.SUITES.items():
         p = vsub.add_parser(name, help=suite.__doc__)
-        _add_options(p, "--n", "--tol", "--seed", "--samples", "--grid", "--config", "--out")
+        _add_options(p, "--n", "--tol", "--seed", "--samples", "--grid", "--out")
         p.set_defaults(func=_cmd_verify, n=0)
 
     symbol = top.add_parser("symbol", help="composition-operator symbol analysis")

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expfamily import ExpPoly, RationalComb, inner_product_n, laplace
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_halfline
+from .kernel import _require_halfplane
+from .quadrature import integrate_halfline
 from .specfun import cn_coefficient
 
 __all__ = [
@@ -68,7 +69,7 @@ class HnNormReport:
         }
 
 
-def hn_norm(F: RationalComb, n: int, cfg: QuadConfig = DEFAULT_CONFIG) -> HnNormReport:
+def hn_norm(F: RationalComb, n: int) -> HnNormReport:
     """Order-n norm of a rational combination by all three routes.
 
     Exact derivatives are available in closed form on both sides of the
@@ -91,7 +92,7 @@ def hn_norm(F: RationalComb, n: int, cfg: QuadConfig = DEFAULT_CONFIG) -> HnNorm
         both = np.abs(np.asarray(Fn(np.concatenate((1j * t, -1j * t))), dtype=complex)) ** 2
         return t ** (2 * n) * (both[:t.size] + both[t.size:])
 
-    bval = integrate_halfline(boundary_integrand, pole_scale, cfg).value
+    bval = integrate_halfline(boundary_integrand, pole_scale).value
     boundary = float(np.sqrt(max(bval.real, 0.0) / (2.0 * np.pi)))
 
     fn = f.derivative(n)
@@ -100,7 +101,7 @@ def hn_norm(F: RationalComb, n: int, cfg: QuadConfig = DEFAULT_CONFIG) -> HnNorm
         t = np.asarray(t, dtype=float)
         return t ** (2 * n) * np.abs(np.asarray(fn(t), dtype=complex)) ** 2
 
-    tval = integrate_halfline(time_integrand, 0.5 * f.decay_scale(), cfg).value
+    tval = integrate_halfline(time_integrand, 0.5 * f.decay_scale()).value
     time = float(np.sqrt(max(tval.real, 0.0)))
 
     return HnNormReport(n, exact, boundary, time)
@@ -119,8 +120,7 @@ def laplace_derivative_identity_check(f: ExpPoly, n: int, k: int, z: complex) ->
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    if not complex(z).real > 0:
-        raise ValueError("z must lie in the right half-plane")
+    z = _require_halfplane(z, "z")
     F = laplace(f)
 
     lhs_fwd = (-1) ** k * z**k * F.derivative(k)(z)

@@ -25,9 +25,10 @@ integrating term by term, which collapses to
   unit scale, so it holds at every ratio |z|/|w| down to subnormal ones and on
   the diagonal; a scalar call is a one-element batch.
 
-Adaptive 1-D quadrature of the split integral is its independent check, and
-the route when ``quadrature`` is asked for; it alone takes orders past 16.
-Every other entry point refuses them.
+Adaptive 1-D quadrature of the split integral, :func:`kernel_eval_quadrature`,
+is its independent check; it alone takes orders past 16, and every other
+entry point refuses them.  A caller picks a route by calling its function,
+and the quadrature runs at the integrators' default tolerances.
 
 The diagonal K_n(z, z) is real and nonsingular, and |z| K_n(z, z) depends on
 arg z alone.  Principal logarithms are safe throughout: z, conj(w) and their
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gamma, pi, sqrt
@@ -47,12 +47,10 @@ from math import comb, factorial, gamma, pi, sqrt
 import numpy as np
 
 from .expfamily import ExpPoly, laplace
-from .quadrature import DEFAULT_CONFIG, QuadConfig, integrate_halfline, integrate_interval
+from .quadrature import integrate_halfline, integrate_interval
 from .timespace import exp_series_remainder
 
 __all__ = [
-    "KernelPoint",
-    "kernel_eval",
     "kernel_eval_closed",
     "kernel_eval_quadrature",
     "kernel_diag",
@@ -87,30 +85,6 @@ def _check_order(n: int, closed: bool = True) -> None:
     if closed and n > CLOSED_FORM_MAX_N:
         raise ValueError(f"the closed form covers n <= {CLOSED_FORM_MAX_N}, got n = {n}; "
                          "only the quadrature route takes higher orders")
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """A kernel evaluation request: order, arguments, method and tolerances."""
-
-    n: int
-    z: complex
-    w: complex
-    method: str = "auto"
-    cfg: QuadConfig = field(default_factory=QuadConfig)
-
-    def __post_init__(self):
-        if self.method not in ("auto", "quadrature", "closed_form"):
-            raise ValueError("method must be auto, quadrature or closed_form")
-        _check_order(self.n, closed=self.method != "quadrature")
-        _require_halfplane(self.z, "z")
-        _require_halfplane(self.w, "w")
-
-    @property
-    def route(self) -> str:
-        """The method an evaluation takes: ``quadrature`` when asked for, else
-        ``closed_form`` (construction refuses an order past its cap)."""
-        return "quadrature" if self.method == "quadrature" else "closed_form"
 
 
 def _modulus(z):
@@ -218,14 +192,15 @@ def _p_eval(n: int, u: np.ndarray) -> np.ndarray:
     return p
 
 
-def kernel_eval_quadrature(n: int, z: complex, w: complex, cfg: QuadConfig = DEFAULT_CONFIG) -> complex:
-    """K_n(z, w) by adaptive quadrature of the Duffy-split 1-D integral.
+def kernel_eval_quadrature(n: int, z: complex, w: complex) -> complex:
+    """K_n(z, w) by adaptive quadrature of the Duffy-split 1-D integral, any n >= 0.
 
     The integral runs at max(|z|, |w|) = 1 through K_n(cz, cw) = K_n(z, w)/c,
-    so ``cfg.abs_tol`` stays small against the value whatever the size of
-    the arguments.  There the integrand reaches max(|z|, |w|)/min(|z|, |w|),
-    so a ratio at which that overflows is refused.
+    so the absolute tolerance stays small against the value whatever the
+    size of the arguments.  There the integrand reaches
+    max(|z|, |w|)/min(|z|, |w|), so a ratio at which that overflows is refused.
     """
+    _check_order(n, closed=False)
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
     if n == 0:
@@ -243,15 +218,8 @@ def kernel_eval_quadrature(n: int, z: complex, w: complex, cfg: QuadConfig = DEF
         u = np.asarray(u, dtype=float)
         return _p_eval(n, u) * (1.0 / (a + u * b) + 1.0 / (b + u * a))
 
-    value = integrate_interval(integrand, 0.0, 1.0, cfg).value
+    value = integrate_interval(integrand, 0.0, 1.0).value
     return complex(value / (factorial(n - 1) ** 2 * scale))
-
-
-def kernel_eval(p: KernelPoint) -> complex:
-    """Evaluate a :class:`KernelPoint` by the method :attr:`KernelPoint.route` names."""
-    if p.route == "closed_form":
-        return kernel_eval_closed(p.n, p.z, p.w)
-    return kernel_eval_quadrature(p.n, p.z, p.w, p.cfg)
 
 
 def kernel_diag(n: int, z, theta_margin: float = DEFAULT_THETA_MARGIN):
@@ -291,7 +259,7 @@ def norm_bounds(n: int, z: complex) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError("the bounds hold for n >= 1")
-    z = complex(z)
+    z = _require_halfplane(z, "z")
     root = np.sqrt(abs(z))
     lower = 1.0 / (gamma(n) * np.sqrt(2 * n - 1)) / root
     upper = np.sqrt(pi) / (gamma(n) * np.sqrt(n)) / root
@@ -309,8 +277,8 @@ class _KernelOverflow(ValueError):
 def gram_matrix(n: int, points) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = K_n(z_i, z_j) over points of C+, n <= 16.
 
-    Each lower-triangle entry is :func:`kernel_eval` bit for bit: all of them
-    come from one closed-form array call.
+    Each lower-triangle entry is :func:`kernel_eval_closed` bit for bit: all
+    of them come from one closed-form array call.
     Each entry above the diagonal is exactly the conjugate of its mirror
     entry, and the diagonal is real, so ``G == G.conj().T`` holds bit for bit.
     A point next to 0, where K_n(z, z) passes the largest double, raises a
@@ -335,7 +303,7 @@ def min_eigenvalue(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(H)[0])
 
 
-def reproduce_check(n: int, f: ExpPoly, w: complex, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def reproduce_check(n: int, f: ExpPoly, w: complex) -> float:
     """Residual of the reproducing identity at w for the transform of f.
 
     Compares (Lf)(w) with the weighted time-side pairing of f against the
@@ -356,5 +324,5 @@ def reproduce_check(n: int, f: ExpPoly, w: complex, cfg: QuadConfig = DEFAULT_CO
         # conj(t^n g_{conj(w),n}^(n)(t)) = (-1)^n E_n(t w)
         return t**n * np.asarray(fn(t), dtype=complex) * sign * exp_series_remainder(n, w * t)
 
-    inner = integrate_halfline(integrand, 0.5 * f.decay_scale(), cfg).value
+    inner = integrate_halfline(integrand, 0.5 * f.decay_scale()).value
     return float(abs(target - inner))

@@ -1,6 +1,7 @@
 """Adaptive quadrature for finite intervals and half-lines.
 
-Two integrators share one configuration object:
+Two integrators share one configuration object, :class:`QuadConfig`, which
+only they take; every caller above this layer runs at ``DEFAULT_CONFIG``:
 
 * ``integrate_interval`` -- globally adaptive Gauss-Legendre on a finite interval,
 * ``integrate_halfline`` -- decaying integrands on (0, inf), tail mapped to (0, 1).
@@ -17,6 +18,8 @@ lockstep with one call per step for both; each piece keeps its own cells,
 totals and stopping test.  An integrand whose value at a node does not depend
 on the other nodes of the call gets, cell for cell, the values, error
 estimates and bisection counts of one call per cell and one piece at a time.
+An integrand maps an array of nodes to an array of values of the same shape;
+one that does not is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -102,48 +105,24 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _eval_nodes(f, xs: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array of nodes, falling back to a scalar loop."""
-    try:
-        ys = np.asarray(f(xs), dtype=complex)
-        if ys.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        ys = np.array([f(float(x)) for x in xs], dtype=complex)
-    return ys
-
-
-def _pulled_back(f, T: float):
-    """The tail of ``f`` beyond T as an integrand on (0, 1), through t = T + u/(1-u)."""
-
-    def tail(u):
-        u = np.asarray(u, dtype=float)
-        return np.asarray(f(T + u / (1.0 - u)), dtype=complex) / (1.0 - u) ** 2
-
-    return tail
-
-
 def _step_values(f, tails: list, xs: list) -> list:
     """Each piece's integrand at its nodes ``xs[i]``, from one call of ``f``.
 
     ``tails[i]`` is None for a piece that integrates ``f`` itself and T for
-    one that integrates ``_pulled_back(f, T)``; the tail's nodes are mapped
-    and its values divided by (1-u)^2 exactly as that integrand does, so each
-    node gets the value a call of its own piece would give it.  An ``f`` that
-    takes no array is evaluated piece by piece through :func:`_eval_nodes`.
+    the tail of ``f`` beyond T pulled back to (0, 1) through t = T + u/(1-u):
+    its nodes are mapped and its values divided by (1-u)^2.  ``f`` must map
+    an array of nodes to an array of the same shape; an ``f`` that does not
+    is a ``TypeError``, and an exception of ``f``'s own propagates.
 
     Overflow is deliberately silent here: the caller turns a non-finite value
     into a :class:`QuadratureError`, which is how divergent tails surface.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         flat = np.concatenate([x if T is None else T + x / (1.0 - x) for x, T in zip(xs, tails)])
-        try:
-            ys = np.asarray(f(flat), dtype=complex)
-            if ys.shape != flat.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            return [_eval_nodes(f if T is None else _pulled_back(f, T), x)
-                    for x, T in zip(xs, tails)]
+        ys = np.asarray(f(flat), dtype=complex)
+        if ys.shape != flat.shape:
+            raise TypeError(f"the integrand must map an array of nodes to an array of the "
+                            f"same shape: got shape {ys.shape} for nodes of shape {flat.shape}")
         values, start = [], 0
         for x, T in zip(xs, tails):
             y = ys[start:start + len(x)]

@@ -1,9 +1,11 @@
 """The verification suites: one seeded driver per identity of the paper.
 
 :func:`run` draws a suite's samples from ``seed`` and returns its report, which
-``hsob verify <suite>`` prints as JSON.  Layer functions are called through
-their modules (``freqspace.hn_norm``, not a ``from .freqspace import`` binding),
-so a caller that replaces a module attribute, as a tracer does, sees every call.
+``hsob verify <suite>`` prints as JSON.  No suite takes a quadrature setting:
+each identity is checked at the integrators' one default tolerance.  Layer
+functions are called through their modules (``freqspace.hn_norm``, not a
+``from .freqspace import`` binding), so a caller that replaces a module
+attribute, as a tracer does, sees every call.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 import numpy as np
 
 from . import expfamily, freqspace, kernel, timespace
-from .quadrature import DEFAULT_CONFIG, QuadConfig
 from .symbols import GridSpec
 
 # the package exports a function named cayley, which shadows the module
@@ -43,7 +44,7 @@ def grid_rows(n: int, grid: GridSpec):
 
 
 # ---------------------------------------------------------------------------
-# suites: each takes (n, seed, samples, grid, quad) and yields (residual, case)
+# suites: each takes (n, seed, samples, grid) and yields (residual, case)
 
 
 def _samples(seed: int, count: int, level: int) -> list[expfamily.ExpPoly]:
@@ -55,15 +56,15 @@ def _samples(seed: int, count: int, level: int) -> list[expfamily.ExpPoly]:
     return samples[:count]
 
 
-def _paley_wiener(n, seed, samples, grid, quad):
+def _paley_wiener(n, seed, samples, grid):
     """time norm vs boundary norm on random samples"""
     for i, f in enumerate(_samples(seed, samples, n)):
-        report = freqspace.hn_norm(expfamily.laplace(f), n, quad)
+        report = freqspace.hn_norm(expfamily.laplace(f), n)
         res = report.paley_wiener_residual
         yield res, {"sample": i, "terms": f.to_triples(), "residual": res, **report.to_dict()}
 
 
-def _inner_product(n, seed, samples, grid, quad):
+def _inner_product(n, seed, samples, grid):
     """weighted inner product vs derivative form, exact algebra"""
     fs = _samples(seed, samples, n)
     for i, f in enumerate(fs):
@@ -76,7 +77,7 @@ def _inner_product(n, seed, samples, grid, quad):
                     "lhs_re": lhs.real, "lhs_im": lhs.imag}
 
 
-def _bounds(n, seed, samples, grid, quad):
+def _bounds(n, seed, samples, grid):
     """kernel-norm sandwich on a log-polar grid"""
     for z, t, diag, lo, hi in grid_rows(n, grid):
         nrm = math.sqrt(diag)
@@ -85,18 +86,18 @@ def _bounds(n, seed, samples, grid, quad):
                           "lower": lo, "upper": hi, "violation": violation}
 
 
-def _reproduce(n, seed, samples, grid, quad):
+def _reproduce(n, seed, samples, grid):
     """reproducing identity via time-side quadrature"""
     rng = np.random.default_rng(seed)
     for i in range(samples):
         f = expfamily.sample_exppoly(rng, level=n)
         w = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
-        res = kernel.reproduce_check(n, f, w, quad)
+        res = kernel.reproduce_check(n, f, w)
         scaled = res / (1.0 + abs(expfamily.laplace(f)(w)))
         yield scaled, {"sample": i, "terms": f.to_triples(), "w": str(w), "residual": scaled}
 
 
-def _cayley(n, seed, samples, grid, quad):
+def _cayley(n, seed, samples, grid):
     """disc-transfer norm equality"""
     rng = np.random.default_rng(seed)
     for i in range(samples):
@@ -105,7 +106,7 @@ def _cayley(n, seed, samples, grid, quad):
         yield res, {"sample": i, "lhs": lhs, "rhs": rhs, "residual": res}
 
 
-def _hardy_ineq(n, seed, samples, grid, quad):
+def _hardy_ineq(n, seed, samples, grid):
     """iterated-integral inequality on positive samples"""
     rng = np.random.default_rng(seed)
     for i in range(samples):
@@ -137,7 +138,7 @@ SUITES = {
 
 
 def run(suite: str, n: int = 0, *, seed: int = 0, samples: int = 20, grid: GridSpec = SWEEP_GRID,
-        tol: float | None = None, cfg: QuadConfig = DEFAULT_CONFIG) -> dict:
+        tol: float | None = None) -> dict:
     """Run one suite and return its report.
 
     The suite runs at order max(n, its least order), on ``samples`` samples
@@ -150,7 +151,7 @@ def run(suite: str, n: int = 0, *, seed: int = 0, samples: int = 20, grid: GridS
     tol = default_tol if tol is None else tol
     n = max(n, min_n)
     cases = []
-    for residual, case in check(n, seed, samples, grid, cfg):
+    for residual, case in check(n, seed, samples, grid):
         worst = max(worst, residual)
         cases.append(case)
     # a suite that checked nothing has shown nothing

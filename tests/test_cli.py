@@ -1,5 +1,7 @@
-"""Command-line interface: schemas, exit codes, determinism, config handling."""
+"""Command-line interface: schemas, exit codes, determinism, option tables."""
 
+import argparse
+import importlib
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hsob import cli, kernel, kernel_diag, verify
+from hsob import QuadratureError, cli, kernel, kernel_diag, verify
 from hsob.cli import main
 
 
@@ -51,10 +53,11 @@ class TestKernelCommands:
         assert payload["method"] == "closed_form"
         assert math.isfinite(payload["value_re"]) and payload["value_re"] > 0
 
-    @pytest.mark.parametrize("method", ("auto", "closed_form"))
+    @pytest.mark.parametrize("method", (pytest.param(None, id="default"), "closed_form"))
     def test_eval_past_the_cap_exits_one(self, capsys, method):
         # no silent fallback: only --method quadrature takes n = 17
-        code = main(["kernel", "eval", "--n", "17", "--z", "1", "--w", "1", "--method", method])
+        flags = () if method is None else ("--method", method)
+        code = main(["kernel", "eval", "--n", "17", "--z", "1", "--w", "1", *flags])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -222,6 +225,23 @@ class TestVerifyCommands:
         _, out = run_cli(capsys, "verify", suite, "--samples", "1", "--grid", "0.5,2,1,0.1,1")
         assert json.loads(out)["n"] == n
 
+    @pytest.mark.parametrize("suite, module", [("paley-wiener", "freqspace"),
+                                               ("reproduce", "kernel")])
+    def test_quadrature_failure_exits_one_with_report(self, capsys, monkeypatch, suite, module):
+        # a QuadratureError from a suite's half-line rule is a one-field
+        # report on stdout and status 1, with nothing on stderr
+        def failing(*args, **kwargs):
+            raise QuadratureError("interval rule did not converge")
+
+        monkeypatch.setattr(importlib.import_module(f"hsob.{module}"), "integrate_halfline", failing)
+        code = main(["verify", suite, "--n", "1", "--samples", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert strict_json(captured.out) == {
+            "schema": 1, "suite": suite,
+            "error": "quadrature failure: interval rule did not converge"}
+
     def test_inner_product_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "inner-product", "--n", "2", "--samples", "5")
         assert code == 0
@@ -375,6 +395,8 @@ class TestPlumbing:
         ("symbol", "jury", "--m", "nan", "--points", "1", "z"),
         ("symbol", "jury", "--m", "-1", "--points", "1", "z"),
         ("kernel", "sweep", "--n", "0"),
+        # the two routes are closed_form and quadrature
+        ("kernel", "eval", "--z", "1", "--w", "1", "--method", "auto"),
     ])
     def test_bad_arguments_exit_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -389,11 +411,13 @@ class TestPlumbing:
         ("symbol", "parse", "--n", "2", "z"),
         ("symbol", "classify", "--config", "q.cfg", "z"),
         ("symbol", "jury", "--m", "1", "--grid", "0.1,10,3,0.1,3", "z"),
-        # the kernel's closed form reads no quadrature setting
+        # no command reads a quadrature setting
         ("kernel", "norm", "--z", "1", "--config", "q.cfg"),
         ("kernel", "sweep", "--config", "q.cfg"),
         ("kernel", "gram", "--config", "q.cfg"),
         ("symbol", "jury", "--m", "1", "--config", "q.cfg", "z"),
+        ("kernel", "eval", "--z", "1", "--w", "1", "--config", "q.cfg"),
+        *(("verify", suite, "--config", "q.cfg") for suite in verify.SUITES),
     ])
     def test_unread_option_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -403,7 +427,7 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("argv", [
         ("kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--out", "{tmp}/missing/x.json"),
-        ("kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--config", "{tmp}/missing.cfg"),
+        ("kernel", "gram", "--n", "17", "--count", "2"),
         ("kernel", "eval", "--n", "200", "--z", "1", "--w", "1"),
     ])
     def test_failures_exit_one_without_traceback(self, tmp_path, capsys, argv):
@@ -473,35 +497,6 @@ class TestPlumbing:
         payload = json.loads(target.read_text())
         assert payload["schema"] == 1
 
-    def test_config_file_overrides(self, tmp_path, capsys):
-        cfg = tmp_path / "quad.cfg"
-        cfg.write_text("abs_tol = 1e-8\nnodes_per_cell = 9  # comment\n")
-        code, out = run_cli(capsys, "kernel", "eval", "--n", "1", "--z", "1", "--w", "1",
-                            "--config", str(cfg))
-        assert code == 0
-        assert abs(json.loads(out)["value_re"] - 2 * math.log(2)) < 1e-8
-
-    def test_config_file_rejects_unknown_key(self, tmp_path):
-        # the half-line split is a fixed constant: a large one converged falsely
-        cfg = tmp_path / "quad.cfg"
-        for line in ("warp_factor = 9\n", "grading_ratio = 0.5\n",
-                     "halfline_truncation = 30\n"):
-            cfg.write_text(line)
-            key = line.split()[0]
-            for argv in (["kernel", "eval", "--n", "1", "--z", "1", "--w", "1"],
-                         ["verify", "paley-wiener", "--n", "1", "--samples", "1"]):
-                with pytest.raises(SystemExit, match=f"unknown quadrature option '{key}'"):
-                    main([*argv, "--config", str(cfg)])
-
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_config_file_rejects_nonfinite_truncation(self, tmp_path, value):
-        # no longer a field: a non-finite split is refused by name before any quadrature
-        cfg = tmp_path / "quad.cfg"
-        cfg.write_text(f"halfline_truncation = {value}\n")
-        with pytest.raises(SystemExit, match="unknown quadrature option 'halfline_truncation'"):
-            main(["verify", "paley-wiener", "--n", "1", "--samples", "1",
-                  "--config", str(cfg)])
-
     def test_verify_reports_sample_terms(self, capsys):
         from hsob import ExpPoly
 
@@ -528,3 +523,36 @@ def test_readme_cli_commands_run(tmp_path, argv):
     target = tmp_path / "report"
     assert main([*argv, "--out", str(target)]) == 0
     assert target.read_text(encoding="utf-8")
+
+
+def readme_option_table():
+    """Subcommand -> set of options, from the table under README's ``## CLI``;
+    the ``verify <suite>`` row stands for every suite."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    table = {}
+    for line in section.splitlines():
+        row = re.fullmatch(r"\| `([a-z <>]+)` \| (.*) \|", line)
+        if row:
+            options = set(re.findall(r"`(--[a-z-]+)`", row.group(2)))
+            names = ([f"verify {suite}" for suite in verify.SUITES]
+                     if row.group(1) == "verify <suite>" else [row.group(1)])
+            table.update(dict.fromkeys(names, options))
+    return table
+
+
+def parser_options():
+    """Subcommand -> set of the options ``build_parser()`` declares for it."""
+    def choices(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    return {f"{group} {name}": {flag for a in sub._actions for flag in a.option_strings
+                                if flag.startswith("--") and flag != "--help"}
+            for group, parser in choices(cli.build_parser()).items()
+            for name, sub in choices(parser).items()}
+
+
+def test_readme_option_table_matches_parser():
+    # each row lists exactly the options that subcommand declares, and every
+    # subcommand has a row
+    assert readme_option_table() == parser_options()

@@ -87,6 +87,14 @@ class TestDerivativeIdentities:
         with pytest.raises(ValueError):
             laplace_derivative_identity_check(f, 1, 1, -1.0)
 
+    @pytest.mark.parametrize("z", [complex(1, math.nan), complex(math.nan, 1), complex(1, math.inf),
+                                   math.inf, 0.0, 1j])
+    def test_point_off_the_halfplane_is_refused(self, z):
+        # 1+nanj passes a bare Re z > 0 test and would return a nan residual
+        f = ExpPoly.exponential(1.0)
+        with pytest.raises(ValueError, match="z must"):
+            laplace_derivative_identity_check(f, 1, 1, z)
+
 
 class TestPaleyWiener:
     def test_anchor_cases(self):

@@ -10,12 +10,10 @@ import pytest
 import hsob
 from hsob import (
     ExpPoly,
-    KernelPoint,
     gram_matrix,
     integrate_interval,
     jury_min_m,
     kernel_diag,
-    kernel_eval,
     kernel_eval_closed,
     kernel_eval_quadrature,
     kernel_norm,
@@ -301,28 +299,16 @@ class TestQuadratureAgreement:
         _, c_small = offset(1e-300)
         assert abs(c_tiny - c_small) <= 1e-12 * abs(value)
 
-    def test_kernel_point_dispatch(self):
-        p = KernelPoint(1, 1.0, 1.0, "closed_form")
-        assert abs(kernel_eval(p) - 2 * LN2) < 1e-14
-        p = KernelPoint(1, 1.0, 1.0, "quadrature")
-        assert abs(kernel_eval(p) - 2 * LN2) < 1e-9
-        p = KernelPoint(17, 1.0, 1.0, "quadrature")  # past the closed form's cap
-        assert p.route == "quadrature"
-        assert kernel_eval(p) == kernel_eval_quadrature(17, 1.0, 1.0)
-        for method in ("auto", "closed_form"):
-            # refused once, at construction
-            with pytest.raises(ValueError, match=r"closed form covers n <= 16, got n = 17"):
-                KernelPoint(17, 1.0, 1.0, method)
-
-    def test_auto_route(self):
-        # auto takes the closed form at every order through the cap, at any
-        # ratio, and refuses an order past it rather than fall back
+    def test_route_functions(self):
+        # each route is its own function: the closed form through its cap, the
+        # quadrature at any order; no route falls back to the other
+        assert abs(kernel_eval_closed(1, 1.0, 1.0) - 2 * LN2) < 1e-14
+        assert abs(kernel_eval_quadrature(1, 1.0, 1.0) - 2 * LN2) < 1e-9
         for z, w in ((1.0, 1.0), (1e7, 1.0), (1.0, 1e7), (1e-320, 1.0)):
-            assert KernelPoint(8, z, w).route == "closed_form"
-            assert KernelPoint(16, z, w).route == "closed_form"
-        with pytest.raises(ValueError, match="n <= 16"):
-            KernelPoint(17, 1.0, 1.0)
-        assert KernelPoint(1, 1e7, 1.0, "quadrature").route == "quadrature"
+            assert math.isfinite(kernel_eval_closed(16, z, w).real)
+        assert math.isfinite(kernel_eval_quadrature(17, 1.0, 1.0).real)
+        with pytest.raises(ValueError, match=r"closed form covers n <= 16, got n = 17"):
+            kernel_eval_closed(17, 1.0, 1.0)
 
     @pytest.mark.parametrize("n", (1, 2, 9, 17))
     def test_quadrature_refuses_overflowing_ratio(self, n):
@@ -335,11 +321,14 @@ class TestQuadratureAgreement:
         if n <= CLOSED_FORM_MAX_N:
             assert abs(q - kernel_eval_closed(n, 5.6e-309, 1.0)) <= 1e-9 * abs(q)
 
-    def test_kernel_point_validation(self):
-        with pytest.raises(ValueError):
-            KernelPoint(1, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            KernelPoint(1, 1.0, 1.0, "newton")
+    def test_route_validation(self):
+        # a negative order is refused by name on both routes, before any
+        # factorial or quadrature, and so is a point off C+
+        for route in (kernel_eval_closed, kernel_eval_quadrature):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                route(-1, 1.0, 1.0)
+            with pytest.raises(ValueError, match="open right half-plane"):
+                route(1, -1.0, 1.0)
 
     @pytest.mark.parametrize("bad", [complex(1, math.nan), complex(math.nan, 1),
                                      complex(math.inf, 0), complex(1, -math.inf)])
@@ -348,8 +337,7 @@ class TestQuadratureAgreement:
         for call in (lambda: kernel_eval_closed(1, bad, 1.0),
                      lambda: kernel_eval_closed(1, 1.0, bad),
                      lambda: kernel_eval_quadrature(2, bad, 1.0),
-                     lambda: kernel_diag(1, bad),
-                     lambda: KernelPoint(1, 1.0, bad)):
+                     lambda: kernel_diag(1, bad)):
             with pytest.raises(ValueError, match="finite"):
                 call()
 
@@ -475,6 +463,16 @@ class TestDiagonalAndBounds:
         assert abs(hi - math.sqrt(math.pi / 2)) < 1e-15
         assert lo <= kernel_norm(2, 1.0) <= hi
 
+    @pytest.mark.parametrize("z", [-1.0, 0.0, 1j, complex(math.nan, 1), complex(1, math.nan),
+                                   math.inf, complex(1, -math.inf)])
+    def test_bounds_refuse_points_off_the_halfplane(self, z):
+        # a point outside C+ has no bounds: not a finite pair off the axis,
+        # an infinite pair with overflow warnings at 0, or a nan pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="z must"):
+                norm_bounds(1, z)
+
     def test_bounds_scaling(self):
         lo1, hi1 = norm_bounds(3, 1.0)
         lo4, hi4 = norm_bounds(3, 4.0)
@@ -528,30 +526,29 @@ class TestDiagonalAndBounds:
 
 class TestGram:
     @pytest.mark.parametrize("n", range(CLOSED_FORM_MAX_N + 2))
-    @pytest.mark.parametrize("method", ("auto", "closed_form", "quadrature"))
+    @pytest.mark.parametrize("method", ("closed_form", "quadrature"))
     def test_entries_equal_kernel_eval_exactly(self, n, method):
-        # through the cap each entry is kernel_eval of the KernelPoint with
-        # ``method`` bit for bit where that takes the closed form, and within
-        # 1e-9 of the quadrature check; |z_i|/|z_j| reaches 3.6e9, and the
-        # batch mixes series ratios from 3e-10 to 1/2; the diagonal holds the
-        # conjugate, as every entry above it does.  Past the cap the matrix
-        # and every closed-form point are refused
+        # through the cap each entry is kernel_eval_closed bit for bit, and
+        # within 1e-9 of kernel_eval_quadrature; |z_i|/|z_j| reaches 3.6e9, and
+        # the batch mixes series ratios from 3e-10 to 1/2; the diagonal holds
+        # the conjugate, as every entry above it does.  Past the cap the matrix
+        # and every closed-form point are refused, and quadrature takes them
         pts = [1.0, 0.7 + 0.5j, 2e-4 - 1e-4j, 3e3 + 4e3j, 8e5 * cmath.exp(-0.3j),
                0.35 - 0.2j, 2.5 + 1.5j, 0.05 + 0.02j, 40.0 - 70.0j]
         if n > CLOSED_FORM_MAX_N:
             with pytest.raises(ValueError, match="n <= 16"):
                 gram_matrix(n, pts)
             if method == "quadrature":
-                assert KernelPoint(n, 1.0, 1.0, method).route == "quadrature"
+                assert math.isfinite(kernel_eval_quadrature(n, 1.0, 1.0).real)
             else:
                 with pytest.raises(ValueError, match="n <= 16"):
-                    KernelPoint(n, 1.0, 1.0, method)
+                    kernel_eval_closed(n, 1.0, 1.0)
             return
+        route = {"closed_form": kernel_eval_closed, "quadrature": kernel_eval_quadrature}[method]
         G = gram_matrix(n, pts)
         for i, z in enumerate(pts):
             for j in range(i + 1):
-                point = KernelPoint(n, z, pts[j], method)
-                value = kernel_eval(point)
+                value = route(n, z, pts[j])
                 if method == "quadrature":
                     assert abs(G[i, j] - value) <= 1e-9 * abs(value)
                 else:

@@ -14,7 +14,7 @@ from hsob import (
 )
 from hsob.expfamily import sample_exppoly
 from hsob.kernel import _p_eval
-from hsob.quadrature import HALFLINE_TRUNCATION, _eval_nodes, _gl_rule
+from hsob.quadrature import HALFLINE_TRUNCATION, _gl_rule
 from hsob.timespace import exp_series_remainder
 
 # Oracle: d/dt [ (arctan t - t/(1+t^2)) / 2 ] = t^2/(1+t^2)^2, so the
@@ -69,7 +69,7 @@ def _gl_cell(f, a, b, nodes, weights):
     """One Gauss-Legendre cell, evaluated by a call of ``f`` of its own."""
     xs = a + (b - a) * nodes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ys = _eval_nodes(f, xs)
+        ys = np.asarray(f(xs), dtype=complex)
     if not np.all(np.isfinite(ys.view(float))):
         raise QuadratureError("integrand returned a non-finite value")
     return complex((b - a) * np.dot(weights, ys))
@@ -251,14 +251,29 @@ class TestLockstep:
         assert head.startswith("interval rule did not converge")
         assert _outcome(integrate_halfline, f, 1.0, cfg) == head
 
-    def test_scalar_only_integrand_falls_back(self):
-        f = lambda t: math.exp(-t) * math.cos(3 * t)
-        with pytest.raises(TypeError):
-            f(np.ones(2))
-        assert (_outcome(integrate_interval, f, 0.0, 2.0, QuadConfig())
-                == _outcome(resumming_integrate, f, 0.0, 2.0, QuadConfig()))
-        assert (_outcome(integrate_halfline, f, 1.0, QuadConfig())
-                == _outcome(sequential_halfline, f, 1.0, QuadConfig()))
+    @pytest.mark.parametrize("f", [lambda t: 1.0, lambda t: np.ones(3), lambda t: t[:-1],
+                                   lambda t: np.ones((len(t), 1))])
+    def test_integrand_of_another_shape_is_a_type_error(self, f):
+        # no node-by-node retry: one TypeError that names the contract
+        for integrate, args in ((integrate_interval, (0.0, 2.0)), (integrate_halfline, (1.0,))):
+            with pytest.raises(TypeError, match="same shape"):
+                integrate(f, *args)
+
+    @pytest.mark.parametrize("error", [TypeError, ValueError, ZeroDivisionError])
+    def test_integrand_exception_propagates_after_one_call(self, error):
+        # the integrand's own exception reaches the caller from its first
+        # call, which is on an array, and is not retried
+        calls = []
+
+        def f(t):
+            calls.append(np.shape(t))
+            raise error("from the integrand")
+
+        for integrate, args in ((integrate_interval, (0.0, 2.0)), (integrate_halfline, (1.0,))):
+            calls.clear()
+            with pytest.raises(error, match="from the integrand"):
+                integrate(f, *args)
+            assert len(calls) == 1 and calls[0] != ()
 
 
 class TestRules:

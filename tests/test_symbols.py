@@ -56,7 +56,7 @@ MASKED_SYMBOLS = ("1/(z-1)", "sqrt(z-10)", "log1p(z-5)", "z^40")
 # point-by-point route itself is in scalar_route.py.
 
 def _oracle_jury_matrix(e, n, M, points):
-    # gram_matrix is bit for bit the scalar kernel_eval of each entry
+    # gram_matrix is bit for bit the scalar kernel_eval_closed of each entry
     # (TestGram in test_kernel.py), so rebuilding with it keeps the oracle exact;
     # the images come from the same array evaluation as the library's
     pts = [complex(z) for z in points]
