@@ -48,9 +48,10 @@ MIN_DISC_NODES = 64
 DISC_OFFSET = 1e-6
 
 
-def cayley(lam: complex) -> complex:
-    """gamma(lam) = (1+lam)/(1-lam), disc onto right half-plane."""
-    lam = complex(lam)
+def cayley(lam):
+    """gamma(lam) = (1+lam)/(1-lam), disc onto right half-plane, at a point or
+    elementwise on an array."""
+    lam = complex(lam) if np.isscalar(lam) else np.asarray(lam, dtype=complex)
     return (1.0 + lam) / (1.0 - lam)
 
 
@@ -67,26 +68,19 @@ class DiscFunction:
     F: RationalComb
 
     def __call__(self, lam):
-        return self.F(_gamma(lam))
+        return self.F(cayley(lam))
 
     def derivative(self, lam):
         """F_D'(lam) = F'(gamma(lam)) * 2/(1-lam)^2."""
-        lam = np.asarray(lam, dtype=complex) if not np.isscalar(lam) else complex(lam)
-        return self.F.derivative(1)(_gamma(lam)) * 2.0 / (1.0 - lam) ** 2
+        return self.F.derivative(1)(cayley(lam)) * 2.0 / (1.0 - lam) ** 2
 
     def second_derivative(self, lam):
         """F_D''(lam) = 4 F''(gamma)/(1-lam)^4 + 4 F'(gamma)/(1-lam)^3."""
-        lam = np.asarray(lam, dtype=complex) if not np.isscalar(lam) else complex(lam)
-        g = _gamma(lam)
+        g = cayley(lam)
         return (
             4.0 * self.F.derivative(2)(g) / (1.0 - lam) ** 4
             + 4.0 * self.F.derivative(1)(g) / (1.0 - lam) ** 3
         )
-
-
-def _gamma(lam):
-    lam = np.asarray(lam, dtype=complex) if not np.isscalar(lam) else complex(lam)
-    return (1.0 + lam) / (1.0 - lam)
 
 
 #: node counts whose circles stay cached: the seven powers of two from

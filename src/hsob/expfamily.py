@@ -133,12 +133,6 @@ class ExpPoly:
         """JSON-ready term list [[re a, im a, k, re lam, im lam], ...]."""
         return [[a.real, a.imag, k, lam.real, lam.imag] for a, k, lam in self.terms]
 
-    @staticmethod
-    def from_triples(triples) -> "ExpPoly":
-        return ExpPoly(tuple(
-            (complex(ar, ai), int(k), complex(lr, li)) for ar, ai, k, lr, li in triples
-        ))
-
 
 @dataclass(frozen=True)
 class RationalComb:

@@ -6,11 +6,10 @@ combinations (Laplace images of exponential polynomials) the boundary values
 are explicit, so the supremum over vertical lines is realised by the boundary
 integral and never searched.
 
-Three independent routes to the same norm are reported side by side:
+Two independent routes to the same norm are reported side by side:
 
 * ``norm_exact``    -- the exact weighted inner product in the time algebra,
-* ``norm_boundary`` -- imaginary-axis quadrature of |z^n F^(n)|^2,
-* ``norm_time``     -- half-line quadrature of |t^n f^(n)|^2.
+* ``norm_boundary`` -- imaginary-axis quadrature of |z^n F^(n)|^2.
 
 Their agreement is the working form of the extended Paley-Wiener isometry;
 at n = 0 they are the plain Hardy-space norm.  The derivative-exchange
@@ -38,39 +37,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HnNormReport:
-    """One norm, three routes, and their worst pairwise disagreement."""
+    """One norm by its two routes, and their disagreement."""
 
     n: int
     norm_exact: float
     norm_boundary: float
-    norm_time: float
 
     @property
-    def paley_wiener_residual(self) -> float:
-        """Relative gap |norm_time - norm_boundary| / norm_time between the two
-        quadrature routes of the isometry; the absolute gap when norm_time is 0."""
-        if self.norm_time == 0.0:
+    def residual(self) -> float:
+        """Relative gap |norm_exact - norm_boundary| / norm_exact between the
+        time and frequency sides of the isometry; |norm_boundary| when
+        norm_exact is 0."""
+        if self.norm_exact == 0.0:
             return float(abs(self.norm_boundary))
-        return float(abs(self.norm_time - self.norm_boundary) / self.norm_time)
-
-    @property
-    def max_pairwise_rel_err(self) -> float:
-        vals = (self.norm_exact, self.norm_boundary, self.norm_time)
-        scale = max(max(vals), 1e-300)
-        return float((max(vals) - min(vals)) / scale)
+        return float(abs(self.norm_exact - self.norm_boundary) / self.norm_exact)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "norm_exact": self.norm_exact,
-            "norm_boundary": self.norm_boundary,
-            "norm_time": self.norm_time,
-            "max_pairwise_rel_err": self.max_pairwise_rel_err,
-        }
+        return {"n": self.n, "norm_exact": self.norm_exact, "norm_boundary": self.norm_boundary}
 
 
 def hn_norm(F: RationalComb, n: int) -> HnNormReport:
-    """Order-n norm of a rational combination by all three routes.
+    """Order-n norm of a rational combination by both routes.
 
     Exact derivatives are available in closed form on both sides of the
     transform, so no numerical differentiation is ever performed.
@@ -78,7 +65,7 @@ def hn_norm(F: RationalComb, n: int) -> HnNormReport:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if F.is_zero:
-        return HnNormReport(n, 0.0, 0.0, 0.0)
+        return HnNormReport(n, 0.0, 0.0)
     f = F.inverse_laplace()
 
     exact = float(np.sqrt(max(inner_product_n(f, f, n).real, 0.0)))
@@ -94,17 +81,7 @@ def hn_norm(F: RationalComb, n: int) -> HnNormReport:
 
     bval = integrate_halfline(boundary_integrand, pole_scale).value
     boundary = float(np.sqrt(max(bval.real, 0.0) / (2.0 * np.pi)))
-
-    fn = f.derivative(n)
-
-    def time_integrand(t):
-        t = np.asarray(t, dtype=float)
-        return t ** (2 * n) * np.abs(np.asarray(fn(t), dtype=complex)) ** 2
-
-    tval = integrate_halfline(time_integrand, 0.5 * f.decay_scale()).value
-    time = float(np.sqrt(max(tval.real, 0.0)))
-
-    return HnNormReport(n, exact, boundary, time)
+    return HnNormReport(n, exact, boundary)
 
 
 def laplace_derivative_identity_check(f: ExpPoly, n: int, k: int, z: complex) -> float:

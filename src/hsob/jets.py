@@ -4,7 +4,7 @@ A :class:`Jet` holds the Taylor coefficients c_0..c_order of an analytic
 function at a base point (so the k-th derivative is k! * c_k), or at a 1-D
 array of base points at once: then ``coeffs`` has shape (order + 1, m) and
 every operation runs row by row on arrays of m lanes.  Addition,
-multiplication, division, real powers, log(1+.) and composition are all exact
+multiplication, division, real powers and log(1+.) are all exact
 truncated-series operations; no finite differencing anywhere.
 
 At a scalar base a division by a zero constant term, or a power or log1p on
@@ -216,23 +216,3 @@ class Jet:
                 acc = acc - j * out[j] * c[k - j]
             out[k] = acc / (k * q0)
         return Jet(masked(out, skip), self.base)
-
-    def compose(self, inner: "Jet") -> "Jet":
-        """The jet of self o inner; self must be based at inner's value.
-
-        Substitutes the zero-constant part of ``inner`` into the series of
-        ``self`` by Horner evaluation in truncated arithmetic.
-        """
-        if inner.order != self.order:
-            raise ValueError("jet orders must match")
-        if self.base is not None and np.any(
-                np.abs(self.base - inner.value) > 1e-9 * (1.0 + np.abs(self.base))):
-            raise ValueError("outer jet is not based at the inner jet's value")
-        n = self.order
-        shifted = inner.coeffs.copy()
-        shifted[0] = 0
-        shifted = Jet(shifted, inner.base)
-        result = Jet.constant(self.coeffs[n], n, base=inner.base)
-        for k in range(n - 1, -1, -1):
-            result = result * shifted + Jet.constant(self.coeffs[k], n, base=inner.base)
-        return result

@@ -89,9 +89,6 @@ class QuadResult:
     error: float
     subdivisions: int
 
-    def __complex__(self) -> complex:
-        return complex(self.value)
-
 
 @lru_cache(maxsize=None)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:

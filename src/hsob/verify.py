@@ -30,17 +30,22 @@ def grid_rows(n: int, grid: GridSpec):
     """Yield (z, grid angle, K_n(z, z), lower, upper) over a log-polar grid.
 
     |z| K_n(z, z) depends on arg z alone, so the grid's angles take one
-    diagonal call at unit modulus and each radius r divides it by r.
+    diagonal call at unit modulus and each radius r divides it by r.  A grid
+    point whose K_n(z, z) overflows raises ValueError.
     """
     radii, angles = grid.radii(), grid.angles()
     if not (len(radii) and len(angles)):
         return
     unit = kernel.kernel_diag(n, np.array([complex(math.cos(t), math.sin(t)) for t in angles]),
                               theta_margin=grid.theta_margin * 0.5).tolist()
-    for r in radii:
-        for t, diag in zip(angles, unit):
+    # Python floats, whose quotient overflows to inf without a numpy warning
+    for r in radii.tolist():
+        for t, unit_diag in zip(angles, unit):
             z = complex(r * math.cos(t), r * math.sin(t))
-            yield (z, t, diag / r, *kernel.norm_bounds(n, z))
+            diag = unit_diag / r
+            if math.isinf(diag):
+                raise ValueError(f"K_{n}(z, z) overflows at grid point z = {z}")
+            yield (z, t, diag, *kernel.norm_bounds(n, z))
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +62,10 @@ def _samples(seed: int, count: int, level: int) -> list[expfamily.ExpPoly]:
 
 
 def _paley_wiener(n, seed, samples, grid):
-    """time norm vs boundary norm on random samples"""
+    """exact time norm vs boundary-quadrature norm on random samples"""
     for i, f in enumerate(_samples(seed, samples, n)):
         report = freqspace.hn_norm(expfamily.laplace(f), n)
-        res = report.paley_wiener_residual
+        res = report.residual
         yield res, {"sample": i, "terms": f.to_triples(), "residual": res, **report.to_dict()}
 
 

@@ -16,6 +16,9 @@ route:
   the production form that takes both orders in one array pass, bit for bit;
 * the disc norm with one integrand call per circle, against
   ``disc_h2_norm``'s one call on all three circles, bit for bit;
+* jet composition by Horner substitution, against the partition sum
+  ``faa_di_bruno``;
+* an ``ExpPoly`` read back from the term list of a verify case record;
 * the Laguerre polynomials (Rodrigues' formula, against ``ExpPoly``
   differentiation) and the Legendre polynomials (whose zeros are the nodes of
   the quadrature engine's Gauss-Legendre rules).
@@ -31,6 +34,7 @@ import numpy as np
 
 from hsob import (
     ExpPoly,
+    Jet,
     QuadConfig,
     RationalComb,
     exp_series_remainder,
@@ -288,3 +292,39 @@ def disc_norm_per_circle(g, nodes: int = DISC_NODES) -> float:
     s = DISC_OFFSET
     v1, v2, v4 = mean_square(1.0 - s), mean_square(1.0 - 2 * s), mean_square(1.0 - 4 * s)
     return float(np.sqrt(max((8.0 * v1 - 6.0 * v2 + v4) / 3.0, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# Jet composition
+
+
+def compose(outer: Jet, inner: Jet) -> Jet:
+    """The jet of outer o inner; outer must be based at inner's value.
+
+    Substitutes the zero-constant part of ``inner`` into the series of
+    ``outer`` by Horner evaluation in truncated arithmetic.
+    """
+    if inner.order != outer.order:
+        raise ValueError("jet orders must match")
+    if outer.base is not None and np.any(
+            np.abs(outer.base - inner.value) > 1e-9 * (1.0 + np.abs(outer.base))):
+        raise ValueError("outer jet is not based at the inner jet's value")
+    n = outer.order
+    shifted = inner.coeffs.copy()
+    shifted[0] = 0
+    shifted = Jet(shifted, inner.base)
+    result = Jet.constant(outer.coeffs[n], n, base=inner.base)
+    for k in range(n - 1, -1, -1):
+        result = result * shifted + Jet.constant(outer.coeffs[k], n, base=inner.base)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Verify case records
+
+
+def exppoly_from_triples(triples) -> ExpPoly:
+    """The ``ExpPoly`` whose ``to_triples()`` is ``triples``."""
+    return ExpPoly(tuple(
+        (complex(ar, ai), int(k), complex(lr, li)) for ar, ai, k, lr, li in triples
+    ))

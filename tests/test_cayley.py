@@ -55,6 +55,14 @@ class TestCayleyMap:
             assert z.real > 0
             assert abs(cayley_inverse(z) - lam) < 1e-12
 
+    def test_array_is_elementwise(self):
+        lam = np.array([0.0, 0.5, 1j, -0.3 + 0.4j])
+        z = cayley(lam)
+        assert z.dtype == complex and z.shape == lam.shape
+        # numpy's complex division may round differently from Python's
+        assert np.allclose(z, [cayley(complex(p)) for p in lam], rtol=1e-15, atol=0)
+        assert cayley(0.5) == 3.0 and isinstance(cayley(0.5), complex)
+
 
 class TestDiscNorm:
     def test_constant(self):

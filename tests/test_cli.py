@@ -15,6 +15,7 @@ import pytest
 
 from hsob import QuadratureError, cli, kernel, kernel_diag, verify
 from hsob.cli import main
+from oracles import exppoly_from_triples
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +121,19 @@ class TestKernelCommands:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error [kernel]: report field diag is not a finite number")
+
+    @pytest.mark.parametrize("argv", [("kernel", "sweep"), ("verify", "bounds")])
+    def test_grid_diagonal_overflow_exits_one(self, capsys, argv):
+        # K_1(z, z) overflows on the subnormal radii: one error line naming
+        # the first such point, no numpy warning and no inf on stdout
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--n", "1", "--grid", "1e-320,1e-310,3,0.01,5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error [{argv[0]}]: K_1(z, z) overflows at grid point"
+                                " z = (1e-322-1e-320j)\n")
 
     def test_grid_rows_take_one_diagonal_call(self, monkeypatch):
         # |z| K_n(z, z) depends on arg z alone: a 7 x 9 grid makes one diagonal
@@ -498,11 +512,9 @@ class TestPlumbing:
         assert payload["schema"] == 1
 
     def test_verify_reports_sample_terms(self, capsys):
-        from hsob import ExpPoly
-
         _, out = run_cli(capsys, "verify", "paley-wiener", "--n", "1", "--samples", "2")
         payload = json.loads(out)
-        f = ExpPoly.from_triples(payload["cases"][1]["terms"])
+        f = exppoly_from_triples(payload["cases"][1]["terms"])
         assert not f.is_zero
 
 

@@ -10,9 +10,12 @@ import pytest
 
 from hsob import (
     ExpPoly,
+    HnNormReport,
     RationalComb,
+    freqspace,
     hardy_constant,
     hn_norm,
+    integrate_halfline,
     laplace,
     laplace_derivative_identity_check,
     sample_exppoly,
@@ -41,7 +44,7 @@ class TestHnNorm:
         rep = hn_norm(laplace(ExpPoly.exponential(1.0)), 1)
         assert abs(rep.norm_exact - 0.5) < 1e-14
         assert abs(rep.norm_boundary - 0.5) < 1e-8
-        assert abs(rep.norm_time - 0.5) < 1e-8
+        assert rep.residual < 1e-8
 
     def test_order_zero_is_plain_norm(self):
         rep = hn_norm(laplace(ExpPoly.exponential(1.0)), 0)
@@ -51,11 +54,11 @@ class TestHnNorm:
         # ||t e^{-2t}||_0 = sqrt(Gamma(3)/4^3)
         rep = hn_norm(laplace(ExpPoly.monomial(1.0, 1, 2.0)), 0)
         assert abs(rep.norm_exact - math.sqrt(2 / 64)) < 1e-14
-        assert rep.max_pairwise_rel_err < 1e-7
+        assert rep.residual < 1e-7
 
     def test_zero_function(self):
         rep = hn_norm(RationalComb(), 3)
-        assert rep.norm_exact == rep.norm_boundary == rep.norm_time == 0.0
+        assert rep.norm_exact == rep.norm_boundary == rep.residual == 0.0
 
 
 class TestDerivativeIdentities:
@@ -99,17 +102,41 @@ class TestDerivativeIdentities:
 class TestPaleyWiener:
     def test_anchor_cases(self):
         F = laplace(ExpPoly.exponential(1.0))
-        assert hn_norm(F, 1).paley_wiener_residual <= 1e-8
-        assert hn_norm(F, 0).paley_wiener_residual <= 1e-8
+        assert hn_norm(F, 1).residual <= 1e-8
+        assert hn_norm(F, 0).residual <= 1e-8
 
     def test_mixed_sample(self):
         f = ExpPoly.exponential(1.0) + 2.0 * ExpPoly.monomial(1.0, 1, 3.0)
-        assert hn_norm(laplace(f), 2).paley_wiener_residual <= 1e-6
+        assert hn_norm(laplace(f), 2).residual <= 1e-6
 
     @pytest.mark.parametrize("n", range(5))
     def test_random_isometry(self, n):
         report = verify.run("paley-wiener", n, seed=200 + n, samples=10)
         assert report["samples"] == 10 and report["max_residual"] <= 1e-6
+
+    def test_residual_is_the_relative_gap_of_the_two_routes(self):
+        rng = np.random.default_rng(19)
+        for n in range(4):
+            rep = hn_norm(laplace(sample_exppoly(rng, level=n)), n)
+            assert rep.residual == abs(rep.norm_exact - rep.norm_boundary) / rep.norm_exact
+        # the zero function: no relative gap, so the boundary norm itself
+        assert hn_norm(RationalComb(), 2).residual == 0.0
+        assert HnNormReport(2, 0.0, 3e-17).residual == 3e-17
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_one_halfline_run_per_nonzero_sample(self, monkeypatch, n):
+        # the time side is exact algebra; only the boundary norm integrates
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate_halfline(*args, **kwargs)
+
+        monkeypatch.setattr(freqspace, "integrate_halfline", counting)
+        report = verify.run("paley-wiener", n, seed=7, samples=6)
+        assert len(calls) == sum(1 for case in report["cases"] if case["terms"]) == 6
+        assert {key for case in report["cases"] for key in case} == {
+            "sample", "terms", "residual", "n", "norm_exact", "norm_boundary"}
 
 
 class TestMonotoneEmbedding:

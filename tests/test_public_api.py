@@ -8,6 +8,11 @@ bare-name load, a ``from ... import name``, or ``module.name`` where
 ``module`` is bound to an hsob module by an import.  So
 ``np.polynomial.legendre`` and ``report.h2_norm`` use nothing.  A public name
 that only the tests reach belongs in ``tests/`` as an oracle, or nowhere.
+
+The public methods of the public classes are held to a looser rule: some
+module of ``src/hsob``, ``bench/*.py`` or ``demos/*.py`` must name the method
+as an attribute (``x.method``).  Matching by name alone can only over-count
+uses, so a method this flags has no caller outside the tests.
 """
 
 import ast
@@ -137,3 +142,30 @@ def test_every_public_name_is_reached():
 def test_norm_bracket_names_still_await_a_caller():
     # once the norm bracket calls them, they leave AWAITING_NORM_BRACKET
     assert AWAITING_NORM_BRACKET <= _unreached()
+
+
+def _public_methods() -> set:
+    """(class, method) for each public method of a class in hsob.__all__."""
+    src = _Source()
+    out = set()
+    for name in hsob.__all__:
+        key, attr = src.resolve(PACKAGE, name, src.bindings[PACKAGE])[1]
+        node = src.defs[key][attr]
+        if isinstance(node, ast.ClassDef):
+            out |= {(name, item.name) for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")}
+    return out
+
+
+def _attribute_names() -> set:
+    """Every name that src/hsob, bench/*.py or demos/*.py takes as an attribute."""
+    paths = [*SRC.glob("*.py"), *ROOT.glob("bench/*.py"), *ROOT.glob("demos/*.py")]
+    return {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_every_public_method_is_named():
+    named = _attribute_names()
+    unnamed = sorted(f"{cls}.{method}" for cls, method in _public_methods() if method not in named)
+    assert not unnamed, f"public methods only the tests name: {unnamed}"

@@ -218,7 +218,7 @@ class TestLockstep:
             f = sample_exppoly(rng, level=n)
             w = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
             fn, scale = f.derivative(n), 0.5 * f.decay_scale()
-            # the time sides of verify paley-wiener and verify reproduce
+            # a time-side norm integrand and the time side of verify reproduce
             for g in (lambda t: t ** (2 * n) * np.abs(fn(t)) ** 2,
                       lambda t: t**n * fn(t) * (-1) ** n * exp_series_remainder(n, w * t)):
                 want = _outcome(sequential_halfline, g, scale, cfg)
