@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .expfamily import RationalComb, inner_product_n
+from .kernel import _require_halfplane
 
 __all__ = [
     "cayley",
@@ -56,8 +57,8 @@ def cayley(lam):
 
 
 def cayley_inverse(z: complex) -> complex:
-    """gamma^{-1}(z) = (z-1)/(z+1), right half-plane onto disc."""
-    z = complex(z)
+    """gamma^{-1}(z) = (z-1)/(z+1), from a finite point with Re z > 0 into the disc."""
+    z = _require_halfplane(z, "z")
     return (z - 1.0) / (z + 1.0)
 
 

@@ -163,9 +163,9 @@ class Jet:
         out = np.zeros(np.broadcast_shapes(a.shape, c.shape), dtype=complex)
         for i in range(n + 1):
             if not a[i].any():
-                continue  # a zero row adds nothing (and no 0 * inf)
+                continue  # a zero row adds nothing and no 0 * inf; nan lanes are masked below
             out[i:] += a[i] * c[: n + 1 - i]
-        return Jet(out, self._base_with(b))
+        return Jet(masked(out, np.isnan(a[0]) | np.isnan(c[0])), self._base_with(b))
 
     __rmul__ = __mul__
 

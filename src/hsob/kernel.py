@@ -32,8 +32,8 @@ and the quadrature runs at the integrators' default tolerances.
 
 The diagonal K_n(z, z) is real and nonsingular, and |z| K_n(z, z) depends on
 arg z alone.  Principal logarithms are safe throughout: z, conj(w) and their
-sum lie in C+.  Evaluation within ``theta_margin`` of the imaginary axis is
-refused for the diagonal.
+sum lie in C+.  Here, in freqspace, in cayley_inverse and in the jury, a point
+is taken when it is finite with Re z > 0, up to the axis (:func:`_in_halfplane`).
 """
 
 from __future__ import annotations
@@ -62,18 +62,30 @@ __all__ = [
 ]
 
 CLOSED_FORM_MAX_N = 16
-DEFAULT_THETA_MARGIN = 1e-3
 
 #: terms of the series for Q_m, a power of two; its ratio is at most 1/2 in modulus
 SERIES_TERMS = 64
 
 
-def _require_halfplane(z: complex, name: str) -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"{name} must be finite, got {z}")
-    if not z.real > 0:
-        raise ValueError(f"{name} must lie in the open right half-plane")
+def _in_halfplane(z):
+    """Whether z is a finite point with Re z > 0: a bool at a complex number,
+    elementwise on an array (a point stays off numpy, whose scalar calls cost
+    microseconds)."""
+    if isinstance(z, np.ndarray):
+        return np.isfinite(z) & (z.real > 0)
+    return cmath.isfinite(z) and z.real > 0
+
+
+def _require_halfplane(z, name: str):
+    """A point, or a 1-D array or list of points, as complex when :func:`_in_halfplane`
+    holds at every point; else one ``ValueError`` naming ``name`` and its first bad value."""
+    many = isinstance(z, (list, tuple, np.ndarray))
+    z = np.asarray(z, dtype=complex) if many else complex(z)
+    ok = _in_halfplane(z)
+    if not (ok.all() if many else ok):
+        bad = complex(np.ravel(z)[np.argmin(ok)])
+        rule = "lie in the open right half-plane" if cmath.isfinite(bad) else "be finite"
+        raise ValueError(f"{name} must {rule}, got {bad}")
     return z
 
 
@@ -222,18 +234,16 @@ def kernel_eval_quadrature(n: int, z: complex, w: complex) -> complex:
     return complex(value / (factorial(n - 1) ** 2 * scale))
 
 
-def kernel_diag(n: int, z, theta_margin: float = DEFAULT_THETA_MARGIN):
+def kernel_diag(n: int, z):
     """K_n(z, z) = ||K_{n,z}||^2, real positive, at a point or elementwise over a
-    1-D array of points: the closed form in one array call, for n <= 16.
+    1-D array of points: the closed form at w = z in one array call, for n <= 16.
 
-    There the Duffy integrand is 2 cos(theta) (1 + u) p_n(u) / (u^2 + 1 + 2 u cos(2 theta)),
-    theta = arg z, whose denominator degenerates only as |theta| nears pi/2:
-    for n >= 1, |arg z| <= pi/2 - theta_margin is required.
+    No margin from the imaginary axis is needed: at unit scale, a = z/|z|, the
+    closed form takes its log branch, whose log(a + conj(a)) = log(2 Re a) is
+    finite wherever Re z > 0; at n = 1 the value tends to pi/|z| at the axis.
     """
     _check_order(n)
-    zs = np.array([_require_halfplane(u, "z") for u in np.atleast_1d(z)], dtype=complex)
-    if n > 0 and (np.abs(np.angle(zs)) > pi / 2 - theta_margin).any():
-        raise ValueError(f"|arg z| must stay below pi/2 - {theta_margin:g}")
+    zs = np.atleast_1d(_require_halfplane(z, "z"))
     diag = _closed_form(n, zs, zs.conj()).real
     return diag if np.ndim(z) else float(diag[0])
 
@@ -285,7 +295,7 @@ def gram_matrix(n: int, points) -> np.ndarray:
     ``ValueError`` naming it, with numpy's warnings kept off.
     """
     _check_order(n)
-    pts = np.array([_require_halfplane(z, "point") for z in points], dtype=complex)
+    pts = _require_halfplane(points, "point")
     rows, cols = np.nonzero(np.tri(len(pts), dtype=bool))
     G = np.empty((len(pts), len(pts)), dtype=complex)
     with np.errstate(all="ignore"):

@@ -29,8 +29,10 @@ A pass runs with numpy's overflow warnings off: a value or coefficient that
 overflows comes out inf or nan, as Python's complex arithmetic gives it at a
 single point, and a nan ratio is skipped.
 The jury routines build the two Gram matrices of the inequality once, from
-one array evaluation of the images, since neither depends on M;
-``jury_min_m`` then bisects on M rather than reading M off the Cholesky
+one array evaluation of the images, since neither depends on M; their points
+and images obey the kernel's one domain rule, finite with Re z > 0 and no
+margin from the imaginary axis.  Both take least eigenvalues by one step;
+``jury_min_m`` bisects on M rather than reading M off the Cholesky
 pencil, because sampled kernel Gram matrices are too badly conditioned for
 the factorisation (cond up to about 2e17).
 
@@ -42,6 +44,7 @@ proofs.  Reports carry the grid metadata.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 import dataclasses
 from dataclasses import dataclass, field
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jets import Jet, JetDomainError, guard, masked, on_cut, principal_power
-from .kernel import _KernelOverflow, gram_matrix, min_eigenvalue
+from .kernel import _KernelOverflow, _in_halfplane, _require_halfplane, gram_matrix
 from .specfun import bell_partitions
 
 __all__ = [
@@ -607,60 +610,41 @@ def faa_di_bruno(fjet: Jet, phijet: Jet, n: int) -> complex:
 # Kernel-inequality certificates
 
 
-#: the argument margin that every jury point and its image keep from the axis
-JURY_THETA_MARGIN = 1e-6
 #: M is admissible in ``jury_min_m`` when the least eigenvalue is >= -JURY_TOL
 JURY_TOL = 1e-10
-
-
-def _require_finite_image(e: SymbolExpr, z: complex, u: complex) -> None:
-    """Raise at a point z whose image u is not finite.
-
-    A nan image marks a point where the evaluation of phi raises, and the
-    point's own evaluation raises that error there.  An image that overflows
-    raises a ``ValueError`` naming the point.
-    """
-    if cmath.isfinite(u):
-        return
-    if cmath.isnan(u):
-        try:
-            e.eval(z)
-        except OverflowError:
-            pass
-    raise ValueError(f"image of point {z} is not finite")
 
 
 def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarray]:
     """The two Hermitian matrices of the kernel inequality, built once.
 
-    Checks that there is a point, that every image is finite, that every
-    point and its image keep the argument margin and that no kernel value
-    overflows (K_n(z, z) grows without bound as z nears 0), then returns
-    ``(base, moved)`` with base[i, j] = K_n(z_i, z_j) and
-    moved[i, j] = K_n(phi(z_i), phi(z_j)).  Neither depends on M: the
-    inequality at M is the matrix M^2 * base - moved; ``gram_matrix``
-    refuses an order past the closed form's cap n <= 16.
-    The images come from one array evaluation; the first point that fails
-    raises as a point-by-point check would (see :func:`_require_finite_image`).
+    Checks that there is a point, that every point and every image is a
+    finite point of C+ (the kernel's one domain rule, with no margin from the
+    imaginary axis) and that no kernel value overflows (K_n(z, z) grows
+    without bound as z nears 0), then returns ``(base, moved)`` with
+    base[i, j] = K_n(z_i, z_j) and moved[i, j] = K_n(phi(z_i), phi(z_j)).
+    Neither depends on M: the inequality at M is the matrix M^2 * base - moved;
+    ``gram_matrix`` refuses an order past the closed form's cap n <= 16.
+    The images come from one array evaluation; at the first point that fails,
+    the point is checked before its image, and the error is the one a
+    point-by-point check raises: a nan image marks a point where phi raises,
+    and the point's own evaluation raises that error there, while an image
+    that overflows is a ``ValueError`` naming the point.
     """
-    pts = [complex(z) for z in points]
-    if not pts:
+    zs = np.array([complex(z) for z in points], dtype=complex)
+    if not len(zs):
         raise ValueError("the kernel inequality needs at least one point")
-    zs = np.array(pts, dtype=complex)
     images = _silently(e.eval, zs)
-    limit = math.pi / 2 - JURY_THETA_MARGIN
-
-    def off_margin(v):
-        return np.logical_not(v.real > 0) | (np.abs(np.angle(v)) > limit)
-
-    bad = off_margin(zs) | off_margin(images) | ~np.isfinite(images)
+    bad = ~(_in_halfplane(zs) & _in_halfplane(images))
     if bad.any():
-        i = int(np.argmax(bad))
-        _require_finite_image(e, pts[i], complex(images[i]))
-        for val, name in ((pts[i], "point"), (complex(images[i]), "image")):
-            if off_margin(val):
-                raise ValueError(f"{name} {val} violates the half-plane margin")
-    base = gram_matrix(n, pts)
+        z, u = (complex(v[np.argmax(bad)]) for v in (zs, images))
+        _require_halfplane(z, "point")
+        if cmath.isnan(u):
+            with contextlib.suppress(OverflowError):
+                e.eval(z)
+        if not cmath.isfinite(u):
+            raise ValueError(f"image of point {z} is not finite")
+        _require_halfplane(u, "image")
+    base = gram_matrix(n, zs)
     try:
         moved = gram_matrix(n, images)
     except _KernelOverflow as err:
@@ -668,15 +652,25 @@ def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarra
     return base, moved
 
 
+def _least_eigenvalue(base: np.ndarray, moved: np.ndarray, M: float, out=None) -> float:
+    """Least eigenvalue of M^2 * base - moved, formed in ``out`` when given.
+
+    No Hermitised copy: it would change no bit, since ``gram_matrix`` makes the
+    diagonal real and each entry above it exactly its mirror's conjugate, and
+    LAPACK reads only the lower triangle and the diagonal's real part.
+    """
+    step = np.subtract(np.multiply(base, M**2, out=out), moved, out=out)
+    return float(np.linalg.eigvalsh(step)[0])
+
+
 def jury_min_eig(e: SymbolExpr, n: int, M: float, points) -> float:
     """Least eigenvalue of [M^2 K_n(z_i,z_j) - K_n(phi(z_i),phi(z_j))].
 
     Nonnegative (up to rounding) for every point set exactly when M dominates
-    the composition operator's norm.  All points and their images must stay
-    in C+ with the argument margin ``JURY_THETA_MARGIN``.
+    the composition operator's norm.  All points and their images must be
+    finite points of C+.
     """
-    base, moved = _jury_matrices(e, n, points)
-    return min_eigenvalue(M**2 * base - moved)
+    return _least_eigenvalue(*_jury_matrices(e, n, points), M)
 
 
 def jury_min_m(e: SymbolExpr, n: int, points) -> float:
@@ -686,7 +680,8 @@ def jury_min_m(e: SymbolExpr, n: int, points) -> float:
     refines; computed by bisection (the least eigenvalue is monotone in M),
     at most 80 steps and none once the bracket's midpoint is one of its ends.
     Both Gram matrices are built once; each bisection step only forms
-    M^2 * base - moved and takes its least eigenvalue.
+    M^2 * base - moved in one reused buffer and takes its least eigenvalue,
+    as :func:`jury_min_eig` does.
 
     Bisection stays, rather than the exact pencil
     M^2 = lambda_max(L^-1 moved L^-H) with base = L L^H: kernel Gram matrices on sampled points are badly
@@ -694,19 +689,12 @@ def jury_min_m(e: SymbolExpr, n: int, points) -> float:
     of 6.3e9 and reached 2e17 for 2*z+1 at n = 2 on 12 points), so the Cholesky
     factor fails or amplifies rounding noise, which the feasibility slack
     ``JURY_TOL`` keeps out of the bisection.
-
-    Each step writes M^2 * base - moved into one reused buffer and hands it
-    to ``eigvalsh`` as it is, skipping :func:`min_eigenvalue`'s Hermitised
-    copy, which would change no bit: ``gram_matrix`` makes each entry above
-    the diagonal exactly the conjugate of its mirror and the diagonal real,
-    and LAPACK reads only the lower triangle and the diagonal's real part.
     """
     base, moved = _jury_matrices(e, n, points)
     step = np.empty_like(base)
 
     def feasible(M):
-        np.subtract(np.multiply(base, M**2, out=step), moved, out=step)
-        return np.linalg.eigvalsh(step)[0] >= -JURY_TOL
+        return _least_eigenvalue(base, moved, M, out=step) >= -JURY_TOL
 
     lo, hi = 0.0, 1.0
     while not feasible(hi):

@@ -36,8 +36,8 @@ def grid_rows(n: int, grid: GridSpec):
     radii, angles = grid.radii(), grid.angles()
     if not (len(radii) and len(angles)):
         return
-    unit = kernel.kernel_diag(n, np.array([complex(math.cos(t), math.sin(t)) for t in angles]),
-                              theta_margin=grid.theta_margin * 0.5).tolist()
+    points = np.array([complex(math.cos(t), math.sin(t)) for t in angles])
+    unit = kernel.kernel_diag(n, points).tolist()
     # Python floats, whose quotient overflows to inf without a numpy warning
     for r in radii.tolist():
         for t, unit_diag in zip(angles, unit):

@@ -153,7 +153,7 @@ class TestKernelCommands:
             assert len(rows) == 63 and len(calls) == 1 and len(calls[0]) == 9
             assert all(abs(abs(u) - 1.0) < 1e-15 for u in calls[0])
             for z, _, diag, _, _ in rows:
-                want = kernel_diag(n, z, theta_margin=grid.theta_margin * 0.5)
+                want = kernel_diag(n, z)
                 assert abs(diag - want) <= 1e-14 * want
 
     def test_empty_grid_takes_no_quadrature(self, monkeypatch):

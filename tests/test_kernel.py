@@ -178,7 +178,7 @@ class TestClosedForms:
                 assert abs(mp.mpc(value) - ref) <= MAP_TOL * abs(ref), (r, tz, tw)
         for z in (1.0, cmath.exp(-1j * MARGIN)):
             ref = duffy_reference(n, z, z, mp)
-            assert abs(kernel_diag(n, z, theta_margin=1e-7) - ref) <= MAP_TOL * abs(ref), z
+            assert abs(kernel_diag(n, z) - ref) <= MAP_TOL * abs(ref), z
 
     @pytest.mark.parametrize("n", [
         pytest.param(n, marks=pytest.mark.xfail(
@@ -442,6 +442,18 @@ class TestDiagonalAndBounds:
                 q = kernel_eval_quadrature(n, z, z)
                 assert abs(d - q.real) <= DIAG_TOL * d
 
+    @pytest.mark.parametrize("n", (1, 8, 16))
+    def test_diag_and_norm_up_to_the_axis(self, n):
+        # no argument margin: within 1e-9 and 1e-14 of the imaginary axis the
+        # diagonal and the norm keep the map's bound against the reference
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for z in (3.0 * cmath.exp(1j * (math.pi / 2 - 1e-9)),
+                  0.5 * cmath.exp(-1j * (math.pi / 2 - 1e-14))):
+            ref = duffy_reference(n, z, z, mp).real
+            assert abs(kernel_diag(n, z) - ref) <= MAP_TOL * ref, z
+            assert abs(kernel_norm(n, z) - mp.sqrt(ref)) <= MAP_TOL * mp.sqrt(ref), z
+
     @pytest.mark.parametrize("n", (0, 1, 5, 8, 9, 16))
     def test_diag_array_equals_scalar_calls(self, n):
         # an array of points is one call, each element as a lone point gives it
@@ -518,10 +530,6 @@ class TestDiagonalAndBounds:
                 0.0, 1.0).value.real
             expected = 2 * math.cos(theta) * trig / (math.factorial(n - 1) ** 2 * abs(z))
             assert abs(kernel_diag(n, z) - expected) <= 1e-12 * expected
-
-    def test_theta_margin_enforced(self):
-        with pytest.raises(ValueError):
-            kernel_diag(1, cmath.exp(1j * (math.pi / 2 - 1e-5)))
 
 
 class TestGram:

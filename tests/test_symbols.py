@@ -46,9 +46,9 @@ CRITERION_12_ROWS = ("2*z+1", "z+i", "z+sqrt(z)+1", "z+log1p(z)", "sqrt(z)", "1/
 #: affine maps a*z+b with Re b > 0, written as the benchmark writes them
 AFFINE_MAPS = ("0.3981*z+1.2057-0.6612i", "3.1623*z+0.2000+1.9000i")
 #: symbols with masked lanes on the default grid: a denominator exactly 0 at
-#: the grid point z = 1, branch cuts over part of the grid, and powers that
-#: overflow along the outward rays
-MASKED_SYMBOLS = ("1/(z-1)", "sqrt(z-10)", "log1p(z-5)", "z^40")
+#: the grid point z = 1, branch cuts over part of the grid, powers that
+#: overflow along the outward rays, and a cut under a zero factor
+MASKED_SYMBOLS = ("1/(z-1)", "sqrt(z-10)", "log1p(z-5)", "z^40", "z + 0*sqrt(z - 10)")
 
 
 # Reference routes for the symbol analysis, kept as oracles: they rebuild every
@@ -239,7 +239,8 @@ class TestArrayEvaluation:
 
     POINTS = np.array([1.0, 2.0 + 1.0j, 10.0, 0.5 - 3.0j, 25.0 + 0.5j])
 
-    @pytest.mark.parametrize("text", ["1/(z-10)", "sqrt(z-10)", "log1p(z-11)", "z^40", "(z+1)^2.5"])
+    @pytest.mark.parametrize("text", ["1/(z-10)", "sqrt(z-10)", "log1p(z-11)", "z^40", "(z+1)^2.5",
+                                      "z + 0*sqrt(z - 10)"])
     def test_lanes_match_points(self, text):
         e = parse(text)
         values = e.eval(self.POINTS)
@@ -452,11 +453,16 @@ class TestJury:
 
     def test_first_bad_point_is_named(self):
         # one array evaluation of the images, but the error is the one a
-        # point-by-point check raises at the first bad point
-        with pytest.raises(ValueError, match=r"^image \(-9\+0j\) violates"):
+        # point-by-point check raises at the first bad point, the point
+        # before its image
+        with pytest.raises(ValueError, match=r"^image must lie in the open right half-plane, "
+                                             r"got \(-9\+0j\)$"):
             jury_min_eig(parse("z-10"), 0, 1.0, [20.0, 1.0, 2.0])
-        with pytest.raises(ValueError, match=r"^point \(-1\+0j\) violates"):
+        with pytest.raises(ValueError, match=r"^point must lie in the open right half-plane, "
+                                             r"got \(-1\+0j\)$"):
             jury_min_eig(parse("z-10"), 0, 1.0, [20.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^point must be finite, got \(1\+nanj\)$"):
+            jury_min_eig(parse("z+1"), 1, 1.0, [complex(1, math.nan), 1.0])
         with pytest.raises(BranchViolation):
             jury_min_m(parse("sqrt(z-10)"), 1, [20.0, 1.0, -1.0])
         with pytest.raises(ZeroDivisionError):
@@ -499,6 +505,20 @@ class TestJury:
         for n, m in ((0, 6), (0, 12), (1, 6), (1, 12), (2, 6), (2, 12), (3, 12), (3, 20)):
             pts = _jury_points(rng, m)
             assert jury_min_m(e, n, pts) == _oracle_jury_min_m(e, n, pts)
+
+    @pytest.mark.parametrize("text", CRITERION_12_ROWS)
+    def test_min_eig_equals_hermitised_eigenvalue_exactly(self, text):
+        # one least-eigenvalue step serves both jury routines: with no
+        # Hermitised copy it is min_eigenvalue of the same matrix, bit for bit
+        rng = np.random.default_rng(sum(map(ord, text)))
+        e = parse(text)
+        for n in range(3):
+            for m in (6, 12):
+                pts = _jury_points(rng, m)
+                images = e.eval(np.array(pts))
+                base, moved = gram_matrix(n, pts), gram_matrix(n, images)
+                for M in (0.5, 1.0, 1.7):
+                    assert jury_min_eig(e, n, M, pts) == min_eigenvalue(M**2 * base - moved)
 
     @pytest.mark.parametrize("bound", [
         lambda e: jury_min_eig(e, 1, 1.0, []),
