@@ -78,9 +78,12 @@ def _in_halfplane(z):
 
 def _require_halfplane(z, name: str):
     """A point, or a 1-D array or list of points, as complex when :func:`_in_halfplane`
-    holds at every point; else one ``ValueError`` naming ``name`` and its first bad value."""
+    holds at every point; else one ``ValueError`` naming ``name`` and its first bad
+    value, or its shape when it has more than one dimension."""
     many = isinstance(z, (list, tuple, np.ndarray))
     z = np.asarray(z, dtype=complex) if many else complex(z)
+    if many and z.ndim > 1:
+        raise ValueError(f"{name} must be a point or a 1-D array of points, got shape {z.shape}")
     ok = _in_halfplane(z)
     if not (ok.all() if many else ok):
         bad = complex(np.ravel(z)[np.argmin(ok)])

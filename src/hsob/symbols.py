@@ -13,7 +13,7 @@ f -> f o phi, and reports them as :class:`SymbolReport` fields:
 * ``nbc``                -- sup of |z^k phi^(k)(z)/phi(z)| for k = 1..n, which
   together with a finite angular derivative is sufficient.
 
-``jury_min_eig`` and ``jury_min_m`` give eigenvalue certificates for the kernel
+``jury_min_eig`` and ``jury_min_m`` give certificates for the kernel
 inequality M^2 K(x, y) >= K(phi(x), phi(y)), whose least admissible M equals
 the composition operator's norm; ``caughran_lower_bound`` reads a lower bound
 off the diagonals of the same two Gram matrices.
@@ -31,10 +31,11 @@ single point, and a nan ratio is skipped.
 The jury routines build the two Gram matrices of the inequality once, from
 one array evaluation of the images, since neither depends on M; their points
 and images obey the kernel's one domain rule, finite with Re z > 0 and no
-margin from the imaginary axis.  Both take least eigenvalues by one step;
-``jury_min_m`` bisects on M rather than reading M off the Cholesky
-pencil, because sampled kernel Gram matrices are too badly conditioned for
-the factorisation (cond up to about 2e17).
+margin from the imaginary axis.  ``jury_min_eig`` takes one least
+eigenvalue; ``jury_min_m`` bisects on M, deciding each step by a Cholesky
+factorisation of the shifted inequality matrix, rather than reading M off the
+Cholesky pencil of the base matrix, because sampled kernel Gram matrices are
+too badly conditioned for that factorisation (cond up to about 2e17).
 
 All suprema are sampled estimates over log-polar grids with refinement toward
 the argmax, toward the imaginary axis, and outward along rays: evidence, not
@@ -610,8 +611,12 @@ def faa_di_bruno(fjet: Jet, phijet: Jet, n: int) -> complex:
 # Kernel-inequality certificates
 
 
-#: M is admissible in ``jury_min_m`` when the least eigenvalue is >= -JURY_TOL
+#: slack on the kernel inequality: ``jury_min_m`` takes M as admissible when
+#: M^2 * base - moved + JURY_TOL * I has a Cholesky factor
 JURY_TOL = 1e-10
+#: ``jury_min_m`` stops once its bracket is at most this fraction of its upper
+#: end wide, the resolution of the bound on well-conditioned point sets
+JURY_RESOLUTION = 2.0**-30
 
 
 def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarray]:
@@ -652,17 +657,6 @@ def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarra
     return base, moved
 
 
-def _least_eigenvalue(base: np.ndarray, moved: np.ndarray, M: float, out=None) -> float:
-    """Least eigenvalue of M^2 * base - moved, formed in ``out`` when given.
-
-    No Hermitised copy: it would change no bit, since ``gram_matrix`` makes the
-    diagonal real and each entry above it exactly its mirror's conjugate, and
-    LAPACK reads only the lower triangle and the diagonal's real part.
-    """
-    step = np.subtract(np.multiply(base, M**2, out=out), moved, out=out)
-    return float(np.linalg.eigvalsh(step)[0])
-
-
 def jury_min_eig(e: SymbolExpr, n: int, M: float, points) -> float:
     """Least eigenvalue of [M^2 K_n(z_i,z_j) - K_n(phi(z_i),phi(z_j))].
 
@@ -670,43 +664,63 @@ def jury_min_eig(e: SymbolExpr, n: int, M: float, points) -> float:
     the composition operator's norm.  All points and their images must be
     finite points of C+.
     """
-    return _least_eigenvalue(*_jury_matrices(e, n, points), M)
+    base, moved = _jury_matrices(e, n, points)
+    # no Hermitised copy: it would change no bit, since gram_matrix makes the
+    # diagonal real and each entry above it exactly its mirror's conjugate,
+    # and LAPACK reads only the lower triangle and the diagonal's real part
+    return float(np.linalg.eigvalsh(M**2 * base - moved)[0])
 
 
 def jury_min_m(e: SymbolExpr, n: int, points) -> float:
     """Least M making the sampled kernel inequality hold on these points.
 
     A lower bound for the operator norm that grows toward it as the point set
-    refines; computed by bisection (the least eigenvalue is monotone in M),
-    at most 80 steps and none once the bracket's midpoint is one of its ends.
-    Both Gram matrices are built once; each bisection step only forms
-    M^2 * base - moved in one reused buffer and takes its least eigenvalue,
-    as :func:`jury_min_eig` does.
+    refines, found by bisection on M.  Both Gram matrices are built once, and
+    M is admissible when the Cholesky factorisation of
+    M^2 * base - moved + JURY_TOL * I succeeds (a failed one is the answer
+    "no"); each test forms that matrix in one reused buffer and costs less
+    than an eigen-solve.  The bracket starts at the diagonal bound
+    sqrt(max_i (moved_ii - JURY_TOL) / base_ii): below it some diagonal entry
+    is negative, so no M there is admissible.  From there the upper end
+    doubles until it is admissible (once it passes 1e12 the bound is
+    ``inf``), and the bisection stops once the bracket is at most
+    ``JURY_RESOLUTION`` = 2^-30 of its upper end wide.  The returned M is admissible, and some M' >=
+    (1 - 2^-30) M below it is not, unless M is the diagonal bound itself.  On a
+    well-conditioned set that is the bound's resolution; rounding of order
+    m * eps * ||S|| in the least eigenvalue of S = M^2 * base - moved moves
+    the threshold by about m * eps * ||S|| / (2 M v^H base v), v its least
+    eigenvector, so on a flat set the last digits depend on the steps taken.
 
-    Bisection stays, rather than the exact pencil
-    M^2 = lambda_max(L^-1 moved L^-H) with base = L L^H: kernel Gram matrices on sampled points are badly
-    conditioned (on 72 point sets like the benchmark's, cond(base) had a median
-    of 6.3e9 and reached 2e17 for 2*z+1 at n = 2 on 12 points), so the Cholesky
-    factor fails or amplifies rounding noise, which the feasibility slack
-    ``JURY_TOL`` keeps out of the bisection.
+    This is not the pencil M^2 = lambda_max(L^-1 moved L^-H) with
+    base = L L^H, which factors ``base`` itself: kernel Gram matrices on
+    sampled points are badly conditioned (on 72 point sets like the
+    benchmark's, cond(base) had a median of 6.3e9 and reached 2e17 for 2*z+1
+    at n = 2 on 12 points), so that factor fails or amplifies rounding noise.
+    Here the shifted matrix is factored only to decide one M, and the slack
+    ``JURY_TOL`` keeps the noise out of each decision.
     """
     base, moved = _jury_matrices(e, n, points)
     step = np.empty_like(base)
+    diagonal = step.reshape(-1)[:: len(step) + 1]  # a view of step's diagonal
 
-    def feasible(M):
-        return _least_eigenvalue(base, moved, M, out=step) >= -JURY_TOL
+    def admissible(M):
+        np.subtract(np.multiply(base, M**2, out=step), moved, out=step)
+        np.add(diagonal, JURY_TOL, out=diagonal)
+        try:
+            np.linalg.cholesky(step)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
-    lo, hi = 0.0, 1.0
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            return math.inf
-    for _ in range(80):
+    ratios = (moved.diagonal().real - JURY_TOL) / base.diagonal().real
+    lo = hi = math.sqrt(max(ratios.max(), 0.0))
+    while hi <= 1e12 and not admissible(hi):
+        lo, hi = hi, 2.0 * hi if hi else 1.0
+    if hi > 1e12:
+        return math.inf
+    while hi - lo > JURY_RESOLUTION * hi:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            # the bracket is two adjacent doubles: a further step changes nothing
-            break
-        if feasible(mid):
+        if admissible(mid):
             hi = mid
         else:
             lo = mid

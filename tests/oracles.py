@@ -16,6 +16,8 @@ route:
   the production form that takes both orders in one array pass, bit for bit;
 * the disc norm with one integrand call per circle, against
   ``disc_h2_norm``'s one call on all three circles, bit for bit;
+* the least admissible M of the kernel inequality by 80 eigenvalue bisection
+  steps, each on a rebuilt matrix, against ``jury_min_m`` to its resolution;
 * jet composition by Horner substitution, against the partition sum
   ``faa_di_bruno``;
 * an ``ExpPoly`` read back from the term list of a verify case record;
@@ -38,8 +40,10 @@ from hsob import (
     QuadConfig,
     RationalComb,
     exp_series_remainder,
+    gram_matrix,
     inner_product_n,
     integrate_halfline,
+    min_eigenvalue,
     norm_n,
     w_minus_exp,
 )
@@ -292,6 +296,50 @@ def disc_norm_per_circle(g, nodes: int = DISC_NODES) -> float:
     s = DISC_OFFSET
     v1, v2, v4 = mean_square(1.0 - s), mean_square(1.0 - 2 * s), mean_square(1.0 - 4 * s)
     return float(np.sqrt(max((8.0 * v1 - 6.0 * v2 + v4) / 3.0, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# The kernel inequality, rebuilt on every bisection step
+
+
+def jury_matrix(e, n: int, M: float, points) -> np.ndarray:
+    """M^2 K_n(z_i, z_j) - K_n(phi(z_i), phi(z_j)), filled entry by entry from
+    the lower triangle with each mirror entry its conjugate."""
+    # gram_matrix is bit for bit the scalar kernel_eval_closed of each entry
+    # (TestGram in test_kernel.py); the images come from the same array
+    # evaluation as the library's
+    pts = [complex(z) for z in points]
+    images = e.eval(np.array(pts))
+    base, moved = gram_matrix(n, pts), gram_matrix(n, images)
+    m = len(pts)
+    A = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(i + 1):
+            val = M**2 * base[i, j] - moved[i, j]
+            A[i, j] = val
+            A[j, i] = val.conjugate()
+    return A
+
+
+def jury_min_m_bisection(e, n: int, points, tol: float = 1e-10) -> float:
+    """Least M with min_eigenvalue(jury_matrix) >= -tol: doubling from 1, then
+    80 bisection steps, down to adjacent doubles and on, each step on a
+    rebuilt matrix; ``inf`` past 1e12."""
+    def feasible(M):
+        return min_eigenvalue(jury_matrix(e, n, M, points)) >= -tol
+
+    lo, hi = 0.0, 1.0
+    while not feasible(hi):
+        hi *= 2.0
+        if hi > 1e12:
+            return float("inf")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

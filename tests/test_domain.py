@@ -3,7 +3,8 @@
 Every public function that takes a point (a parameter named ``z``, ``w`` or
 ``points``) refuses a non-finite point and a point off the open right
 half-plane with one ``ValueError`` that names the argument and the bad value,
-and takes a point next to the imaginary axis, which no margin keeps out.
+and takes a point next to the imaginary axis, which no margin keeps out.  An
+array of points with more than one dimension is refused the same way.
 """
 
 import cmath
@@ -65,6 +66,22 @@ def test_refuses_points_off_the_halfplane(fn, name, call, bad):
     with pytest.raises(ValueError) as err:
         call(bad)
     assert str(err.value) == f"{name} must {rule}, got {complex(bad)}"
+
+
+#: (function, argument name, call with a 2x2 array of points of C+): a
+#: points argument is a point or a 1-D array, never a matrix of points
+POINTS_2D = np.array([[1.0, 2.0], [3.0, 4.0 + 1.0j]])
+SHAPE_TABLE = [
+    (gram_matrix, "point", lambda: gram_matrix(1, POINTS_2D)),
+    (kernel_diag, "z", lambda: kernel_diag(1, POINTS_2D)),
+]
+
+
+@pytest.mark.parametrize("fn, name, call", SHAPE_TABLE, ids=[fn.__name__ for fn, _, _ in SHAPE_TABLE])
+def test_refuses_arrays_of_more_than_one_dimension(fn, name, call):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == f"{name} must be a point or a 1-D array of points, got shape (2, 2)"
 
 
 @pytest.mark.parametrize("fn, name, call", DOMAIN_TABLE, ids=IDS)

@@ -26,6 +26,8 @@ from hsob.cli import _parse_grid
 from hsob.symbols import (
     DEFAULT_GRID,
     DIVERGE_CAP,
+    JURY_RESOLUTION,
+    JURY_TOL,
     Add,
     Const,
     Div,
@@ -35,12 +37,14 @@ from hsob.symbols import (
     Var,
     _base_points,
     _derivative_ratios,
+    _jury_matrices,
     _supremum_estimate,
 )
 
 import scalar_route
-from oracles import compose
+from oracles import compose, jury_min_m_bisection
 
+EPS = np.finfo(float).eps
 #: the symbols of acceptance criterion 12's classification table
 CRITERION_12_ROWS = ("2*z+1", "z+i", "z+sqrt(z)+1", "z+log1p(z)", "sqrt(z)", "1/(z+1)")
 #: affine maps a*z+b with Re b > 0, written as the benchmark writes them
@@ -51,45 +55,10 @@ AFFINE_MAPS = ("0.3981*z+1.2057-0.6612i", "3.1623*z+0.2000+1.9000i")
 MASKED_SYMBOLS = ("1/(z-1)", "sqrt(z-10)", "log1p(z-5)", "z^40", "z + 0*sqrt(z - 10)")
 
 
-# Reference routes for the symbol analysis, kept as oracles: they rebuild every
-# kernel value on each bisection step and a fresh order-k jet for each k, the
-# straightforward reading of the definitions that the library hoists.  The
-# point-by-point route itself is in scalar_route.py.
-
-def _oracle_jury_matrix(e, n, M, points):
-    # gram_matrix is bit for bit the scalar kernel_eval_closed of each entry
-    # (TestGram in test_kernel.py), so rebuilding with it keeps the oracle exact;
-    # the images come from the same array evaluation as the library's
-    pts = [complex(z) for z in points]
-    images = e.eval(np.array(pts))
-    base, moved = gram_matrix(n, pts), gram_matrix(n, images)
-    m = len(pts)
-    A = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i + 1):
-            val = M**2 * base[i, j] - moved[i, j]
-            A[i, j] = val
-            A[j, i] = val.conjugate()
-    return A
-
-
-def _oracle_jury_min_m(e, n, points, tol=1e-10):
-    def feasible(M):
-        return min_eigenvalue(_oracle_jury_matrix(e, n, M, points)) >= -tol
-
-    lo, hi = 0.0, 1.0
-    while not feasible(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            return math.inf
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
+# Reference routes for the symbol analysis, kept as oracles: a fresh order-k
+# jet for each k, the straightforward reading of the definitions that the
+# library hoists.  The point-by-point route itself is in scalar_route.py, and
+# the jury bisection on rebuilt matrices in oracles.py.
 
 def _per_order_nbc_suprema(e, n, grid=DEFAULT_GRID):
     # a fresh order-k array jet for each k, and one supremum estimate each
@@ -419,27 +388,47 @@ class TestJury:
                 assert abs(lower - want) <= 1e-15 * want
                 assert lower <= jury_min_m(e, n, pts) * (1.0 + 1e-8)
 
-    def test_bisection_stops_at_adjacent_doubles(self, monkeypatch):
-        # once the bracket's midpoint is one of its ends no step can move it:
-        # the bisection ends well before its 80 steps, on the oracle's bound
-        # (each step is one eigvalsh call; the oracle's are not counted)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+    def test_bisection_stops_at_its_resolution(self, monkeypatch):
+        # each step is one Cholesky test and no eigen-solve; from the diagonal
+        # bound the bisection takes at most 40 tests and stops once the
+        # bracket is 2^-30 of its upper end wide
+        tested, eigen_solves = [], []
+        cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+
+        def recording(A):
+            step = A.copy()  # jury_min_m reuses its buffer
+            try:
+                factor = cholesky(A)
+            except np.linalg.LinAlgError:
+                tested.append((step, False))
+                raise
+            tested.append((step, True))
+            return factor
 
         def counting(A):
-            calls.append(1)
+            eigen_solves.append(1)
             return eigvalsh(A)
 
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         rng = np.random.default_rng(14)
         for text in CRITERION_12_ROWS + AFFINE_MAPS:
+            e = parse(text)
             for n, m in ((0, 6), (1, 6), (2, 6), (3, 12), (3, 20)):
                 pts = _jury_points(rng, m)
-                calls.clear()
-                bound = jury_min_m(parse(text), n, pts)
-                steps = len(calls)
-                assert bound == _oracle_jury_min_m(parse(text), n, pts)
-                assert 0 < steps <= 64
+                tested.clear()
+                bound = jury_min_m(e, n, pts)
+                assert 0 < len(tested) <= 40 and not eigen_solves
+                # each tested M read back off the largest diagonal entry of its
+                # matrix M^2 * base - moved + JURY_TOL * I, to a few roundings
+                base, moved = _jury_matrices(e, n, pts)
+                k = np.argmax(base.diagonal().real)
+                failed = [math.sqrt((A[k, k].real - JURY_TOL + moved[k, k].real) / base[k, k].real)
+                          for A, ok in tested if not ok]
+                if failed:
+                    assert bound - max(failed) <= (JURY_RESOLUTION + 8 * EPS) * bound
+                else:
+                    assert len(tested) == 1  # the diagonal bound itself passed
 
     def test_margin_validation(self):
         with pytest.raises(ValueError):
@@ -497,14 +486,28 @@ class TestJury:
                     bound()
 
     @pytest.mark.parametrize("text", CRITERION_12_ROWS + AFFINE_MAPS)
-    def test_min_m_matches_rebuilding_oracle_exactly(self, text):
-        # Gram matrices built once, and each step's matrix handed to eigvalsh
-        # without a Hermitised copy, give bit for bit the per-step rebuilt bound
+    def test_min_m_matches_rebuilding_oracle_to_its_resolution(self, text):
+        # the 80-step eigenvalue bisection on rebuilt matrices and the stopped
+        # Cholesky bisection agree to the bracket, 2^-30 M, plus the rounding
+        # band of the threshold: an error m * eps * ||S|| in the least
+        # eigenvalue of S = M^2 * base - moved moves the root by that over
+        # d lambda / dM = 2 M s, s = v^H base v for the least eigenvector v
+        # (first-order perturbation).  The returned M passes its certificate,
+        # and its least eigenvalue is -JURY_TOL to rounding
         rng = np.random.default_rng(sum(map(ord, text)))
         e = parse(text)
-        for n, m in ((0, 6), (0, 12), (1, 6), (1, 12), (2, 6), (2, 12), (3, 12), (3, 20)):
+        for n, m in ((0, 6), (1, 12), (2, 6)):
             pts = _jury_points(rng, m)
-            assert jury_min_m(e, n, pts) == _oracle_jury_min_m(e, n, pts)
+            M, M_o = jury_min_m(e, n, pts), jury_min_m_bisection(e, n, pts)
+            base, moved = _jury_matrices(e, n, pts)
+            S = M_o**2 * base - moved
+            values, vectors = np.linalg.eigh(S)
+            s = (vectors[:, 0].conj() @ base @ vectors[:, 0]).real
+            band = m * EPS * np.abs(values).max()
+            assert abs(M - M_o) <= JURY_RESOLUTION * M + band / (2 * M_o * s)
+            S = M**2 * base - moved
+            np.linalg.cholesky(S + JURY_TOL * np.eye(m))
+            assert jury_min_eig(e, n, M, pts) >= -JURY_TOL - m * EPS * np.linalg.norm(S, 2)
 
     @pytest.mark.parametrize("text", CRITERION_12_ROWS)
     def test_min_eig_equals_hermitised_eigenvalue_exactly(self, text):
