@@ -91,6 +91,30 @@ def _jury_points(rng, m):
     return [complex(rng.uniform(0.3, 4.0), rng.uniform(-2.0, 2.0)) for _ in range(m)]
 
 
+def _assert_within_resolution_of_oracle(e, n, pts, M):
+    # the 80-step eigenvalue bisection on rebuilt matrices and the stopped
+    # Cholesky bisection agree to the bracket, 2^-30 M, plus the rounding band
+    # of the threshold: an error m * eps * ||S|| in the least eigenvalue of
+    # S = M^2 * base - moved moves the root by that over d lambda / dM = 2 M s,
+    # s = v^H base v for the least eigenvector v (first-order perturbation).
+    # The returned M passes its certificate, and its least eigenvalue is
+    # -JURY_TOL to rounding
+    M_o = jury_min_m_bisection(e, n, pts)
+    if math.isinf(M_o):
+        assert M == M_o
+        return
+    m = len(pts)
+    base, moved = _jury_matrices(e, n, pts)
+    S = M_o**2 * base - moved
+    values, vectors = np.linalg.eigh(S)
+    s = (vectors[:, 0].conj() @ base @ vectors[:, 0]).real
+    band = m * EPS * np.abs(values).max()
+    assert abs(M - M_o) <= JURY_RESOLUTION * M + band / (2 * M_o * s)
+    S = M**2 * base - moved
+    np.linalg.cholesky(S + JURY_TOL * np.eye(m))
+    assert jury_min_eig(e, n, M, pts) >= -JURY_TOL - m * EPS * np.linalg.norm(S, 2)
+
+
 class TestParser:
     def test_affine(self):
         e = parse("2*z + 1")
@@ -391,7 +415,8 @@ class TestJury:
     def test_bisection_stops_at_its_resolution(self, monkeypatch):
         # each step is one Cholesky test and no eigen-solve; from the diagonal
         # bound the bisection takes at most 40 tests and stops once the
-        # bracket is 2^-30 of its upper end wide
+        # bracket is 2^-30 of its upper end wide, within its resolution of the
+        # 80-step bisection
         tested, eigen_solves = [], []
         cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
 
@@ -417,6 +442,7 @@ class TestJury:
             for n, m in ((0, 6), (1, 6), (2, 6), (3, 12), (3, 20)):
                 pts = _jury_points(rng, m)
                 tested.clear()
+                eigen_solves.clear()
                 bound = jury_min_m(e, n, pts)
                 assert 0 < len(tested) <= 40 and not eigen_solves
                 # each tested M read back off the largest diagonal entry of its
@@ -429,6 +455,7 @@ class TestJury:
                     assert bound - max(failed) <= (JURY_RESOLUTION + 8 * EPS) * bound
                 else:
                     assert len(tested) == 1  # the diagonal bound itself passed
+                _assert_within_resolution_of_oracle(e, n, pts, bound)
 
     def test_margin_validation(self):
         with pytest.raises(ValueError):
@@ -487,27 +514,11 @@ class TestJury:
 
     @pytest.mark.parametrize("text", CRITERION_12_ROWS + AFFINE_MAPS)
     def test_min_m_matches_rebuilding_oracle_to_its_resolution(self, text):
-        # the 80-step eigenvalue bisection on rebuilt matrices and the stopped
-        # Cholesky bisection agree to the bracket, 2^-30 M, plus the rounding
-        # band of the threshold: an error m * eps * ||S|| in the least
-        # eigenvalue of S = M^2 * base - moved moves the root by that over
-        # d lambda / dM = 2 M s, s = v^H base v for the least eigenvector v
-        # (first-order perturbation).  The returned M passes its certificate,
-        # and its least eigenvalue is -JURY_TOL to rounding
         rng = np.random.default_rng(sum(map(ord, text)))
         e = parse(text)
-        for n, m in ((0, 6), (1, 12), (2, 6)):
+        for n, m in ((0, 6), (0, 12), (1, 6), (1, 12), (2, 6), (2, 12), (3, 12), (3, 20)):
             pts = _jury_points(rng, m)
-            M, M_o = jury_min_m(e, n, pts), jury_min_m_bisection(e, n, pts)
-            base, moved = _jury_matrices(e, n, pts)
-            S = M_o**2 * base - moved
-            values, vectors = np.linalg.eigh(S)
-            s = (vectors[:, 0].conj() @ base @ vectors[:, 0]).real
-            band = m * EPS * np.abs(values).max()
-            assert abs(M - M_o) <= JURY_RESOLUTION * M + band / (2 * M_o * s)
-            S = M**2 * base - moved
-            np.linalg.cholesky(S + JURY_TOL * np.eye(m))
-            assert jury_min_eig(e, n, M, pts) >= -JURY_TOL - m * EPS * np.linalg.norm(S, 2)
+            _assert_within_resolution_of_oracle(e, n, pts, jury_min_m(e, n, pts))
 
     @pytest.mark.parametrize("text", CRITERION_12_ROWS)
     def test_min_eig_equals_hermitised_eigenvalue_exactly(self, text):
