@@ -21,10 +21,12 @@ off the diagonals of the same two Gram matrices.
 Symbols are evaluated on point arrays.  ``SymbolExpr.eval`` and ``.jet``
 take a 1-D array and return one lane per point; a point on a branch cut or at
 a vanishing denominator is a masked lane, nan in every output, where a single
-point raises (see :mod:`hsob.jets`).  Each pass of a supremum estimate (the
-base grid, each refinement, each boundary pass, the rays) is one array call,
-and ``classify`` evaluates each point set once: one order-n jet serves the
-self-map check, the angular derivative, the radial supremum and every k.
+point raises (see :mod:`hsob.jets`).  ``classify`` makes four array calls:
+the base grid, the first refinement together with the boundary rings (which
+depend on no argmax), the second refinement, and the rays; the passes are
+swept in their order, base grid, refinements, rings, rays.  It evaluates each
+point set once: one order-n jet serves the self-map check, the angular
+derivative, the radial supremum and every k.
 A pass runs with numpy's overflow warnings off: a value or coefficient that
 overflows comes out inf or nan, as Python's complex arithmetic gives it at a
 single point, and a nan ratio is skipped.
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import functools
 import math
 import dataclasses
 from dataclasses import dataclass, field
@@ -447,11 +450,32 @@ def _polar(radii, angles) -> np.ndarray:
     return pts.ravel()
 
 
-def _base_points(grid: GridSpec) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's base points and boundary rings, built once per grid.
+
+    The rings are the ``BOUNDARY_PASSES`` radial pairs of arguments at
+    +-(pi/2 - margin), the margin shrinking 100-fold per ring, concatenated
+    ring by ring.  The arrays are shared between calls, so they are
+    read-only.
+    """
     # a grid with no points samples nothing, so it is no evidence
     if grid.num_r < 1 or grid.num_theta < 1:
         raise ValueError("the grid has no points: num_r and num_theta must be at least 1")
-    return _polar(grid.radii(), grid.angles())
+    radii = grid.radii()
+    rings, margin = [], grid.theta_margin
+    for _ in range(BOUNDARY_PASSES):
+        margin *= 1e-2
+        edge = math.pi / 2 - margin
+        rings.append(_polar(radii, [-edge, edge]))
+    arrays = _polar(radii, grid.angles()), np.concatenate(rings)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _base_points(grid: GridSpec) -> np.ndarray:
+    return _grid_points(grid)[0]
 
 
 def _silently(fn, *args):
@@ -472,10 +496,17 @@ def _supremum_estimate(fn, grid: GridSpec, caps, first) -> np.ndarray:
     marks a point to skip.  ``first`` is ``fn`` already evaluated on the base
     grid.  Each row is estimated on its own: ``REFINE_PASSES`` refinements
     around its own argmax, then the ``BOUNDARY_PASSES``, then the ray through
-    its argmax.  Every pass is one call of ``fn``: the refinements and the
-    ray concatenate the rows' point sets, and each row reads its own block.
-    Within a pass a row's running maximum moves to the first maximum in
-    point order, if it is larger.
+    its argmax.  Within a pass a row's running maximum moves to the first
+    maximum in point order, if it is larger; one argmax over each pass's rows
+    sweeps them all.
+
+    ``fn`` is called at most three times: the refinements and the ray
+    concatenate the rows' point sets, each row reading its own block, and the
+    boundary rings, which depend on no argmax, ride in the first
+    refinement's call.  The rings are swept after the last refinement and
+    before the ray, so every pass and its order are as with one call per
+    pass.  A ray that starts at 10**LOG10_R_EXTEND or beyond is empty, and a
+    pass with no points makes no call.
 
     Returns the q estimates.  A row's estimate is declared +inf when it
     exceeds its divergence cap (``caps``, one per row) *and* refinement
@@ -483,70 +514,76 @@ def _supremum_estimate(fn, grid: GridSpec, caps, first) -> np.ndarray:
     to the boundary or to infinity; it is nan when no base-grid point gave a
     value.
     """
-    radii = grid.radii()
-    pts = _polar(radii, grid.angles())
-    q = len(first)
-    best = np.full(q, -math.inf)
-    best_z = np.zeros(q, dtype=complex)
+    pts, rings = _grid_points(grid)
+    first = np.asarray(first)
+    best = np.full(len(first), -math.inf)
+    best_z = np.zeros(len(first), dtype=complex)
 
-    def sweep(row, points, values):
+    def sweep(rows, points, values):
+        # points: one row per row of values, or one row that they all share
         values = np.where(np.isnan(values), -math.inf, values)
-        i = int(np.argmax(values))
-        if values[i] > best[row]:
-            best[row], best_z[row] = values[i], points[i]
+        i = np.argmax(values, axis=1)
+        lanes = np.arange(len(rows))
+        top = values[lanes, i]
+        up = top > best[rows]
+        best[rows[up]] = top[up]
+        best_z[rows[up]] = (points[i] if points.ndim == 1 else points[lanes, i])[up]
 
-    for row in range(q):
-        sweep(row, pts, first[row])
+    sweep(np.arange(len(first)), pts, first)
     base_estimate = best.copy()
     # a row without a base-grid value gets no further pass
-    rows = [row for row in range(q) if best[row] > -math.inf]
+    rows = np.flatnonzero(best > -math.inf)
+    if not len(rows):
+        return np.full(len(first), math.nan)
 
-    def blocked_pass(point_sets):
-        # point_sets[i] belongs to rows[i]
-        points = np.concatenate(point_sets)
-        if not len(points):
-            return
-        values = _silently(fn, points)
-        stop = 0
-        for row, block in zip(rows, point_sets):
-            start, stop = stop, stop + len(block)
-            if start < stop:
-                sweep(row, points[start:stop], values[row, start:stop])
+    def centres():
+        # abs and math.atan2, not their numpy forms, which differ in the last bit
+        zs = [complex(z) for z in best_z[rows]]
+        return (np.array([abs(z) for z in zs]),
+                np.array([math.atan2(z.imag, z.real) for z in zs]))
 
-    def polar_of(row):
-        z = complex(best_z[row])
-        return abs(z), math.atan2(z.imag, z.real)
+    def own_blocks(values, width):
+        # block j of the concatenated points belongs to rows[j]
+        columns = np.arange(len(rows))[:, None] * width + np.arange(width)
+        return values[rows[:, None], columns]
 
     half = math.pi / 2 - grid.theta_margin
     scales = np.logspace(-0.5, 0.5, 9)
-    for _ in range(REFINE_PASSES if rows else 0):
-        point_sets = []
-        for row in rows:
-            r0, t0 = polar_of(row)
-            angles = np.clip(np.linspace(t0 - 0.2, t0 + 0.2, 9), -half, half)
-            point_sets.append(_polar(r0 * scales, angles))
-        blocked_pass(point_sets)
+    for step in range(REFINE_PASSES):
+        r0, t0 = centres()
+        angles = np.clip(np.linspace(t0 - 0.2, t0 + 0.2, 9).T, -half, half)
+        radius = (r0[:, None] * scales)[:, :, None]
+        block = np.empty((len(rows), 9, 9), dtype=complex)
+        block.real = radius * np.cos(angles)[:, None, :]
+        block.imag = radius * np.sin(angles)[:, None, :]
+        block = block.reshape(len(rows), 81)
+        if step == 0:
+            values = _silently(fn, np.concatenate([block.ravel(), rings]))
+            ring_values = values[rows, block.size:]
+        else:
+            values = _silently(fn, block.ravel())
+        sweep(rows, block, own_blocks(values, 81))
+    sweep(rows, rings, ring_values)
 
-    margin = grid.theta_margin
-    for _ in range(BOUNDARY_PASSES if rows else 0):
-        margin *= 1e-2
-        edge = math.pi / 2 - margin
-        points = _polar(radii, [-edge, edge])
-        values = _silently(fn, points)
-        for row in rows:
-            sweep(row, points, values[row])
-
-    point_sets = []
-    for row in rows:
-        r, t0 = polar_of(row)
-        r = max(r, 10.0 ** grid.log10_r_max)
-        ray = []
-        while r < 10.0 ** LOG10_R_EXTEND:
-            r *= 10.0
-            ray.append(r)
-        point_sets.append(_polar(ray, [t0]))
-    if rows:
-        blocked_pass(point_sets)
+    # each ray multiplies its start by 10 until it reaches 10**LOG10_R_EXTEND,
+    # as a running product; the nearest start takes the most steps
+    r0, t0 = centres()
+    start = np.maximum(r0, 10.0 ** grid.log10_r_max)
+    end, r, steps = 10.0**LOG10_R_EXTEND, start.min(), 0
+    while r < end:
+        r, steps = r * 10.0, steps + 1
+    if steps:
+        factors = np.full((len(rows), steps + 1), 10.0)
+        factors[:, 0] = start
+        products = np.multiply.accumulate(factors, axis=1)
+        ray = np.empty((len(rows), steps), dtype=complex)
+        ray.real = products[:, 1:] * np.cos(t0)[:, None]
+        ray.imag = products[:, 1:] * np.sin(t0)[:, None]
+        on_ray = products[:, :-1] < end
+        owner = np.broadcast_to(rows[:, None], ray.shape)[on_ray]
+        own = np.full(ray.shape, math.nan)
+        own[on_ray] = _silently(fn, ray[on_ray])[owner, np.arange(len(owner))]
+        sweep(rows, ray, own)
 
     grew = best > base_estimate * (1.0 + 1e-9)
     estimates = np.where((best > caps) & grew, math.inf, best)
@@ -786,10 +823,10 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
     finite angular derivative plus finite k-derivative suprema passes the
     sufficient one; anything else is inconclusive.
 
-    All estimates share one order-n jet per pass of :func:`_supremum_estimate`;
-    the base grid's jet also gives the self-map flag.  The angular
-    derivative diverges past ``ANGULAR_CAP``, the other suprema past
-    ``DIVERGE_CAP``.
+    All estimates share one order-n jet per array call: the base grid's,
+    which also gives the self-map flag, and the three of
+    :func:`_supremum_estimate`.  The angular derivative diverges past
+    ``ANGULAR_CAP``, the other suprema past ``DIVERGE_CAP``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

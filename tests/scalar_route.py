@@ -1,7 +1,7 @@
 """The per-point route of the symbol analysis, kept as the tests' oracle.
 
-The library evaluates symbols and their Taylor jets on point arrays and makes
-every pass of a sampled supremum one array call.  This module is the
+The library evaluates symbols and their Taylor jets on point arrays, all the
+passes of a sampled supremum in four array calls.  This module is the
 straightforward reading it replaced: a tuple-based :class:`Jet` of Python
 complex numbers, evaluation of the AST one point at a time with an exception
 at each branch cut or vanishing denominator, and supremum sweeps that try one

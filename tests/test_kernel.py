@@ -121,6 +121,14 @@ BAND_CASES = tuple((r, tz, tw) for r in (0.54, 0.6, 0.75, 0.88)
 #: Q_m on the log branch, not from the final sum (condition about 2)
 BAND_WORST = {7: 1.02e-15, 8: 1.37e-15, 9: 1.35e-15, 10: 1.77e-15, 11: 1.85e-15, 12: 2.18e-15,
               13: 2.29e-15, 14: 2.49e-15, 15: 3.03e-15, 16: 3.36e-15}
+#: relative error bound of the quadrature route against the map's references:
+#: the worst measured was 3.07e-12 (n = 11, the diagonal at arg z =
+#: -(pi/2 - 1e-6)); every case within 1e-6 of the axis read 2.6e-12 to
+#: 3.1e-12 at n >= 1, the others at most 1.29e-12 (n = 14, |z|/|w| = 1e-300),
+#: all well inside the route's rel_tol of 1e-9.  It refuses the subnormal
+#: ratio 1e-320 (the extreme at n = 1, 8, 15 and 16) by its overflow rule:
+#: at unit scale its integrand would reach 1e320
+QUAD_MAP_TOL = 4e-12
 #: the quadrature diagonal checks the closed-form one to its own accuracy: over
 #: n = 1..8 and |arg z| <= pi/2 - 1e-3 it is off by up to 2.1e-13 (n = 2,
 #: |arg z| = 1.452), where the closed form is within 1e-16 of the reference
@@ -167,7 +175,8 @@ class TestClosedForms:
         # the closed form against a 30-digit reference: |z|/|w| from 1 down
         # to 1e-320, both arguments within 1e-6 of the imaginary axis where
         # a + u b nearly vanishes, and the diagonal, there by kernel_diag;
-        # |z|/|w| > 1 by Hermitian symmetry, against the same reference
+        # |z|/|w| > 1 by Hermitian symmetry, against the same reference.
+        # The quadrature route meets the same references to QUAD_MAP_TOL
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         cases = MAP_CASES + tuple((r, 0.3, -1.2) for r in MAP_EXTREMES[n])
@@ -176,9 +185,18 @@ class TestClosedForms:
             ref = duffy_reference(n, z, w, mp)
             for value in (kernel_eval_closed(n, z, w), kernel_eval_closed(n, w, z).conjugate()):
                 assert abs(mp.mpc(value) - ref) <= MAP_TOL * abs(ref), (r, tz, tw)
+            quadrature = (lambda: kernel_eval_quadrature(n, z, w),
+                          lambda: kernel_eval_quadrature(n, w, z).conjugate())
+            for route in quadrature:
+                if n and r == 1e-320:
+                    with pytest.raises(ValueError, match="^the quadrature route cannot take"):
+                        route()
+                else:
+                    assert abs(mp.mpc(route()) - ref) <= QUAD_MAP_TOL * abs(ref), (r, tz, tw)
         for z in (1.0, cmath.exp(-1j * MARGIN)):
             ref = duffy_reference(n, z, z, mp)
             assert abs(kernel_diag(n, z) - ref) <= MAP_TOL * abs(ref), z
+            assert abs(kernel_eval_quadrature(n, z, z) - ref) <= QUAD_MAP_TOL * abs(ref), z
 
     @pytest.mark.parametrize("n", [
         pytest.param(n, marks=pytest.mark.xfail(

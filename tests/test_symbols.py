@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hsob import symbols
 from hsob import (
     BranchViolation,
     GridSpec,
@@ -34,15 +35,17 @@ from hsob.symbols import (
     Log1p,
     Mul,
     Pow,
+    SymbolExpr,
     Var,
     _base_points,
     _derivative_ratios,
+    _grid_points,
     _jury_matrices,
     _supremum_estimate,
 )
 
 import scalar_route
-from oracles import compose, jury_min_m_bisection
+from oracles import compose, jury_min_m_bisection, supremum_estimate_per_pass
 
 EPS = np.finfo(float).eps
 #: the symbols of acceptance criterion 12's classification table
@@ -53,6 +56,11 @@ AFFINE_MAPS = ("0.3981*z+1.2057-0.6612i", "3.1623*z+0.2000+1.9000i")
 #: the grid point z = 1, branch cuts over part of the grid, powers that
 #: overflow along the outward rays, and a cut under a zero factor
 MASKED_SYMBOLS = ("1/(z-1)", "sqrt(z-10)", "log1p(z-5)", "z^40", "z + 0*sqrt(z - 10)")
+#: the default grid; a coarse one, whose wide margin lets the boundary rings
+#: move a running maximum that the second refinement would otherwise move; a
+#: wide one reaching 1e12 and 1e-6 from the imaginary axis; and a single point
+GRIDS = {"default": DEFAULT_GRID, "coarse": GridSpec(-1.0, 1.0, 5, 0.3, 3),
+         "wide": GridSpec(-12.0, 12.0, 61, 1e-6, 41), "one-point": GridSpec(0.0, 0.0, 1, 0.5, 1)}
 
 
 # Reference routes for the symbol analysis, kept as oracles: a fresh order-k
@@ -78,6 +86,34 @@ def _oracle_caughran(e, n, points):
     pts = [complex(z) for z in points]
     return max(kernel_norm(n, complex(u)) / kernel_norm(n, z)
                for z, u in zip(pts, e.eval(np.array(pts, dtype=complex))))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Counting(SymbolExpr):
+    """A symbol that records the shape of every point array it is evaluated on."""
+
+    inner: SymbolExpr
+    calls: list = dataclasses.field(default_factory=list, compare=False)
+
+    def eval(self, z):
+        self.calls.append(("eval", np.shape(z)))
+        return self.inner.eval(z)
+
+    def jet(self, z, order):
+        self.calls.append(("jet", np.shape(z)))
+        return self.inner.jet(z, order)
+
+    def to_text(self):
+        return self.inner.to_text()
+
+
+def _report_fields(e, n, grid):
+    # each field's repr: exact for floats, and nan equal to nan
+    try:
+        report = classify(e, n, grid)
+    except ValueError as exc:
+        return repr(exc)
+    return [repr(getattr(report, f.name)) for f in dataclasses.fields(report)]
 
 
 def _agree(got, want, rtol=1e-14):
@@ -578,8 +614,46 @@ class TestClassify:
 
     @pytest.mark.parametrize("text", ["(1e300*z)^3", "z - z/0"])
     def test_nowhere_finite_symbol_refused(self, text):
+        # after the base grid's one array call
+        e = _Counting(parse(text))
         with pytest.raises(ValueError, match="^phi took no finite value at any base-grid point$"):
-            classify(parse(text), 1)
+            classify(e, 1)
+        assert e.calls == [("jet", (DEFAULT_GRID.num_r * DEFAULT_GRID.num_theta,))]
+
+    @pytest.mark.parametrize("text", CRITERION_12_ROWS + AFFINE_MAPS + MASKED_SYMBOLS)
+    def test_four_array_calls(self, text):
+        # the base grid, refinement 1 with the boundary rings, refinement 2
+        # and the rays: one order-n jet each, and no other evaluation
+        for n in range(7):
+            e = _Counting(parse(text))
+            classify(e, n)
+            assert len(e.calls) == 4, (n, e.calls)
+            assert all(kind == "jet" and len(shape) == 1 for kind, shape in e.calls)
+
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
+    def test_equals_per_pass_oracle(self, grid, monkeypatch):
+        # every report field bit for bit, or the same error, as with one call
+        # of the ratios per pass and one sweep per row
+        cases = [(parse(text), n) for text in CRITERION_12_ROWS + AFFINE_MAPS + MASKED_SYMBOLS
+                 for n in range(7)]
+        got = [_report_fields(e, n, grid) for e, n in cases]
+        monkeypatch.setattr(symbols, "_supremum_estimate", supremum_estimate_per_pass)
+        assert got == [_report_fields(e, n, grid) for e, n in cases]
+
+    def test_cached_grid_is_read_only(self):
+        # the arrays are shared by every call on an equal grid, so a caller
+        # cannot write into them, and a try leaves the next report unchanged
+        e = parse("z+sqrt(z)+1")
+        before = _report_fields(e, 2, GridSpec(-2.0, 2.0, 11, 0.01, 7))
+        arrays = _grid_points(GridSpec(-2.0, 2.0, 11, 0.01, 7))
+        assert arrays[0] is _base_points(GridSpec(-2.0, 2.0, 11, 0.01, 7))
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1e9
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+        assert _report_fields(e, 2, GridSpec(-2.0, 2.0, 11, 0.01, 7)) == before
 
     def test_affine_all_orders(self):
         for n in (1, 2, 3, 4):
