@@ -60,7 +60,6 @@ from .symbols import (
     SymbolSyntaxError,
     caughran_lower_bound,
     classify,
-    faa_di_bruno,
     jury_min_eig,
     jury_min_m,
     parse,
@@ -81,6 +80,6 @@ __all__ = [
     "norm_equality_check", "disc_membership_report",
     "Jet", "JetDomainError",
     "SymbolExpr", "SymbolSyntaxError", "BranchViolation", "parse",
-    "GridSpec", "faa_di_bruno", "jury_min_eig", "jury_min_m",
+    "GridSpec", "jury_min_eig", "jury_min_m",
     "caughran_lower_bound", "SymbolReport", "classify",
 ]

@@ -10,7 +10,7 @@ usage error.  The six verify suites share one option set (``--n --tol --seed
 --samples --grid --out``) and print :func:`hsob.verify.run`'s report.
 ``kernel eval --method`` names the route, ``closed_form`` (the default) or
 ``quadrature``, and calls that route's function directly.
-Arguments are validated here, once:
+Arguments are validated here, once: ``--n`` by the library's one order check;
 ``--grid`` is ``r_min,r_max,num_r,theta_margin,num_theta`` with finite
 positive radii, counts >= 0 and ``0 < theta_margin < pi/2``.
 
@@ -45,6 +45,7 @@ from . import __version__, verify
 from .kernel import (gram_matrix, kernel_eval_closed, kernel_eval_quadrature, kernel_norm,
                      min_eigenvalue, norm_bounds)
 from .quadrature import QuadratureError
+from .specfun import _check_order
 from .symbols import GridSpec, classify, jury_min_eig, parse as parse_symbol
 
 SCHEMA = 1
@@ -73,6 +74,22 @@ def _int_at_least(low: int):
         value = int(text)  # argparse reports a ValueError as an invalid int value
         if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _order_at_least(low: int):
+    """An argparse type: an integer >= ``low`` that the library's one order check takes."""
+    at_least = _int_at_least(low)
+
+    def parse(text: str) -> int:
+        value = at_least(text)
+        try:
+            _check_order(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     parse.__name__ = "int"
@@ -282,7 +299,7 @@ def _cmd_symbol_jury(args) -> int:
 #: options that several subcommands read; each subcommand declares the ones it
 #: reads, and sets its own defaults with ``set_defaults``
 _OPTIONS = {
-    "--n": {"type": _int_at_least(0), "default": 1, "help": "space order"},
+    "--n": {"type": _order_at_least(0), "default": 1, "help": "space order, 0..16"},
     "--tol": {"type": _tolerance, "help": "tolerance override"},
     "--seed": {"type": _int_at_least(0), "default": 0, "help": "RNG seed for sampled points"},
     "--samples": {"type": _int_at_least(0), "default": 20, "help": "sample count for suites"},
@@ -321,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kernel_norm)
 
     p = ksub.add_parser("sweep", help="CSV sweep of diagonal, norm and bounds")
-    p.add_argument("--n", type=_int_at_least(1), default=1, help="space order (bounds need n >= 1)")
+    p.add_argument("--n", type=_order_at_least(1), default=1, help="space order, 1..16")
     _add_options(p, "--grid", "--out")
     p.set_defaults(func=_cmd_kernel_sweep)
 

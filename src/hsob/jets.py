@@ -22,9 +22,9 @@ from math import factorial
 
 import numpy as np
 
-__all__ = ["Jet", "JetDomainError"]
+from .specfun import MAX_ORDER, _check_order
 
-MAX_JET_ORDER = 12
+__all__ = ["Jet", "JetDomainError"]
 
 
 class JetDomainError(ArithmeticError):
@@ -70,11 +70,6 @@ def principal_power(g, alpha: float):
     return guard(p, ~np.isfinite(p), OverflowError, "complex exponentiation")
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError("jet order must be nonnegative")
-
-
 @dataclass(frozen=True, eq=False)
 class Jet:
     """Taylor coefficients ``coeffs[k]`` = c_k of an analytic map at ``base``.
@@ -90,8 +85,8 @@ class Jet:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.ndim == 0 or len(coeffs) == 0:
             raise ValueError("a jet needs at least the constant coefficient")
-        if len(coeffs) - 1 > MAX_JET_ORDER:
-            raise ValueError(f"jet order is capped at {MAX_JET_ORDER}")
+        if len(coeffs) - 1 > MAX_ORDER:  # inline: every jet operation builds a Jet
+            _check_order(len(coeffs) - 1)
         object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod

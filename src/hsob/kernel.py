@@ -26,9 +26,9 @@ integrating term by term, which collapses to
   the diagonal; a scalar call is a one-element batch.
 
 Adaptive 1-D quadrature of the split integral, :func:`kernel_eval_quadrature`,
-is its independent check; it alone takes orders past 16, and every other
-entry point refuses them.  A caller picks a route by calling its function,
-and the quadrature runs at the integrators' default tolerances.
+is its independent check.  Every entry point takes the package's one order
+warranty n = 0..16 (:mod:`hsob.specfun`).  A caller picks a route by calling
+its function, and the quadrature runs at the integrators' default tolerances.
 
 The diagonal K_n(z, z) is real and nonsingular, and |z| K_n(z, z) depends on
 arg z alone.  Principal logarithms are safe throughout: z, conj(w) and their
@@ -48,6 +48,7 @@ import numpy as np
 
 from .expfamily import ExpPoly, laplace
 from .quadrature import integrate_halfline, integrate_interval
+from .specfun import _check_order
 from .timespace import exp_series_remainder
 
 __all__ = [
@@ -60,8 +61,6 @@ __all__ = [
     "min_eigenvalue",
     "reproduce_check",
 ]
-
-CLOSED_FORM_MAX_N = 16
 
 #: terms of the series for Q_m, a power of two; its ratio is at most 1/2 in modulus
 SERIES_TERMS = 64
@@ -90,16 +89,6 @@ def _require_halfplane(z, name: str):
         rule = "lie in the open right half-plane" if cmath.isfinite(bad) else "be finite"
         raise ValueError(f"{name} must {rule}, got {bad}")
     return z
-
-
-def _check_order(n: int, closed: bool = True) -> None:
-    """Refuse a negative order, and past CLOSED_FORM_MAX_N one that the closed
-    form is asked to take."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if closed and n > CLOSED_FORM_MAX_N:
-        raise ValueError(f"the closed form covers n <= {CLOSED_FORM_MAX_N}, got n = {n}; "
-                         "only the quadrature route takes higher orders")
 
 
 def _modulus(z):
@@ -208,14 +197,14 @@ def _p_eval(n: int, u: np.ndarray) -> np.ndarray:
 
 
 def kernel_eval_quadrature(n: int, z: complex, w: complex) -> complex:
-    """K_n(z, w) by adaptive quadrature of the Duffy-split 1-D integral, any n >= 0.
+    """K_n(z, w) by adaptive quadrature of the Duffy-split 1-D integral, 0 <= n <= 16.
 
     The integral runs at max(|z|, |w|) = 1 through K_n(cz, cw) = K_n(z, w)/c,
     so the absolute tolerance stays small against the value whatever the
     size of the arguments.  There the integrand reaches
     max(|z|, |w|)/min(|z|, |w|), so a ratio at which that overflows is refused.
     """
-    _check_order(n, closed=False)
+    _check_order(n)
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
     if n == 0:
@@ -223,9 +212,9 @@ def kernel_eval_quadrature(n: int, z: complex, w: complex) -> complex:
     scale = max(abs(z), abs(w))
     ratio = min(abs(z), abs(w)) / scale
     if ratio * sys.float_info.max < 1.0:
-        raise ValueError(f"the quadrature route cannot take |z|/|w| = {abs(z) / abs(w):.3g}: "
-                         "at unit scale its integrand reaches max(|z|, |w|)/min(|z|, |w|), "
-                         "which overflows")
+        raise ValueError(f"the quadrature route cannot take min(|z|, |w|)/max(|z|, |w|) = "
+                         f"{ratio:.3g}: at unit scale its integrand reaches the inverse "
+                         "ratio, which overflows")
     a = z / scale
     b = w.conjugate() / scale
 

@@ -1,9 +1,12 @@
-"""Exact combinatorial coefficients.
+"""Exact combinatorial coefficients, and the one order warranty.
 
 The derivative-exchange coefficients c_{i,j} of the Laplace identities and
 the partition tables behind the higher-order chain rule, in exact integer
-arithmetic (Python ints, so there is no overflow limit; the partition
-enumeration is capped at n = 12 simply because table sizes grow quickly).
+arithmetic (Python ints, so there is no overflow limit).
+
+The kernel, the jets, the partition tables and the symbol estimates take the
+one order warranty n = 0..MAX_ORDER, refusing any other n by one check; exact
+algebra that none of them bounds takes any order.
 """
 
 from __future__ import annotations
@@ -16,6 +19,15 @@ __all__ = [
     "BellPartitionTable",
     "bell_partitions",
 ]
+
+#: the highest order of the one warranty, n = 0..MAX_ORDER
+MAX_ORDER = 16
+
+
+def _check_order(n: int) -> None:
+    """Refuse an order outside the warranty 0..MAX_ORDER."""
+    if not 0 <= n <= MAX_ORDER:
+        raise ValueError(f"the order must lie in 0..{MAX_ORDER}, got {n}")
 
 
 def cn_coefficient(i: int, j: int) -> int:
@@ -46,12 +58,9 @@ class BellPartitionTable:
     entries: tuple[tuple[int, int, tuple[int, ...]], ...]
 
 
-BELL_PARTITION_MAX_N = 12
-
-
 def bell_partitions(n: int) -> BellPartitionTable:
-    if not 1 <= n <= BELL_PARTITION_MAX_N:
-        raise ValueError(f"n must lie in 1..{BELL_PARTITION_MAX_N}")
+    """The table of (f o phi)^(n), n = 0..MAX_ORDER; at n = 0 its one entry is f itself."""
+    _check_order(n)
     entries = []
     for multi in _multi_indices(n, n):
         k = sum(multi)

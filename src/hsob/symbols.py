@@ -57,7 +57,7 @@ import numpy as np
 
 from .jets import Jet, JetDomainError, guard, masked, on_cut, principal_power
 from .kernel import _KernelOverflow, _in_halfplane, _require_halfplane, gram_matrix
-from .specfun import bell_partitions
+from .specfun import _check_order
 
 __all__ = [
     "SymbolExpr",
@@ -73,7 +73,6 @@ __all__ = [
     "BranchViolation",
     "parse",
     "GridSpec",
-    "faa_di_bruno",
     "jury_min_eig",
     "jury_min_m",
     "caughran_lower_bound",
@@ -409,7 +408,7 @@ BOUNDARY_PASSES = 3
 #: the rays through the argmax extend out to modulus 10**LOG10_R_EXTEND
 LOG10_R_EXTEND = 18.0
 #: a supremum past its cap that refinement pushed above the base-grid value
-#: is declared infinite; the angular derivative's cap is the lower one
+#: is declared infinite; the angular derivative's cap is the lower one, S_k's DIVERGE_CAP * k!
 DIVERGE_CAP = 1e8
 ANGULAR_CAP = 1e6
 
@@ -462,7 +461,10 @@ def _grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     # a grid with no points samples nothing, so it is no evidence
     if grid.num_r < 1 or grid.num_theta < 1:
         raise ValueError("the grid has no points: num_r and num_theta must be at least 1")
-    radii = grid.radii()
+    radii = _silently(grid.radii)
+    # a radius that under- or overflows puts points off C+, and a ray from 0 never ends
+    if not (np.isfinite(radii) & (radii > 0)).all():
+        raise ValueError("the grid's radii must be finite and positive")
     rings, margin = [], grid.theta_margin
     for _ in range(BOUNDARY_PASSES):
         margin *= 1e-2
@@ -623,27 +625,6 @@ def _derivative_ratios(z, jet: Jet, n: int):
     return np.where(zero, math.inf, rows)
 
 
-def faa_di_bruno(fjet: Jet, phijet: Jet, n: int) -> complex:
-    """(f o phi)^(n)(z) from the partition table.
-
-    ``fjet`` must be based at phi(z) (= phijet.value) and both jets must carry
-    at least order n.
-    """
-    if fjet.order < n or phijet.order < n:
-        raise ValueError("jets must have order at least n")
-    if fjet.base is not None and np.any(
-            np.abs(fjet.base - phijet.value) > 1e-9 * (1.0 + np.abs(phijet.value))):
-        raise ValueError("outer jet is not based at the inner jet's value")
-    total = 0j
-    for coeff, k, multi in bell_partitions(n).entries:
-        prod = complex(coeff) * fjet.derivative(k)
-        for j, mj in enumerate(multi, start=1):
-            if mj:
-                prod *= phijet.derivative(j) ** mj
-        total += prod
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Kernel-inequality certificates
 
@@ -665,7 +646,7 @@ def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarra
     without bound as z nears 0), then returns ``(base, moved)`` with
     base[i, j] = K_n(z_i, z_j) and moved[i, j] = K_n(phi(z_i), phi(z_j)).
     Neither depends on M: the inequality at M is the matrix M^2 * base - moved;
-    ``gram_matrix`` refuses an order past the closed form's cap n <= 16.
+    ``gram_matrix`` refuses an order outside the warranty 0..16.
     The images come from one array evaluation; at the first point that fails,
     the point is checked before its image, and the error is the one a
     point-by-point check raises: a nan image marks a point where phi raises,
@@ -826,10 +807,13 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
     All estimates share one order-n jet per array call: the base grid's,
     which also gives the self-map flag, and the three of
     :func:`_supremum_estimate`.  The angular derivative diverges past
-    ``ANGULAR_CAP``, the other suprema past ``DIVERGE_CAP``.
+    ``ANGULAR_CAP``, the radial supremum past ``DIVERGE_CAP``, and the k-th
+    derivative supremum S_k past ``DIVERGE_CAP * k!``: by Cauchy's estimate on
+    a disc of radius rho |z| about z inside C+, |z^k phi^(k)(z)| <= k! rho^-k
+    max |phi| there, so S_k grows like k! for a bounded map and S_k / k! is
+    its scale-free size.  n lies in the warranty 0..16.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_order(n)
     pts = _base_points(grid)
     jet = _silently(e.jet, pts, n)
     if not np.isfinite(jet.value).any():
@@ -842,7 +826,8 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
         return np.vstack([_angular_ratio(z, jet.value), _radial_ratio(z, jet.value),
                           _derivative_ratios(z, jet, n)])
 
-    caps = [ANGULAR_CAP] + [DIVERGE_CAP] * (n + 1)
+    # the radial supremum's cap is DIVERGE_CAP * 0!
+    caps = [ANGULAR_CAP] + [DIVERGE_CAP * math.factorial(k) for k in range(n + 1)]
     estimates = _supremum_estimate(ratios, grid, caps, _silently(ratios, pts, jet))
     phi_inf, rad = float(estimates[0]), float(estimates[1])
     nbc = tuple(float(v) for v in estimates[2:])

@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from . import expfamily, freqspace, kernel, timespace
+from .specfun import _check_order
 from .symbols import GridSpec
 
 # the package exports a function named cayley, which shadows the module
@@ -150,8 +151,9 @@ def run(suite: str, n: int = 0, *, seed: int = 0, samples: int = 20, grid: GridS
     drawn from ``seed`` (``bounds`` takes the points of ``grid`` instead), and
     passes when it checked at least one case and its largest residual is at
     most ``tol`` (the suite's default when None).  A quadrature failure raises
-    :class:`hsob.QuadratureError`.
+    :class:`hsob.QuadratureError`; an n outside 0..16 is refused.
     """
+    _check_order(n)
     check, min_n, default_tol, worst = SUITES[suite]
     tol = default_tol if tol is None else tol
     n = max(n, min_n)

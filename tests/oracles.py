@@ -21,8 +21,9 @@ route:
 * the sampled suprema of ``classify`` with one call of the ratios per pass
   and one sweep per row, against the estimator that joins passes into
   fewer calls, bit for bit;
-* jet composition by Horner substitution, against the partition sum
-  ``faa_di_bruno``;
+* jet composition by Horner substitution, against the n-th derivative of a
+  composition from the partition table ``bell_partitions`` (``faa_di_bruno``),
+  which no production path evaluates yet;
 * an ``ExpPoly`` read back from the term list of a verify case record;
 * the Laguerre polynomials (Rodrigues' formula, against ``ExpPoly``
   differentiation) and the Legendre polynomials (whose zeros are the nodes of
@@ -42,6 +43,7 @@ from hsob import (
     Jet,
     QuadConfig,
     RationalComb,
+    bell_partitions,
     exp_series_remainder,
     gram_matrix,
     inner_product_n,
@@ -451,6 +453,27 @@ def compose(outer: Jet, inner: Jet) -> Jet:
     for k in range(n - 1, -1, -1):
         result = result * shifted + Jet.constant(outer.coeffs[k], n, base=inner.base)
     return result
+
+
+def faa_di_bruno(fjet: Jet, phijet: Jet, n: int) -> complex:
+    """(f o phi)^(n)(z) from the partition table.
+
+    ``fjet`` must be based at phi(z) (= phijet.value) and both jets must carry
+    at least order n.
+    """
+    if fjet.order < n or phijet.order < n:
+        raise ValueError("jets must have order at least n")
+    if fjet.base is not None and np.any(
+            np.abs(fjet.base - phijet.value) > 1e-9 * (1.0 + np.abs(phijet.value))):
+        raise ValueError("outer jet is not based at the inner jet's value")
+    total = 0j
+    for coeff, k, multi in bell_partitions(n).entries:
+        prod = complex(coeff) * fjet.derivative(k)
+        for j, mj in enumerate(multi, start=1):
+            if mj:
+                prod *= phijet.derivative(j) ** mj
+        total += prod
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def nbc_suprema(e, n: int, grid: GridSpec = DEFAULT_GRID) -> list[float]:
                 return math.inf
             return abs(z**k * jet.derivative(k) / phi)
 
-        out.append(supremum_estimate(ratio, grid, DIVERGE_CAP)[0])
+        out.append(supremum_estimate(ratio, grid, DIVERGE_CAP * factorial(k))[0])
     return out
 
 

@@ -54,20 +54,6 @@ class TestKernelCommands:
         assert payload["method"] == "closed_form"
         assert math.isfinite(payload["value_re"]) and payload["value_re"] > 0
 
-    @pytest.mark.parametrize("method", (pytest.param(None, id="default"), "closed_form"))
-    def test_eval_past_the_cap_exits_one(self, capsys, method):
-        # no silent fallback: only --method quadrature takes n = 17
-        flags = () if method is None else ("--method", method)
-        code = main(["kernel", "eval", "--n", "17", "--z", "1", "--w", "1", *flags])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == ("error [kernel]: the closed form covers n <= 16, got n = 17; "
-                                "only the quadrature route takes higher orders\n")
-        code, out = run_cli(capsys, "kernel", "eval", "--n", "17", "--z", "1", "--w", "1",
-                            "--method", "quadrature")
-        assert code == 0 and json.loads(out)["method"] == "quadrature"
-
     @pytest.mark.parametrize("z, value_re", [("1e7", 8.309048124669643e-07),
                                              ("1e-320", 368.66362044548695)])
     def test_eval_auto_takes_closed_form_at_any_ratio(self, capsys, z, value_re):
@@ -86,7 +72,8 @@ class TestKernelCommands:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error [kernel]: the quadrature route cannot take |z|/|w| = 1e-320")
+        assert captured.err.startswith("error [kernel]: the quadrature route cannot take "
+                                       "min(|z|, |w|)/max(|z|, |w|) = 1e-320")
         assert "overflows" in captured.err
 
     def test_eval_complex_arguments(self, capsys):
@@ -319,6 +306,15 @@ class TestSymbolCommands:
         assert payload["verdict_Hn"] == "sufficient-passed"
         assert abs(payload["phi_prime_infinity"] - 0.5) < 1e-6
 
+    def test_classify_takes_the_highest_order(self, capsys):
+        # n = 16, where S_16 is about 3.9e10 and only a k!-scaled cap keeps
+        # a bounded map's sufficient condition
+        code, out = run_cli(capsys, "symbol", "classify", "--n", "16", "z+sqrt(z)+1")
+        payload = strict_json(out)
+        assert code == 0
+        assert payload["verdict_Hn"] == "sufficient-passed"
+        assert len(payload["nbc"]) == 16
+
     def test_classify_infinite_field_round_trips(self, capsys):
         _, out = run_cli(capsys, "symbol", "classify", "--n", "1", "z+i")
         payload = json.loads(out)
@@ -441,8 +437,8 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("argv", [
         ("kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--out", "{tmp}/missing/x.json"),
-        ("kernel", "gram", "--n", "17", "--count", "2"),
-        ("kernel", "eval", "--n", "200", "--z", "1", "--w", "1"),
+        ("kernel", "norm", "--z", "1e-320"),
+        ("kernel", "eval", "--n", "2", "--z", "1e-320", "--w", "1", "--method", "quadrature"),
     ])
     def test_failures_exit_one_without_traceback(self, tmp_path, capsys, argv):
         code = main([arg.format(tmp=tmp_path) for arg in argv])
@@ -562,6 +558,37 @@ def parser_options():
                                 if flag.startswith("--") and flag != "--help"}
             for group, parser in choices(cli.build_parser()).items()
             for name, sub in choices(parser).items()}
+
+
+#: a valid invocation without --n of each subcommand that takes --n; kernel
+#: eval once per method
+ORDER_ARGV = [
+    ("kernel", "eval", "--z", "1", "--w", "1", "--method", "closed_form"),
+    ("kernel", "eval", "--z", "1", "--w", "1", "--method", "quadrature"),
+    ("kernel", "norm", "--z", "1"),
+    ("kernel", "sweep"),
+    ("kernel", "gram", "--count", "2"),
+    *(("verify", suite, "--samples", "1") for suite in verify.SUITES),
+    ("symbol", "classify", "z"),
+    ("symbol", "jury", "--m", "1", "z"),
+]
+
+
+def test_every_order_option_refuses_past_the_warranty(capsys):
+    # --n 17 is one usage error, worded by the library's one order check,
+    # in every subcommand that takes --n
+    takes_n = {name for name, options in parser_options().items() if "--n" in options}
+    assert {" ".join(argv[:2]) for argv in ORDER_ARGV} == takes_n
+    messages = set()
+    for argv in ORDER_ARGV:
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--n", "17"])
+        assert info.value.code == 2
+        prefix = f"hsob {argv[0]} {argv[1]}: error: "
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(prefix), argv
+        messages.add(last.removeprefix(prefix))
+    assert messages == {"argument --n: the order must lie in 0..16, got 17"}
 
 
 def test_readme_option_table_matches_parser():

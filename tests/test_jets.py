@@ -27,15 +27,19 @@ class TestBasics:
         assert j.value == 4.0
 
     def test_order_cap(self):
-        with pytest.raises(ValueError):
-            Jet.variable(1.0, 13)
+        # the package's one order warranty, 0..16, and its one message
+        assert Jet.variable(1.0, 16).order == 16
+        for make in (lambda: Jet.variable(1.0, 17), lambda: Jet.constant(2.0, 17),
+                     lambda: Jet(np.zeros(18))):
+            with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got 17$"):
+                make()
 
     def test_negative_order_rejected(self):
         from hsob import parse
 
         for make in (lambda: Jet.variable(1.0, -1), lambda: Jet.constant(2.0, -1),
                      lambda: parse("z").jet(1.0, -1), lambda: parse("2").jet(1.0, -1)):
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got -1$"):
                 make()
 
 

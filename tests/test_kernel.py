@@ -24,7 +24,8 @@ from hsob import (
     reproduce_check,
     verify,
 )
-from hsob.kernel import CLOSED_FORM_MAX_N, _closed_form, _p_eval
+from hsob.kernel import _closed_form, _p_eval
+from hsob.specfun import MAX_ORDER
 from oracles import closed_form_two_calls, i_theta
 
 LN2 = math.log(2.0)
@@ -170,7 +171,7 @@ class TestClosedForms:
             b = kernel_eval_closed(n, z, w)
             assert abs(a - b) <= 1e-12 * abs(a)
 
-    @pytest.mark.parametrize("n", range(CLOSED_FORM_MAX_N + 1))
+    @pytest.mark.parametrize("n", range(MAX_ORDER + 1))
     def test_accuracy_map(self, n):
         # the closed form against a 30-digit reference: |z|/|w| from 1 down
         # to 1e-320, both arguments within 1e-6 of the imaginary axis where
@@ -202,7 +203,7 @@ class TestClosedForms:
         pytest.param(n, marks=pytest.mark.xfail(
             strict=True, reason=f"log-branch Q_m: worst band error {BAND_WORST[n]:.3g}"))
         if n in BAND_WORST else n
-        for n in range(CLOSED_FORM_MAX_N + 1)])
+        for n in range(MAX_ORDER + 1)])
     def test_accuracy_band(self, n):
         # the closed form against a 30-digit reference at 1/2 < |z|/|w| < 1,
         # both argument orders, to the map's bound
@@ -219,7 +220,7 @@ class TestClosedForms:
         # bit as one call per order does: the accuracy map's arguments in
         # both directions and its diagonals, as one batch per order and as
         # one-element batches
-        for n in range(1, CLOSED_FORM_MAX_N + 1):
+        for n in range(1, MAX_ORDER + 1):
             cases = MAP_CASES + tuple((r, 0.3, -1.2) for r in MAP_EXTREMES[n])
             zs = [r * cmath.exp(1j * tz) for r, tz, _ in cases]
             ws = [cmath.exp(1j * tw) for _, _, tw in cases]
@@ -259,7 +260,7 @@ class TestClosedForms:
     def test_rejects_out_of_domain(self):
         with pytest.raises(ValueError):
             kernel_eval_closed(1, -1.0, 1.0)
-        with pytest.raises(ValueError, match=r"n <= 16, got n = 17"):
+        with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got 17$"):
             kernel_eval_closed(17, 1.0, 1.0)
 
 
@@ -318,32 +319,38 @@ class TestQuadratureAgreement:
         assert abs(c_tiny - c_small) <= 1e-12 * abs(value)
 
     def test_route_functions(self):
-        # each route is its own function: the closed form through its cap, the
-        # quadrature at any order; no route falls back to the other
+        # each route is its own function through n = 16, and both refuse
+        # n = 17 alike; no route falls back to the other
         assert abs(kernel_eval_closed(1, 1.0, 1.0) - 2 * LN2) < 1e-14
         assert abs(kernel_eval_quadrature(1, 1.0, 1.0) - 2 * LN2) < 1e-9
         for z, w in ((1.0, 1.0), (1e7, 1.0), (1.0, 1e7), (1e-320, 1.0)):
             assert math.isfinite(kernel_eval_closed(16, z, w).real)
-        assert math.isfinite(kernel_eval_quadrature(17, 1.0, 1.0).real)
-        with pytest.raises(ValueError, match=r"closed form covers n <= 16, got n = 17"):
-            kernel_eval_closed(17, 1.0, 1.0)
+        assert math.isfinite(kernel_eval_quadrature(16, 1.0, 1.0).real)
+        for route in (kernel_eval_closed, kernel_eval_quadrature):
+            with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got 17$"):
+                route(17, 1.0, 1.0)
 
-    @pytest.mark.parametrize("n", (1, 2, 9, 17))
+    @pytest.mark.parametrize("n", (1, 2, 9, 16))
     def test_quadrature_refuses_overflowing_ratio(self, n):
         # at unit scale the Duffy integrand reaches max(|z|, |w|)/min(|z|, |w|),
-        # which overflows below a ratio of about 5.6e-309
-        for z, w in ((1e-320, 1.0), (1.0, 5e-309), (1e-300, 1e10)):
-            with pytest.raises(ValueError, match="overflows"):
-                kernel_eval_quadrature(n, z, w)
+        # which overflows below a ratio of about 5.6e-309; the refusal names
+        # the ratio min/max that it tested, in either argument order
+        for z, w, shown in ((1e-320, 1.0, "1e-320"), (1.0, 5e-309, "5e-309"),
+                            (1e-300, 1e10, "1e-310")):
+            for a, b in ((z, w), (w, z)):
+                with pytest.raises(ValueError) as err:
+                    kernel_eval_quadrature(n, a, b)
+                assert str(err.value) == (
+                    f"the quadrature route cannot take min(|z|, |w|)/max(|z|, |w|) = {shown}: "
+                    "at unit scale its integrand reaches the inverse ratio, which overflows")
         q = kernel_eval_quadrature(n, 5.6e-309, 1.0)
-        if n <= CLOSED_FORM_MAX_N:
-            assert abs(q - kernel_eval_closed(n, 5.6e-309, 1.0)) <= 1e-9 * abs(q)
+        assert abs(q - kernel_eval_closed(n, 5.6e-309, 1.0)) <= 1e-9 * abs(q)
 
     def test_route_validation(self):
         # a negative order is refused by name on both routes, before any
         # factorial or quadrature, and so is a point off C+
         for route in (kernel_eval_closed, kernel_eval_quadrature):
-            with pytest.raises(ValueError, match="n must be nonnegative"):
+            with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got -1$"):
                 route(-1, 1.0, 1.0)
             with pytest.raises(ValueError, match="open right half-plane"):
                 route(1, -1.0, 1.0)
@@ -551,26 +558,22 @@ class TestDiagonalAndBounds:
 
 
 class TestGram:
-    @pytest.mark.parametrize("n", range(CLOSED_FORM_MAX_N + 2))
+    @pytest.mark.parametrize("n", range(MAX_ORDER + 2))
     @pytest.mark.parametrize("method", ("closed_form", "quadrature"))
     def test_entries_equal_kernel_eval_exactly(self, n, method):
-        # through the cap each entry is kernel_eval_closed bit for bit, and
+        # through n = 16 each entry is kernel_eval_closed bit for bit, and
         # within 1e-9 of kernel_eval_quadrature; |z_i|/|z_j| reaches 3.6e9, and
         # the batch mixes series ratios from 3e-10 to 1/2; the diagonal holds
-        # the conjugate, as every entry above it does.  Past the cap the matrix
-        # and every closed-form point are refused, and quadrature takes them
+        # the conjugate, as every entry above it does.  Past the warranty the
+        # matrix and either route refuse the order with one message
         pts = [1.0, 0.7 + 0.5j, 2e-4 - 1e-4j, 3e3 + 4e3j, 8e5 * cmath.exp(-0.3j),
                0.35 - 0.2j, 2.5 + 1.5j, 0.05 + 0.02j, 40.0 - 70.0j]
-        if n > CLOSED_FORM_MAX_N:
-            with pytest.raises(ValueError, match="n <= 16"):
-                gram_matrix(n, pts)
-            if method == "quadrature":
-                assert math.isfinite(kernel_eval_quadrature(n, 1.0, 1.0).real)
-            else:
-                with pytest.raises(ValueError, match="n <= 16"):
-                    kernel_eval_closed(n, 1.0, 1.0)
-            return
         route = {"closed_form": kernel_eval_closed, "quadrature": kernel_eval_quadrature}[method]
+        if n > MAX_ORDER:
+            for call in (lambda: gram_matrix(n, pts), lambda: route(n, 1.0, 1.0)):
+                with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got 17$"):
+                    call()
+            return
         G = gram_matrix(n, pts)
         for i, z in enumerate(pts):
             for j in range(i + 1):
@@ -581,7 +584,7 @@ class TestGram:
                     assert G[j, i] == value.conjugate()
                     assert G[i, j] == (value if i > j else value.conjugate())
 
-    @pytest.mark.parametrize("n", range(CLOSED_FORM_MAX_N + 1))
+    @pytest.mark.parametrize("n", range(MAX_ORDER + 1))
     def test_closed_form_batch_equals_scalar_calls(self, n):
         # 780 entries in one batch: no element's value depends on the others
         rng = np.random.default_rng(90 + n)
@@ -611,10 +614,10 @@ class TestGram:
         # exactly, not to rounding: the jury hands its matrices to eigvalsh
         # without a Hermitised copy on the strength of this
         rng = np.random.default_rng(47)
-        for n in range(CLOSED_FORM_MAX_N + 2):
+        for n in range(MAX_ORDER + 2):
             pts = 10 ** rng.uniform(-3, 3, 12) * np.exp(1j * rng.uniform(-1.5, 1.5, 12))
-            if n > CLOSED_FORM_MAX_N:
-                with pytest.raises(ValueError, match="n <= 16"):
+            if n > MAX_ORDER:
+                with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got 17$"):
                     gram_matrix(n, pts)
                 continue
             G = gram_matrix(n, pts)
@@ -636,7 +639,7 @@ class TestGram:
 
 class TestOneRoute:
     """The closed form is the only production route through n = 16, and every
-    entry point that would take it refuses a higher order."""
+    entry point refuses a higher order."""
 
     @pytest.mark.parametrize("call", [
         lambda n: gram_matrix(n, [1.0, 2.0 + 1.0j]),
@@ -645,9 +648,9 @@ class TestOneRoute:
         lambda n: kernel_norm(n, 2.0 + 1.0j),
     ], ids=("gram", "diag", "diag_array", "norm"))
     def test_orders_past_the_cap_are_refused(self, call):
-        call(CLOSED_FORM_MAX_N)
-        with pytest.raises(ValueError, match=r"^the closed form covers n <= 16, got n = 17; "):
-            call(CLOSED_FORM_MAX_N + 1)
+        call(MAX_ORDER)
+        with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got 17$"):
+            call(MAX_ORDER + 1)
 
     def test_no_quadrature_below_the_cap(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -656,7 +659,7 @@ class TestOneRoute:
         monkeypatch.setattr(hsob.kernel, "integrate_interval", refuse)
         monkeypatch.setattr(hsob.quadrature, "integrate_interval", refuse)
         pts = [1.0, 0.7 + 0.5j, 2e-4 - 1e-4j, 3e3 + 4e3j, 0.35 - 0.2j]
-        for n in range(9, CLOSED_FORM_MAX_N + 1):
+        for n in range(9, MAX_ORDER + 1):
             assert np.isfinite(gram_matrix(n, pts)).all()
             assert np.isfinite(kernel_diag(n, np.array(pts))).all()
             assert math.isfinite(kernel_norm(n, 0.7 + 0.5j))

@@ -23,10 +23,10 @@ import hsob
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hsob"
 
-#: the partition form of the higher chain rule: an input of the
-#: composition-operator norm bracket's upper bound (ROADMAP direction 3), which
+#: the partition table of the higher chain rule: an input of the
+#: composition-operator norm bracket's upper bound (ROADMAP direction 1), which
 #: no command reports yet; the bracket's derivative suprema are classify's nbc
-AWAITING_NORM_BRACKET = {"bell_partitions", "BellPartitionTable", "faa_di_bruno"}
+AWAITING_NORM_BRACKET = {"bell_partitions", "BellPartitionTable"}
 
 PACKAGE = ""  # the key of hsob/__init__.py
 

@@ -12,6 +12,7 @@ import pytest
 
 from hsob import ExpPoly, bell_partitions
 from hsob.quadrature import _gl_rule
+from hsob.specfun import MAX_ORDER
 from oracles import cn_inverse, cn_matrix, laguerre, legendre, legendre_leading_coefficient
 
 
@@ -137,6 +138,10 @@ class TestDerivativeExchange:
 
 
 class TestBellPartitions:
+    def test_n0(self):
+        # (f o phi)^(0) = f(phi): one entry, k = 0, no derivative of phi
+        assert bell_partitions(0).entries == ((1, 0, ()),)
+
     def test_n1(self):
         table = bell_partitions(1)
         assert table.entries == ((1, 1, (1,)),)
@@ -151,16 +156,16 @@ class TestBellPartitions:
         by_multi = {multi: (coeff, k) for coeff, k, multi in table.entries}
         assert by_multi == {(3, 0, 0): (1, 3), (1, 1, 0): (3, 2), (0, 0, 1): (1, 1)}
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
     def test_constraints_exact(self, n):
         for coeff, k, multi in bell_partitions(n).entries:
             assert sum((j + 1) * m for j, m in enumerate(multi)) == n
             assert sum(multi) == k
             assert coeff > 0
 
-    @pytest.mark.parametrize("n", [0, 13])
+    @pytest.mark.parametrize("n", [-1, MAX_ORDER + 1])
     def test_range_errors(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^the order must lie in 0\.\.16, got {n}$"):
             bell_partitions(n)
 
     @pytest.mark.parametrize("n", range(1, 10))

@@ -15,7 +15,6 @@ from hsob import (
     SymbolSyntaxError,
     caughran_lower_bound,
     classify,
-    faa_di_bruno,
     gram_matrix,
     jury_min_eig,
     jury_min_m,
@@ -24,6 +23,7 @@ from hsob import (
     parse,
 )
 from hsob.cli import _parse_grid
+from hsob.specfun import MAX_ORDER
 from hsob.symbols import (
     DEFAULT_GRID,
     DIVERGE_CAP,
@@ -45,11 +45,23 @@ from hsob.symbols import (
 )
 
 import scalar_route
-from oracles import compose, jury_min_m_bisection, supremum_estimate_per_pass
+from oracles import compose, faa_di_bruno, jury_min_m_bisection, supremum_estimate_per_pass
 
 EPS = np.finfo(float).eps
 #: the symbols of acceptance criterion 12's classification table
 CRITERION_12_ROWS = ("2*z+1", "z+i", "z+sqrt(z)+1", "z+log1p(z)", "sqrt(z)", "1/(z+1)")
+#: the verdicts (H2, Hn) of the criterion-12 rows and two more symbols at
+#: n = 12, which hold at every order of the warranty
+WARRANTY_VERDICTS = {
+    "2*z+1": ("bounded", "sufficient-passed"),
+    "z+i": ("bounded", "necessary-failed"),
+    "z+sqrt(z)+1": ("bounded", "sufficient-passed"),
+    "z+log1p(z)": ("bounded", "sufficient-passed"),
+    "sqrt(z)": ("unbounded", "necessary-failed"),
+    "1/(z+1)": ("unbounded", "necessary-failed"),
+    "z+1/(z+1)": ("bounded", "sufficient-passed"),
+    "z*z": ("unbounded", "inconclusive"),
+}
 #: affine maps a*z+b with Re b > 0, written as the benchmark writes them
 AFFINE_MAPS = ("0.3981*z+1.2057-0.6612i", "3.1623*z+0.2000+1.9000i")
 #: symbols with masked lanes on the default grid: a denominator exactly 0 at
@@ -69,7 +81,8 @@ GRIDS = {"default": DEFAULT_GRID, "coarse": GridSpec(-1.0, 1.0, 5, 0.3, 3),
 # the jury bisection on rebuilt matrices in oracles.py.
 
 def _per_order_nbc_suprema(e, n, grid=DEFAULT_GRID):
-    # a fresh order-k array jet for each k, and one supremum estimate each
+    # a fresh order-k array jet for each k, and one supremum estimate each,
+    # with the k-th divergence cap DIVERGE_CAP * k!
     out = []
     for k in range(1, n + 1):
         def ratio(z, k=k):
@@ -77,7 +90,8 @@ def _per_order_nbc_suprema(e, n, grid=DEFAULT_GRID):
 
         with np.errstate(over="ignore", invalid="ignore"):
             first = ratio(_base_points(grid))
-        out.append(float(_supremum_estimate(ratio, grid, [DIVERGE_CAP], first)[0]))
+        cap = DIVERGE_CAP * math.factorial(k)
+        out.append(float(_supremum_estimate(ratio, grid, [cap], first)[0]))
     return out
 
 
@@ -586,10 +600,10 @@ class TestJury:
         caughran_lower_bound,
     ], ids=("jury_min_eig", "jury_min_m", "caughran_lower_bound"))
     def test_order_past_the_closed_form_refused(self, bound):
-        # the kernel's cap, as gram_matrix words it; n = 16 is served
+        # the one order warranty, as gram_matrix words it; n = 16 is served
         e, pts = parse("2*z+1"), [1.0, 2.0 + 1.0j]
         assert math.isfinite(bound(e, 16, pts))
-        with pytest.raises(ValueError, match=r"^the closed form covers n <= 16, got n = 17; "):
+        with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got 17$"):
             bound(e, 17, pts)
 
 
@@ -600,6 +614,17 @@ class TestClassify:
         # and an "unbounded" verdict
         with pytest.raises(ValueError, match="no points"):
             classify(parse("z"), 1, grid)
+
+    @pytest.mark.parametrize("grid", [GridSpec(-500.0, -400.0, 3, 0.1, 3),
+                                      GridSpec(-330.0, 0.0, 3, 0.1, 3),
+                                      GridSpec(0.0, 400.0, 3, 0.1, 3)],
+                             ids=("underflow", "one-underflows", "overflow"))
+    def test_grid_radii_must_be_finite_and_positive(self, grid):
+        # radii that round to 0 put the grid on the origin, where the ray
+        # loop multiplied 0 by 10 forever; radii past the largest double
+        # put points at inf
+        with pytest.raises(ValueError, match="^the grid's radii must be finite and positive"):
+            classify(parse("2*z+1"), 1, grid)
 
     def test_grid_is_the_grid_option(self):
         # GridSpec holds the five fields of --grid and no policy; the report
@@ -687,6 +712,22 @@ class TestClassify:
         r = classify(parse("1/(z+1)"), 1)
         assert r.verdict_H2 == "unbounded"
         assert r.verdict_Hn == "necessary-failed"
+
+    @pytest.mark.parametrize("text, verdicts", WARRANTY_VERDICTS.items(), ids=list(WARRANTY_VERDICTS))
+    def test_verdicts_hold_through_the_warranty(self, text, verdicts):
+        # the n = 12 verdicts at every order up to 16: the k-th divergence
+        # cap grows like k!, as S_k does for a bounded map
+        e = parse(text)
+        for n in range(12, MAX_ORDER + 1):
+            r = classify(e, n)
+            assert (r.verdict_H2, r.verdict_Hn) == verdicts, n
+
+    def test_derivative_suprema_of_a_pole_are_factorials(self):
+        # phi = 1/(z+1): |z^k phi^(k)/phi| = k! |z/(z+1)|^k rises to k! at
+        # infinity; past k = 11 that is above DIVERGE_CAP, but below k!'s cap
+        nbc = classify(parse("1/(z+1)"), MAX_ORDER).nbc
+        for k, s in enumerate(nbc, start=1):
+            assert abs(s - math.factorial(k)) <= 1e-12 * math.factorial(k), k
 
     @pytest.mark.parametrize("text", CRITERION_12_ROWS + AFFINE_MAPS + MASKED_SYMBOLS)
     def test_matches_scalar_route(self, text):
