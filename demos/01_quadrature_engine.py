@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from hsob import QuadConfig, integrate_halfline, integrate_interval
+from hsob import integrate_halfline, integrate_interval
 
 print("== finite intervals ==")
 r = integrate_interval(np.sin, 0.0, math.pi)
@@ -26,9 +26,3 @@ print(f"int_0^inf t^2 e^(-2t) dt = {r.value.real:.15f}   (exact Gamma(3)/8 = 0.2
 # algebraic decay of order 2: the tail substitution t = T + u/(1-u) handles it
 r = integrate_halfline(lambda t: t**2 / (1 + t**2) ** 2, decay_scale=1.0)
 print(f"int_0^inf t^2/(1+t^2)^2  = {r.value.real:.15f}   (exact pi/4 = {math.pi/4:.15f})")
-
-print()
-print("== tolerances are configurable ==")
-loose = QuadConfig(abs_tol=1e-6, rel_tol=1e-6)
-r = integrate_halfline(lambda t: t**2 / (1 + t**2) ** 2, decay_scale=1.0, cfg=loose)
-print(f"same half-line integral at 1e-6 tolerance: {r.value.real:.10f}, est. error {r.error:.1e}")

@@ -9,7 +9,6 @@ the half-plane as candidate symbols of bounded composition operators.
 """
 
 from .quadrature import (
-    QuadConfig,
     QuadResult,
     QuadratureError,
     integrate_halfline,
@@ -68,7 +67,7 @@ from .symbols import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadConfig", "QuadResult", "QuadratureError",
+    "QuadResult", "QuadratureError",
     "integrate_interval", "integrate_halfline",
     "BellPartitionTable", "bell_partitions",
     "ExpPoly", "RationalComb", "laplace", "inner_product_n", "norm_n", "sample_exppoly",

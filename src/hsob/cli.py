@@ -6,8 +6,10 @@ Subcommands
     symbol parse|classify|jury
 
 Each subcommand declares only the options it reads; any other option is a
-usage error.  The six verify suites share one option set (``--n --tol --seed
---samples --grid --out``) and print :func:`hsob.verify.run`'s report.
+usage error.  A verify suite takes ``--n --tol --out`` and an option for each
+input that ``hsob.verify.SUITES`` names for it (``--grid`` for ``bounds``,
+``--seed --samples`` for the others), and prints :func:`hsob.verify.run`'s
+report.
 ``kernel eval --method`` names the route, ``closed_form`` (the default) or
 ``quadrature``, and calls that route's function directly.
 Arguments are validated here, once: ``--n`` by the library's one order check;
@@ -23,7 +25,7 @@ report field is not finite), 2 on usage errors.  Randomised suites take
 ``--seed`` (default 0) and are reproducible.
 
 No command takes a quadrature setting: every quadrature runs at the
-integrators' defaults.  A reader that closes the pipe early (``| head``) ends
+integrators' one setting.  A reader that closes the pipe early (``| head``) ends
 the command with status 1 and nothing on stderr.
 """
 
@@ -232,9 +234,9 @@ def _cmd_kernel_gram(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    inputs = {name: getattr(args, name) for name in verify.SUITES[args.suite][1]}
     try:
-        report = verify.run(args.suite, args.n, seed=args.seed, samples=args.samples,
-                            grid=args.grid, tol=args.tol)
+        report = verify.run(args.suite, args.n, tol=args.tol, **inputs)
     except QuadratureError as exc:
         _emit_json(args.out, {"suite": args.suite, "error": f"quadrature failure: {exc}"})
         return 1
@@ -352,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = top.add_parser("verify", help="numeric verification suites")
     vsub = verify_cmd.add_subparsers(dest="suite", required=True)
-    for name, (suite, *_) in verify.SUITES.items():
+    for name, (suite, inputs, *_) in verify.SUITES.items():
         p = vsub.add_parser(name, help=suite.__doc__)
-        _add_options(p, "--n", "--tol", "--seed", "--samples", "--grid", "--out")
+        _add_options(p, "--n", "--tol", *(f"--{flag}" for flag in inputs), "--out")
         p.set_defaults(func=_cmd_verify, n=0)
 
     symbol = top.add_parser("symbol", help="composition-operator symbol analysis")

@@ -1,7 +1,7 @@
 """Adaptive quadrature for finite intervals and half-lines.
 
-Two integrators share one configuration object, :class:`QuadConfig`, which
-only they take; every caller above this layer runs at ``DEFAULT_CONFIG``:
+Two integrators, both at the one setting of the module constants ``ABS_TOL``,
+``REL_TOL``, ``MAX_SUBDIV`` and ``NODES_PER_CELL``:
 
 * ``integrate_interval`` -- globally adaptive Gauss-Legendre on a finite interval,
 * ``integrate_halfline`` -- decaying integrands on (0, inf), tail mapped to (0, 1).
@@ -32,7 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "QuadConfig",
     "QuadResult",
     "QuadratureError",
     "integrate_interval",
@@ -41,39 +40,17 @@ __all__ = [
 
 
 class QuadratureError(Exception):
-    """Raised when an integral cannot be resolved within the configured budget."""
+    """Raised when an integral cannot be resolved within the bisection budget."""
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and mesh parameters shared by all quadrature routines.
-
-    abs_tol, rel_tol
-        Convergence targets; a result is accepted once the error estimate
-        drops below ``max(abs_tol, rel_tol * |value|)``.
-    max_subdiv
-        Budget of interval subdivisions before giving up.
-    nodes_per_cell
-        Gauss-Legendre nodes per cell.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdiv: int = 4000
-    nodes_per_cell: int = 15
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_subdiv < 1:
-            raise ValueError("max_subdiv must be at least 1")
-        if self.nodes_per_cell < 2:
-            raise ValueError("nodes_per_cell must be at least 2")
-
-
-DEFAULT_CONFIG = QuadConfig()
+#: a result is accepted once its error estimate is at most
+#: max(ABS_TOL, REL_TOL * |value|); read when a refinement runs
+ABS_TOL = 1e-10
+REL_TOL = 1e-9
+#: budget of bisections of one piece before a QuadratureError
+MAX_SUBDIV = 4000
+#: Gauss-Legendre nodes per cell
+NODES_PER_CELL = 15
 
 #: the half-line splits at T = HALFLINE_TRUNCATION * decay_scale; a split far
 #: out on the decay scale lets the first cells' nodes miss the integrand's
@@ -132,14 +109,14 @@ def _step_values(f, tails: list, xs: list) -> list:
 _UNIT_ROUNDOFF = sys.float_info.epsilon / 2
 
 
-def _refine(a: float, b: float, cfg: QuadConfig):
+def _refine(a: float, b: float):
     """Globally adaptive refinement of one piece (a, b), as a generator.
 
     Each step yields the cells whose rule values it needs, as (lo, hi) pairs,
     and is sent back their values: first the coarse cell (a, b) and its two
     halves, then the four quarters of the worst cell, which is bisected.  The
     generator returns the :class:`QuadResult`, or raises
-    :class:`QuadratureError` after ``cfg.max_subdiv`` bisections.
+    :class:`QuadratureError` after ``MAX_SUBDIV`` bisections.
 
     The stopping test compares the sums of the cells' values and errors, in
     heap order.  Running totals stand in for those sums while they clear the
@@ -162,15 +139,15 @@ def _refine(a: float, b: float, cfg: QuadConfig):
         # at most u (drift + cells * magnitude); four times that is the slack
         cells = len(heap)
         slack = 4 * _UNIT_ROUNDOFF * (drift_err + cells * total_err
-                                      + cfg.rel_tol * (drift + cells * total_abs))
-        if not total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) + slack:
+                                      + REL_TOL * (drift + cells * total_abs))
+        if not total_err > max(ABS_TOL, REL_TOL * abs(total)) + slack:
             total = sum(c[3] for c in heap)
             total_err = sum(-c[0] for c in heap)
-            if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
                 return QuadResult(total, total_err, nsub)
             total_abs = sum(abs(c[3]) for c in heap)
             drift = drift_err = 0.0
-        if nsub >= cfg.max_subdiv:
+        if nsub >= MAX_SUBDIV:
             total_err = sum(-c[0] for c in heap)
             raise QuadratureError(
                 f"interval rule did not converge after {nsub} subdivisions "
@@ -193,7 +170,7 @@ def _refine(a: float, b: float, cfg: QuadConfig):
         nsub += 2
 
 
-def _lockstep(f, pieces: list, cfg: QuadConfig) -> list:
+def _lockstep(f, pieces: list) -> list:
     """Refine the pieces side by side, with one call of ``f`` per step.
 
     A piece is ``(a, b, T)``: ``f`` on (a, b) when T is None, else the tail
@@ -206,9 +183,9 @@ def _lockstep(f, pieces: list, cfg: QuadConfig) -> list:
     for a, b, _ in pieces:
         if not b > a:
             raise ValueError("integration bounds must satisfy a < b")
-    nodes, weights = _gl_rule(cfg.nodes_per_cell)
+    nodes, weights = _gl_rule(NODES_PER_CELL)
     n = len(nodes)
-    runs = [_refine(a, b, cfg) for a, b, _ in pieces]
+    runs = [_refine(a, b) for a, b, _ in pieces]
     wants = [next(run) for run in runs]
     outcomes = [None] * len(runs)
     while True:
@@ -239,18 +216,18 @@ def _lockstep(f, pieces: list, cfg: QuadConfig) -> list:
             return outcomes
 
 
-def integrate_interval(f, a: float, b: float, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
+def integrate_interval(f, a: float, b: float) -> QuadResult:
     """Integrate ``f`` over the finite interval (a, b).
 
     Globally adaptive: the worst cell (by the coarse-vs-bisected difference) is
     bisected until the summed error estimate meets the tolerance.  Raises
-    :class:`QuadratureError` after ``cfg.max_subdiv`` bisections, which usually
+    :class:`QuadratureError` after ``MAX_SUBDIV`` bisections, which usually
     signals a singular or highly oscillatory integrand beyond the budget.
     """
-    return _lockstep(f, [(a, b, None)], cfg)[0]
+    return _lockstep(f, [(a, b, None)])[0]
 
 
-def integrate_halfline(f, decay_scale: float = 1.0, cfg: QuadConfig = DEFAULT_CONFIG) -> QuadResult:
+def integrate_halfline(f, decay_scale: float = 1.0) -> QuadResult:
     """Integrate ``f`` over (0, inf) assuming decay on the given scale.
 
     The line is split at ``T = HALFLINE_TRUNCATION * decay_scale``; the tail
@@ -263,7 +240,7 @@ def integrate_halfline(f, decay_scale: float = 1.0, cfg: QuadConfig = DEFAULT_CO
     if decay_scale <= 0:
         raise ValueError("decay_scale must be positive")
     T = HALFLINE_TRUNCATION * decay_scale
-    head, tail = _lockstep(f, [(0.0, T, None), (0.0, 1.0, T)], cfg)
+    head, tail = _lockstep(f, [(0.0, T, None), (0.0, 1.0, T)])
     return QuadResult(
         head.value + tail.value,
         head.error + tail.error,

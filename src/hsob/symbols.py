@@ -629,8 +629,10 @@ def _derivative_ratios(z, jet: Jet, n: int):
 # Kernel-inequality certificates
 
 
-#: slack on the kernel inequality: ``jury_min_m`` takes M as admissible when
-#: M^2 * base - moved + JURY_TOL * I has a Cholesky factor
+#: relative slack on the kernel inequality: ``jury_min_m`` takes M as
+#: admissible when M^2 * base - moved + JURY_TOL * max_i moved_ii * I has a
+#: Cholesky factor; relative to the images' largest kernel value, so scaling
+#: the symbol scales the bound and not the decisions
 JURY_TOL = 1e-10
 #: ``jury_min_m`` stops once its bracket is at most this fraction of its upper
 #: end wide, the resolution of the bound on well-conditioned point sets
@@ -695,11 +697,11 @@ def jury_min_m(e: SymbolExpr, n: int, points) -> float:
     A lower bound for the operator norm that grows toward it as the point set
     refines, found by bisection on M.  Both Gram matrices are built once, and
     M is admissible when the Cholesky factorisation of
-    M^2 * base - moved + JURY_TOL * I succeeds (a failed one is the answer
-    "no"); each test forms that matrix in one reused buffer and costs less
-    than an eigen-solve.  The bracket starts at the diagonal bound
-    sqrt(max_i (moved_ii - JURY_TOL) / base_ii): below it some diagonal entry
-    is negative, so no M there is admissible.  From there the upper end
+    M^2 * base - moved + tol * I succeeds, tol = JURY_TOL * max_i moved_ii
+    (a failed one is the answer "no"); each test forms that matrix in one
+    reused buffer and costs less than an eigen-solve.  The bracket starts at
+    the diagonal bound sqrt(max_i (moved_ii - tol) / base_ii): below it some
+    diagonal entry is negative, so no M there is admissible.  From there the upper end
     doubles until it is admissible (once it passes 1e12 the bound is
     ``inf``), and the bisection stops once the bracket is at most
     ``JURY_RESOLUTION`` = 2^-30 of its upper end wide.  The returned M is admissible, and some M' >=
@@ -715,22 +717,26 @@ def jury_min_m(e: SymbolExpr, n: int, points) -> float:
     benchmark's, cond(base) had a median of 6.3e9 and reached 2e17 for 2*z+1
     at n = 2 on 12 points), so that factor fails or amplifies rounding noise.
     Here the shifted matrix is factored only to decide one M, and the slack
-    ``JURY_TOL`` keeps the noise out of each decision.
+    tol keeps the noise out of each decision.  K_n is homogeneous of degree
+    -1, so for c > 0 the bound of c * phi is c^(-1/2) times that of phi; tol
+    scales with ``moved`` and keeps that, where an absolute slack would swamp
+    the inequality once the images' kernel values near it.
     """
     base, moved = _jury_matrices(e, n, points)
+    tol = JURY_TOL * moved.diagonal().real.max()
     step = np.empty_like(base)
     diagonal = step.reshape(-1)[:: len(step) + 1]  # a view of step's diagonal
 
     def admissible(M):
         np.subtract(np.multiply(base, M**2, out=step), moved, out=step)
-        np.add(diagonal, JURY_TOL, out=diagonal)
+        np.add(diagonal, tol, out=diagonal)
         try:
             np.linalg.cholesky(step)
         except np.linalg.LinAlgError:
             return False
         return True
 
-    ratios = (moved.diagonal().real - JURY_TOL) / base.diagonal().real
+    ratios = (moved.diagonal().real - tol) / base.diagonal().real
     lo = hi = math.sqrt(max(ratios.max(), 0.0))
     while hi <= 1e12 and not admissible(hi):
         lo, hi = hi, 2.0 * hi if hi else 1.0

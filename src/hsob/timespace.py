@@ -93,7 +93,7 @@ def exp_series_remainder(n: int, x):
     * otherwise (and n = 0): the remainder form
       (-x)^-n (exp(-x) - sum_{j<n} (-x)^j/j!), whose terms grow with j there.
 
-    On |arg x| <= pi/2 - 1e-3, 1e-3 <= |x| <= 1e3 and n = 1..8 the relative
+    On |arg x| <= pi/2 - 1e-3, 1e-3 <= |x| <= 1e3 and n = 1..16 the relative
     error against a 40-digit reference is below 1e-14.
     """
     scalar = np.isscalar(x)

@@ -50,7 +50,7 @@ def grid_rows(n: int, grid: GridSpec):
 
 
 # ---------------------------------------------------------------------------
-# suites: each takes (n, seed, samples, grid) and yields (residual, case)
+# suites: each takes the order and its inputs and yields (residual, case)
 
 
 def _samples(seed: int, count: int, level: int) -> list[expfamily.ExpPoly]:
@@ -62,7 +62,7 @@ def _samples(seed: int, count: int, level: int) -> list[expfamily.ExpPoly]:
     return samples[:count]
 
 
-def _paley_wiener(n, seed, samples, grid):
+def _paley_wiener(n, seed, samples):
     """exact time norm vs boundary-quadrature norm on random samples"""
     for i, f in enumerate(_samples(seed, samples, n)):
         report = freqspace.hn_norm(expfamily.laplace(f), n)
@@ -70,7 +70,7 @@ def _paley_wiener(n, seed, samples, grid):
         yield res, {"sample": i, "terms": f.to_triples(), "residual": res, **report.to_dict()}
 
 
-def _inner_product(n, seed, samples, grid):
+def _inner_product(n, seed, samples):
     """weighted inner product vs derivative form, exact algebra"""
     fs = _samples(seed, samples, n)
     for i, f in enumerate(fs):
@@ -83,7 +83,7 @@ def _inner_product(n, seed, samples, grid):
                     "lhs_re": lhs.real, "lhs_im": lhs.imag}
 
 
-def _bounds(n, seed, samples, grid):
+def _bounds(n, grid):
     """kernel-norm sandwich on a log-polar grid"""
     for z, t, diag, lo, hi in grid_rows(n, grid):
         nrm = math.sqrt(diag)
@@ -92,7 +92,7 @@ def _bounds(n, seed, samples, grid):
                           "lower": lo, "upper": hi, "violation": violation}
 
 
-def _reproduce(n, seed, samples, grid):
+def _reproduce(n, seed, samples):
     """reproducing identity via time-side quadrature"""
     rng = np.random.default_rng(seed)
     for i in range(samples):
@@ -103,7 +103,7 @@ def _reproduce(n, seed, samples, grid):
         yield scaled, {"sample": i, "terms": f.to_triples(), "w": str(w), "residual": scaled}
 
 
-def _cayley(n, seed, samples, grid):
+def _cayley(n, seed, samples):
     """disc-transfer norm equality"""
     rng = np.random.default_rng(seed)
     for i in range(samples):
@@ -112,7 +112,7 @@ def _cayley(n, seed, samples, grid):
         yield res, {"sample": i, "lhs": lhs, "rhs": rhs, "residual": res}
 
 
-def _hardy_ineq(n, seed, samples, grid):
+def _hardy_ineq(n, seed, samples):
     """iterated-integral inequality on positive samples"""
     rng = np.random.default_rng(seed)
     for i in range(samples):
@@ -130,16 +130,18 @@ def _hardy_ineq(n, seed, samples, grid):
         yield violation, {"sample": i, "lhs": lhs, "rhs": rhs, "violation": violation}
 
 
-#: each suite (its docstring is its help), the least order it runs at, its
-#: default tolerance, and the floor of its largest residual: 0 for the
-#: nonnegative residuals, -inf for the signed violations of an inequality
+#: each suite (its docstring is its help), the inputs it reads besides the
+#: order (the keywords of :func:`run` it passes on, and the options of
+#: ``hsob verify <suite>``), the least order it runs at, its default
+#: tolerance, and the floor of its largest residual: 0 for the nonnegative
+#: residuals, -inf for the signed violations of an inequality
 SUITES = {
-    "paley-wiener": (_paley_wiener, 0, 1e-6, 0.0),
-    "inner-product": (_inner_product, 0, 1e-9, 0.0),
-    "bounds": (_bounds, 1, 0.0, -math.inf),
-    "reproduce": (_reproduce, 1, 1e-6, 0.0),
-    "cayley": (_cayley, 0, 1e-7, 0.0),
-    "hardy-ineq": (_hardy_ineq, 1, 0.0, -math.inf),
+    "paley-wiener": (_paley_wiener, ("seed", "samples"), 0, 1e-6, 0.0),
+    "inner-product": (_inner_product, ("seed", "samples"), 0, 1e-9, 0.0),
+    "bounds": (_bounds, ("grid",), 1, 0.0, -math.inf),
+    "reproduce": (_reproduce, ("seed", "samples"), 1, 1e-6, 0.0),
+    "cayley": (_cayley, ("seed", "samples"), 0, 1e-7, 0.0),
+    "hardy-ineq": (_hardy_ineq, ("seed", "samples"), 1, 0.0, -math.inf),
 }
 
 
@@ -148,17 +150,19 @@ def run(suite: str, n: int = 0, *, seed: int = 0, samples: int = 20, grid: GridS
     """Run one suite and return its report.
 
     The suite runs at order max(n, its least order), on ``samples`` samples
-    drawn from ``seed`` (``bounds`` takes the points of ``grid`` instead), and
-    passes when it checked at least one case and its largest residual is at
-    most ``tol`` (the suite's default when None).  A quadrature failure raises
+    drawn from ``seed`` (``bounds`` takes the points of ``grid`` instead: a
+    suite reads only the inputs ``SUITES`` names for it), and passes when it
+    checked at least one case and its largest residual is at most ``tol``
+    (the suite's default when None).  A quadrature failure raises
     :class:`hsob.QuadratureError`; an n outside 0..16 is refused.
     """
     _check_order(n)
-    check, min_n, default_tol, worst = SUITES[suite]
+    check, inputs, min_n, default_tol, worst = SUITES[suite]
+    given = {"seed": seed, "samples": samples, "grid": grid}
     tol = default_tol if tol is None else tol
     n = max(n, min_n)
     cases = []
-    for residual, case in check(n, seed, samples, grid):
+    for residual, case in check(n, **{name: given[name] for name in inputs}):
         worst = max(worst, residual)
         cases.append(case)
     # a suite that checked nothing has shown nothing

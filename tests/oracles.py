@@ -41,7 +41,6 @@ import numpy as np
 from hsob import (
     ExpPoly,
     Jet,
-    QuadConfig,
     RationalComb,
     bell_partitions,
     exp_series_remainder,
@@ -54,7 +53,6 @@ from hsob import (
 )
 from hsob.cayley import DISC_NODES, DISC_OFFSET
 from hsob.kernel import _modulus, _q_sum
-from hsob.quadrature import DEFAULT_CONFIG
 from hsob.specfun import cn_coefficient
 from hsob.symbols import BOUNDARY_PASSES, LOG10_R_EXTEND, REFINE_PASSES, _polar
 
@@ -146,8 +144,7 @@ def cn_inverse(n: int) -> CnMatrix:
 # Repeated integration and the kernel-generating time function
 
 
-def w_minus(f, n: int, t: float, decay_scale: float | None = None,
-            cfg: QuadConfig = DEFAULT_CONFIG) -> complex:
+def w_minus(f, n: int, t: float, decay_scale: float | None = None) -> complex:
     """Value of (W^-n f)(t): exact for ExpPoly, quadrature for callables.
 
     Callables must decay at least algebraically of order > 1 on the given
@@ -163,7 +160,7 @@ def w_minus(f, n: int, t: float, decay_scale: float | None = None,
         u = np.asarray(u, dtype=float)
         return u ** (n - 1) * np.asarray(f(t + u), dtype=complex) / factorial(n - 1)
 
-    return complex(integrate_halfline(integrand, scale, cfg).value)
+    return complex(integrate_halfline(integrand, scale).value)
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,7 @@ class GFunction:
         """t^n g^(n)(t) from the closed form (-1)^n E_n(w t); stable for n <= 8."""
         return (-1) ** self.n * exp_series_remainder(self.n, self.w * np.asarray(t))
 
-    def __call__(self, t: float, cfg: QuadConfig = DEFAULT_CONFIG) -> complex:
+    def __call__(self, t: float) -> complex:
         """g_{w,n}(t) from the defining double integral.
 
         The inner unit-interval integral is the exact E_n form; the outer
@@ -204,9 +201,9 @@ class GFunction:
             return u ** (n - 1) / s**n * exp_series_remainder(n, s * w) / factorial(n - 1)
 
         scale = max(t, 1.0, 1.0 / abs(w))
-        return complex(integrate_halfline(integrand, scale, cfg).value)
+        return complex(integrate_halfline(integrand, scale).value)
 
-    def norm(self, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+    def norm(self) -> float:
         """||g_{w,n}||_(n) via the single-integral form of the weighted derivative."""
 
         def integrand(t):
@@ -214,7 +211,7 @@ class GFunction:
             return np.abs(v) ** 2
 
         scale = 1.0 / self.w.real
-        val = integrate_halfline(integrand, scale, cfg).value
+        val = integrate_halfline(integrand, scale).value
         return float(np.sqrt(max(val.real, 0.0)))
 
 
@@ -327,10 +324,11 @@ def jury_matrix(e, n: int, M: float, points) -> np.ndarray:
     return A
 
 
-def jury_min_m_bisection(e, n: int, points, tol: float = 1e-10) -> float:
+def jury_min_m_bisection(e, n: int, points, tol: float) -> float:
     """Least M with min_eigenvalue(jury_matrix) >= -tol: doubling from 1, then
     80 bisection steps, down to adjacent doubles and on, each step on a
-    rebuilt matrix; ``inf`` past 1e12."""
+    rebuilt matrix; ``inf`` past 1e12.  ``jury_min_m``'s slack is
+    tol = JURY_TOL * max_i moved_ii."""
     def feasible(M):
         return min_eigenvalue(jury_matrix(e, n, M, points)) >= -tol
 

@@ -2,6 +2,7 @@
 
 import argparse
 import importlib
+import inspect
 import json
 import math
 import os
@@ -22,6 +23,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+#: a small value of each verify input: one sample, one grid point
+SMALL_INPUTS = {"seed": "0", "samples": "1", "grid": "0.5,2,1,0.1,1"}
+
+
+def small_suite_options(suite):
+    """The options of a one-case run of a verify suite: one per input it reads."""
+    return [arg for name in verify.SUITES[suite][1] for arg in (f"--{name}", SMALL_INPUTS[name])]
 
 
 def strict_json(text):
@@ -178,8 +188,11 @@ class TestVerifyCommands:
     @pytest.mark.parametrize("suite", verify.SUITES)
     def test_prints_library_report(self, capsys, suite):
         # the command adds the schema field to verify.run's report, and nothing else
-        code, out = run_cli(capsys, "verify", suite, "--n", "2", "--seed", "5", "--samples", "3")
-        report = verify.run(suite, 2, seed=5, samples=3)
+        inputs = {name: value for name, value in (("seed", 5), ("samples", 3))
+                  if name in verify.SUITES[suite][1]}
+        options = [arg for name, value in inputs.items() for arg in (f"--{name}", str(value))]
+        code, out = run_cli(capsys, "verify", suite, "--n", "2", *options)
+        report = verify.run(suite, 2, **inputs)
         assert out == json.dumps({"schema": 1, **report}, indent=2, allow_nan=False) + "\n"
         assert code == (0 if report["pass"] else 1)
 
@@ -223,7 +236,7 @@ class TestVerifyCommands:
                                           ("paley-wiener", 0), ("inner-product", 0)])
     def test_reports_order_used(self, capsys, suite, n):
         # without --n, the order-1 suites run (and now report) n = 1
-        _, out = run_cli(capsys, "verify", suite, "--samples", "1", "--grid", "0.5,2,1,0.1,1")
+        _, out = run_cli(capsys, "verify", suite, *small_suite_options(suite))
         assert json.loads(out)["n"] == n
 
     @pytest.mark.parametrize("suite, module", [("paley-wiener", "freqspace"),
@@ -428,6 +441,12 @@ class TestPlumbing:
         ("symbol", "jury", "--m", "1", "--config", "q.cfg", "z"),
         ("kernel", "eval", "--z", "1", "--w", "1", "--config", "q.cfg"),
         *(("verify", suite, "--config", "q.cfg") for suite in verify.SUITES),
+        # bounds checks grid points and draws no samples; the sampled suites
+        # read no grid
+        ("verify", "bounds", "--seed", "1"),
+        ("verify", "bounds", "--samples", "3"),
+        *(("verify", suite, "--grid", "0.5,2,1,0.1,1")
+          for suite in verify.SUITES if suite != "bounds"),
     ])
     def test_unread_option_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -535,17 +554,13 @@ def test_readme_cli_commands_run(tmp_path, argv):
 
 def readme_option_table():
     """Subcommand -> set of options, from the table under README's ``## CLI``;
-    the ``verify <suite>`` row stands for every suite."""
+    the ``verify <suite>`` row stands for every suite without a row of its own."""
     section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
-    table = {}
-    for line in section.splitlines():
-        row = re.fullmatch(r"\| `([a-z <>]+)` \| (.*) \|", line)
-        if row:
-            options = set(re.findall(r"`(--[a-z-]+)`", row.group(2)))
-            names = ([f"verify {suite}" for suite in verify.SUITES]
-                     if row.group(1) == "verify <suite>" else [row.group(1)])
-            table.update(dict.fromkeys(names, options))
-    return table
+    rows = {row.group(1): set(re.findall(r"`(--[a-z-]+)`", row.group(2)))
+            for row in map(re.compile(r"\| `([a-z <>]+)` \| (.*) \|").fullmatch,
+                           section.splitlines()) if row}
+    suites = rows.pop("verify <suite>")
+    return {**{f"verify {suite}": suites for suite in verify.SUITES}, **rows}
 
 
 def parser_options():
@@ -568,7 +583,7 @@ ORDER_ARGV = [
     ("kernel", "norm", "--z", "1"),
     ("kernel", "sweep"),
     ("kernel", "gram", "--count", "2"),
-    *(("verify", suite, "--samples", "1") for suite in verify.SUITES),
+    *(("verify", suite, *small_suite_options(suite)) for suite in verify.SUITES),
     ("symbol", "classify", "z"),
     ("symbol", "jury", "--m", "1", "z"),
 ]
@@ -589,6 +604,17 @@ def test_every_order_option_refuses_past_the_warranty(capsys):
         assert last.startswith(prefix), argv
         messages.add(last.removeprefix(prefix))
     assert messages == {"argument --n: the order must lie in 0..16, got 17"}
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_verify_options_are_the_suite_inputs(suite):
+    # a verify subcommand declares an option for each input its suite reads,
+    # and the suite's check takes exactly those inputs after the order
+    check, inputs = verify.SUITES[suite][:2]
+    assert parser_options()[f"verify {suite}"] == {"--n", "--tol", "--out",
+                                                   *(f"--{name}" for name in inputs)}
+    assert list(inspect.signature(check).parameters) == ["n", *inputs]
+    assert set(inputs) <= set(inspect.signature(verify.run).parameters)
 
 
 def test_readme_option_table_matches_parser():

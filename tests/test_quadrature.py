@@ -1,4 +1,9 @@
-"""Quadrature engine: anchors from antiderivative oracles, then properties."""
+"""Quadrature engine: anchors from antiderivative oracles, then properties.
+
+The integrators run at the module constants of ``hsob.quadrature``; a test
+that needs another setting patches them, and the reference loops here read
+them too.
+"""
 
 import heapq
 import math
@@ -7,10 +12,10 @@ import numpy as np
 import pytest
 
 from hsob import (
-    QuadConfig,
     QuadratureError,
     integrate_halfline,
     integrate_interval,
+    quadrature,
 )
 from hsob.expfamily import sample_exppoly
 from hsob.kernel import _p_eval
@@ -20,6 +25,13 @@ from hsob.timespace import exp_series_remainder
 # Oracle: d/dt [ (arctan t - t/(1+t^2)) / 2 ] = t^2/(1+t^2)^2, so the
 # half-line integral is the limit pi/4.
 HALFLINE_RATIONAL = math.pi / 4
+
+
+def set_constants(monkeypatch, cfg):
+    """Patch the module constants in ``cfg``, e.g. ``{"ABS_TOL": 1e-12}``, for
+    the rest of the test."""
+    for name, value in cfg.items():
+        monkeypatch.setattr(quadrature, name, value)
 
 
 class TestInterval:
@@ -36,9 +48,9 @@ class TestInterval:
         r = integrate_halfline(f, 1.0)
         assert abs(r.value - HALFLINE_RATIONAL) < 1e-10
 
-    def test_error_estimate_honoured(self):
-        cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-12)
-        r = integrate_interval(lambda t: np.exp(-t) * np.sin(7 * t), 0.0, 10.0, cfg)
+    def test_error_estimate_honoured(self, monkeypatch):
+        set_constants(monkeypatch, {"ABS_TOL": 1e-12, "REL_TOL": 1e-12})
+        r = integrate_interval(lambda t: np.exp(-t) * np.sin(7 * t), 0.0, 10.0)
         exact = 7.0 / 50.0 * (1.0 - math.exp(-10) * (math.cos(70) + math.sin(70) / 7.0))
         assert abs(r.value - exact) <= 1e-10
 
@@ -59,10 +71,10 @@ class TestInterval:
         with pytest.raises(QuadratureError):
             integrate_interval(lambda t: np.full_like(t, np.nan), 0.0, 1.0)
 
-    def test_nonconvergence_signal(self):
-        cfg = QuadConfig(max_subdiv=9, abs_tol=1e-14, rel_tol=1e-14)
+    def test_nonconvergence_signal(self, monkeypatch):
+        set_constants(monkeypatch, {"MAX_SUBDIV": 9, "ABS_TOL": 1e-14, "REL_TOL": 1e-14})
         with pytest.raises(QuadratureError):
-            integrate_interval(lambda t: 1.0 / np.sqrt(t), 1e-300, 1.0, cfg)
+            integrate_interval(lambda t: 1.0 / np.sqrt(t), 1e-300, 1.0)
 
 
 def _gl_cell(f, a, b, nodes, weights):
@@ -75,15 +87,16 @@ def _gl_cell(f, a, b, nodes, weights):
     return complex((b - a) * np.dot(weights, ys))
 
 
-def resumming_integrate(f, a, b, cfg=QuadConfig()):
+def resumming_integrate(f, a, b):
     """The adaptive loop that sums every cell's value and error on each step.
 
     A test-only reference for :func:`integrate_interval`, which keeps running
     totals and evaluates all the cells of a step in one call; neither may
     change its value, error or bisection count by a bit.  Here each cell is
-    one call of ``f``.
+    one call of ``f``.  It reads the module constants when it runs, as the
+    engine does.
     """
-    nodes, weights = _gl_rule(cfg.nodes_per_cell)
+    nodes, weights = _gl_rule(quadrature.NODES_PER_CELL)
 
     def make_cell(lo, hi, coarse):
         mid = 0.5 * (lo + hi)
@@ -97,9 +110,9 @@ def resumming_integrate(f, a, b, cfg=QuadConfig()):
     while True:
         total = sum(c[3] for c in heap)
         total_err = sum(-c[0] for c in heap)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if total_err <= max(quadrature.ABS_TOL, quadrature.REL_TOL * abs(total)):
             return total, total_err, nsub
-        if nsub >= cfg.max_subdiv:
+        if nsub >= quadrature.MAX_SUBDIV:
             raise QuadratureError(
                 f"interval rule did not converge after {nsub} subdivisions "
                 f"(error estimate {total_err:.3e})"
@@ -111,7 +124,7 @@ def resumming_integrate(f, a, b, cfg=QuadConfig()):
         nsub += 2
 
 
-def _halfline_pieces(f, decay_scale, cfg):
+def _halfline_pieces(f, decay_scale):
     """(integrand, a, b) of the half-line's head on (0, T) and of its tail
     pulled back to (0, 1) through t = T + u/(1-u)."""
     T = HALFLINE_TRUNCATION * decay_scale
@@ -123,12 +136,12 @@ def _halfline_pieces(f, decay_scale, cfg):
     return (f, 0.0, T), (tail, 0.0, 1.0)
 
 
-def sequential_halfline(f, decay_scale, cfg=QuadConfig()):
+def sequential_halfline(f, decay_scale):
     """The half-line as :func:`resumming_integrate` on the head, then on the
     tail.  A test-only reference for :func:`integrate_halfline`, which refines
     the two in lockstep and must raise the failure this order raises."""
-    (hv, he, hn), (tv, te, tn) = (resumming_integrate(g, a, b, cfg)
-                                  for g, a, b in _halfline_pieces(f, decay_scale, cfg))
+    (hv, he, hn), (tv, te, tn) = (resumming_integrate(g, a, b)
+                                  for g, a, b in _halfline_pieces(f, decay_scale))
     return hv + tv, he + te, hn + tn
 
 
@@ -148,22 +161,23 @@ def _kernel_integrand(n, a, b):
 
 class TestRunningTotals:
     @pytest.mark.parametrize("cfg", [
-        QuadConfig(),
-        QuadConfig(abs_tol=1e-14, rel_tol=1e-14),
-        QuadConfig(abs_tol=1e-6, rel_tol=1e-3, nodes_per_cell=7),
-        QuadConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdiv=3),
+        {},
+        {"ABS_TOL": 1e-14, "REL_TOL": 1e-14},
+        {"ABS_TOL": 1e-6, "REL_TOL": 1e-3, "NODES_PER_CELL": 7},
+        {"ABS_TOL": 1e-15, "REL_TOL": 1e-15, "MAX_SUBDIV": 3},
     ])
-    def test_shallow_integrand_matches_resumming_loop(self, cfg):
+    def test_shallow_integrand_matches_resumming_loop(self, monkeypatch, cfg):
+        set_constants(monkeypatch, cfg)
         f = lambda t: np.exp(3j * t) / (0.05 + (t - 0.4) ** 2)
-        want = _outcome(resumming_integrate, f, 0.0, 2.0, cfg)
-        assert _outcome(integrate_interval, f, 0.0, 2.0, cfg) == want
+        want = _outcome(resumming_integrate, f, 0.0, 2.0)
+        assert _outcome(integrate_interval, f, 0.0, 2.0) == want
 
     def test_deep_kernel_integrand_matches_resumming_loop(self):
         # kernel_eval_quadrature(8, 1e-300, 1): about a thousand bisections
         f = _kernel_integrand(8, complex(1e-300), complex(1.0).conjugate())
         value, error, nsub = resumming_integrate(f, 0.0, 1.0)
         assert nsub > 500
-        assert _outcome(integrate_interval, f, 0.0, 1.0, QuadConfig()) == repr((value, error, nsub))
+        assert _outcome(integrate_interval, f, 0.0, 1.0) == repr((value, error, nsub))
 
 
 class _Counting:
@@ -186,23 +200,22 @@ class TestLockstep:
     """One integrand call per step, and the outcomes of one call per cell."""
 
     @pytest.mark.parametrize("cfg", [
-        QuadConfig(),
-        QuadConfig(abs_tol=1e-14, rel_tol=1e-14),
-        QuadConfig(abs_tol=1e-6, rel_tol=1e-3, nodes_per_cell=7),
+        {},
+        {"ABS_TOL": 1e-14, "REL_TOL": 1e-14},
+        {"ABS_TOL": 1e-6, "REL_TOL": 1e-3, "NODES_PER_CELL": 7},
     ])
-    def test_interval_calls_f_once_per_step(self, cfg):
+    def test_interval_calls_f_once_per_step(self, monkeypatch, cfg):
+        set_constants(monkeypatch, cfg)
         f = _Counting(lambda t: np.exp(3j * t) / (0.05 + (t - 0.4) ** 2))
-        r = integrate_interval(f, 0.0, 2.0, cfg)
+        r = integrate_interval(f, 0.0, 2.0)
         assert r.subdivisions > 3
         assert f.calls == _steps(r.subdivisions)
 
     def test_halfline_calls_f_once_per_lockstep_step(self):
         g = lambda t: np.cos(3 * t) / (1 + t**2) ** 2
-        cfg = QuadConfig()
-        head, tail = (resumming_integrate(*piece, cfg)
-                      for piece in _halfline_pieces(g, 1.0, cfg))
+        head, tail = (resumming_integrate(*piece) for piece in _halfline_pieces(g, 1.0))
         f = _Counting(g)
-        r = integrate_halfline(f, 1.0, cfg)
+        r = integrate_halfline(f, 1.0)
         assert r.subdivisions == head[2] + tail[2]
         assert _steps(head[2]) != _steps(tail[2])
         assert f.calls == max(_steps(head[2]), _steps(tail[2]))
@@ -213,7 +226,6 @@ class TestLockstep:
     @pytest.mark.parametrize("seed", [0, 1, 2, 48, 53, 104, 137, 144])
     def test_seeded_exppoly_halflines_match_sequential_runs(self, seed):
         rng = np.random.default_rng(seed)
-        cfg = QuadConfig()
         for n in (2, 3, 4):
             f = sample_exppoly(rng, level=n)
             w = complex(rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0))
@@ -221,8 +233,8 @@ class TestLockstep:
             # a time-side norm integrand and the time side of verify reproduce
             for g in (lambda t: t ** (2 * n) * np.abs(fn(t)) ** 2,
                       lambda t: t**n * fn(t) * (-1) ** n * exp_series_remainder(n, w * t)):
-                want = _outcome(sequential_halfline, g, scale, cfg)
-                assert _outcome(integrate_halfline, g, scale, cfg) == want
+                want = _outcome(sequential_halfline, g, scale)
+                assert _outcome(integrate_halfline, g, scale) == want
 
     @pytest.mark.parametrize("f, failing", [
         # a singular head exhausts its budget while the exponential tail settles
@@ -230,26 +242,24 @@ class TestLockstep:
         # a smooth head settles while the slowly decaying tail does not
         (lambda t: (1.0 + t) ** -1.1, "tail"),
     ])
-    def test_one_failing_piece_matches_sequential_runs(self, f, failing):
-        cfg = QuadConfig(max_subdiv=15)
-        head, tail = (_outcome(resumming_integrate, *piece, cfg)
-                      for piece in _halfline_pieces(f, 1.0, cfg))
+    def test_one_failing_piece_matches_sequential_runs(self, monkeypatch, f, failing):
+        set_constants(monkeypatch, {"MAX_SUBDIV": 15})
+        head, tail = (_outcome(resumming_integrate, *piece) for piece in _halfline_pieces(f, 1.0))
         fails = {"head": head, "tail": tail}[failing]
         settles = {"head": tail, "tail": head}[failing]
         assert fails.startswith("interval rule did not converge")
         assert settles.startswith("(")
-        assert _outcome(integrate_halfline, f, 1.0, cfg) == fails
-        assert _outcome(sequential_halfline, f, 1.0, cfg) == fails
+        assert _outcome(integrate_halfline, f, 1.0) == fails
+        assert _outcome(sequential_halfline, f, 1.0) == fails
 
-    def test_head_failure_wins_over_non_finite_tail(self):
+    def test_head_failure_wins_over_non_finite_tail(self, monkeypatch):
         # the head exhausts its budget; exp overflows on the tail's first step
         f = lambda t: 1.0 / np.sqrt(t) + np.exp(t - 40.0)
-        cfg = QuadConfig(max_subdiv=9)
-        head, tail = (_outcome(resumming_integrate, *piece, cfg)
-                      for piece in _halfline_pieces(f, 1.0, cfg))
+        set_constants(monkeypatch, {"MAX_SUBDIV": 9})
+        head, tail = (_outcome(resumming_integrate, *piece) for piece in _halfline_pieces(f, 1.0))
         assert tail == "integrand returned a non-finite value"
         assert head.startswith("interval rule did not converge")
-        assert _outcome(integrate_halfline, f, 1.0, cfg) == head
+        assert _outcome(integrate_halfline, f, 1.0) == head
 
     @pytest.mark.parametrize("f", [lambda t: 1.0, lambda t: np.ones(3), lambda t: t[:-1],
                                    lambda t: np.ones((len(t), 1))])
@@ -308,37 +318,23 @@ class TestHalfline:
 
 class TestProperties:
     def test_linearity(self):
-        cfg = QuadConfig()
         f = lambda t: np.exp(-t)
         g = lambda t: t / (1 + t**2) ** 2
         a, b = 2.5, -1.25 + 0.5j
-        lhs = integrate_halfline(lambda t: a * f(t) + b * g(t), 1.0, cfg)
-        rhs = a * integrate_halfline(f, 1.0, cfg).value + b * integrate_halfline(g, 1.0, cfg).value
-        tol = 10 * max(cfg.abs_tol, cfg.rel_tol * abs(rhs))
+        lhs = integrate_halfline(lambda t: a * f(t) + b * g(t), 1.0)
+        rhs = a * integrate_halfline(f, 1.0).value + b * integrate_halfline(g, 1.0).value
+        tol = 10 * max(quadrature.ABS_TOL, quadrature.REL_TOL * abs(rhs))
         assert abs(lhs.value - rhs) <= tol
 
     @pytest.mark.parametrize("integrand", [
         lambda t: np.sin(3 * t),
         lambda t: t**2 / (1 + t**2) ** 2,
     ])
-    def test_refinement_monotonicity(self, integrand):
-        # halving abs_tol never increases the reported error estimate
+    def test_refinement_monotonicity(self, monkeypatch, integrand):
+        # halving ABS_TOL never increases the reported error estimate
         errs = []
         for tol in (1e-6, 5e-7, 2.5e-7, 1.25e-7):
-            cfg = QuadConfig(abs_tol=tol, rel_tol=1e-15)
-            errs.append(integrate_interval(integrand, 0.0, 20.0, cfg).error)
+            set_constants(monkeypatch, {"ABS_TOL": tol, "REL_TOL": 1e-15})
+            errs.append(integrate_interval(integrand, 0.0, 20.0).error)
         assert all(e2 <= e1 * (1 + 1e-12) for e1, e2 in zip(errs, errs[1:]))
 
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"abs_tol": 0.0},
-        {"rel_tol": -1.0},
-        {"abs_tol": math.nan},
-        {"nodes_per_cell": 1},
-        {"max_subdiv": 0},
-        {"rel_tol": math.nan},
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadConfig(**kwargs)

@@ -137,6 +137,10 @@ def _agree(got, want, rtol=1e-14):
     return abs(got - want) <= rtol * abs(want)
 
 
+#: six points near 1, where c*z+c with large c gives tiny image kernel values
+SCALE_POINTS = [1, 1.2 + 0.1j, 0.9 - 0.2j, 1.1, 1.05 + 0.05j, 0.95]
+
+
 def _jury_points(rng, m):
     return [complex(rng.uniform(0.3, 4.0), rng.uniform(-2.0, 2.0)) for _ in range(m)]
 
@@ -148,21 +152,22 @@ def _assert_within_resolution_of_oracle(e, n, pts, M):
     # S = M^2 * base - moved moves the root by that over d lambda / dM = 2 M s,
     # s = v^H base v for the least eigenvector v (first-order perturbation).
     # The returned M passes its certificate, and its least eigenvalue is
-    # -JURY_TOL to rounding
-    M_o = jury_min_m_bisection(e, n, pts)
+    # -tol to rounding, tol = JURY_TOL * max_i moved_ii
+    base, moved = _jury_matrices(e, n, pts)
+    tol = JURY_TOL * moved.diagonal().real.max()
+    M_o = jury_min_m_bisection(e, n, pts, tol)
     if math.isinf(M_o):
         assert M == M_o
         return
     m = len(pts)
-    base, moved = _jury_matrices(e, n, pts)
     S = M_o**2 * base - moved
     values, vectors = np.linalg.eigh(S)
     s = (vectors[:, 0].conj() @ base @ vectors[:, 0]).real
     band = m * EPS * np.abs(values).max()
     assert abs(M - M_o) <= JURY_RESOLUTION * M + band / (2 * M_o * s)
     S = M**2 * base - moved
-    np.linalg.cholesky(S + JURY_TOL * np.eye(m))
-    assert jury_min_eig(e, n, M, pts) >= -JURY_TOL - m * EPS * np.linalg.norm(S, 2)
+    np.linalg.cholesky(S + tol * np.eye(m))
+    assert jury_min_eig(e, n, M, pts) >= -tol - m * EPS * np.linalg.norm(S, 2)
 
 
 class TestParser:
@@ -462,6 +467,22 @@ class TestJury:
                 assert abs(lower - want) <= 1e-15 * want
                 assert lower <= jury_min_m(e, n, pts) * (1.0 + 1e-8)
 
+    @pytest.mark.parametrize("text", ["3e8*z+3e8", "2e8*z+2e8", "1e12*z+1e12"])
+    def test_caughran_below_jury_at_small_image_kernels(self, text):
+        # the images' kernel values (at most 9e-10, 1.3e-9 and 2.6e-13 here)
+        # are near JURY_TOL; an absolute slack put the jury bound below
+        # Caughran's, and at 0 for 1e12*z+1e12
+        e = parse(text)
+        lower = caughran_lower_bound(e, 0, SCALE_POINTS)
+        assert 0 < lower <= jury_min_m(e, 0, SCALE_POINTS) * (1.0 + 1e-8)
+
+    def test_bound_scales_with_the_symbol(self):
+        # K_n is homogeneous of degree -1, so the bound of c*z+c is c^(-1/2)
+        # times that of z+1, for c = 1e-4..1e12, to the bisection's resolution
+        scaled = [math.sqrt(c) * jury_min_m(parse(f"{c!r}*z+{c!r}"), 0, SCALE_POINTS)
+                  for c in (10.0**k for k in range(-4, 13))]
+        assert max(scaled) - min(scaled) <= 2e-8 * min(scaled)
+
     def test_bisection_stops_at_its_resolution(self, monkeypatch):
         # each step is one Cholesky test and no eigen-solve; from the diagonal
         # bound the bisection takes at most 40 tests and stops once the
@@ -496,10 +517,11 @@ class TestJury:
                 bound = jury_min_m(e, n, pts)
                 assert 0 < len(tested) <= 40 and not eigen_solves
                 # each tested M read back off the largest diagonal entry of its
-                # matrix M^2 * base - moved + JURY_TOL * I, to a few roundings
+                # matrix M^2 * base - moved + tol * I, to a few roundings
                 base, moved = _jury_matrices(e, n, pts)
+                tol = JURY_TOL * moved.diagonal().real.max()
                 k = np.argmax(base.diagonal().real)
-                failed = [math.sqrt((A[k, k].real - JURY_TOL + moved[k, k].real) / base[k, k].real)
+                failed = [math.sqrt((A[k, k].real - tol + moved[k, k].real) / base[k, k].real)
                           for A, ok in tested if not ok]
                 if failed:
                     assert bound - max(failed) <= (JURY_RESOLUTION + 8 * EPS) * bound
