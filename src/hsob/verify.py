@@ -145,20 +145,26 @@ SUITES = {
 }
 
 
-def run(suite: str, n: int = 0, *, seed: int = 0, samples: int = 20, grid: GridSpec = SWEEP_GRID,
-        tol: float | None = None) -> dict:
+def run(suite: str, n: int = 0, *, seed: int | None = None, samples: int | None = None,
+        grid: GridSpec | None = None, tol: float | None = None) -> dict:
     """Run one suite and return its report.
 
-    The suite runs at order max(n, its least order), on ``samples`` samples
-    drawn from ``seed`` (``bounds`` takes the points of ``grid`` instead: a
-    suite reads only the inputs ``SUITES`` names for it), and passes when it
-    checked at least one case and its largest residual is at most ``tol``
-    (the suite's default when None).  A quadrature failure raises
-    :class:`hsob.QuadratureError`; an n outside 0..16 is refused.
+    The suite runs at order max(n, its least order) on the inputs ``SUITES``
+    names for it: ``samples`` samples drawn from ``seed`` (defaults 20 and 0),
+    or for ``bounds`` the points of ``grid`` (default ``SWEEP_GRID``).  An
+    input the suite does not read is refused with a ``ValueError``.  The
+    suite passes when it checked at least one case and its largest residual
+    is at most ``tol`` (the suite's default when None).  A quadrature failure
+    raises :class:`hsob.QuadratureError`; an n outside 0..16 is refused.
     """
     _check_order(n)
     check, inputs, min_n, default_tol, worst = SUITES[suite]
-    given = {"seed": seed, "samples": samples, "grid": grid}
+    given = {name: value for name, value in (("seed", seed), ("samples", samples), ("grid", grid))
+             if value is not None}
+    unread = [name for name in given if name not in inputs]
+    if unread:
+        raise ValueError(f"suite {suite} does not read {' or '.join(unread)}")
+    given = {"seed": 0, "samples": 20, "grid": SWEEP_GRID, **given}
     tol = default_tol if tol is None else tol
     n = max(n, min_n)
     cases = []
@@ -170,7 +176,8 @@ def run(suite: str, n: int = 0, *, seed: int = 0, samples: int = 20, grid: GridS
     return {
         "suite": suite,
         "n": n,
-        "seed": seed,
+        # 0 for bounds, which draws no samples
+        "seed": given["seed"],
         "samples": len(cases),
         "tolerance": tol,
         "max_residual": worst if cases else None,

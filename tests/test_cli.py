@@ -617,6 +617,20 @@ def test_verify_options_are_the_suite_inputs(suite):
     assert set(inputs) <= set(inspect.signature(verify.run).parameters)
 
 
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_run_refuses_inputs_the_suite_does_not_read(suite):
+    # bounds reads only its grid and the sampled suites only seed and
+    # samples: any other input is one error naming the suite and the input
+    read = verify.SUITES[suite][1]
+    for name, value in (("seed", 5), ("samples", 3), ("grid", verify.SWEEP_GRID)):
+        if name not in read:
+            with pytest.raises(ValueError, match=f"^suite {suite} does not read {name}$"):
+                verify.run(suite, 2, **{name: value})
+    if suite == "bounds":
+        with pytest.raises(ValueError, match="^suite bounds does not read seed or samples$"):
+            verify.run(suite, 2, seed=5, samples=3)
+
+
 def test_readme_option_table_matches_parser():
     # each row lists exactly the options that subcommand declares, and every
     # subcommand has a row

@@ -2,7 +2,12 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +29,12 @@ from hsob import (
     reproduce_check,
     verify,
 )
-from hsob.kernel import _closed_form, _p_eval
+from hsob.kernel import (_RULE, _RULE_NODES, _closed_form, _derived_coefficients, _p_eval,
+                         _rule_weights)
 from hsob.specfun import MAX_ORDER
-from oracles import closed_form_two_calls, i_theta
+from oracles import closed_form_two_calls, i_theta, legendre
+
+ROOT = Path(__file__).resolve().parent.parent
 
 LN2 = math.log(2.0)
 #: arguments within 1e-6 of the imaginary axis
@@ -98,10 +106,15 @@ def duffy_reference(n, z, w, mp):
 
 
 #: (|z|/|w|, arg z, arg w) of the accuracy map at every order: near 1 on both
-#: sides of the closed form's series/log switch at 1/2, down to 1e-8, and with
+#: sides of the closed form's rule/log switch at 1/2, down to 1e-8, and with
 #: a + u b nearly vanishing at u = |z|/|w| (both arguments at the margin)
 MAP_CASES = ((1.0, -1.05, 1.05), (0.55, -1.05, 1.05), (0.45, -1.05, 1.05), (0.1, -1.05, 1.05),
              (1e-8, -1.05, 1.05), (0.45, MARGIN, MARGIN), (1e-4, MARGIN, MARGIN))
+#: the map's cases on the switch itself, where the closed form's rule meets
+#: its nearest poles: at distance 1 from [0, 1] (both arguments at +-MARGIN)
+#: and oblique.  They map the closed form alone: the quadrature route, whose
+#: tolerance is rel_tol = 1e-9, reads up to 7.2e-12 at the first two
+RULE_POLE_CASES = ((0.5, MARGIN, MARGIN), (0.5, -MARGIN, -MARGIN), (0.5, 1.2, -1.2))
 #: one extreme |z|/|w| per order (all of them at n = 0, whose reference is
 #: free), 1e-320 (subnormal) at 1, 8, 15 and 16
 MAP_EXTREMES = {0: (1e-16, 1e-50, 1e-100, 1e-200, 1e-300, 1e-320), 1: (1e-320,), 2: (1e-300,),
@@ -177,15 +190,18 @@ class TestClosedForms:
         # to 1e-320, both arguments within 1e-6 of the imaginary axis where
         # a + u b nearly vanishes, and the diagonal, there by kernel_diag;
         # |z|/|w| > 1 by Hermitian symmetry, against the same reference.
-        # The quadrature route meets the same references to QUAD_MAP_TOL
+        # The quadrature route meets the same references to QUAD_MAP_TOL,
+        # off RULE_POLE_CASES
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
-        cases = MAP_CASES + tuple((r, 0.3, -1.2) for r in MAP_EXTREMES[n])
+        cases = MAP_CASES + RULE_POLE_CASES + tuple((r, 0.3, -1.2) for r in MAP_EXTREMES[n])
         for r, tz, tw in cases:
             z, w = r * cmath.exp(1j * tz), cmath.exp(1j * tw)
             ref = duffy_reference(n, z, w, mp)
             for value in (kernel_eval_closed(n, z, w), kernel_eval_closed(n, w, z).conjugate()):
                 assert abs(mp.mpc(value) - ref) <= MAP_TOL * abs(ref), (r, tz, tw)
+            if (r, tz, tw) in RULE_POLE_CASES:
+                continue
             quadrature = (lambda: kernel_eval_quadrature(n, z, w),
                           lambda: kernel_eval_quadrature(n, w, z).conjugate())
             for route in quadrature:
@@ -221,7 +237,7 @@ class TestClosedForms:
         # both directions and its diagonals, as one batch per order and as
         # one-element batches
         for n in range(1, MAX_ORDER + 1):
-            cases = MAP_CASES + tuple((r, 0.3, -1.2) for r in MAP_EXTREMES[n])
+            cases = MAP_CASES + RULE_POLE_CASES + tuple((r, 0.3, -1.2) for r in MAP_EXTREMES[n])
             zs = [r * cmath.exp(1j * tz) for r, tz, _ in cases]
             ws = [cmath.exp(1j * tw) for _, _, tw in cases]
             diag = [1.0, cmath.exp(-1j * MARGIN)]
@@ -262,6 +278,68 @@ class TestClosedForms:
             kernel_eval_closed(1, -1.0, 1.0)
         with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got 17$"):
             kernel_eval_closed(17, 1.0, 1.0)
+
+
+#: bound of the closed form's rule's moments against exact rationals, in ulps of
+#: sum_j |W_n[j] x_j^k|: the worst measured was 3.57 (n = 1, k = 23), where each
+#: node's rounding enters the degree-23 power 23 times
+RULE_MOMENT_ULPS = 6
+
+
+class TestClosedFormRule:
+    """The fixed Gauss-Legendre rule of the closed form's elements with |b| <= |a|/2."""
+
+    def test_nodes_match_leggauss(self):
+        t, _ = np.polynomial.legendre.leggauss(len(_RULE))
+        assert np.abs(_RULE_NODES - 0.5 * (t + 1.0)).max() <= 2.0**-52
+
+    def test_nodes_and_weights_are_correctly_rounded(self):
+        # two Newton steps from each node on the oracle's recurrence at 40
+        # digits find the root of P_N(2x - 1), and its weight
+        # 1/((1 - t^2) P_N'(t)^2); both round to the table's entries
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        N = len(_RULE)
+
+        def slope(t):
+            return N * (t * legendre(N, t) - legendre(N - 1, t)) / (t * t - 1)
+
+        for x, w in _RULE:
+            t = 2 * mp.mpf(x) - 1
+            for _ in range(2):
+                t -= legendre(N, t) / slope(t)
+            assert abs((1 + t) / 2 - x) <= math.ulp(x) / 2, x
+            assert abs(1 / ((1 - t * t) * slope(t) ** 2) - w) <= math.ulp(w) / 2, x
+
+    def test_weights_integrate_polynomials_exactly(self):
+        # W_n[j] = w_j P_n(x_j) integrates P_n x^k exactly for k <= 2N - n,
+        # in exact sums of the stored doubles; P_n's coefficients are the
+        # derived ones of the log branch
+        N = len(_RULE)
+        for n in range(1, MAX_ORDER + 1):
+            c = [Fraction((-1) ** m, math.factorial(n - 1 - m) * math.factorial(n + m))
+                 for m in range(n)]
+            assert tuple(map(float, c)) == _derived_coefficients(n)
+            for k in range(2 * N - n + 1):
+                exact = sum(cm / (m + k + 1) for m, cm in enumerate(c))
+                terms = [Fraction(w) * Fraction(x) ** k
+                         for w, x in zip(_rule_weights(n).tolist(), _RULE_NODES.tolist())]
+                bound = RULE_MOMENT_ULPS * 2.0**-52 * sum(map(abs, terms))
+                assert abs(sum(terms) - exact) <= bound, (n, k)
+
+    def test_closed_form_never_imports_numpy_polynomial(self):
+        # the rule's nodes are literals: numpy.polynomial would add about
+        # 1.4 MB to every process that evaluates a kernel
+        code = ("import sys, hsob\n"
+                "hsob.gram_matrix(8, [1.0, 0.3 + 0.2j, 0.05 - 0.02j, 2.0 + 1.0j])\n"
+                "hsob.kernel_eval_closed(8, 0.1, 1.0)\n"
+                "assert sys.modules['hsob.kernel']._rule_weights.cache_info().currsize\n"
+                "assert 'numpy.polynomial' not in sys.modules\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestQuadratureAgreement:
@@ -563,7 +641,7 @@ class TestGram:
     def test_entries_equal_kernel_eval_exactly(self, n, method):
         # through n = 16 each entry is kernel_eval_closed bit for bit, and
         # within 1e-9 of kernel_eval_quadrature; |z_i|/|z_j| reaches 3.6e9, and
-        # the batch mixes series ratios from 3e-10 to 1/2; the diagonal holds
+        # the batch mixes rule ratios from 3e-10 to 1/2; the diagonal holds
         # the conjugate, as every entry above it does.  Past the warranty the
         # matrix and either route refuse the order with one message
         pts = [1.0, 0.7 + 0.5j, 2e-4 - 1e-4j, 3e3 + 4e3j, 8e5 * cmath.exp(-0.3j),
