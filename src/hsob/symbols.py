@@ -34,10 +34,15 @@ The jury routines build the two Gram matrices of the inequality once, from
 one array evaluation of the images, since neither depends on M; their points
 and images obey the kernel's one domain rule, finite with Re z > 0 and no
 margin from the imaginary axis.  ``jury_min_eig`` takes one least
-eigenvalue; ``jury_min_m`` bisects on M, deciding each step by a Cholesky
-factorisation of the shifted inequality matrix, rather than reading M off the
-Cholesky pencil of the base matrix, because sampled kernel Gram matrices are
-too badly conditioned for that factorisation (cond up to about 2e17).
+eigenvalue.  ``jury_min_m`` decides every M by a Cholesky factorisation of
+the shifted inequality matrix: it doubles M until one is admissible,
+estimates the threshold from that factor by one eigen-solve of the pencil of
+the base matrix and the shifted one, certifies the estimate with a test on
+each side, and bisects what is left.  It never reads M off the pencil of the
+base matrix with the moved one: that factors the base matrix, and sampled
+kernel Gram matrices are too badly conditioned for it (cond up to about
+2e17), while the shifted matrix has passed its test and the estimate only
+chooses where to test.
 
 All suprema are sampled estimates over log-polar grids with refinement toward
 the argmax, toward the imaginary axis, and outward along rays: evidence, not
@@ -691,60 +696,100 @@ def jury_min_eig(e: SymbolExpr, n: int, M: float, points) -> float:
     return float(np.linalg.eigvalsh(M**2 * base - moved)[0])
 
 
+def _threshold_estimate(base, factor, lo: float, hi: float) -> float:
+    """Where in [lo, hi] the least admissible M of ``jury_min_m`` should lie.
+
+    ``factor`` is the Cholesky factor L of S(hi) = hi^2 * base - moved + tol * I,
+    which passed its test.  For every M, S(M) = L (I - (hi^2 - M^2) C) L^H with
+    C = L^-1 base L^-H, which first turns singular at
+    M^2 = hi^2 - 1 / lambda_max(C).  Returns that M clipped into [lo, hi], or
+    the midpoint when lambda_max is not positive or is nan.  The result only
+    chooses where the search tests next.
+    """
+    inverse = np.linalg.inv(factor)
+    lam = np.linalg.eigvalsh(inverse @ base @ inverse.conj().T)[-1]
+    if not lam > 0:
+        return 0.5 * (lo + hi)
+    return min(max(math.sqrt(max(hi * hi - 1.0 / lam, 0.0)), lo), hi)
+
+
 def jury_min_m(e: SymbolExpr, n: int, points) -> float:
     """Least M making the sampled kernel inequality hold on these points.
 
     A lower bound for the operator norm that grows toward it as the point set
-    refines, found by bisection on M.  Both Gram matrices are built once, and
-    M is admissible when the Cholesky factorisation of
-    M^2 * base - moved + tol * I succeeds, tol = JURY_TOL * max_i moved_ii
-    (a failed one is the answer "no"); each test forms that matrix in one
-    reused buffer and costs less than an eigen-solve.  The bracket starts at
-    the diagonal bound sqrt(max_i (moved_ii - tol) / base_ii): below it some
-    diagonal entry is negative, so no M there is admissible.  From there the upper end
-    doubles until it is admissible (once it passes 1e12 the bound is
-    ``inf``), and the bisection stops once the bracket is at most
-    ``JURY_RESOLUTION`` = 2^-30 of its upper end wide.  The returned M is admissible, and some M' >=
+    refines.  Both Gram matrices are built once, and M is admissible when the
+    Cholesky factorisation of S = M^2 * base - moved + tol * I succeeds,
+    tol = JURY_TOL * max_i moved_ii (a failed one is the answer "no"); each
+    test forms that matrix in one reused buffer.  The search has three stages:
+
+    * bracket: from the diagonal bound sqrt(max_i (moved_ii - tol) / base_ii),
+      below which some diagonal entry is negative and no M is admissible, the
+      upper end doubles until it is admissible (once it passes 1e12 the bound
+      is ``inf``);
+    * estimate: with L L^H the factor of the admissible end's matrix,
+      S(M) = L (I - (hi^2 - M^2) C) L^H for C = L^-1 base L^-H, so S first
+      turns singular at M^2 = hi^2 - 1 / lambda_max(C): the inverse of L
+      and one eigen-solve (see ``_threshold_estimate``);
+    * certify, then bisect: one Cholesky test on each side of the estimate,
+      2^-31 of it away, brackets the threshold when the estimate is good; a
+      side that fails widens 16-fold per test, never past the bracket, and
+      bisection finishes the bracket.
+
+    The search stops once the bracket is at most ``JURY_RESOLUTION`` = 2^-30
+    of its upper end wide.  The returned M is admissible, and some M' >=
     (1 - 2^-30) M below it is not, unless M is the diagonal bound itself.  On a
     well-conditioned set that is the bound's resolution; rounding of order
-    m * eps * ||S|| in the least eigenvalue of S = M^2 * base - moved moves
-    the threshold by about m * eps * ||S|| / (2 M v^H base v), v its least
-    eigenvector, so on a flat set the last digits depend on the steps taken.
+    m * eps * ||S|| in the least eigenvalue of S moves the threshold by about
+    m * eps * ||S|| / (2 M v^H base v), v its least eigenvector, so on a flat
+    set the last digits depend on the steps taken.
 
-    This is not the pencil M^2 = lambda_max(L^-1 moved L^-H) with
-    base = L L^H, which factors ``base`` itself: kernel Gram matrices on
-    sampled points are badly conditioned (on 72 point sets like the
-    benchmark's, cond(base) had a median of 6.3e9 and reached 2e17 for 2*z+1
-    at n = 2 on 12 points), so that factor fails or amplifies rounding noise.
-    Here the shifted matrix is factored only to decide one M, and the slack
-    tol keeps the noise out of each decision.  K_n is homogeneous of degree
-    -1, so for c > 0 the bound of c * phi is c^(-1/2) times that of phi; tol
-    scales with ``moved`` and keeps that, where an absolute slack would swamp
-    the inequality once the images' kernel values near it.
+    The estimate is not the pencil of ``base`` and ``moved``,
+    M^2 = lambda_max(B^-1 moved B^-H) with base = B B^H, which factors
+    ``base`` itself: kernel Gram matrices on sampled points are badly
+    conditioned (on 72 point sets like the benchmark's, cond(base) had a
+    median of 6.3e9 and reached 2e17 for 2*z+1 at n = 2 on 12 points), so
+    that factor fails or amplifies rounding noise.
+    The estimate factors the shifted matrix, which its Cholesky test has
+    already shown positive definite with tol to spare, and it only chooses
+    where to test: every decision is still a Cholesky test, and the slack tol
+    keeps the noise out of each.  K_n is homogeneous of degree -1, so for
+    c > 0 the bound of c * phi is c^(-1/2) times that of phi; tol scales with
+    ``moved`` and keeps that, where an absolute slack would swamp the
+    inequality once the images' kernel values near it.
     """
     base, moved = _jury_matrices(e, n, points)
     tol = JURY_TOL * moved.diagonal().real.max()
     step = np.empty_like(base)
     diagonal = step.reshape(-1)[:: len(step) + 1]  # a view of step's diagonal
 
-    def admissible(M):
+    def factor(M):
         np.subtract(np.multiply(base, M**2, out=step), moved, out=step)
         np.add(diagonal, tol, out=diagonal)
         try:
-            np.linalg.cholesky(step)
+            return np.linalg.cholesky(step)
         except np.linalg.LinAlgError:
-            return False
-        return True
+            return None
 
     ratios = (moved.diagonal().real - tol) / base.diagonal().real
     lo = hi = math.sqrt(max(ratios.max(), 0.0))
-    while hi <= 1e12 and not admissible(hi):
+    while hi <= 1e12 and (L := factor(hi)) is None:
         lo, hi = hi, 2.0 * hi if hi else 1.0
     if hi > 1e12:
         return math.inf
+    if lo < hi:
+        est = _threshold_estimate(base, L, lo, hi)
+        # up from the estimate until a test passes, then down until one fails
+        for side in (1.0, -1.0):
+            offset = 2.0**-31
+            while lo < (M := est * (1.0 + side * offset)) < hi:
+                ok = factor(M) is not None
+                lo, hi = (lo, M) if ok else (M, hi)
+                if ok == (side > 0):
+                    break
+                offset *= 16.0
     while hi - lo > JURY_RESOLUTION * hi:
         mid = 0.5 * (lo + hi)
-        if admissible(mid):
+        if factor(mid) is not None:
             hi = mid
         else:
             lo = mid
