@@ -53,7 +53,6 @@ from .cayley import (
 from .jets import Jet, JetDomainError
 from .symbols import (
     BranchViolation,
-    GridSpec,
     SymbolExpr,
     SymbolReport,
     SymbolSyntaxError,
@@ -63,6 +62,7 @@ from .symbols import (
     jury_min_m,
     parse,
 )
+from .verify import GridSpec
 
 __version__ = "0.1.0"
 

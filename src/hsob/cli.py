@@ -48,7 +48,7 @@ from .kernel import (gram_matrix, kernel_eval_closed, kernel_eval_quadrature, ke
                      min_eigenvalue, norm_bounds)
 from .quadrature import QuadratureError
 from .specfun import _check_order
-from .symbols import GridSpec, classify, jury_min_eig, parse as parse_symbol
+from .symbols import classify, jury_min_eig, parse as parse_symbol
 
 SCHEMA = 1
 
@@ -105,7 +105,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _parse_grid(text: str) -> GridSpec:
+def _parse_grid(text: str) -> verify.GridSpec:
     """An argparse type: the log-polar grid 'r_min,r_max,num_r,theta_margin,num_theta'."""
     fields = text.split(",")
     if len(fields) != 5:
@@ -121,8 +121,8 @@ def _parse_grid(text: str) -> GridSpec:
         raise argparse.ArgumentTypeError("num_r and num_theta must be >= 0")
     if not 0.0 < margin < math.pi / 2:
         raise argparse.ArgumentTypeError("theta_margin must lie strictly between 0 and pi/2")
-    return GridSpec(log10_r_min=math.log10(r_min), log10_r_max=math.log10(r_max),
-                    num_r=num_r, theta_margin=margin, num_theta=num_theta)
+    return verify.GridSpec(log10_r_min=math.log10(r_min), log10_r_max=math.log10(r_max),
+                           num_r=num_r, theta_margin=margin, num_theta=num_theta)
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -272,7 +272,7 @@ def _cmd_symbol_parse(args) -> int:
 
 def _cmd_symbol_classify(args) -> int:
     expr = parse_symbol(args.expression)
-    report = classify(expr, args.n, args.grid).to_dict()
+    report = classify(expr, args.n).to_dict()
     for key in ("phi_prime_infinity", "radial_sup"):
         report[key] = _divergent(report[key])
     report["nbc"] = [_divergent(v) for v in report["nbc"]]
@@ -368,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_symbol_parse)
 
     p = ssub.add_parser("classify", help="boundedness evidence for a symbol")
-    _add_options(p, "--n", "--grid", "--out")
+    _add_options(p, "--n", "--out")
     p.add_argument("expression")
-    p.set_defaults(func=_cmd_symbol_classify, grid=GridSpec())
+    p.set_defaults(func=_cmd_symbol_classify)
 
     p = ssub.add_parser("jury", help="kernel-inequality eigenvalue certificate")
     _add_options(p, "--n", "--seed", "--out")

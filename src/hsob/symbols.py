@@ -21,15 +21,12 @@ off the diagonals of the same two Gram matrices.
 Symbols are evaluated on point arrays.  ``SymbolExpr.eval`` and ``.jet``
 take a 1-D array and return one lane per point; a point on a branch cut or at
 a vanishing denominator is a masked lane, nan in every output, where a single
-point raises (see :mod:`hsob.jets`).  ``classify`` makes four array calls:
-the base grid, the first refinement together with the boundary rings (which
-depend on no argmax), the second refinement, and the rays; the passes are
-swept in their order, base grid, refinements, rings, rays.  It evaluates each
-point set once: one order-n jet serves the self-map check, the angular
-derivative, the radial supremum and every k.
-A pass runs with numpy's overflow warnings off: a value or coefficient that
-overflows comes out inf or nan, as Python's complex arithmetic gives it at a
-single point, and a nan ratio is skipped.
+point raises (see :mod:`hsob.jets`).  ``classify`` makes three array calls,
+the sweep of the imaginary axis and the real ray and two refinements, and one
+order-n jet per call serves the self-map check, the angular derivative, the
+radial supremum and every k.  A pass runs with numpy's overflow warnings off:
+a value or coefficient that overflows comes out inf or nan, as Python's
+complex arithmetic gives it at a single point, and a nan ratio is skipped.
 The jury routines build the two Gram matrices of the inequality once, from
 one array evaluation of the images, since neither depends on M; their points
 and images obey the kernel's one domain rule, finite with Re z > 0 and no
@@ -44,19 +41,17 @@ kernel Gram matrices are too badly conditioned for it (cond up to about
 2e17), while the shifted matrix has passed its test and the estimate only
 chooses where to test.
 
-All suprema are sampled estimates over log-polar grids with refinement toward
-the argmax, toward the imaginary axis, and outward along rays: evidence, not
-proofs.  Reports carry the grid metadata.
+The suprema are sampled on the imaginary axis and the real ray, where they
+lie for a self-map whose ratios grow slower than exp(B |z|^c), c < 1 (see
+``classify``): evidence, not proofs.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
-import functools
 import math
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +72,6 @@ __all__ = [
     "SymbolSyntaxError",
     "BranchViolation",
     "parse",
-    "GridSpec",
     "jury_min_eig",
     "jury_min_m",
     "caughran_lower_bound",
@@ -403,86 +397,26 @@ def parse(text: str) -> SymbolExpr:
 
 
 # ---------------------------------------------------------------------------
-# Sampled suprema over log-polar grids
+# Suprema from one sweep of the imaginary axis and the real ray
 
 
-#: refinement passes around the running argmax
+#: the sweep samples |y| on each half of the axis z = AXIS_RE + iy, and x on
+#: the real ray, over 10**SWEEP_LOG10_RANGE at SWEEP_PER_DECADE points a decade
+SWEEP_LOG10_RANGE = (-8.0, 18.0)
+SWEEP_PER_DECADE = 16
+AXIS_RE = 1e-300
+#: refinement passes of REFINE_POINTS points around each row's argmax
 REFINE_PASSES = 2
-#: boundary passes, each shrinking the argument margin by a factor of 100
-BOUNDARY_PASSES = 3
-#: the rays through the argmax extend out to modulus 10**LOG10_R_EXTEND
-LOG10_R_EXTEND = 18.0
-#: a supremum past its cap that refinement pushed above the base-grid value
-#: is declared infinite; the angular derivative's cap is the lower one, S_k's DIVERGE_CAP * k!
+REFINE_POINTS = 81
+#: a supremum past its cap is declared infinite; the angular derivative's cap
+#: is the lower one, S_k's DIVERGE_CAP * k!
 DIVERGE_CAP = 1e8
 ANGULAR_CAP = 1e6
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Log-polar sampling grid on C+, the five fields of ``--grid``.
-
-    Moduli run geometrically over ``10**log10_r_min .. 10**log10_r_max``;
-    arguments stay ``theta_margin`` away from +-pi/2.  The refinement and
-    divergence policy of the estimates is the module's constants.
-    """
-
-    log10_r_min: float = -4.0
-    log10_r_max: float = 6.0
-    num_r: int = 41
-    theta_margin: float = 1e-3
-    num_theta: int = 33
-
-    def radii(self) -> np.ndarray:
-        return np.logspace(self.log10_r_min, self.log10_r_max, self.num_r)
-
-    def angles(self) -> np.ndarray:
-        half = math.pi / 2 - self.theta_margin
-        return np.linspace(-half, half, self.num_theta)
-
-
-DEFAULT_GRID = GridSpec()
-
-
-def _polar(radii, angles) -> np.ndarray:
-    """The points r e^(i theta), radius-major, as a 1-D array."""
-    r = np.asarray(radii, dtype=float)[:, None]
-    angles = np.asarray(angles, dtype=float)
-    pts = np.empty((r.shape[0], angles.size), dtype=complex)
-    pts.real = r * np.cos(angles)
-    pts.imag = r * np.sin(angles)
-    return pts.ravel()
-
-
-@functools.lru_cache(maxsize=8)
-def _grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's base points and boundary rings, built once per grid.
-
-    The rings are the ``BOUNDARY_PASSES`` radial pairs of arguments at
-    +-(pi/2 - margin), the margin shrinking 100-fold per ring, concatenated
-    ring by ring.  The arrays are shared between calls, so they are
-    read-only.
-    """
-    # a grid with no points samples nothing, so it is no evidence
-    if grid.num_r < 1 or grid.num_theta < 1:
-        raise ValueError("the grid has no points: num_r and num_theta must be at least 1")
-    radii = _silently(grid.radii)
-    # a radius that under- or overflows puts points off C+, and a ray from 0 never ends
-    if not (np.isfinite(radii) & (radii > 0)).all():
-        raise ValueError("the grid's radii must be finite and positive")
-    rings, margin = [], grid.theta_margin
-    for _ in range(BOUNDARY_PASSES):
-        margin *= 1e-2
-        edge = math.pi / 2 - margin
-        rings.append(_polar(radii, [-edge, edge]))
-    arrays = _polar(radii, grid.angles()), np.concatenate(rings)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _base_points(grid: GridSpec) -> np.ndarray:
-    return _grid_points(grid)[0]
+_t = np.logspace(*SWEEP_LOG10_RANGE, round(np.ptp(SWEEP_LOG10_RANGE) * SWEEP_PER_DECADE) + 1)
+#: the lower half of the axis, the upper half, then the real ray; read-only
+SWEEP = np.concatenate([AXIS_RE - 1j * _t[::-1], AXIS_RE + 1j * _t, _t + 0j])
+SWEEP.flags.writeable = False
 
 
 def _silently(fn, *args):
@@ -496,32 +430,17 @@ def _silently(fn, *args):
         return fn(*args)
 
 
-def _supremum_estimate(fn, grid: GridSpec, caps, first) -> np.ndarray:
-    """Running maxima of the rows of ``fn`` with all refinements.
+def _supremum_estimate(fn, caps, first) -> np.ndarray:
+    """Maxima of the rows of ``fn`` over the sweep, refined around each argmax.
 
-    ``fn`` maps a 1-D point array to q rows of ratios, shape (q, m); nan
-    marks a point to skip.  ``first`` is ``fn`` already evaluated on the base
-    grid.  Each row is estimated on its own: ``REFINE_PASSES`` refinements
-    around its own argmax, then the ``BOUNDARY_PASSES``, then the ray through
-    its argmax.  Within a pass a row's running maximum moves to the first
-    maximum in point order, if it is larger; one argmax over each pass's rows
-    sweeps them all.
-
-    ``fn`` is called at most three times: the refinements and the ray
-    concatenate the rows' point sets, each row reading its own block, and the
-    boundary rings, which depend on no argmax, ride in the first
-    refinement's call.  The rings are swept after the last refinement and
-    before the ray, so every pass and its order are as with one call per
-    pass.  A ray that starts at 10**LOG10_R_EXTEND or beyond is empty, and a
-    pass with no points makes no call.
-
-    Returns the q estimates.  A row's estimate is declared +inf when it
-    exceeds its divergence cap (``caps``, one per row) *and* refinement
-    pushed it past the base-grid value, the signature of a supremum escaping
-    to the boundary or to infinity; it is nan when no base-grid point gave a
-    value.
+    ``fn`` maps a 1-D point array to q rows of ratios, shape (q, m), nan at
+    a point to skip; ``first`` is ``fn`` on ``SWEEP``.  Each pass puts a
+    row's points at its argmax times 10**t, t spread over +-(the previous
+    spacing in log10 |z|), on the argmax's half-axis or ray; one call of
+    ``fn`` serves all rows.  A row's maximum moves to the first maximum of a
+    pass, if larger.  Returns the q estimates: +inf past the row's cap in
+    ``caps``, nan where no sweep point gave a value.
     """
-    pts, rings = _grid_points(grid)
     first = np.asarray(first)
     best = np.full(len(first), -math.inf)
     best_z = np.zeros(len(first), dtype=complex)
@@ -529,72 +448,25 @@ def _supremum_estimate(fn, grid: GridSpec, caps, first) -> np.ndarray:
     def sweep(rows, points, values):
         # points: one row per row of values, or one row that they all share
         values = np.where(np.isnan(values), -math.inf, values)
-        i = np.argmax(values, axis=1)
         lanes = np.arange(len(rows))
+        i = np.argmax(values, axis=1)
         top = values[lanes, i]
         up = top > best[rows]
         best[rows[up]] = top[up]
-        best_z[rows[up]] = (points[i] if points.ndim == 1 else points[lanes, i])[up]
+        best_z[rows[up]] = np.broadcast_to(points, values.shape)[lanes, i][up]
 
-    sweep(np.arange(len(first)), pts, first)
-    base_estimate = best.copy()
-    # a row without a base-grid value gets no further pass
+    sweep(np.arange(len(first)), SWEEP, first)
+    # a row without a sweep value gets no refinement
     rows = np.flatnonzero(best > -math.inf)
-    if not len(rows):
-        return np.full(len(first), math.nan)
-
-    def centres():
-        # abs and math.atan2, not their numpy forms, which differ in the last bit
-        zs = [complex(z) for z in best_z[rows]]
-        return (np.array([abs(z) for z in zs]),
-                np.array([math.atan2(z.imag, z.real) for z in zs]))
-
-    def own_blocks(values, width):
+    width = 1.0 / SWEEP_PER_DECADE
+    for _ in range(REFINE_PASSES if len(rows) else 0):
+        block = best_z[rows, None] * 10.0 ** np.linspace(-width, width, REFINE_POINTS)
+        values = _silently(fn, block.ravel())
         # block j of the concatenated points belongs to rows[j]
-        columns = np.arange(len(rows))[:, None] * width + np.arange(width)
-        return values[rows[:, None], columns]
-
-    half = math.pi / 2 - grid.theta_margin
-    scales = np.logspace(-0.5, 0.5, 9)
-    for step in range(REFINE_PASSES):
-        r0, t0 = centres()
-        angles = np.clip(np.linspace(t0 - 0.2, t0 + 0.2, 9).T, -half, half)
-        radius = (r0[:, None] * scales)[:, :, None]
-        block = np.empty((len(rows), 9, 9), dtype=complex)
-        block.real = radius * np.cos(angles)[:, None, :]
-        block.imag = radius * np.sin(angles)[:, None, :]
-        block = block.reshape(len(rows), 81)
-        if step == 0:
-            values = _silently(fn, np.concatenate([block.ravel(), rings]))
-            ring_values = values[rows, block.size:]
-        else:
-            values = _silently(fn, block.ravel())
-        sweep(rows, block, own_blocks(values, 81))
-    sweep(rows, rings, ring_values)
-
-    # each ray multiplies its start by 10 until it reaches 10**LOG10_R_EXTEND,
-    # as a running product; the nearest start takes the most steps
-    r0, t0 = centres()
-    start = np.maximum(r0, 10.0 ** grid.log10_r_max)
-    end, r, steps = 10.0**LOG10_R_EXTEND, start.min(), 0
-    while r < end:
-        r, steps = r * 10.0, steps + 1
-    if steps:
-        factors = np.full((len(rows), steps + 1), 10.0)
-        factors[:, 0] = start
-        products = np.multiply.accumulate(factors, axis=1)
-        ray = np.empty((len(rows), steps), dtype=complex)
-        ray.real = products[:, 1:] * np.cos(t0)[:, None]
-        ray.imag = products[:, 1:] * np.sin(t0)[:, None]
-        on_ray = products[:, :-1] < end
-        owner = np.broadcast_to(rows[:, None], ray.shape)[on_ray]
-        own = np.full(ray.shape, math.nan)
-        own[on_ray] = _silently(fn, ray[on_ray])[owner, np.arange(len(owner))]
-        sweep(rows, ray, own)
-
-    grew = best > base_estimate * (1.0 + 1e-9)
-    estimates = np.where((best > caps) & grew, math.inf, best)
-    estimates[base_estimate == -math.inf] = math.nan
+        sweep(rows, block, values[rows[:, None], np.arange(block.size).reshape(block.shape)])
+        width *= 2.0 / (REFINE_POINTS - 1)
+    estimates = np.where(best > caps, math.inf, best)
+    estimates[best == -math.inf] = math.nan
     return estimates
 
 
@@ -827,8 +699,7 @@ class SymbolReport:
     verdict_H2: str
     verdict_Hn: str
     h2_norm: float | None
-    grid: GridSpec = field(default_factory=GridSpec)
-    disclaimer: str = "sampled grid estimates, not proofs"
+    disclaimer: str = "sampled boundary estimates, not proofs"
 
     def to_dict(self) -> dict:
         return {
@@ -841,34 +712,42 @@ class SymbolReport:
             "verdict_H2": self.verdict_H2,
             "verdict_Hn": self.verdict_Hn,
             "h2_norm": self.h2_norm,
-            "grid": dataclasses.asdict(self.grid),
             "disclaimer": self.disclaimer,
         }
 
 
-def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolReport:
+def classify(e: SymbolExpr, n: int) -> SymbolReport:
     """Assemble the sampled estimates and verdicts for a symbol at order n.
 
-    The plain-Hardy verdict is bounded exactly when the angular derivative at
-    infinity is finite (then the operator norm is its square root).  At order
-    n >= 1: an infinite radial supremum fails the necessary condition; a
-    finite angular derivative plus finite k-derivative suprema passes the
-    sufficient one; anything else is inconclusive.
+    Unless Re phi > 0 at every sweep point, phi is not witnessed as a
+    self-map, the only symbols the criteria speak of: both verdicts read
+    "selfmap-unwitnessed" and ``h2_norm`` is None.  Otherwise the plain-Hardy
+    verdict is bounded exactly when the angular derivative at infinity is
+    finite (then the operator norm is its square root).  At order n >= 1: an
+    infinite radial supremum fails the necessary condition; a finite angular
+    derivative plus finite k-derivative suprema passes the sufficient one;
+    anything else is inconclusive.
 
-    All estimates share one order-n jet per array call: the base grid's,
-    which also gives the self-map flag, and the three of
-    :func:`_supremum_estimate`.  The angular derivative diverges past
+    The suprema lie on the boundary.  A self-map has no zero in C+, so each
+    ratio g = z/phi or z^k phi^(k)/phi is analytic there.  If |g(z)| <=
+    A exp(B |z|^c) on C+ for some c < 1, as for every symbol of the grammar,
+    which grows at most like a power of |z|, then by Phragmen-Lindelof sup
+    |g| over C+ is the sup of its boundary values on the imaginary axis.  By
+    Julia-Caratheodory, sup Re z / Re phi(z) is the limit of x / phi(x) as
+    x -> +inf.  ``SWEEP`` samples the axis at Re z = AXIS_RE and the real
+    ray, both out to 1e18.  The angular derivative diverges past
     ``ANGULAR_CAP``, the radial supremum past ``DIVERGE_CAP``, and the k-th
     derivative supremum S_k past ``DIVERGE_CAP * k!``: by Cauchy's estimate on
     a disc of radius rho |z| about z inside C+, |z^k phi^(k)(z)| <= k! rho^-k
     max |phi| there, so S_k grows like k! for a bounded map and S_k / k! is
-    its scale-free size.  n lies in the warranty 0..16.
+    its scale-free size.  A pole of a ratio at a sweep point on the axis
+    reads about 1 / AXIS_RE; one between sweep points reads only as high as
+    the refinement comes near it.  n lies in the warranty 0..16.
     """
     _check_order(n)
-    pts = _base_points(grid)
-    jet = _silently(e.jet, pts, n)
+    jet = _silently(e.jet, SWEEP, n)
     if not np.isfinite(jet.value).any():
-        raise ValueError("phi took no finite value at any base-grid point")
+        raise ValueError("phi took no finite value at any sweep point")
     ok = bool(np.all(jet.value.real > 0))
 
     def ratios(z, jet=None):
@@ -879,12 +758,14 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
 
     # the radial supremum's cap is DIVERGE_CAP * 0!
     caps = [ANGULAR_CAP] + [DIVERGE_CAP * math.factorial(k) for k in range(n + 1)]
-    estimates = _supremum_estimate(ratios, grid, caps, _silently(ratios, pts, jet))
+    estimates = _supremum_estimate(ratios, caps, _silently(ratios, SWEEP, jet))
     phi_inf, rad = float(estimates[0]), float(estimates[1])
     nbc = tuple(float(v) for v in estimates[2:])
 
     verdict_h2 = "bounded" if math.isfinite(phi_inf) else "unbounded"
-    if n >= 1:
+    if not ok:
+        verdict_h2 = verdict_hn = "selfmap-unwitnessed"
+    elif n >= 1:
         if math.isinf(rad):
             verdict_hn = "necessary-failed"
         elif math.isfinite(phi_inf) and all(math.isfinite(v) for v in nbc):
@@ -904,6 +785,5 @@ def classify(e: SymbolExpr, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolRepo
         nbc=nbc,
         verdict_H2=verdict_h2,
         verdict_Hn=verdict_hn,
-        h2_norm=math.sqrt(phi_inf) if math.isfinite(phi_inf) else None,
-        grid=grid,
+        h2_norm=math.sqrt(phi_inf) if ok and math.isfinite(phi_inf) else None,
     )

@@ -12,18 +12,40 @@ from __future__ import annotations
 
 import importlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expfamily, freqspace, kernel, timespace
 from .specfun import _check_order
-from .symbols import GridSpec
 
 # the package exports a function named cayley, which shadows the module
 _cayley_module = importlib.import_module(f"{__package__}.cayley")
 
-#: the 7 x 9 grid of ``kernel sweep`` and the verify suites (``symbol classify``
-#: samples the finer ``GridSpec()``)
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Log-polar sampling grid on C+, the five fields of ``--grid``.
+
+    Moduli run geometrically over ``10**log10_r_min .. 10**log10_r_max``;
+    arguments stay ``theta_margin`` away from +-pi/2.
+    """
+
+    log10_r_min: float
+    log10_r_max: float
+    num_r: int
+    theta_margin: float
+    num_theta: int
+
+    def radii(self) -> np.ndarray:
+        return np.logspace(self.log10_r_min, self.log10_r_max, self.num_r)
+
+    def angles(self) -> np.ndarray:
+        half = math.pi / 2 - self.theta_margin
+        return np.linspace(-half, half, self.num_theta)
+
+
+#: the 7 x 9 grid of ``kernel sweep`` and the verify suites
 SWEEP_GRID = GridSpec(log10_r_min=-3, log10_r_max=3, num_r=7, theta_margin=0.05, num_theta=9)
 
 

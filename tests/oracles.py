@@ -18,9 +18,6 @@ route:
   ``disc_h2_norm``'s one call on all three circles, bit for bit;
 * the least admissible M of the kernel inequality by 80 eigenvalue bisection
   steps, each on a rebuilt matrix, against ``jury_min_m`` to its resolution;
-* the sampled suprema of ``classify`` with one call of the ratios per pass
-  and one sweep per row, against the estimator that joins passes into
-  fewer calls, bit for bit;
 * jet composition by Horner substitution, against the n-th derivative of a
   composition from the partition table ``bell_partitions`` (``faa_di_bruno``),
   which no production path evaluates yet;
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import atan2, factorial, gamma, inf, nan, pi
+from math import factorial, gamma, pi
 
 import numpy as np
 
@@ -54,7 +51,6 @@ from hsob import (
 from hsob.cayley import DISC_NODES, DISC_OFFSET
 from hsob.kernel import _modulus, _q_sum
 from hsob.specfun import cn_coefficient
-from hsob.symbols import BOUNDARY_PASSES, LOG10_R_EXTEND, REFINE_PASSES, _polar
 
 
 # ---------------------------------------------------------------------------
@@ -344,88 +340,6 @@ def jury_min_m_bisection(e, n: int, points, tol: float) -> float:
         else:
             lo = mid
     return hi
-
-
-# ---------------------------------------------------------------------------
-# Sampled suprema, one call per pass
-
-
-def supremum_estimate_per_pass(fn, grid, caps, first) -> np.ndarray:
-    """``_supremum_estimate`` with one call of ``fn`` per pass and one sweep
-    per row: the base grid, each refinement, each boundary ring and the rays
-    in turn, on a grid rebuilt for the call."""
-    radii = grid.radii()
-    pts = _polar(radii, grid.angles())
-    q = len(first)
-    best = np.full(q, -inf)
-    best_z = np.zeros(q, dtype=complex)
-
-    def sweep(row, points, values):
-        values = np.where(np.isnan(values), -inf, values)
-        i = int(np.argmax(values))
-        if values[i] > best[row]:
-            best[row], best_z[row] = values[i], points[i]
-
-    def call(points):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(points)
-
-    for row in range(q):
-        sweep(row, pts, first[row])
-    base_estimate = best.copy()
-    rows = [row for row in range(q) if best[row] > -inf]
-
-    def blocked_pass(point_sets):
-        # point_sets[i] belongs to rows[i]
-        points = np.concatenate(point_sets)
-        if not len(points):
-            return
-        values = call(points)
-        stop = 0
-        for row, block in zip(rows, point_sets):
-            start, stop = stop, stop + len(block)
-            if start < stop:
-                sweep(row, points[start:stop], values[row, start:stop])
-
-    def polar_of(row):
-        z = complex(best_z[row])
-        return abs(z), atan2(z.imag, z.real)
-
-    half = pi / 2 - grid.theta_margin
-    scales = np.logspace(-0.5, 0.5, 9)
-    for _ in range(REFINE_PASSES if rows else 0):
-        point_sets = []
-        for row in rows:
-            r0, t0 = polar_of(row)
-            angles = np.clip(np.linspace(t0 - 0.2, t0 + 0.2, 9), -half, half)
-            point_sets.append(_polar(r0 * scales, angles))
-        blocked_pass(point_sets)
-
-    margin = grid.theta_margin
-    for _ in range(BOUNDARY_PASSES if rows else 0):
-        margin *= 1e-2
-        edge = pi / 2 - margin
-        points = _polar(radii, [-edge, edge])
-        values = call(points)
-        for row in rows:
-            sweep(row, points, values[row])
-
-    point_sets = []
-    for row in rows:
-        r, t0 = polar_of(row)
-        r = max(r, 10.0 ** grid.log10_r_max)
-        ray = []
-        while r < 10.0 ** LOG10_R_EXTEND:
-            r *= 10.0
-            ray.append(r)
-        point_sets.append(_polar(ray, [t0]))
-    if rows:
-        blocked_pass(point_sets)
-
-    grew = best > base_estimate * (1.0 + 1e-9)
-    estimates = np.where((best > caps) & grew, inf, best)
-    estimates[base_estimate == -inf] = nan
-    return estimates
 
 
 # ---------------------------------------------------------------------------

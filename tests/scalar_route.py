@@ -1,13 +1,13 @@
 """The per-point route of the symbol analysis, kept as the tests' oracle.
 
 The library evaluates symbols and their Taylor jets on point arrays, all the
-passes of a sampled supremum in four array calls.  This module is the
+passes of a sampled supremum in three array calls.  This module is the
 straightforward reading it replaced: a tuple-based :class:`Jet` of Python
 complex numbers, evaluation of the AST one point at a time with an exception
 at each branch cut or vanishing denominator, and supremum sweeps that try one
-grid point after the other.  It shares nothing with the library but the AST
-node classes, the grid and report types and the estimates' policy constants,
-so agreement between the two is evidence for both.
+point of the axis and the real ray after the other.  It shares nothing with
+the library but the AST node classes, the report type and the estimates'
+policy constants, so agreement between the two is evidence for both.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ import numpy as np
 
 from hsob.symbols import (
     ANGULAR_CAP,
-    BOUNDARY_PASSES,
-    DEFAULT_GRID,
+    AXIS_RE,
     DIVERGE_CAP,
-    LOG10_R_EXTEND,
     REFINE_PASSES,
+    REFINE_POINTS,
+    SWEEP_LOG10_RANGE,
+    SWEEP_PER_DECADE,
     Add,
     BranchViolation,
     Const,
     Div,
-    GridSpec,
     Log1p,
     Mul,
     Pow,
@@ -183,10 +183,13 @@ def scalar_jet(e, z: complex, order: int) -> Jet:
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
-def grid_points(radii, angles):
-    for r in radii:
-        for th in angles:
-            yield complex(r * math.cos(th), r * math.sin(th))
+def sweep_points():
+    """The lower half of the imaginary axis, the upper half, the real ray."""
+    lo, hi = SWEEP_LOG10_RANGE
+    count = round((hi - lo) * SWEEP_PER_DECADE) + 1
+    t = [10.0 ** (lo + (hi - lo) * j / (count - 1)) for j in range(count)]
+    return ([complex(AXIS_RE, -y) for y in reversed(t)] + [complex(AXIS_RE, y) for y in t]
+            + [complex(x, 0.0) for x in t])
 
 
 def safe_ratio(fn, z) -> float:
@@ -199,9 +202,9 @@ def safe_ratio(fn, z) -> float:
     return val
 
 
-def supremum_estimate(fn, grid: GridSpec, cap: float) -> tuple[float, complex]:
-    """Running max of ``fn`` point by point, with every refinement pass;
-    infinite past ``cap`` when refinement raised it above the base grid's."""
+def supremum_estimate(fn, cap: float) -> float:
+    """Running max of ``fn`` point by point over the sweep, then each
+    refinement pass around the argmax; infinite past ``cap``."""
     best, best_z = -math.inf, 0j
 
     def sweep(points):
@@ -211,70 +214,49 @@ def supremum_estimate(fn, grid: GridSpec, cap: float) -> tuple[float, complex]:
             if not math.isnan(v) and v > best:
                 best, best_z = v, z
 
-    sweep(grid_points(grid.radii(), grid.angles()))
-    base_estimate = best
+    sweep(sweep_points())
     if best == -math.inf:
-        return math.nan, 0j
-
+        return math.nan
+    width = 1.0 / SWEEP_PER_DECADE
     for _ in range(REFINE_PASSES):
-        r0, t0 = abs(best_z), math.atan2(best_z.imag, best_z.real)
-        half = math.pi / 2 - grid.theta_margin
-        radii = r0 * np.logspace(-0.5, 0.5, 9)
-        angles = np.clip(np.linspace(t0 - 0.2, t0 + 0.2, 9), -half, half)
-        sweep(grid_points(radii, angles))
-
-    margin = grid.theta_margin
-    for _ in range(BOUNDARY_PASSES):
-        margin *= 1e-2
-        edge = math.pi / 2 - margin
-        sweep(grid_points(grid.radii(), np.array([-edge, edge])))
-
-    t0 = math.atan2(best_z.imag, best_z.real)
-    r = max(abs(best_z), 10.0 ** grid.log10_r_max)
-    ray = []
-    while r < 10.0 ** LOG10_R_EXTEND:
-        r *= 10.0
-        ray.append(complex(r * math.cos(t0), r * math.sin(t0)))
-    sweep(ray)
-
-    grew = best > base_estimate * (1.0 + 1e-9)
-    if best > cap and grew:
-        return math.inf, best_z
-    return best, best_z
+        sweep([best_z * s for s in np.logspace(-width, width, REFINE_POINTS).tolist()])
+        width *= 2.0 / (REFINE_POINTS - 1)
+    return math.inf if best > cap else best
 
 
-def is_selfmap(e, grid: GridSpec = DEFAULT_GRID) -> bool:
-    """Whether Re phi > 0 at every base-grid point; a point that raises violates."""
-    for z in grid_points(grid.radii(), grid.angles()):
+def is_selfmap(e) -> bool:
+    """Whether Re phi > 0 at every sweep point; a point that raises, or where
+    phi is nan, violates."""
+    for z in sweep_points():
         try:
-            if scalar_eval(e, z).real <= 0:
+            if not scalar_eval(e, z).real > 0:
                 return False
-        except (BranchViolation, ZeroDivisionError):
+        except (BranchViolation, ZeroDivisionError, OverflowError):
             return False
     return True
 
 
-def angular_derivative(e, grid: GridSpec = DEFAULT_GRID) -> float:
+def angular_derivative(e) -> float:
     def ratio(z):
         denom = scalar_eval(e, z).real
         if denom <= 0:
             return math.nan
         return z.real / denom
 
-    return supremum_estimate(ratio, grid, ANGULAR_CAP)[0]
+    return supremum_estimate(ratio, ANGULAR_CAP)
 
 
-def radial_sup(e, grid: GridSpec = DEFAULT_GRID) -> float:
+def radial_sup(e) -> float:
     def ratio(z):
         denom = abs(scalar_eval(e, z))
         if denom == 0:
             return math.inf
         return abs(z) / denom
 
-    return supremum_estimate(ratio, grid, DIVERGE_CAP)[0]
+    return supremum_estimate(ratio, DIVERGE_CAP)
 
 
-def nbc_suprema(e, n: int, grid: GridSpec = DEFAULT_GRID) -> list[float]:
+def nbc_suprema(e, n: int) -> list[float]:
     """A fresh order-k jet at every point for each k = 1..n."""
     out = []
     for k in range(1, n + 1):
@@ -283,20 +265,24 @@ def nbc_suprema(e, n: int, grid: GridSpec = DEFAULT_GRID) -> list[float]:
             phi = jet.value
             if phi == 0:
                 return math.inf
-            return abs(z**k * jet.derivative(k) / phi)
+            # a ratio that overflows is a point to skip, as where phi does
+            ratio = abs(z**k * jet.derivative(k) / phi)
+            return ratio if math.isfinite(ratio) else math.nan
 
-        out.append(supremum_estimate(ratio, grid, DIVERGE_CAP * factorial(k))[0])
+        out.append(supremum_estimate(ratio, DIVERGE_CAP * factorial(k)))
     return out
 
 
-def classify(e, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolReport:
-    ok = is_selfmap(e, grid)
-    phi_inf = angular_derivative(e, grid)
-    rad = radial_sup(e, grid)
-    nbc = tuple(nbc_suprema(e, n, grid)) if n >= 1 else ()
+def classify(e, n: int) -> SymbolReport:
+    ok = is_selfmap(e)
+    phi_inf = angular_derivative(e)
+    rad = radial_sup(e)
+    nbc = tuple(nbc_suprema(e, n)) if n >= 1 else ()
 
     verdict_h2 = "bounded" if math.isfinite(phi_inf) else "unbounded"
-    if n >= 1:
+    if not ok:
+        verdict_h2 = verdict_hn = "selfmap-unwitnessed"
+    elif n >= 1:
         if math.isinf(rad):
             verdict_hn = "necessary-failed"
         elif math.isfinite(phi_inf) and all(math.isfinite(v) for v in nbc):
@@ -309,5 +295,5 @@ def classify(e, n: int, grid: GridSpec = DEFAULT_GRID) -> SymbolReport:
     return SymbolReport(
         text=e.to_text(), n=n, selfmap_witnessed=ok, phi_prime_infinity=phi_inf,
         radial_sup=rad, nbc=nbc, verdict_H2=verdict_h2, verdict_Hn=verdict_hn,
-        h2_norm=math.sqrt(phi_inf) if math.isfinite(phi_inf) else None, grid=grid,
+        h2_norm=math.sqrt(phi_inf) if ok and math.isfinite(phi_inf) else None,
     )

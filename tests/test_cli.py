@@ -268,7 +268,7 @@ class TestVerifyCommands:
         assert payload["max_residual"] <= 0
 
     def test_bounds_grid_equal_to_symbol_default(self, capsys):
-        # this --grid spells out GridSpec()'s fields; it must not fall back to 7 x 9
+        # the 41 x 33 grid that symbol classify once sampled; it must not fall back to 7 x 9
         code, out = run_cli(capsys, "verify", "bounds", "--grid", "1e-4,1e6,41,0.001,33")
         assert code == 0
         assert json.loads(out)["samples"] == 41 * 33
@@ -342,12 +342,6 @@ class TestSymbolCommands:
         assert math.inf in (payload["phi_prime_infinity"], payload["radial_sup"])
         assert "1e999" in out
 
-    @pytest.mark.parametrize("grid", ["0.1,10,0,0.1,3", "0.1,10,3,0.1,0"])
-    def test_classify_empty_grid_exits_one(self, capsys, grid):
-        code, out = run_cli(capsys, "symbol", "classify", "--grid", grid, "z")
-        assert code == 1
-        assert out == ""
-
     def test_jury(self, capsys):
         code, out = run_cli(capsys, "symbol", "jury", "--n", "0", "--m", "0.5",
                             "--points", "1,2,0.5+0.2i", "4*z+1")
@@ -370,7 +364,7 @@ class TestSymbolCommands:
         (("jury", "--n", "1", "--m", "1", "--points", "1e200,1", "z^2"),
          "image of point (1e+200+0j) is not finite"),
         (("classify", "--n", "1", "(1e300*z)^3"),
-         "phi took no finite value at any base-grid point"),
+         "phi took no finite value at any sweep point"),
     ])
     def test_nonfinite_symbol_values_exit_one_silently(self, capsys, argv, message):
         with warnings.catch_warnings():
@@ -412,7 +406,7 @@ class TestPlumbing:
         ("verify", "bounds", "--grid", "0.1,10,3,0.1,2.5"),
         ("kernel", "sweep", "--grid", "0.1,10,3,2,3"),
         ("kernel", "sweep", "--grid", "0.1,10,3,0,3"),
-        ("symbol", "classify", "--grid", "1,2,3,4,5", "z"),
+        ("symbol", "classify", "--n", "1.5", "z"),
         ("kernel", "gram", "--seed", "-1"),
         ("verify", "reproduce", "--seed", "-1"),
         ("symbol", "jury", "--m", "nan", "--points", "1", "z"),
@@ -447,6 +441,8 @@ class TestPlumbing:
         ("verify", "bounds", "--samples", "3"),
         *(("verify", suite, "--grid", "0.5,2,1,0.1,1")
           for suite in verify.SUITES if suite != "bounds"),
+        # classify samples the imaginary axis and the real ray, not a grid
+        ("symbol", "classify", "--grid", "1e-4,1e6,41,0.001,33", "z"),
     ])
     def test_unread_option_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:

@@ -57,7 +57,7 @@ WARRANTED = {
     "jury_min_eig": lambda n: jury_min_eig(PHI, n, 1.0, POINTS),
     "jury_min_m": lambda n: jury_min_m(PHI, n, POINTS),
     "caughran_lower_bound": lambda n: caughran_lower_bound(PHI, n, POINTS),
-    "classify": lambda n: classify(PHI, n, SMALL_GRID),
+    "classify": lambda n: classify(PHI, n),
     "bell_partitions": bell_partitions,
     "Jet.variable": lambda n: Jet.variable(1.0, n),
     "Jet.constant": lambda n: Jet.constant(2.0, n),

@@ -10,7 +10,6 @@ import pytest
 from hsob import symbols
 from hsob import (
     BranchViolation,
-    GridSpec,
     Jet,
     SymbolSyntaxError,
     caughran_lower_bound,
@@ -22,10 +21,8 @@ from hsob import (
     min_eigenvalue,
     parse,
 )
-from hsob.cli import _parse_grid
 from hsob.specfun import MAX_ORDER
 from hsob.symbols import (
-    DEFAULT_GRID,
     DIVERGE_CAP,
     JURY_RESOLUTION,
     JURY_TOL,
@@ -35,17 +32,16 @@ from hsob.symbols import (
     Log1p,
     Mul,
     Pow,
+    SWEEP,
     SymbolExpr,
     Var,
-    _base_points,
     _derivative_ratios,
-    _grid_points,
     _jury_matrices,
     _supremum_estimate,
 )
 
 import scalar_route
-from oracles import compose, faa_di_bruno, jury_min_m_bisection, supremum_estimate_per_pass
+from oracles import compose, faa_di_bruno, jury_min_m_bisection
 
 EPS = np.finfo(float).eps
 #: the symbols of acceptance criterion 12's classification table
@@ -60,19 +56,27 @@ WARRANTY_VERDICTS = {
     "sqrt(z)": ("unbounded", "necessary-failed"),
     "1/(z+1)": ("unbounded", "necessary-failed"),
     "z+1/(z+1)": ("bounded", "sufficient-passed"),
-    "z*z": ("unbounded", "inconclusive"),
+    "z*z": ("selfmap-unwitnessed", "selfmap-unwitnessed"),
 }
 #: affine maps a*z+b with Re b > 0, written as the benchmark writes them
 AFFINE_MAPS = ("0.3981*z+1.2057-0.6612i", "3.1623*z+0.2000+1.9000i")
-#: symbols with masked lanes on the default grid: a denominator exactly 0 at
-#: the grid point z = 1, branch cuts over part of the grid, powers that
-#: overflow along the outward rays, and a cut under a zero factor
+#: symbols with masked lanes on the sweep: a denominator exactly 0 at the
+#: sweep point z = 1, branch cuts over part of the real ray, a power that
+#: overflows far out on the axis and the ray, and a cut under a zero factor
 MASKED_SYMBOLS = ("1/(z-1)", "sqrt(z-10)", "log1p(z-5)", "z^40", "z + 0*sqrt(z - 10)")
-#: the default grid; a coarse one, whose wide margin lets the boundary rings
-#: move a running maximum that the second refinement would otherwise move; a
-#: wide one reaching 1e12 and 1e-6 from the imaginary axis; and a single point
-GRIDS = {"default": DEFAULT_GRID, "coarse": GridSpec(-1.0, 1.0, 5, 0.3, 3),
-         "wide": GridSpec(-12.0, 12.0, 61, 1e-6, 41), "one-point": GridSpec(0.0, 0.0, 1, 0.5, 1)}
+#: symbol -> its self-map flag, as the 2-D log-polar grid that the sweep
+#: replaced read it: the rows above, four self-maps, four maps that leave C+
+#: inside it, and three that are positive on the whole axis and leave C+ only
+#: near the real ray
+SELFMAP_WITNESS = {
+    **{text: True for text in CRITERION_12_ROWS + AFFINE_MAPS},
+    **{text: False for text in MASKED_SYMBOLS},
+    "z+1": True, "z+1/(z+1)": True, "z+2/(z+0.5)": True, "z+(0.3+2i)": True,
+    "z-10": False, "z*z": False, "(z+1)^0.5*z": False, "z+(0.1+5i)/(z+1)": False,
+    "2+1/(z-1)": False, "2+1/(z-1.1)": False, "3+z/(z-2)": False,
+}
+#: affine maps a*z+b with Re b >= 0.1 |b|, among them the benchmark's
+AFFINE_EXACT = AFFINE_MAPS + ("z+(0.3+2i)", "2*z+1", "0.5*z+2", "z+(1-3i)", "7*z+(0.5+0.5i)")
 
 
 # Reference routes for the symbol analysis, kept as oracles: a fresh order-k
@@ -80,7 +84,7 @@ GRIDS = {"default": DEFAULT_GRID, "coarse": GridSpec(-1.0, 1.0, 5, 0.3, 3),
 # library hoists.  The point-by-point route itself is in scalar_route.py, and
 # the jury bisection on rebuilt matrices in oracles.py.
 
-def _per_order_nbc_suprema(e, n, grid=DEFAULT_GRID):
+def _per_order_nbc_suprema(e, n):
     # a fresh order-k array jet for each k, and one supremum estimate each,
     # with the k-th divergence cap DIVERGE_CAP * k!
     out = []
@@ -89,9 +93,9 @@ def _per_order_nbc_suprema(e, n, grid=DEFAULT_GRID):
             return _derivative_ratios(z, e.jet(z, k), k)[k - 1:k]
 
         with np.errstate(over="ignore", invalid="ignore"):
-            first = ratio(_base_points(grid))
+            first = ratio(SWEEP)
         cap = DIVERGE_CAP * math.factorial(k)
-        out.append(float(_supremum_estimate(ratio, grid, [cap], first)[0]))
+        out.append(float(_supremum_estimate(ratio, [cap], first)[0]))
     return out
 
 
@@ -119,15 +123,6 @@ class _Counting(SymbolExpr):
 
     def to_text(self):
         return self.inner.to_text()
-
-
-def _report_fields(e, n, grid):
-    # each field's repr: exact for floats, and nan equal to nan
-    try:
-        report = classify(e, n, grid)
-    except ValueError as exc:
-        return repr(exc)
-    return [repr(getattr(report, f.name)) for f in dataclasses.fields(report)]
 
 
 def _agree(got, want, rtol=1e-14):
@@ -270,7 +265,7 @@ class TestEvalJet:
 
 
 class TestSelfmapWitness:
-    """The self-map flag of :func:`classify`: Re phi > 0 over the base grid."""
+    """The self-map flag of :func:`classify`: Re phi > 0 over the sweep."""
 
     def test_translation(self):
         assert classify(parse("z+1"), 0).selfmap_witnessed
@@ -280,6 +275,22 @@ class TestSelfmapWitness:
 
     def test_imaginary_shift(self):
         assert classify(parse("z+i"), 0).selfmap_witnessed
+
+    @pytest.mark.parametrize("text, flag", SELFMAP_WITNESS.items(), ids=list(SELFMAP_WITNESS))
+    def test_flag_as_the_grid_read_it(self, text, flag):
+        # axis and real ray together: 2+1/(z-1) is positive on the axis
+        e = parse(text)
+        assert classify(e, 1).selfmap_witnessed is flag
+        assert scalar_route.is_selfmap(e) is flag
+
+    @pytest.mark.parametrize("text", ["z-10", "z*z", "(z+1)^0.5*z", "z+(0.1+5i)/(z+1)"])
+    def test_unwitnessed_map_gets_no_verdict(self, text):
+        # the criteria speak of self-maps: on the axis z-10 reads radial_sup
+        # 1, which would pass the sufficient condition
+        for n in range(4):
+            r = classify(parse(text), n)
+            assert (r.verdict_H2, r.verdict_Hn) == ("selfmap-unwitnessed",) * 2
+            assert r.h2_norm is None
 
 
 class TestArrayEvaluation:
@@ -367,6 +378,21 @@ class TestSuprema:
         vals = classify(Add(Mul(Const(a), Var()), Const(b)), 3).nbc
         assert abs(vals[0] - 1.0) <= 1e-12
         assert vals[1:] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("text", AFFINE_EXACT)
+    def test_affine_suprema_are_exact(self, text):
+        # phi = a*z + b: by maximum modulus on the axis, |z/phi| peaks at
+        # |b| / (a Re b) and |z phi'/phi| at |b| / Re b, S_k = 0 for k >= 2,
+        # and x / phi(x) rises to phi'(inf) = 1/a
+        e = parse(text)
+        b = e(0.0)
+        a = (e(1.0) - b).real
+        want = [1 / a, abs(b) / (a * b.real), abs(b) / b.real]
+        for n in range(1, MAX_ORDER + 1):
+            r = classify(e, n)
+            got = [r.phi_prime_infinity, r.radial_sup, r.nbc[0]]
+            assert all(abs(g - w) <= 1e-6 * w for g, w in zip(got, want)), (n, got, want)
+            assert r.nbc[1:] == (0.0,) * (n - 1)
 
     def test_overflowing_ratio_is_skipped(self):
         # z^2 phi''/phi overflows at z = 10 here: a point to skip, as where
@@ -673,77 +699,27 @@ class TestJury:
 
 
 class TestClassify:
-    @pytest.mark.parametrize("grid", [GridSpec(num_r=0), GridSpec(num_theta=0)])
-    def test_empty_grid_refused(self, grid):
-        # no sample is no evidence: not a NaN estimate, a "witnessed" self-map
-        # and an "unbounded" verdict
-        with pytest.raises(ValueError, match="no points"):
-            classify(parse("z"), 1, grid)
-
-    @pytest.mark.parametrize("grid", [GridSpec(-500.0, -400.0, 3, 0.1, 3),
-                                      GridSpec(-330.0, 0.0, 3, 0.1, 3),
-                                      GridSpec(0.0, 400.0, 3, 0.1, 3)],
-                             ids=("underflow", "one-underflows", "overflow"))
-    def test_grid_radii_must_be_finite_and_positive(self, grid):
-        # radii that round to 0 put the grid on the origin, where the ray
-        # loop multiplied 0 by 10 forever; radii past the largest double
-        # put points at inf
-        with pytest.raises(ValueError, match="^the grid's radii must be finite and positive"):
-            classify(parse("2*z+1"), 1, grid)
-
-    def test_grid_is_the_grid_option(self):
-        # GridSpec holds the five fields of --grid and no policy; the report
-        # prints them as they are
-        fields = ["log10_r_min", "log10_r_max", "num_r", "theta_margin", "num_theta"]
-        assert [f.name for f in dataclasses.fields(GridSpec)] == fields
-        grid = _parse_grid("1e-2,1e2,11,0.01,7")
-        assert dataclasses.astuple(grid) == (-2.0, 2.0, 11, 0.01, 7)
-        report = classify(parse("2*z+1"), 1, grid).to_dict()
-        assert report["grid"] == dataclasses.asdict(grid)
-        assert list(report["grid"]) == fields
-
     @pytest.mark.parametrize("text", ["(1e300*z)^3", "z - z/0"])
     def test_nowhere_finite_symbol_refused(self, text):
-        # after the base grid's one array call
+        # after the sweep's one array call
         e = _Counting(parse(text))
-        with pytest.raises(ValueError, match="^phi took no finite value at any base-grid point$"):
+        with pytest.raises(ValueError, match="^phi took no finite value at any sweep point$"):
             classify(e, 1)
-        assert e.calls == [("jet", (DEFAULT_GRID.num_r * DEFAULT_GRID.num_theta,))]
+        assert e.calls == [("jet", SWEEP.shape)]
+
+    def test_sweep_is_read_only(self):
+        # every classify call reads the one module-level array
+        with pytest.raises(ValueError, match="read-only"):
+            SWEEP[0] = 1.0
 
     @pytest.mark.parametrize("text", CRITERION_12_ROWS + AFFINE_MAPS + MASKED_SYMBOLS)
-    def test_four_array_calls(self, text):
-        # the base grid, refinement 1 with the boundary rings, refinement 2
-        # and the rays: one order-n jet each, and no other evaluation
+    def test_three_array_calls(self, text):
+        # the sweep, then each refinement: one order-n jet each, and no
+        # other evaluation; a refinement puts 81 points on each of the n + 2 rows
         for n in range(7):
             e = _Counting(parse(text))
             classify(e, n)
-            assert len(e.calls) == 4, (n, e.calls)
-            assert all(kind == "jet" and len(shape) == 1 for kind, shape in e.calls)
-
-    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS)
-    def test_equals_per_pass_oracle(self, grid, monkeypatch):
-        # every report field bit for bit, or the same error, as with one call
-        # of the ratios per pass and one sweep per row
-        cases = [(parse(text), n) for text in CRITERION_12_ROWS + AFFINE_MAPS + MASKED_SYMBOLS
-                 for n in range(7)]
-        got = [_report_fields(e, n, grid) for e, n in cases]
-        monkeypatch.setattr(symbols, "_supremum_estimate", supremum_estimate_per_pass)
-        assert got == [_report_fields(e, n, grid) for e, n in cases]
-
-    def test_cached_grid_is_read_only(self):
-        # the arrays are shared by every call on an equal grid, so a caller
-        # cannot write into them, and a try leaves the next report unchanged
-        e = parse("z+sqrt(z)+1")
-        before = _report_fields(e, 2, GridSpec(-2.0, 2.0, 11, 0.01, 7))
-        arrays = _grid_points(GridSpec(-2.0, 2.0, 11, 0.01, 7))
-        assert arrays[0] is _base_points(GridSpec(-2.0, 2.0, 11, 0.01, 7))
-        for a in arrays:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1e9
-            with pytest.raises(ValueError, match="read-only"):
-                a *= 2.0
-        assert _report_fields(e, 2, GridSpec(-2.0, 2.0, 11, 0.01, 7)) == before
+            assert e.calls == [("jet", SWEEP.shape)] + [("jet", ((n + 2) * 81,))] * 2, (n, e.calls)
 
     def test_affine_all_orders(self):
         for n in (1, 2, 3, 4):
@@ -810,18 +786,17 @@ class TestClassify:
                                             ("z^7*z^7*z^7 - z^7*z^7*z^7 + z", 1e-14),
                                             ("(z+1)^300", 1e-13)])
     def test_overflowing_symbols_match_scalar_route(self, text, rtol):
-        # values and jet coefficients overflow on the outer grid and the rays,
+        # values and jet coefficients overflow far out on the axis and the ray,
         # silently, as Python's complex arithmetic does at one point; where
-        # phi(z) overflows to nan but phi'(z) stays finite, the ratio is
-        # skipped.  (z+1)^300 is exp(300 log(z+1)) in both routes, by
-        # different libraries, so their last-bit differences grow 300-fold:
-        # the radial supremum agrees to 3.0e-14.  At n = 3 the per-point route
-        # reads an overflowed coefficient as an infinite ratio, so n stops at 2.
+        # phi(z) or a ratio overflows, the point is skipped, and a nan value
+        # fails the self-map flag.  (z+1)^300 is exp(300 log(z+1)) in both
+        # routes, by different libraries, so their last-bit differences grow
+        # 300-fold: the fields agree to 1.5e-14.
         e = parse(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             pairs = []
-            for n in range(3):
+            for n in range(4):
                 got, want = classify(e, n), scalar_route.classify(e, n)
                 assert (got.verdict_H2, got.verdict_Hn) == (want.verdict_H2, want.verdict_Hn)
                 pairs += zip((got.phi_prime_infinity, got.radial_sup, *got.nbc),
