@@ -58,7 +58,6 @@ from .symbols import (
     SymbolSyntaxError,
     caughran_lower_bound,
     classify,
-    jury_min_eig,
     jury_min_m,
     parse,
 )
@@ -79,6 +78,6 @@ __all__ = [
     "norm_equality_check", "disc_membership_report",
     "Jet", "JetDomainError",
     "SymbolExpr", "SymbolSyntaxError", "BranchViolation", "parse",
-    "GridSpec", "jury_min_eig", "jury_min_m",
+    "GridSpec", "jury_min_m",
     "caughran_lower_bound", "SymbolReport", "classify",
 ]

@@ -48,7 +48,7 @@ from .kernel import (gram_matrix, kernel_eval_closed, kernel_eval_quadrature, ke
                      min_eigenvalue, norm_bounds)
 from .quadrature import QuadratureError
 from .specfun import _check_order
-from .symbols import classify, jury_min_eig, parse as parse_symbol
+from .symbols import classify, jury_min_m, parse as parse_symbol
 
 SCHEMA = 1
 
@@ -198,7 +198,7 @@ def _cmd_kernel_eval(args) -> int:
 
 def _cmd_kernel_norm(args) -> int:
     norm = kernel_norm(args.n, args.z)
-    payload = {"n": args.n, "z": str(args.z), "norm": norm, "diag": norm * norm}
+    payload = {"n": args.n, "z": str(args.z), "norm": norm}
     if args.n >= 1:
         lo, hi = norm_bounds(args.n, args.z)
         payload.update(lower_bound=lo, upper_bound=hi)
@@ -283,14 +283,11 @@ def _cmd_symbol_classify(args) -> int:
 def _cmd_symbol_jury(args) -> int:
     expr = parse_symbol(args.expression)
     pts = args.points or _seeded_points(args.seed, args.count, 0.3)
-    eig = jury_min_eig(expr, args.n, args.m, pts)
     _emit_json(args.out, {
         "expression": args.expression,
         "n": args.n,
-        "m": args.m,
         "points": [str(p) for p in pts],
-        "min_eigenvalue": eig,
-        "psd": eig >= -1e-8,
+        "min_m": jury_min_m(expr, args.n, pts),
     })
     return 0
 
@@ -372,11 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expression")
     p.set_defaults(func=_cmd_symbol_classify)
 
-    p = ssub.add_parser("jury", help="kernel-inequality eigenvalue certificate")
+    p = ssub.add_parser("jury", help="least M of the kernel inequality on a point set")
     _add_options(p, "--n", "--seed", "--out")
     p.add_argument("expression")
-    p.add_argument("--m", type=_tolerance, required=True,
-                   help="candidate operator-norm bound M (finite, >= 0)")
     p.add_argument("--points", type=_parse_points, default=None)
     p.add_argument("--count", type=_int_at_least(1), default=6)
     p.set_defaults(func=_cmd_symbol_jury, n=0)

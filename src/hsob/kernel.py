@@ -212,12 +212,52 @@ def _closed_form(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (q[:len(z)] + q[len(z):]) / scale
 
 
+class _KernelOverflow(ValueError):
+    """A kernel value past the largest double, raised naming a point whose value it is."""
+
+    def __init__(self, point: complex):
+        super().__init__(f"kernel value at point {point} overflows")
+        self.point = point
+
+
+#: the factor that lifts a lane out of the subnormal range, a power of two so
+#: that it changes no bit
+_LIFT = 2.0**600
+
+
+def _kernel_values(n: int, z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """:func:`_closed_form` with numpy's warnings off, and whether every value
+    is finite; a value that is not is a K_n past the largest double.
+
+    numpy divides a complex array by way of the divisor's reciprocal, so a
+    lane whose max(|z|, |w|) is subnormal comes out nan once 1/scale
+    overflows.  Such a lane is redone at 2^600 times its arguments, through
+    K_n(z, w) = c K_n(cz, cw).  Every finite lane of the first pass is kept
+    as it is, and a batch whose lanes are all finite costs one check.
+    """
+    with np.errstate(all="ignore"):
+        values = _closed_form(n, z, v)
+        finite = np.isfinite(values)
+        if finite.all():
+            return values, True
+        redo = ~finite
+        values[redo] = _closed_form(n, z[redo] * _LIFT, v[redo] * _LIFT) * _LIFT
+    return values, bool(np.isfinite(values).all())
+
+
 def kernel_eval_closed(n: int, z: complex, w: complex) -> complex:
-    """Closed-form K_n(z, w) for 0 <= n <= 16, bitwise as :func:`gram_matrix` gives it."""
+    """Closed-form K_n(z, w) for 0 <= n <= 16, bitwise as :func:`gram_matrix` gives it.
+
+    A value past the largest double raises the ``ValueError`` of
+    :func:`gram_matrix`, naming z.
+    """
     _check_order(n)
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
-    return complex(_closed_form(n, np.array([z]), np.array([w.conjugate()]))[0])
+    values, finite = _kernel_values(n, np.array([z]), np.array([w.conjugate()]))
+    if not finite:
+        raise _KernelOverflow(z)
+    return complex(values[0])
 
 
 @lru_cache(maxsize=None)
@@ -277,8 +317,10 @@ def kernel_diag(n: int, z):
     """
     _check_order(n)
     zs = np.atleast_1d(_require_halfplane(z, "z"))
-    diag = _closed_form(n, zs, zs.conj()).real
-    return diag if np.ndim(z) else float(diag[0])
+    diag, finite = _kernel_values(n, zs, zs.conj())
+    if not finite:
+        raise _KernelOverflow(complex(zs[np.argmax(~np.isfinite(diag))]))
+    return diag.real if np.ndim(z) else float(diag[0].real)
 
 
 def kernel_norm(n: int, z: complex) -> float:
@@ -309,14 +351,6 @@ def norm_bounds(n: int, z: complex) -> tuple[float, float]:
     return float(lower), float(upper)
 
 
-class _KernelOverflow(ValueError):
-    """A Gram matrix entry that overflows, raised at the first point whose row holds one."""
-
-    def __init__(self, point: complex):
-        super().__init__(f"kernel value at point {point} overflows")
-        self.point = point
-
-
 def gram_matrix(n: int, points) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = K_n(z_i, z_j) over points of C+, n <= 16.
 
@@ -331,11 +365,10 @@ def gram_matrix(n: int, points) -> np.ndarray:
     pts = _require_halfplane(points, "point")
     rows, cols = np.nonzero(np.tri(len(pts), dtype=bool))
     G = np.empty((len(pts), len(pts)), dtype=complex)
-    with np.errstate(all="ignore"):
-        lower = _closed_form(n, pts[rows], pts[cols].conj())
+    lower, finite = _kernel_values(n, pts[rows], pts[cols].conj())
     G[rows, cols] = lower
     G[cols, rows] = lower.conj()
-    if not np.isfinite(lower).all():
+    if not finite:
         raise _KernelOverflow(complex(pts[np.argmax(~np.isfinite(G).all(axis=1))]))
     return G
 

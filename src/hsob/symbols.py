@@ -13,10 +13,11 @@ f -> f o phi, and reports them as :class:`SymbolReport` fields:
 * ``nbc``                -- sup of |z^k phi^(k)(z)/phi(z)| for k = 1..n, which
   together with a finite angular derivative is sufficient.
 
-``jury_min_eig`` and ``jury_min_m`` give certificates for the kernel
-inequality M^2 K(x, y) >= K(phi(x), phi(y)), whose least admissible M equals
-the composition operator's norm; ``caughran_lower_bound`` reads a lower bound
-off the diagonals of the same two Gram matrices.
+``jury_min_m`` is the one decision rule for the kernel inequality
+M^2 K(x, y) >= K(phi(x), phi(y)): it returns the least admissible M on a
+point set, a lower bound for the composition operator's norm that reaches it
+as the set refines; ``caughran_lower_bound`` reads a lower bound off the
+diagonals of the same two Gram matrices.
 
 Symbols are evaluated on point arrays.  ``SymbolExpr.eval`` and ``.jet``
 take a 1-D array and return one lane per point; a point on a branch cut or at
@@ -27,15 +28,16 @@ order-n jet per call serves the self-map check, the angular derivative, the
 radial supremum and every k.  A pass runs with numpy's overflow warnings off:
 a value or coefficient that overflows comes out inf or nan, as Python's
 complex arithmetic gives it at a single point, and a nan ratio is skipped.
-The jury routines build the two Gram matrices of the inequality once, from
-one array evaluation of the images, since neither depends on M; their points
-and images obey the kernel's one domain rule, finite with Re z > 0 and no
-margin from the imaginary axis.  ``jury_min_eig`` takes one least
-eigenvalue.  ``jury_min_m`` decides every M by a Cholesky factorisation of
-the shifted inequality matrix: it doubles M until one is admissible,
-estimates the threshold from that factor by one eigen-solve of the pencil of
-the base matrix and the shifted one, certifies the estimate with a test on
-each side, and bisects what is left.  It never reads M off the pencil of the
+The jury builds the two Gram matrices of the inequality once, from one
+array evaluation of the images, since neither depends on M; its points and
+images obey the kernel's one domain rule, finite with Re z > 0 and no margin
+from the imaginary axis.  ``jury_min_m`` decides every M by a Cholesky
+factorisation of the shifted inequality matrix, with a slack relative to the
+images' largest kernel value, so no decision depends on the scale of phi.
+It doubles M until one is admissible, estimates the threshold from that
+factor by one eigen-solve of the pencil of the base matrix and the shifted
+one, certifies the estimate with a test on each side, and bisects what is
+left.  It never reads M off the pencil of the
 base matrix with the moved one: that factors the base matrix, and sampled
 kernel Gram matrices are too badly conditioned for it (cond up to about
 2e17), while the shifted matrix has passed its test and the estimate only
@@ -72,7 +74,6 @@ __all__ = [
     "SymbolSyntaxError",
     "BranchViolation",
     "parse",
-    "jury_min_eig",
     "jury_min_m",
     "caughran_lower_bound",
     "SymbolReport",
@@ -554,20 +555,6 @@ def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarra
     return base, moved
 
 
-def jury_min_eig(e: SymbolExpr, n: int, M: float, points) -> float:
-    """Least eigenvalue of [M^2 K_n(z_i,z_j) - K_n(phi(z_i),phi(z_j))].
-
-    Nonnegative (up to rounding) for every point set exactly when M dominates
-    the composition operator's norm.  All points and their images must be
-    finite points of C+.
-    """
-    base, moved = _jury_matrices(e, n, points)
-    # no Hermitised copy: it would change no bit, since gram_matrix makes the
-    # diagonal real and each entry above it exactly its mirror's conjugate,
-    # and LAPACK reads only the lower triangle and the diagonal's real part
-    return float(np.linalg.eigvalsh(M**2 * base - moved)[0])
-
-
 def _threshold_estimate(base, factor, lo: float, hi: float) -> float:
     """Where in [lo, hi] the least admissible M of ``jury_min_m`` should lie.
 
@@ -635,6 +622,8 @@ def jury_min_m(e: SymbolExpr, n: int, points) -> float:
     diagonal = step.reshape(-1)[:: len(step) + 1]  # a view of step's diagonal
 
     def factor(M):
+        # LAPACK reads the lower triangle; gram_matrix makes each entry above
+        # it exactly its mirror's conjugate, so that is the whole matrix
         np.subtract(np.multiply(base, M**2, out=step), moved, out=step)
         np.add(diagonal, tol, out=diagonal)
         try:

@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hsob import QuadratureError, cli, kernel, kernel_diag, verify
@@ -111,13 +112,47 @@ class TestKernelCommands:
             assert abs(norm**2 - diag) < 1e-9
 
     def test_nonfinite_report_field_exits_one(self, capsys):
-        # the diagonal overflows at a subnormal |z| (the norm, 1.2e160, does
-        # not): no "diag": Infinity on stdout
-        code = main(["kernel", "norm", "--z", "1e-320"])
+        # a report is checked before a byte is written: the first NaN or
+        # infinite field, nested or not, is named and nothing reaches stdout
+        for payload, field in (({"norm": 1.0, "diag": math.inf}, "diag"),
+                               ({"rows": [[1.0, math.nan]], "x": math.inf}, "rows.0.1")):
+            with pytest.raises(ValueError, match=f"^report field {field} is not a finite number$"):
+                cli._emit_json(None, payload)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("n", [1, 8, 16])
+    def test_norm_past_diagonal_overflow(self, capsys, n):
+        # the norm at |z| = 1e-320 (1.2e160 at n = 1) is finite where its
+        # square is not; the report holds the norm and its bounds alone
+        code, out = run_cli(capsys, "kernel", "norm", "--n", str(n), "--z", "1e-320")
+        payload = strict_json(out)
+        assert code == 0
+        assert set(payload) == {"schema", "n", "z", "norm", "lower_bound", "upper_bound"}
+        assert payload["norm"] == kernel.kernel_norm(n, 1e-320)
+        assert payload["lower_bound"] <= payload["norm"] <= payload["upper_bound"]
+
+    @pytest.mark.parametrize("n, z", [(8, "1e-310"), (12, "5e-324")])
+    def test_eval_at_subnormal_scale(self, capsys, n, z):
+        # K_n(z, z) = K_n(1, 1)/z (5.13e301 at n = 8, z = 1e-310): finite, and
+        # no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, "kernel", "eval", "--n", str(n), "--z", z, "--w", z)
+        want = kernel_diag(n, 1.0) / float(z)
+        assert code == 0
+        assert abs(json.loads(out)["value_re"] - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("argv", [("--n", "0", "--z", "1e-320", "--w", "1e-320"),
+                                      ("--n", "3", "--z", "1e-320", "--w", "1e-320")])
+    def test_eval_overflow_exits_one_silently(self, capsys, argv):
+        # K_n past the largest double: one error line naming the point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["kernel", "eval", *argv])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error [kernel]: report field diag is not a finite number")
+        assert captured.err == "error [kernel]: kernel value at point (1e-320+0j) overflows\n"
 
     @pytest.mark.parametrize("argv", [("kernel", "sweep"), ("verify", "bounds")])
     def test_grid_diagonal_overflow_exits_one(self, capsys, argv):
@@ -343,11 +378,44 @@ class TestSymbolCommands:
         assert "1e999" in out
 
     def test_jury(self, capsys):
-        code, out = run_cli(capsys, "symbol", "jury", "--n", "0", "--m", "0.5",
+        # the report is the least admissible M of jury_min_m, below the
+        # operator norm 0.5 of 4*z+1 on three points
+        code, out = run_cli(capsys, "symbol", "jury", "--n", "0",
                             "--points", "1,2,0.5+0.2i", "4*z+1")
-        payload = json.loads(out)
+        payload = strict_json(out)
+        min_m = payload.pop("min_m")
         assert code == 0
-        assert payload["psd"] is True
+        assert payload == {"schema": 1, "expression": "4*z+1", "n": 0,
+                           "points": ["(1+0j)", "(2+0j)", "(0.5+0.2j)"]}
+        assert abs(min_m - 0.480415) <= 1e-6
+
+    def test_jury_bound_does_not_depend_on_scale(self, capsys):
+        # K_0 is homogeneous of degree -1: on two points of size 1e8 the
+        # bound of 2*z+1 is its norm 2^(-1/2), where an absolute eigenvalue
+        # cut-off of 1e-8 took M = 0.5 as admissible
+        code, out = run_cli(capsys, "symbol", "jury", "--n", "0",
+                            "--points", "1e8,2e8+1e8i", "2*z+1")
+        assert code == 0
+        assert abs(strict_json(out)["min_m"] - 0.70710678) <= 1e-6
+
+    @pytest.mark.parametrize("n, min_m", [(3, 92.5962036), (4, 574.3488877), (5, None)])
+    def test_jury_on_near_axis_points(self, capsys, n, min_m):
+        # ROADMAP direction 5's reproduction: 12 seeded points and 8 near -2i;
+        # from n = 5 base is numerically singular, no M passes below 1e12,
+        # and the bound jury_min_m returns, inf, is refused as a report field
+        rng = np.random.default_rng(1)
+        x, y = rng.uniform(0.05, 3.0, 12), rng.uniform(-3.0, 3.0, 12)
+        near = np.logspace(-3.0, -0.5, 8) + 1j * (-2.0 + np.linspace(-0.3, 0.3, 8))
+        points = ",".join(str(complex(z)).strip("()") for z in [*(x + 1j * y), *near])
+        code = main(["symbol", "jury", "--n", str(n), "--points", points, "z+(0.3+2i)"])
+        captured = capsys.readouterr()
+        if min_m is None:
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == "error [symbol]: report field min_m is not a finite number\n"
+        else:
+            assert code == 0
+            assert abs(strict_json(captured.out)["min_m"] - min_m) <= 1e-6 * min_m
 
     @pytest.mark.parametrize("argv", [("parse", "1e999"), ("classify", "--n", "1", "1e999*z")])
     def test_overflowing_literal_exits_one(self, capsys, argv):
@@ -359,9 +427,9 @@ class TestSymbolCommands:
         assert "number overflows a double (at position 0)" in captured.err
 
     @pytest.mark.parametrize("argv, message", [
-        (("jury", "--n", "1", "--m", "1", "--points", "1e200,1", "z*z"),
+        (("jury", "--n", "1", "--points", "1e200,1", "z*z"),
          "image of point (1e+200+0j) is not finite"),
-        (("jury", "--n", "1", "--m", "1", "--points", "1e200,1", "z^2"),
+        (("jury", "--n", "1", "--points", "1e200,1", "z^2"),
          "image of point (1e+200+0j) is not finite"),
         (("classify", "--n", "1", "(1e300*z)^3"),
          "phi took no finite value at any sweep point"),
@@ -389,7 +457,7 @@ class TestPlumbing:
         ("kernel", "eval", "--z", "1+1e999i", "--w", "1"),
         ("kernel", "gram", "--points", "1,2+1e400i"),
         ("kernel", "gram", "--points", ","),
-        ("symbol", "jury", "--m", "1", "--points", "inf", "z"),
+        ("symbol", "jury", "--points", "inf", "z"),
         ("verify", "bounds", "--tol", "nan"),
         ("verify", "bounds", "--tol", "-1"),
         ("verify", "bounds", "--tol", "inf"),
@@ -397,7 +465,7 @@ class TestPlumbing:
         ("verify", "reproduce", "--samples", "-2"),
         ("verify", "reproduce", "--samples", "two"),
         ("kernel", "gram", "--count", "0"),
-        ("symbol", "jury", "--m", "1", "--count", "0", "z"),
+        ("symbol", "jury", "--count", "0", "z"),
         ("verify", "bounds", "--grid", "1,2,3"),
         ("verify", "bounds", "--grid", "0.1,10,3,0.1,3,7"),
         ("verify", "bounds", "--grid", "0,10,3,0.1,3"),
@@ -409,8 +477,8 @@ class TestPlumbing:
         ("symbol", "classify", "--n", "1.5", "z"),
         ("kernel", "gram", "--seed", "-1"),
         ("verify", "reproduce", "--seed", "-1"),
-        ("symbol", "jury", "--m", "nan", "--points", "1", "z"),
-        ("symbol", "jury", "--m", "-1", "--points", "1", "z"),
+        ("symbol", "jury", "--points", "1,nan", "z"),
+        ("symbol", "jury", "--seed", "-1", "z"),
         ("kernel", "sweep", "--n", "0"),
         # the two routes are closed_form and quadrature
         ("kernel", "eval", "--z", "1", "--w", "1", "--method", "auto"),
@@ -427,12 +495,12 @@ class TestPlumbing:
         ("kernel", "gram", "--samples", "3"),
         ("symbol", "parse", "--n", "2", "z"),
         ("symbol", "classify", "--config", "q.cfg", "z"),
-        ("symbol", "jury", "--m", "1", "--grid", "0.1,10,3,0.1,3", "z"),
+        ("symbol", "jury", "--grid", "0.1,10,3,0.1,3", "z"),
         # no command reads a quadrature setting
         ("kernel", "norm", "--z", "1", "--config", "q.cfg"),
         ("kernel", "sweep", "--config", "q.cfg"),
         ("kernel", "gram", "--config", "q.cfg"),
-        ("symbol", "jury", "--m", "1", "--config", "q.cfg", "z"),
+        ("symbol", "jury", "--config", "q.cfg", "z"),
         ("kernel", "eval", "--z", "1", "--w", "1", "--config", "q.cfg"),
         *(("verify", suite, "--config", "q.cfg") for suite in verify.SUITES),
         # bounds checks grid points and draws no samples; the sampled suites
@@ -443,6 +511,9 @@ class TestPlumbing:
           for suite in verify.SUITES if suite != "bounds"),
         # classify samples the imaginary axis and the real ray, not a grid
         ("symbol", "classify", "--grid", "1e-4,1e6,41,0.001,33", "z"),
+        # jury reports the least admissible M and takes no candidate M
+        ("symbol", "jury", "--m", "1", "z"),
+        ("symbol", "jury", "--n", "0", "--points", "1", "--m", "0.5", "z"),
     ])
     def test_unread_option_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -452,7 +523,7 @@ class TestPlumbing:
 
     @pytest.mark.parametrize("argv", [
         ("kernel", "eval", "--n", "1", "--z", "1", "--w", "1", "--out", "{tmp}/missing/x.json"),
-        ("kernel", "norm", "--z", "1e-320"),
+        ("kernel", "eval", "--n", "0", "--z", "1e-320", "--w", "1e-320", "--method", "quadrature"),
         ("kernel", "eval", "--n", "2", "--z", "1e-320", "--w", "1", "--method", "quadrature"),
     ])
     def test_failures_exit_one_without_traceback(self, tmp_path, capsys, argv):
@@ -479,8 +550,8 @@ class TestPlumbing:
             ["kernel", "eval", "--n", "2", "--z", "1+2i", "--w", "0.5"],
             ["kernel", "eval", "--z", "1"],
             ["verify", "hardy-ineq", "--n", "2", "--samples", "2", "--seed", "4"],
-            ["kernel", "norm", "--z", "1e-320"],
-            ["symbol", "jury", "--m", "0.8", "--points", "1,2", "2*z+1"],
+            ["kernel", "eval", "--n", "0", "--z", "1e-320", "--w", "1e-320"],
+            ["symbol", "jury", "--points", "1,2", "2*z+1"],
             ["kernel", "eval", "--n", "2", "--z", "1+2i", "--w", "0.5"],
             ["verify", "bounds", "--grid", "0.5,2,2,0.1,2"],
             ["symbol", "parse", "z+"],
@@ -581,7 +652,7 @@ ORDER_ARGV = [
     ("kernel", "gram", "--count", "2"),
     *(("verify", suite, *small_suite_options(suite)) for suite in verify.SUITES),
     ("symbol", "classify", "z"),
-    ("symbol", "jury", "--m", "1", "z"),
+    ("symbol", "jury", "z"),
 ]
 
 

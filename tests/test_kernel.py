@@ -532,6 +532,29 @@ class TestDiagonalAndBounds:
         # K_1(z, z) = 2 log 2 / z overflows at z = 1e-310; the norm is 1.18e155
         assert abs(kernel_norm(1, 1e-310) * math.sqrt(1e-310) - math.sqrt(2 * LN2)) < 1e-10
 
+    @pytest.mark.parametrize("n", range(MAX_ORDER + 1))
+    def test_values_at_subnormal_scale(self, n):
+        # K_n(z, z) = K_n(1, 1)/z at subnormal z, where 1/z overflows: every
+        # entry point gives it to 1e-15 where it is finite (from n = 4 at
+        # 1e-310, n = 12 at 5e-324), and one ValueError naming the point
+        # where it is not, with numpy silent both ways
+        routes = (lambda z: kernel_diag(n, z),
+                  lambda z: kernel_diag(n, np.array([1.0, z]))[1],
+                  lambda z: kernel_eval_closed(n, z, z).real,
+                  lambda z: gram_matrix(n, [z, 1.0])[0, 0].real)
+        unit = kernel_diag(n, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (1e-310, 1e-315, 1e-320, 5e-324):
+                want = unit / z
+                for route in routes:
+                    if math.isfinite(want):
+                        assert abs(route(z) - want) <= 1e-15 * want, z
+                    else:
+                        with pytest.raises(ValueError) as err:
+                            route(z)
+                        assert str(err.value) == f"kernel value at point {complex(z)} overflows"
+
     def test_diag_matches_closed_form(self):
         # the diagonal is the closed form at w = z, real to the last bit; the
         # quadrature diagonal checks it, also at the default argument margin

@@ -25,7 +25,6 @@ from hsob import (
     gram_matrix,
     hn_norm,
     inner_product_n,
-    jury_min_eig,
     jury_min_m,
     kernel_diag,
     kernel_eval_closed,
@@ -54,7 +53,6 @@ WARRANTED = {
     "kernel_diag": lambda n: kernel_diag(n, 1.0),
     "kernel_norm": lambda n: kernel_norm(n, 1.0),
     "gram_matrix": lambda n: gram_matrix(n, POINTS),
-    "jury_min_eig": lambda n: jury_min_eig(PHI, n, 1.0, POINTS),
     "jury_min_m": lambda n: jury_min_m(PHI, n, POINTS),
     "caughran_lower_bound": lambda n: caughran_lower_bound(PHI, n, POINTS),
     "classify": lambda n: classify(PHI, n),

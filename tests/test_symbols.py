@@ -14,8 +14,6 @@ from hsob import (
     SymbolSyntaxError,
     caughran_lower_bound,
     classify,
-    gram_matrix,
-    jury_min_eig,
     jury_min_m,
     kernel_norm,
     min_eigenvalue,
@@ -41,7 +39,7 @@ from hsob.symbols import (
 )
 
 import scalar_route
-from oracles import compose, faa_di_bruno, jury_min_m_bisection
+from oracles import compose, faa_di_bruno, jury_matrix, jury_min_m_bisection
 
 EPS = np.finfo(float).eps
 #: the symbols of acceptance criterion 12's classification table
@@ -162,7 +160,7 @@ def _assert_within_resolution_of_oracle(e, n, pts, M):
     assert abs(M - M_o) <= JURY_RESOLUTION * M + band / (2 * M_o * s)
     S = M**2 * base - moved
     np.linalg.cholesky(S + tol * np.eye(m))
-    assert jury_min_eig(e, n, M, pts) >= -tol - m * EPS * np.linalg.norm(S, 2)
+    assert min_eigenvalue(jury_matrix(e, n, M, pts)) >= -tol - m * EPS * np.linalg.norm(S, 2)
 
 
 class TestParser:
@@ -454,15 +452,21 @@ class TestJury:
     POINTS = [0.5 + 0.2j, 1.0, 2.0 - 1.0j, 4.0 + 3.0j, 10.0, 0.3 - 0.1j]
 
     def test_identity_symbol_zero_matrix(self):
-        assert abs(jury_min_eig(parse("z"), 0, 1.0, self.POINTS)) < 1e-14
+        # the images are the points, so moved is base bit for bit and the
+        # inequality matrix at M = 1 is zero: the bound is 1 to its resolution
+        base, moved = _jury_matrices(parse("z"), 0, self.POINTS)
+        assert np.array_equal(base, moved)
+        assert abs(jury_min_m(parse("z"), 0, self.POINTS) - 1.0) <= JURY_RESOLUTION
 
     def test_affine_certificate(self):
-        # phi = 4z+1 on the plain Hardy space: norm is sqrt(1/4) = 0.5
-        assert jury_min_eig(parse("4*z+1"), 0, 0.5, self.POINTS) >= -1e-8
+        # phi = 4z+1 on the plain Hardy space: the norm sqrt(1/4) = 0.5 is
+        # admissible on every point set, so the bound never exceeds it
+        assert jury_min_m(parse("4*z+1"), 0, self.POINTS) <= 0.5 * (1.0 + JURY_RESOLUTION)
 
     def test_sqrt_with_large_m_still_fails(self):
+        # sqrt(z) is unbounded on H2: already on four points M = 10 fails
         pts = [1.0, 100.0, 1e4, 1e6]
-        assert jury_min_eig(parse("sqrt(z)"), 0, 10.0, pts) < 0
+        assert jury_min_m(parse("sqrt(z)"), 0, pts) > 10.0
 
     def test_min_m_matches_operator_norm(self):
         pts = self.POINTS + [1e2, 1e3, 1e4]
@@ -600,7 +604,7 @@ class TestJury:
 
     def test_margin_validation(self):
         with pytest.raises(ValueError):
-            jury_min_eig(parse("z"), 0, 1.0, [-1.0])
+            jury_min_m(parse("z"), 0, [-1.0])
 
     def test_min_m_margin_validation(self):
         with pytest.raises(ValueError):
@@ -614,12 +618,12 @@ class TestJury:
         # before its image
         with pytest.raises(ValueError, match=r"^image must lie in the open right half-plane, "
                                              r"got \(-9\+0j\)$"):
-            jury_min_eig(parse("z-10"), 0, 1.0, [20.0, 1.0, 2.0])
+            jury_min_m(parse("z-10"), 0, [20.0, 1.0, 2.0])
         with pytest.raises(ValueError, match=r"^point must lie in the open right half-plane, "
                                              r"got \(-1\+0j\)$"):
-            jury_min_eig(parse("z-10"), 0, 1.0, [20.0, -1.0, 1.0])
+            jury_min_m(parse("z-10"), 0, [20.0, -1.0, 1.0])
         with pytest.raises(ValueError, match=r"^point must be finite, got \(1\+nanj\)$"):
-            jury_min_eig(parse("z+1"), 1, 1.0, [complex(1, math.nan), 1.0])
+            jury_min_m(parse("z+1"), 1, [complex(1, math.nan), 1.0])
         with pytest.raises(BranchViolation):
             jury_min_m(parse("sqrt(z-10)"), 1, [20.0, 1.0, -1.0])
         with pytest.raises(ZeroDivisionError):
@@ -632,8 +636,7 @@ class TestJury:
         e = parse(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for bound in (lambda pts: jury_min_eig(e, 1, 1.0, pts),
-                          lambda pts: jury_min_m(e, 1, pts),
+            for bound in (lambda pts: jury_min_m(e, 1, pts),
                           lambda pts: caughran_lower_bound(e, 1, pts)):
                 with pytest.raises(ValueError, match=r"^image of point \(1e\+200\+0j\) is not finite$"):
                     bound([1.0, 1e200, 2.0])
@@ -648,8 +651,7 @@ class TestJury:
         e = parse(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for bound in (lambda: jury_min_eig(e, 1, 1.0, pts), lambda: jury_min_m(e, 1, pts),
-                          lambda: caughran_lower_bound(e, 1, pts)):
+            for bound in (lambda: jury_min_m(e, 1, pts), lambda: caughran_lower_bound(e, 1, pts)):
                 with pytest.raises(ValueError, match=message):
                     bound()
 
@@ -663,33 +665,32 @@ class TestJury:
 
     @pytest.mark.parametrize("text", CRITERION_12_ROWS)
     def test_min_eig_equals_hermitised_eigenvalue_exactly(self, text):
-        # one least-eigenvalue step serves both jury routines: with no
-        # Hermitised copy it is min_eigenvalue of the same matrix, bit for bit
+        # the inequality matrix that each Cholesky test reads one triangle of
+        # is exactly Hermitian: it is the oracle's matrix, filled entry by
+        # entry from its lower triangle, bit for bit, and its least eigenvalue
+        # is min_eigenvalue's with no Hermitised copy
         rng = np.random.default_rng(sum(map(ord, text)))
         e = parse(text)
         for n in range(3):
             for m in (6, 12):
                 pts = _jury_points(rng, m)
-                images = e.eval(np.array(pts))
-                base, moved = gram_matrix(n, pts), gram_matrix(n, images)
+                base, moved = _jury_matrices(e, n, pts)
                 for M in (0.5, 1.0, 1.7):
-                    assert jury_min_eig(e, n, M, pts) == min_eigenvalue(M**2 * base - moved)
+                    S = M**2 * base - moved
+                    assert np.array_equal(S, jury_matrix(e, n, M, pts))
+                    assert np.linalg.eigvalsh(S)[0] == min_eigenvalue(S)
 
     @pytest.mark.parametrize("bound", [
-        lambda e: jury_min_eig(e, 1, 1.0, []),
         lambda e: jury_min_m(e, 1, []),
         lambda e: caughran_lower_bound(e, 1, []),
-    ], ids=("jury_min_eig", "jury_min_m", "caughran_lower_bound"))
+    ], ids=("jury_min_m", "caughran_lower_bound"))
     def test_empty_point_set_refused(self, bound):
         # no point is no evidence: not an IndexError from eigvalsh, nor a bound of 0
         with pytest.raises(ValueError, match="^the kernel inequality needs at least one point$"):
             bound(parse("2*z+1"))
 
-    @pytest.mark.parametrize("bound", [
-        lambda e, n, pts: jury_min_eig(e, n, 1.0, pts),
-        jury_min_m,
-        caughran_lower_bound,
-    ], ids=("jury_min_eig", "jury_min_m", "caughran_lower_bound"))
+    @pytest.mark.parametrize("bound", [jury_min_m, caughran_lower_bound],
+                             ids=("jury_min_m", "caughran_lower_bound"))
     def test_order_past_the_closed_form_refused(self, bound):
         # the one order warranty, as gram_matrix words it; n = 16 is served
         e, pts = parse("2*z+1"), [1.0, 2.0 + 1.0j]
