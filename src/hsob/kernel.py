@@ -32,7 +32,12 @@ integrating term by term, which collapses to
   recurrence.
 
 Adaptive 1-D quadrature of the split integral, :func:`kernel_eval_quadrature`,
-is its independent check.  On the rule's elements both routes integrate the
+is its independent check.  At unit scale one of its two terms has a pole at
+distance rho = min(|z|, |w|)/max(|z|, |w|) from u = 0.  Below rho = c/2, with
+c = 1/4, the route splits (0, 1) at u = c and maps the head (0, c)
+logarithmically, u = rho expm1(s log1p(c/rho)) for s in (0, 1), so each
+decade between rho and c gets the same share of s; at rho >= c/2 it is one
+adaptive integral in u.  On the rule's elements both routes integrate the
 same integrand, the one by a fixed rule and the other adaptively, so there
 the independent check is the accuracy map against 30-digit mpmath
 references.  Every entry point takes the package's one order warranty
@@ -51,7 +56,7 @@ import cmath
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gamma, pi, sqrt
+from math import comb, expm1, factorial, gamma, log1p, pi, sqrt
 
 import numpy as np
 
@@ -277,19 +282,46 @@ def _p_eval(n: int, u: np.ndarray) -> np.ndarray:
     return p
 
 
+#: where the quadrature route splits (0, 1) when it maps the head logarithmically;
+#: it maps at ratios below half of it
+_SPLIT = 0.25
+
+
 def kernel_eval_quadrature(n: int, z: complex, w: complex) -> complex:
     """K_n(z, w) by adaptive quadrature of the Duffy-split 1-D integral, 0 <= n <= 16.
 
     The integral runs at max(|z|, |w|) = 1 through K_n(cz, cw) = K_n(z, w)/c,
     so the absolute tolerance stays small against the value whatever the
-    size of the arguments.  There the integrand reaches
-    max(|z|, |w|)/min(|z|, |w|), so a ratio at which that overflows is refused.
+    size of the arguments.  There one of 1/(a + u b) and 1/(b + u a) has its
+    pole at distance rho = min(|z|, |w|)/max(|z|, |w|) from u = 0; call its
+    arguments small (modulus rho) and big (modulus 1).  At rho >= c/2, with
+    c = 1/4, (0, 1) is one adaptive integral in u.  Below, (0, 1) splits at
+    u = c, and each part is one adaptive integral: the tail (c, 1) in u, and
+    the head (0, c) in s on (0, 1) through the geometrically graded map
+
+        u = rho t,  t = expm1(s L),  L = log1p(c/rho),  du = L (u + rho) ds,
+
+    which spreads the pole's neighbourhood, from u = 0 to u = c, evenly over
+    s (Schwab, Computing 53, 1994).  There the near-pole term times the
+    Jacobian is L (t + 1)/(small/rho + t big), with small/rho of unit
+    modulus, so no factor 1/rho is formed.  Its pole sits at
+    t = -small/(rho big), and t is measured from the node s_p where t passes
+    the pole's real part, t = t_p + (t_p + 1) expm1((s - s_p) L), so that
+    small/rho + t big keeps its relative precision next to the pole: two
+    arguments near the same half of the imaginary axis put the pole close to
+    the real line.  A ratio below 1/DBL_MAX, about 5.6e-309, is refused: there
+    the unmapped integrand at unit scale, and c/rho, would overflow.  At n = 0
+    the value is 1/(z + conj(w)); one past the largest double raises
+    :func:`kernel_eval_closed`'s ``ValueError``, naming z.
     """
     _check_order(n)
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
     if n == 0:
-        return 1.0 / (z + w.conjugate())
+        value = 1.0 / (z + w.conjugate())
+        if not cmath.isfinite(value):
+            raise _KernelOverflow(z)
+        return value
     scale = max(abs(z), abs(w))
     ratio = min(abs(z), abs(w)) / scale
     if ratio * sys.float_info.max < 1.0:
@@ -303,7 +335,26 @@ def kernel_eval_quadrature(n: int, z: complex, w: complex) -> complex:
         u = np.asarray(u, dtype=float)
         return _p_eval(n, u) * (1.0 / (a + u * b) + 1.0 / (b + u * a))
 
-    value = integrate_interval(integrand, 0.0, 1.0).value
+    if ratio >= _SPLIT / 2:
+        value = integrate_interval(integrand, 0.0, 1.0).value
+    else:
+        small, big = (a, b) if abs(z) <= abs(w) else (b, a)
+        unit = small / ratio
+        span = log1p(_SPLIT / ratio)
+        # t - t_pole from s - s_pole, exact next to s_pole; the pole has |t| = 1
+        s_pole = log1p(max((-unit / big).real, 0.0)) / span
+        t_pole = expm1(s_pole * span)
+        near = unit + t_pole * big
+
+        def head(s):
+            d = (t_pole + 1.0) * np.expm1((np.asarray(s, dtype=float) - s_pole) * span)
+            t = t_pole + d
+            u = ratio * t
+            return span * _p_eval(n, u) * ((t + 1.0) / (near + d * big)
+                                           + (u + ratio) / (big + u * small))
+
+        value = (integrate_interval(head, 0.0, 1.0).value
+                 + integrate_interval(integrand, _SPLIT, 1.0).value)
     return complex(value / (factorial(n - 1) ** 2 * scale))
 
 
@@ -328,12 +379,16 @@ def kernel_norm(n: int, z: complex) -> float:
 
     For n >= 1 it is taken at unit scale, sqrt(K_n(u, u)) / sqrt|z| with
     u = z/|z| (K_n(cz, cz) = K_n(z, z)/c), so the norm stays finite where
-    K_n(z, z) itself overflows, as it does below |z| of about 1e-308.
+    K_n(z, z) itself overflows, as it does below |z| of about 1e-308.  Past
+    the largest double, where |z| itself overflows, it is ||K_{n,z/4}||/2.
     """
     z = _require_halfplane(z, "z")
     if n == 0:
         return 1.0 / (sqrt(2.0) * sqrt(z.real))  # 2 Re z would overflow past 9e307
-    r = abs(z)
+    try:
+        r = abs(z)
+    except OverflowError:  # |z| past the largest double: ||K_{4z}|| = ||K_z||/2
+        return kernel_norm(n, z / 4) / 2
     return sqrt(kernel_diag(n, z / r)) / sqrt(r)
 
 
@@ -345,7 +400,10 @@ def norm_bounds(n: int, z: complex) -> tuple[float, float]:
     if n < 1:
         raise ValueError("the bounds hold for n >= 1")
     z = _require_halfplane(z, "z")
-    root = np.sqrt(abs(z))
+    try:
+        root = np.sqrt(abs(z))
+    except OverflowError:  # |z| past the largest double: sqrt|4z| = 2 sqrt|z|
+        root = 2 * np.sqrt(abs(z / 4))
     lower = 1.0 / (gamma(n) * np.sqrt(2 * n - 1)) / root
     upper = np.sqrt(pi) / (gamma(n) * np.sqrt(n)) / root
     return float(lower), float(upper)

@@ -131,6 +131,14 @@ class TestKernelCommands:
         assert payload["norm"] == kernel.kernel_norm(n, 1e-320)
         assert payload["lower_bound"] <= payload["norm"] <= payload["upper_bound"]
 
+    def test_norm_past_the_largest_double(self, capsys):
+        # |z| itself overflows here; the norm is ||K_{z/4}||/2
+        code, out = run_cli(capsys, "kernel", "norm", "--n", "1", "--z", "1.5e308+1.5e308i")
+        payload = strict_json(out)
+        assert code == 0
+        assert payload["norm"] == 8.687046884787415e-155
+        assert payload["lower_bound"] <= payload["norm"] <= payload["upper_bound"]
+
     @pytest.mark.parametrize("n, z", [(8, "1e-310"), (12, "5e-324")])
     def test_eval_at_subnormal_scale(self, capsys, n, z):
         # K_n(z, z) = K_n(1, 1)/z (5.13e301 at n = 8, z = 1e-310): finite, and
@@ -143,7 +151,9 @@ class TestKernelCommands:
         assert abs(json.loads(out)["value_re"] - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("argv", [("--n", "0", "--z", "1e-320", "--w", "1e-320"),
-                                      ("--n", "3", "--z", "1e-320", "--w", "1e-320")])
+                                      ("--n", "3", "--z", "1e-320", "--w", "1e-320"),
+                                      ("--n", "0", "--z", "1e-320", "--w", "1e-320",
+                                       "--method", "quadrature")])
     def test_eval_overflow_exits_one_silently(self, capsys, argv):
         # K_n past the largest double: one error line naming the point
         with warnings.catch_warnings():

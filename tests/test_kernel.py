@@ -137,12 +137,17 @@ BAND_WORST = {7: 1.02e-15, 8: 1.37e-15, 9: 1.35e-15, 10: 1.77e-15, 11: 1.85e-15,
               13: 2.29e-15, 14: 2.49e-15, 15: 3.03e-15, 16: 3.36e-15}
 #: relative error bound of the quadrature route against the map's references:
 #: the worst measured was 3.07e-12 (n = 11, the diagonal at arg z =
-#: -(pi/2 - 1e-6)); every case within 1e-6 of the axis read 2.6e-12 to
-#: 3.1e-12 at n >= 1, the others at most 1.29e-12 (n = 14, |z|/|w| = 1e-300),
-#: all well inside the route's rel_tol of 1e-9.  It refuses the subnormal
+#: -(pi/2 - 1e-6)); the cases within 1e-6 of the axis read 2.6e-12 to
+#: 3.1e-12 at n >= 1 where the route integrates (0, 1) in one piece
+#: (|z|/|w| = 0.45 and the diagonal) and 6.3e-13 to 6.9e-13 at 1e-4, where it
+#: maps the head; the others at most 4.6e-13 (n = 5, |z|/|w| = 1e-50), all
+#: well inside the route's rel_tol of 1e-9.  It refuses the subnormal
 #: ratio 1e-320 (the extreme at n = 1, 8, 15 and 16) by its overflow rule:
 #: at unit scale its integrand would reach 1e320
 QUAD_MAP_TOL = 4e-12
+#: min(|z|, |w|)/max(|z|, |w|) of the route-agreement grid: just under the
+#: quadrature route's switch at 1/8, down to its refusal at about 5.6e-309
+ROUTE_RATIOS = (0.124, 1e-3, 1e-8, 1e-100, 1e-300, 1e-305, 5.6e-309)
 #: the quadrature diagonal checks the closed-form one to its own accuracy: over
 #: n = 1..8 and |arg z| <= pi/2 - 1e-3 it is off by up to 2.1e-13 (n = 2,
 #: |arg z| = 1.452), where the closed form is within 1e-16 of the reference
@@ -449,6 +454,75 @@ class TestQuadratureAgreement:
         with pytest.raises(ValueError, match="finite"):
             gram_matrix(2, [math.inf, 1.0])
 
+    @pytest.mark.parametrize("n", (1, 2, 8, 16))
+    def test_routes_agree_down_to_the_refusal(self, n):
+        # both routes at min(|z|, |w|)/max(|z|, |w|) from just under the
+        # switch at 1/8 down to the refusal, at |arg| = pi/3, at the args
+        # -1.05 and 1.05, and with both arguments within 1e-6 of the same
+        # half of the axis, in both argument orders, to the route's rel_tol
+        for r in ROUTE_RATIOS:
+            for tz, tw in ((math.pi / 3, -math.pi / 3), (-1.05, 1.05), (MARGIN, MARGIN),
+                           (-MARGIN, -MARGIN)):
+                z, w = r * cmath.exp(1j * tz), cmath.exp(1j * tw)
+                for a, b in ((z, w), (w, z)):
+                    c = kernel_eval_closed(n, a, b)
+                    assert abs(c - kernel_eval_quadrature(n, a, b)) <= 1e-9 * abs(c), (r, tz, tw)
+
+    @pytest.mark.parametrize("n", (1, 8, 16))
+    def test_tiny_ratios_next_to_the_axis(self, n):
+        # at 1e-311 + 1e-305i against 1e-6 + i the pole of 1/(a + u b) lies
+        # about 1e-305 from u = 0 and 1e-311 from the real line, so that term
+        # would reach 1e311, and the mapped head never forms it; with both
+        # arguments near +i the mapped head's pole lies about 1e-10 from the
+        # real t-axis, closer than t = expm1(s L) resolves from s alone
+        for z, w in ((1e-311 + 1e-305j, 1e-6 + 1j), (1e-15 + 1e-5j, 1e-15 + 1j),
+                     (1e-16 + 1e-5j, 1e-16 + 1j)):
+            for a, b in ((z, w), (w, z)):
+                c = kernel_eval_closed(n, a, b)
+                assert abs(c - kernel_eval_quadrature(n, a, b)) <= 1e-9 * abs(c), (a, b)
+        if n == 1:
+            want = 3.1422939420 + 703.28845022j
+            q = kernel_eval_quadrature(1, 1e-311 + 1e-305j, 1e-6 + 1j)
+            assert abs(q - want) <= 1e-10 * abs(want)
+
+    def test_mapped_head_cost(self, monkeypatch):
+        # integrand nodes per route call at |arg| <= pi/3, in both argument
+        # orders: 90 at 1e-8 and 330-390 at 1e-300 with the mapped head,
+        # where bisecting (0, 1) toward the pole took 1485 and 59625.  At the
+        # switch 1/8 the route is one call on (0, 1), just below it two
+        calls = []
+        real = hsob.kernel.integrate_interval
+
+        def counted(f, a, b):
+            def g(x):
+                calls[-1][2] += len(x)
+                return f(x)
+
+            calls.append([a, b, 0])
+            return real(g, a, b)
+
+        monkeypatch.setattr(hsob.kernel, "integrate_interval", counted)
+        for r, bound in ((1e-8, 150), (1e-300, 600)):
+            for n in (1, 2, 8, 16):
+                for tz, tw in ((math.pi / 3, -math.pi / 3), (-1.05, 1.05)):
+                    z, w = r * cmath.exp(1j * tz), cmath.exp(1j * tw)
+                    for a, b in ((z, w), (w, z)):
+                        calls.clear()
+                        kernel_eval_quadrature(n, a, b)
+                        assert [c[:2] for c in calls] == [[0.0, 1.0], [0.25, 1.0]]
+                        assert sum(c[2] for c in calls) <= bound, (r, n, tz, tw)
+        for r, pieces in ((0.125, [[0.0, 1.0]]), (0.1249, [[0.0, 1.0], [0.25, 1.0]])):
+            calls.clear()
+            kernel_eval_quadrature(3, r, 1.0)
+            assert [c[:2] for c in calls] == pieces
+
+    def test_order_zero_overflow_is_refused(self):
+        # 1/(z + conj(w)) past the largest double raises the closed form's error
+        for route in (kernel_eval_closed, kernel_eval_quadrature):
+            with pytest.raises(ValueError) as err:
+                route(0, 1e-320, 1e-320)
+            assert str(err.value) == "kernel value at point (1e-320+0j) overflows"
+
 
 class TestSquareOracle:
     """The graded square rule on known integrals, then against the Duffy route."""
@@ -591,6 +665,16 @@ class TestDiagonalAndBounds:
         assert kernel_diag(n, pts[:0]).shape == (0,)
         with pytest.raises(ValueError):
             kernel_diag(n, np.append(pts, 1j))
+
+    @pytest.mark.parametrize("n", (1, 8, 16))
+    def test_norm_past_the_largest_double(self, n):
+        # |z| overflows at z = 1.5e308(1 + i), so its norm and bounds are
+        # taken at z/4 through ||K_{4z}|| = ||K_z||/2, a halving that changes no bit
+        z = 1.5e308 + 1.5e308j
+        assert kernel_norm(n, z) == kernel_norm(n, z / 4) / 2
+        assert norm_bounds(n, z) == tuple(bound / 2 for bound in norm_bounds(n, z / 4))
+        if n == 1:
+            assert kernel_norm(n, z) == 8.687046884787415e-155
 
     def test_bounds_examples(self):
         lo, hi = norm_bounds(1, 1.0)
