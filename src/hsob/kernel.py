@@ -29,7 +29,10 @@ integrating term by term, which collapses to
   pole -a/b lies at least 2 from 0, so the rule errs by O(rho^-24) with
   rho = 3 + 2 sqrt(2), about 2^-61 (:func:`_q_sum` derives the size).
   Elsewhere Q_0 is a difference of logs and the higher Q_m follow by
-  recurrence.
+  recurrence.  The lanes are split between the two branches once, by integer
+  index, and each lane comes out as it would alone, whatever its batch: so
+  :func:`gram_matrix` takes all its entries, and the kernel inequality both
+  its matrices, from one array call.
 
 Adaptive 1-D quadrature of the split integral, :func:`kernel_eval_quadrature`,
 is its independent check.  At unit scale one of its two terms has a pole at
@@ -193,12 +196,15 @@ def _q_sum(n: int, a: np.ndarray, b: np.ndarray, by_rule: np.ndarray) -> np.ndar
     (principal logs, no quotient to overflow at subnormal a) and the higher m
     follow upward.
     """
+    rule = np.flatnonzero(by_rule)
+    if len(rule) == len(a):
+        return _q_sum_rule(n, a, b)
+    if not len(rule):
+        return _q_sum_log(n, a, b)
+    log = np.flatnonzero(~by_rule)
     out = np.empty_like(a)
-    for branch, mask in ((_q_sum_rule, by_rule), (_q_sum_log, ~by_rule)):
-        if mask.all():
-            return branch(n, a, b)
-        if mask.any():
-            out[mask] = branch(n, a[mask], b[mask])
+    out[rule] = _q_sum_rule(n, a[rule], b[rule])
+    out[log] = _q_sum_log(n, a[log], b[log])
     return out
 
 
@@ -218,14 +224,15 @@ def _closed_form(n: int, z: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class _KernelOverflow(ValueError):
-    """A kernel value past the largest double, raised naming a point whose value it is."""
+    """A kernel value past the largest double, raised naming the point (or,
+    with ``name``, the image) whose value it is."""
 
-    def __init__(self, point: complex):
-        super().__init__(f"kernel value at point {point} overflows")
-        self.point = point
+    def __init__(self, point: complex, name: str = "point"):
+        super().__init__(f"kernel value at {name} {point} overflows")
 
 
-#: the factor that lifts a lane out of the subnormal range, a power of two so
+#: the factor that lifts a lane out of the subnormal range, or its inverse,
+#: which brings one down from past the largest double; a power of two, so
 #: that it changes no bit
 _LIFT = 2.0**600
 
@@ -236,9 +243,11 @@ def _kernel_values(n: int, z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bo
 
     numpy divides a complex array by way of the divisor's reciprocal, so a
     lane whose max(|z|, |w|) is subnormal comes out nan once 1/scale
-    overflows.  Such a lane is redone at 2^600 times its arguments, through
-    K_n(z, w) = c K_n(cz, cw).  Every finite lane of the first pass is kept
-    as it is, and a batch whose lanes are all finite costs one check.
+    overflows, and a lane whose |z| or |w| passes the largest double comes
+    out nan once scale is inf.  Such a lane is redone through
+    K_n(z, w) = c K_n(cz, cw), at c = 2^600 when max(|z|, |w|) <= 1 and at
+    c = 2^-600 above.  Every finite lane of the first pass is kept as it is,
+    and a batch whose lanes are all finite costs one check.
     """
     with np.errstate(all="ignore"):
         values = _closed_form(n, z, v)
@@ -246,7 +255,9 @@ def _kernel_values(n: int, z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bo
         if finite.all():
             return values, True
         redo = ~finite
-        values[redo] = _closed_form(n, z[redo] * _LIFT, v[redo] * _LIFT) * _LIFT
+        z, v = z[redo], v[redo]
+        lift = np.where(np.maximum(_modulus(z), _modulus(v)) <= 1.0, _LIFT, 1.0 / _LIFT)
+        values[redo] = _closed_form(n, z * lift, v * lift) * lift
     return values, bool(np.isfinite(values).all())
 
 
@@ -309,8 +320,8 @@ def kernel_eval_quadrature(n: int, z: complex, w: complex) -> complex:
     the pole's real part, t = t_p + (t_p + 1) expm1((s - s_p) L), so that
     small/rho + t big keeps its relative precision next to the pole: two
     arguments near the same half of the imaginary axis put the pole close to
-    the real line.  A ratio below 1/DBL_MAX, about 5.6e-309, is refused: there
-    the unmapped integrand at unit scale, and c/rho, would overflow.  At n = 0
+    the real line.  A ratio below 1/DBL_MAX, about 5.6e-309, is refused; the
+    c/rho of L overflows from c/DBL_MAX, about 1.4e-309, down.  At n = 0
     the value is 1/(z + conj(w)); one past the largest double raises
     :func:`kernel_eval_closed`'s ``ValueError``, naming z.
     """
@@ -326,8 +337,8 @@ def kernel_eval_quadrature(n: int, z: complex, w: complex) -> complex:
     ratio = min(abs(z), abs(w)) / scale
     if ratio * sys.float_info.max < 1.0:
         raise ValueError(f"the quadrature route cannot take min(|z|, |w|)/max(|z|, |w|) = "
-                         f"{ratio:.3g}: at unit scale its integrand reaches the inverse "
-                         "ratio, which overflows")
+                         f"{ratio:.3g}, below 1/DBL_MAX (about 5.6e-309): its head map's "
+                         "log1p(c/ratio), c = 1/4, overflows from about 1.4e-309 down")
     a = z / scale
     b = w.conjugate() / scale
 
@@ -409,26 +420,76 @@ def norm_bounds(n: int, z: complex) -> tuple[float, float]:
     return float(lower), float(upper)
 
 
+#: Gram matrices of up to this many points keep their lower-triangle indices
+#: between calls, four index arrays of m(m + 1)/2 entries for m points: 66 kB
+#: at 64 points, 1.5 MB if every size up to 64 were used.  A larger set builds
+#: its indices afresh and drops them after the call
+_TRIANGLE_CACHE_MAX = 64
+
+
+def _triangle(m: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, below, above) of the lower triangle of an m x m matrix,
+    row by row: each entry's row and column, and its flat index and its
+    mirror's; cached read-only up to ``_TRIANGLE_CACHE_MAX`` points."""
+    return _cached_triangle(m) if m <= _TRIANGLE_CACHE_MAX else _build_triangle(m)
+
+
+def _build_triangle(m: int) -> tuple[np.ndarray, ...]:
+    rows, cols = np.nonzero(np.tri(m, dtype=bool))
+    return rows, cols, rows * m + cols, cols * m + rows
+
+
+@lru_cache(maxsize=None)
+def _cached_triangle(m: int) -> tuple[np.ndarray, ...]:
+    indices = _build_triangle(m)
+    for index in indices:
+        index.flags.writeable = False
+    return indices
+
+
+def _gram_matrices(n: int, *point_sets: tuple[str, np.ndarray]) -> list[np.ndarray]:
+    """The Gram matrix of each ``(name, points)`` set, points a validated 1-D
+    complex array, from one closed-form array call over the lower-triangle
+    lanes of all the sets.
+
+    Each lane comes out as it would alone, so every matrix is bit for bit the
+    one its set would give on its own.  The sets are checked in order: the
+    first whose matrix has a value past the largest double raises the
+    ``ValueError`` naming its first such point by the set's name.
+    """
+    triangles = [_triangle(len(points)) for _, points in point_sets]
+    z = np.concatenate([points[t[0]] for (_, points), t in zip(point_sets, triangles)])
+    v = np.concatenate([points[t[1]] for (_, points), t in zip(point_sets, triangles)]).conj()
+    lower, finite = _kernel_values(n, z, v)
+    matrices, start = [], 0
+    for (name, points), (rows, _, below, above) in zip(point_sets, triangles):
+        part = lower[start:start + len(rows)]
+        start += len(rows)
+        G = np.empty((len(points), len(points)), dtype=complex)
+        flat = G.reshape(-1)
+        flat[below] = part
+        flat[above] = part.conj()
+        if not finite:
+            overflow = ~np.isfinite(G).all(axis=1)
+            if overflow.any():
+                raise _KernelOverflow(complex(points[np.argmax(overflow)]), name)
+        matrices.append(G)
+    return matrices
+
+
 def gram_matrix(n: int, points) -> np.ndarray:
     """Hermitian Gram matrix G[i, j] = K_n(z_i, z_j) over points of C+, n <= 16.
 
     Each lower-triangle entry is :func:`kernel_eval_closed` bit for bit: all
-    of them come from one closed-form array call.
+    of them come from one closed-form array call, which the kernel
+    inequality's two matrices share (:func:`hsob.symbols.jury_min_m`).
     Each entry above the diagonal is exactly the conjugate of its mirror
     entry, and the diagonal is real, so ``G == G.conj().T`` holds bit for bit.
     A point next to 0, where K_n(z, z) passes the largest double, raises a
     ``ValueError`` naming it, with numpy's warnings kept off.
     """
     _check_order(n)
-    pts = _require_halfplane(points, "point")
-    rows, cols = np.nonzero(np.tri(len(pts), dtype=bool))
-    G = np.empty((len(pts), len(pts)), dtype=complex)
-    lower, finite = _kernel_values(n, pts[rows], pts[cols].conj())
-    G[rows, cols] = lower
-    G[cols, rows] = lower.conj()
-    if not finite:
-        raise _KernelOverflow(complex(pts[np.argmax(~np.isfinite(G).all(axis=1))]))
-    return G
+    return _gram_matrices(n, ("point", _require_halfplane(points, "point")))[0]
 
 
 def min_eigenvalue(matrix: np.ndarray) -> float:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jets import Jet, JetDomainError, guard, masked, on_cut, principal_power
-from .kernel import _KernelOverflow, _in_halfplane, _require_halfplane, gram_matrix
+from .kernel import _gram_matrices, _in_halfplane, _require_halfplane
 from .specfun import _check_order
 
 __all__ = [
@@ -518,20 +518,24 @@ JURY_RESOLUTION = 2.0**-30
 
 
 def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarray]:
-    """The two Hermitian matrices of the kernel inequality, built once.
+    """The two Hermitian matrices of the kernel inequality, built once, in one
+    closed-form array call.
 
     Checks that there is a point, that every point and every image is a
     finite point of C+ (the kernel's one domain rule, with no margin from the
-    imaginary axis) and that no kernel value overflows (K_n(z, z) grows
-    without bound as z nears 0), then returns ``(base, moved)`` with
-    base[i, j] = K_n(z_i, z_j) and moved[i, j] = K_n(phi(z_i), phi(z_j)).
-    Neither depends on M: the inequality at M is the matrix M^2 * base - moved;
-    ``gram_matrix`` refuses an order outside the warranty 0..16.
+    imaginary axis), that the order lies in the warranty 0..16 and that no
+    kernel value overflows (K_n(z, z) grows without bound as z nears 0), then
+    returns ``(base, moved)`` with base[i, j] = K_n(z_i, z_j) and
+    moved[i, j] = K_n(phi(z_i), phi(z_j)), each bit for bit the
+    ``gram_matrix`` of its points.  Neither depends on M: the inequality at M
+    is the matrix M^2 * base - moved.
     The images come from one array evaluation; at the first point that fails,
     the point is checked before its image, and the error is the one a
     point-by-point check raises: a nan image marks a point where phi raises,
     and the point's own evaluation raises that error there, while an image
-    that overflows is a ``ValueError`` naming the point.
+    that overflows is a ``ValueError`` naming the point.  A kernel value that
+    overflows names its point, and one of ``base`` wins over one of ``moved``,
+    which names its image.
     """
     zs = np.array([complex(z) for z in points], dtype=complex)
     if not len(zs):
@@ -547,11 +551,8 @@ def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarra
         if not cmath.isfinite(u):
             raise ValueError(f"image of point {z} is not finite")
         _require_halfplane(u, "image")
-    base = gram_matrix(n, zs)
-    try:
-        moved = gram_matrix(n, images)
-    except _KernelOverflow as err:
-        raise ValueError(f"kernel value at image {err.point} overflows") from None
+    _check_order(n)
+    base, moved = _gram_matrices(n, ("point", zs), ("image", images))
     return base, moved
 
 
@@ -576,10 +577,11 @@ def jury_min_m(e: SymbolExpr, n: int, points) -> float:
     """Least M making the sampled kernel inequality hold on these points.
 
     A lower bound for the operator norm that grows toward it as the point set
-    refines.  Both Gram matrices are built once, and M is admissible when the
-    Cholesky factorisation of S = M^2 * base - moved + tol * I succeeds,
-    tol = JURY_TOL * max_i moved_ii (a failed one is the answer "no"); each
-    test forms that matrix in one reused buffer.  The search has three stages:
+    refines.  Both Gram matrices are built once, in one closed-form array
+    call, and M is admissible when the Cholesky factorisation of
+    S = M^2 * base - moved + tol * I succeeds, tol = JURY_TOL * max_i moved_ii
+    (a failed one is the answer "no"); each test forms that matrix in one
+    reused buffer.  The search has three stages:
 
     * bracket: from the diagonal bound sqrt(max_i (moved_ii - tol) / base_ii),
       below which some diagonal entry is negative and no M is admissible, the

@@ -16,6 +16,8 @@ route:
   the production form that takes both orders in one array pass, bit for bit;
 * the disc norm with one integrand call per circle, against
   ``disc_h2_norm``'s one call on all three circles, bit for bit;
+* the kernel inequality's two Gram matrices from one ``gram_matrix`` call
+  each, against the jury's one closed-form array call over both, bit for bit;
 * the least admissible M of the kernel inequality by 80 eigenvalue bisection
   steps, each on a rebuilt matrix, against ``jury_min_m`` to its resolution;
 * jet composition by Horner substitution, against the n-th derivative of a
@@ -301,16 +303,22 @@ def disc_norm_per_circle(g, nodes: int = DISC_NODES) -> float:
 # The kernel inequality, rebuilt on every bisection step
 
 
+def jury_matrices_two_calls(e, n: int, points) -> tuple[np.ndarray, np.ndarray]:
+    """``(base, moved)`` of the kernel inequality from one ``gram_matrix`` call
+    on the points and one on their images, the images from one array
+    evaluation as the library's; each closed-form lane is computed on its
+    own, so the jury's one call over both sets gives these bit for bit."""
+    pts = np.array([complex(z) for z in points])
+    return gram_matrix(n, pts), gram_matrix(n, e.eval(pts))
+
+
 def jury_matrix(e, n: int, M: float, points) -> np.ndarray:
     """M^2 K_n(z_i, z_j) - K_n(phi(z_i), phi(z_j)), filled entry by entry from
     the lower triangle with each mirror entry its conjugate."""
     # gram_matrix is bit for bit the scalar kernel_eval_closed of each entry
-    # (TestGram in test_kernel.py); the images come from the same array
-    # evaluation as the library's
-    pts = [complex(z) for z in points]
-    images = e.eval(np.array(pts))
-    base, moved = gram_matrix(n, pts), gram_matrix(n, images)
-    m = len(pts)
+    # (TestGram in test_kernel.py)
+    base, moved = jury_matrices_two_calls(e, n, points)
+    m = len(base)
     A = np.zeros((m, m), dtype=complex)
     for i in range(m):
         for j in range(i + 1):

@@ -29,8 +29,8 @@ from hsob import (
     reproduce_check,
     verify,
 )
-from hsob.kernel import (_RULE, _RULE_NODES, _closed_form, _derived_coefficients, _p_eval,
-                         _rule_weights)
+from hsob.kernel import (_RULE, _RULE_NODES, _TRIANGLE_CACHE_MAX, _cached_triangle, _closed_form,
+                         _derived_coefficients, _p_eval, _rule_weights)
 from hsob.specfun import MAX_ORDER
 from oracles import closed_form_two_calls, i_theta, legendre
 
@@ -135,15 +135,17 @@ BAND_CASES = tuple((r, tz, tw) for r in (0.54, 0.6, 0.75, 0.88)
 #: Q_m on the log branch, not from the final sum (condition about 2)
 BAND_WORST = {7: 1.02e-15, 8: 1.37e-15, 9: 1.35e-15, 10: 1.77e-15, 11: 1.85e-15, 12: 2.18e-15,
               13: 2.29e-15, 14: 2.49e-15, 15: 3.03e-15, 16: 3.36e-15}
-#: relative error bound of the quadrature route against the map's references:
-#: the worst measured was 3.07e-12 (n = 11, the diagonal at arg z =
+#: bound on the quadrature route's relative error on the map's cases, a
+#: figure sampled there and not the route's accuracy, which is its rel_tol of
+#: 1e-9: the worst measured was 3.07e-12 (n = 11, the diagonal at arg z =
 #: -(pi/2 - 1e-6)); the cases within 1e-6 of the axis read 2.6e-12 to
 #: 3.1e-12 at n >= 1 where the route integrates (0, 1) in one piece
 #: (|z|/|w| = 0.45 and the diagonal) and 6.3e-13 to 6.9e-13 at 1e-4, where it
-#: maps the head; the others at most 4.6e-13 (n = 5, |z|/|w| = 1e-50), all
-#: well inside the route's rel_tol of 1e-9.  It refuses the subnormal
-#: ratio 1e-320 (the extreme at n = 1, 8, 15 and 16) by its overflow rule:
-#: at unit scale its integrand would reach 1e320
+#: maps the head; the others at most 4.6e-13 (n = 5, |z|/|w| = 1e-50).  Off
+#: the cases it reads more: at n = 1 with both arguments at arg MARGIN, 6.0e-12
+#: at |z|/|w| = 0.25, 6.7e-12 at 0.5 and 2.6e-11 at 0.501.  The route refuses
+#: the subnormal ratio 1e-320 (the extreme at n = 1, 8, 15 and 16), below its
+#: floor of 1/DBL_MAX
 QUAD_MAP_TOL = 4e-12
 #: min(|z|, |w|)/max(|z|, |w|) of the route-agreement grid: just under the
 #: quadrature route's switch at 1/8, down to its refusal at about 5.6e-309
@@ -415,17 +417,19 @@ class TestQuadratureAgreement:
 
     @pytest.mark.parametrize("n", (1, 2, 9, 16))
     def test_quadrature_refuses_overflowing_ratio(self, n):
-        # at unit scale the Duffy integrand reaches max(|z|, |w|)/min(|z|, |w|),
-        # which overflows below a ratio of about 5.6e-309; the refusal names
-        # the ratio min/max that it tested, in either argument order
+        # the route takes ratios down to 1/DBL_MAX, about 5.6e-309; c/ratio in
+        # its head map's log1p(c/ratio) overflows from about 1.4e-309 down.
+        # The refusal names the ratio min/max that it tested, in either
+        # argument order
         for z, w, shown in ((1e-320, 1.0, "1e-320"), (1.0, 5e-309, "5e-309"),
                             (1e-300, 1e10, "1e-310")):
             for a, b in ((z, w), (w, z)):
                 with pytest.raises(ValueError) as err:
                     kernel_eval_quadrature(n, a, b)
                 assert str(err.value) == (
-                    f"the quadrature route cannot take min(|z|, |w|)/max(|z|, |w|) = {shown}: "
-                    "at unit scale its integrand reaches the inverse ratio, which overflows")
+                    f"the quadrature route cannot take min(|z|, |w|)/max(|z|, |w|) = {shown}, "
+                    "below 1/DBL_MAX (about 5.6e-309): its head map's log1p(c/ratio), c = 1/4, "
+                    "overflows from about 1.4e-309 down")
         q = kernel_eval_quadrature(n, 5.6e-309, 1.0)
         assert abs(q - kernel_eval_closed(n, 5.6e-309, 1.0)) <= 1e-9 * abs(q)
 
@@ -676,6 +680,22 @@ class TestDiagonalAndBounds:
         if n == 1:
             assert kernel_norm(n, z) == 8.687046884787415e-155
 
+    def test_values_past_the_largest_double(self):
+        # |z| overflows at z = 1.5e308(1 + i), and the closed form's lanes
+        # there are redone at 2^-600 times their arguments: the values
+        # underflow, as K_n(4z, 4z) = K_n(z, z)/4 gives them, and none raises.
+        # A Gram entry may sit one subnormal step off, where dividing by 4
+        # rounds.  n = 0, where z + conj(w) itself overflows, is left out
+        z = 1.5e308 + 1.5e308j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0 < kernel_diag(2, z) < 1e-308
+            for n in range(1, MAX_ORDER + 1):
+                assert kernel_diag(n, z) == kernel_diag(n, z / 4) / 4, n
+                assert kernel_eval_closed(n, z, z) == kernel_eval_closed(n, z / 4, z / 4) / 4, n
+                got, want = gram_matrix(n, [z, 1.0]), gram_matrix(n, [z / 4, 0.25]) / 4
+                assert (np.abs(got - want) <= 1e-15 * np.abs(want) + 5e-324).all(), n
+
     def test_bounds_examples(self):
         lo, hi = norm_bounds(1, 1.0)
         assert (lo, hi) == (1.0, math.sqrt(math.pi))
@@ -778,6 +798,27 @@ class TestGram:
         for i, z in enumerate(pts):
             for j in range(i):
                 assert G[i, j] == kernel_eval_closed(n, z, pts[j])
+
+    def test_one_closed_form_call_per_matrix(self, monkeypatch):
+        # one _kernel_values call per matrix, on each side of the index
+        # cache's bound; past it the indices are built for the call and not
+        # kept, and the entries are the closed form's lanes bit for bit
+        calls, values = [], hsob.kernel._kernel_values
+        monkeypatch.setattr(hsob.kernel, "_kernel_values",
+                            lambda *args: calls.append(1) or values(*args))
+        rng = np.random.default_rng(32)
+        for m in (1, 8, _TRIANGLE_CACHE_MAX, _TRIANGLE_CACHE_MAX + 1, 200):
+            pts = 10 ** rng.uniform(-3, 3, m) * np.exp(1j * rng.uniform(-1.5, 1.5, m))
+            cached = _cached_triangle.cache_info().currsize
+            calls.clear()
+            G = gram_matrix(2, pts)
+            assert len(calls) == 1
+            if m > _TRIANGLE_CACHE_MAX:
+                assert _cached_triangle.cache_info().currsize == cached
+            rows, cols = np.tril_indices(m)
+            want = closed_form_two_calls(2, pts[rows], pts[cols].conj())
+            assert G[rows, cols].tobytes() == np.where(rows == cols, want.conj(), want).tobytes()
+            assert G[cols, rows].tobytes() == want.conj().tobytes()
 
     def test_single_point(self):
         G = gram_matrix(1, [1.0])

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hsob import symbols
+from hsob import kernel, symbols
 from hsob import (
     BranchViolation,
     Jet,
@@ -39,7 +39,8 @@ from hsob.symbols import (
 )
 
 import scalar_route
-from oracles import compose, faa_di_bruno, jury_matrix, jury_min_m_bisection
+from oracles import (compose, faa_di_bruno, jury_matrices_two_calls, jury_matrix,
+                     jury_min_m_bisection)
 
 EPS = np.finfo(float).eps
 #: the symbols of acceptance criterion 12's classification table
@@ -136,6 +137,15 @@ SCALE_POINTS = [1, 1.2 + 0.1j, 0.9 - 0.2j, 1.1, 1.05 + 0.05j, 0.95]
 
 def _jury_points(rng, m):
     return [complex(rng.uniform(0.3, 4.0), rng.uniform(-2.0, 2.0)) for _ in range(m)]
+
+
+def _near_axis_points():
+    # 12 seeded points and 8 near -2i, where z + (0.3+2i) sends them next to
+    # the imaginary axis: base is numerically singular on them from n = 5
+    rng = np.random.default_rng(1)
+    x, y = rng.uniform(0.05, 3.0, 12), rng.uniform(-3.0, 3.0, 12)
+    near = np.logspace(-3.0, -0.5, 8) + 1j * (-2.0 + np.linspace(-0.3, 0.3, 8))
+    return list(x + 1j * y) + list(near)
 
 
 def _assert_within_resolution_of_oracle(e, n, pts, M):
@@ -593,13 +603,9 @@ class TestJury:
         for n in range(MAX_ORDER + 1)])
     def test_bound_finite_on_near_axis_points(self, n):
         # z + (0.3+2i) is bounded on every H_2^(n), with norm at most
-        # 6.7413^n; on 12 seeded points and 8 near -2i, base is numerically
-        # singular from n = 5, no M passes the Cholesky test below 1e12 and
-        # the bound is inf
-        rng = np.random.default_rng(1)
-        x, y = rng.uniform(0.05, 3.0, 12), rng.uniform(-3.0, 3.0, 12)
-        near = np.logspace(-3.0, -0.5, 8) + 1j * (-2.0 + np.linspace(-0.3, 0.3, 8))
-        M = jury_min_m(parse("z+(0.3+2i)"), n, list(x + 1j * y) + list(near))
+        # 6.7413^n; on these points base is numerically singular from n = 5,
+        # no M passes the Cholesky test below 1e12 and the bound is inf
+        M = jury_min_m(parse("z+(0.3+2i)"), n, _near_axis_points())
         assert math.isfinite(M) and M <= 6.7413**n
 
     def test_margin_validation(self):
@@ -644,10 +650,12 @@ class TestJury:
     @pytest.mark.parametrize("text, pts, message", [
         ("2*z+1", [1.0, 1e-310], r"^kernel value at point \(1e-310\+0j\) overflows$"),
         ("1e-300*z", [1.0, 1e-10], r"^kernel value at image \(1e-310\+0j\) overflows$"),
+        ("1e-300*z+1e-320", [1e-10, 1e-310], r"^kernel value at point \(1e-310\+0j\) overflows$"),
     ])
     def test_overflowing_kernel_value_names_its_point(self, text, pts, message):
         # K_n(z, z) passes the largest double next to 0: an error, not a nan
-        # bound or a wrong eigenvalue, and numpy stays silent
+        # bound or a wrong eigenvalue, and numpy stays silent.  Where a point
+        # and an earlier point's image both overflow, the point is named
         e = parse(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -697,6 +705,47 @@ class TestJury:
         assert math.isfinite(bound(e, 16, pts))
         with pytest.raises(ValueError, match=r"^the order must lie in 0\.\.16, got 17$"):
             bound(e, 17, pts)
+
+
+class TestJuryMatricesOnePass:
+    """The jury's two Gram matrices come from one closed-form array call, bit
+    for bit as one ``gram_matrix`` call for each."""
+
+    @staticmethod
+    def _sets(rng):
+        # point sets drawn as the symbol workload draws them, one of each of
+        # its sizes per symbol in turn; direction 5's near-axis points; sets
+        # with |z| spread over 1e-8..1e8
+        texts = CRITERION_12_ROWS + AFFINE_MAPS
+        for i, text in enumerate(texts):
+            yield parse(text), _jury_points(rng, (6, 7, 8, 12)[i % 4])
+        yield parse("z+(0.3+2i)"), _near_axis_points()
+        for text in texts:
+            yield parse(text), list(10 ** rng.uniform(-8, 8, 12) * np.exp(1j * rng.uniform(-1.5, 1.5, 12)))
+
+    @pytest.mark.parametrize("n", range(MAX_ORDER + 1))
+    def test_one_pass_equals_two_gram_calls_exactly(self, n, monkeypatch):
+        # the matrices by tobytes(), and both bounds exactly as the oracle's
+        # matrices make them
+        for e, pts in self._sets(np.random.default_rng(3200 + n)):
+            got, want = _jury_matrices(e, n, pts), jury_matrices_two_calls(e, n, pts)
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+            bounds = jury_min_m(e, n, pts), caughran_lower_bound(e, n, pts)
+            with monkeypatch.context() as patched:
+                patched.setattr(symbols, "_jury_matrices", jury_matrices_two_calls)
+                assert (jury_min_m(e, n, pts), caughran_lower_bound(e, n, pts)) == bounds
+
+    def test_one_closed_form_call_per_request(self, monkeypatch):
+        # a later refactor cannot split the pass without failing here
+        calls, values = [], kernel._kernel_values
+        monkeypatch.setattr(kernel, "_kernel_values", lambda *args: calls.append(1) or values(*args))
+        rng = np.random.default_rng(32)
+        for text in CRITERION_12_ROWS + AFFINE_MAPS:
+            for n in (0, 1, 2):
+                for bound in (jury_min_m, caughran_lower_bound):
+                    calls.clear()
+                    bound(parse(text), n, _jury_points(rng, 8))
+                    assert len(calls) == 1, (text, n, bound)
 
 
 class TestClassify:
