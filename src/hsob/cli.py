@@ -159,12 +159,16 @@ def _nonfinite_field(value, path: str) -> str | None:
 
 
 def _emit_json(path: str | None, payload: dict) -> None:
-    """Write a report as strict JSON; a NaN or infinite field is an error."""
+    """Write a report as strict JSON; a NaN or infinite field is an error,
+    named by walking the report only once ``json.dumps`` has refused it."""
     payload = {"schema": SCHEMA, **payload}
-    bad = _nonfinite_field(payload, "")
-    if bad:
-        raise ValueError(f"report field {bad} is not a finite number")
-    text = json.dumps(payload, indent=2, allow_nan=False)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        bad = _nonfinite_field(payload, "")
+        if not bad:
+            raise
+        raise ValueError(f"report field {bad} is not a finite number") from None
     _emit(path, text.replace(json.dumps(_DIVERGENT), "1e999"))
 
 

@@ -244,17 +244,20 @@ def _kernel_values(n: int, z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bo
     numpy divides a complex array by way of the divisor's reciprocal, so a
     lane whose max(|z|, |w|) is subnormal comes out nan once 1/scale
     overflows, and a lane whose |z| or |w| passes the largest double comes
-    out nan once scale is inf.  Such a lane is redone through
+    out nan once scale is inf.  At n = 0 a lane near the top of the double
+    range comes out 0 once z + conj(w), or a product inside numpy's division
+    by it, overflows; 1/(z + conj(w)) is never 0 for finite z and w, since
+    |z + conj(w)| < 2^1026.  Such a lane is redone through
     K_n(z, w) = c K_n(cz, cw), at c = 2^600 when max(|z|, |w|) <= 1 and at
-    c = 2^-600 above.  Every finite lane of the first pass is kept as it is,
-    and a batch whose lanes are all finite costs one check.
+    c = 2^-600 above.  Every other lane of the first pass is kept as it is,
+    and a batch with no lane to redo costs one check at n >= 1, two at n = 0.
     """
     with np.errstate(all="ignore"):
         values = _closed_form(n, z, v)
-        finite = np.isfinite(values)
-        if finite.all():
+        kept = np.isfinite(values) if n else np.isfinite(values) & (values != 0)
+        if kept.all():
             return values, True
-        redo = ~finite
+        redo = ~kept
         z, v = z[redo], v[redo]
         lift = np.where(np.maximum(_modulus(z), _modulus(v)) <= 1.0, _LIFT, 1.0 / _LIFT)
         values[redo] = _closed_form(n, z * lift, v * lift) * lift
@@ -322,17 +325,14 @@ def kernel_eval_quadrature(n: int, z: complex, w: complex) -> complex:
     arguments near the same half of the imaginary axis put the pole close to
     the real line.  A ratio below 1/DBL_MAX, about 5.6e-309, is refused; the
     c/rho of L overflows from c/DBL_MAX, about 1.4e-309, down.  At n = 0
-    the value is 1/(z + conj(w)); one past the largest double raises
-    :func:`kernel_eval_closed`'s ``ValueError``, naming z.
+    there is no integral, K_0(z, w) = 1/(z + conj(w)), and the two routes
+    coincide: this is :func:`kernel_eval_closed`, its value and its errors.
     """
     _check_order(n)
+    if n == 0:
+        return kernel_eval_closed(0, z, w)
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
-    if n == 0:
-        value = 1.0 / (z + w.conjugate())
-        if not cmath.isfinite(value):
-            raise _KernelOverflow(z)
-        return value
     scale = max(abs(z), abs(w))
     ratio = min(abs(z), abs(w)) / scale
     if ratio * sys.float_info.max < 1.0:

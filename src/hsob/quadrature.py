@@ -14,10 +14,11 @@ One engine runs both.  Each refinement step makes one call of the integrand
 on every node the step needs: the coarse cell and both its halves at the
 start, then the four quarters of each bisected cell.  The half-line is two
 pieces, the head on (0, T) and the tail pulled back to (0, 1), refined in
-lockstep with one call per step for both; each piece keeps its own cells,
-totals and stopping test.  An integrand whose value at a node does not depend
-on the other nodes of the call gets, cell for cell, the values, error
-estimates and bisection counts of one call per cell and one piece at a time.
+lockstep with one call per step for both; each piece keeps its own cells and
+stopping test, which sums the cells' values and errors on every step.  An
+integrand whose value at a node does not depend on the other nodes of the
+call gets, cell for cell, the values, error estimates and bisection counts of
+one call per cell and one piece at a time.
 An integrand maps an array of nodes to an array of values of the same shape;
 one that does not is a ``TypeError``.
 """
@@ -25,7 +26,6 @@ one that does not is a ``TypeError``.
 from __future__ import annotations
 
 import heapq
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,10 +105,6 @@ def _step_values(f, tails: list, xs: list) -> list:
     return values
 
 
-#: unit roundoff of a double, for the rounding slack of the running totals
-_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
-
-
 def _refine(a: float, b: float):
     """Globally adaptive refinement of one piece (a, b), as a generator.
 
@@ -118,10 +114,7 @@ def _refine(a: float, b: float):
     generator returns the :class:`QuadResult`, or raises
     :class:`QuadratureError` after ``MAX_SUBDIV`` bisections.
 
-    The stopping test compares the sums of the cells' values and errors, in
-    heap order.  Running totals stand in for those sums while they clear the
-    tolerance by more than their rounding drift; otherwise the heap is summed,
-    so the value, error and bisection count are those of summing the heap on
+    The stopping test sums the cells' values and errors, in heap order, on
     every step.
     """
     mid = 0.5 * (a + b)
@@ -129,44 +122,23 @@ def _refine(a: float, b: float):
     fine = left + right
     heap = [(-abs(coarse - fine), a, b, fine, left, right)]
     nsub = 1
-    # running sums of the cells' values, errors and |values|; drift and
-    # drift_err sum the magnitudes their updates rounded, each update three
-    # roundings of numbers no larger than the heap's sums before and after it
-    total, total_err, total_abs = heap[0][3], -heap[0][0], abs(heap[0][3])
-    drift = drift_err = 0.0
     while True:
-        # the running sums and the heap sums each stray from the exact sums by
-        # at most u (drift + cells * magnitude); four times that is the slack
-        cells = len(heap)
-        slack = 4 * _UNIT_ROUNDOFF * (drift_err + cells * total_err
-                                      + REL_TOL * (drift + cells * total_abs))
-        if not total_err > max(ABS_TOL, REL_TOL * abs(total)) + slack:
-            total = sum(c[3] for c in heap)
-            total_err = sum(-c[0] for c in heap)
-            if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
-                return QuadResult(total, total_err, nsub)
-            total_abs = sum(abs(c[3]) for c in heap)
-            drift = drift_err = 0.0
+        total = sum(c[3] for c in heap)
+        total_err = sum(-c[0] for c in heap)
+        if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
+            return QuadResult(total, total_err, nsub)
         if nsub >= MAX_SUBDIV:
-            total_err = sum(-c[0] for c in heap)
             raise QuadratureError(
                 f"interval rule did not converge after {nsub} subdivisions "
                 f"(error estimate {total_err:.3e})"
             )
-        neg_err, lo, hi, fine, left, right = heapq.heappop(heap)
+        _, lo, hi, _, left, right = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         q1, q2 = 0.5 * (lo + mid), 0.5 * (mid + hi)
         ll, lr, rl, rr = yield ((lo, q1), (q1, mid), (mid, q2), (q2, hi))
         first_fine, second_fine = ll + lr, rl + rr
-        first = (-abs(left - first_fine), lo, mid, first_fine, ll, lr)
-        second = (-abs(right - second_fine), mid, hi, second_fine, rl, rr)
-        heapq.heappush(heap, first)
-        heapq.heappush(heap, second)
-        total += first[3] + second[3] - fine
-        total_err += neg_err - first[0] - second[0]
-        total_abs += abs(first[3]) + abs(second[3]) - abs(fine)
-        drift += 3 * (total_abs + abs(fine))
-        drift_err += 3 * (total_err - neg_err)
+        heapq.heappush(heap, (-abs(left - first_fine), lo, mid, first_fine, ll, lr))
+        heapq.heappush(heap, (-abs(right - second_fine), mid, hi, second_fine, rl, rr))
         nsub += 2
 
 
@@ -174,11 +146,11 @@ def _lockstep(f, pieces: list) -> list:
     """Refine the pieces side by side, with one call of ``f`` per step.
 
     A piece is ``(a, b, T)``: ``f`` on (a, b) when T is None, else the tail
-    of ``f`` beyond T pulled back to (a, b).  Each piece keeps its own heap,
-    running totals and stopping test, and one that fails stops on its own.
-    The first failure in piece order is raised as soon as every piece before
-    it has converged, which is the failure that running the pieces one after
-    another would raise.  Returns the pieces' results in order.
+    of ``f`` beyond T pulled back to (a, b).  Each piece keeps its own heap
+    and stopping test, and one that fails stops on its own.  The first
+    failure in piece order is raised as soon as every piece before it has
+    converged, which is the failure that running the pieces one after another
+    would raise.  Returns the pieces' results in order.
     """
     for a, b, _ in pieces:
         if not b > a:

@@ -68,7 +68,9 @@ def hardy_constant(m: int) -> float:
 
 #: |x| up to which E_n is the Gauss-Legendre rule of its integral form
 E_N_RULE_RADIUS = 12.0
-#: nodes of that rule: its error at |x| = 12 is far below a double's rounding
+#: nodes of that rule: its truncation error at |x| = 12 is below a double's
+#: rounding, but numpy's leggauss weights at 32 nodes are off by up to 5.8e-14
+#: relative, which leaves a floor of about 2e-15 relative on E_n
 E_N_RULE_NODES = 32
 
 

@@ -685,14 +685,21 @@ class TestDiagonalAndBounds:
         # there are redone at 2^-600 times their arguments: the values
         # underflow, as K_n(4z, 4z) = K_n(z, z)/4 gives them, and none raises.
         # A Gram entry may sit one subnormal step off, where dividing by 4
-        # rounds.  n = 0, where z + conj(w) itself overflows, is left out
+        # rounds, and so may every value at n = 0, where z + conj(w) itself
+        # overflows: there the first pass reads 0, as does numpy's division
+        # by the finite z + 1 of the Gram entry
         z = 1.5e308 + 1.5e308j
+        step = math.ulp(0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert 0 < kernel_diag(2, z) < 1e-308
-            for n in range(1, MAX_ORDER + 1):
-                assert kernel_diag(n, z) == kernel_diag(n, z / 4) / 4, n
-                assert kernel_eval_closed(n, z, z) == kernel_eval_closed(n, z / 4, z / 4) / 4, n
+            assert kernel_eval_closed(0, 1e308, 1e308) == 5e-309
+            assert abs(kernel_diag(0, z) - float(1 / (2 * Fraction(z.real)))) <= step
+            for n in range(MAX_ORDER + 1):
+                slack = 0.0 if n else step
+                assert abs(kernel_diag(n, z) - kernel_diag(n, z / 4) / 4) <= slack, n
+                assert abs(kernel_eval_closed(n, z, z)
+                           - kernel_eval_closed(n, z / 4, z / 4) / 4) <= slack, n
                 got, want = gram_matrix(n, [z, 1.0]), gram_matrix(n, [z / 4, 0.25]) / 4
                 assert (np.abs(got - want) <= 1e-15 * np.abs(want) + 5e-324).all(), n
 

@@ -90,11 +90,10 @@ def _gl_cell(f, a, b, nodes, weights):
 def resumming_integrate(f, a, b):
     """The adaptive loop that sums every cell's value and error on each step.
 
-    A test-only reference for :func:`integrate_interval`, which keeps running
-    totals and evaluates all the cells of a step in one call; neither may
-    change its value, error or bisection count by a bit.  Here each cell is
-    one call of ``f``.  It reads the module constants when it runs, as the
-    engine does.
+    A test-only reference for :func:`integrate_interval`, which evaluates all
+    the cells of a step in one call; that may change no value, error or
+    bisection count by a bit.  Here each cell is one call of ``f``.  It reads
+    the module constants when it runs, as the engine does.
     """
     nodes, weights = _gl_rule(quadrature.NODES_PER_CELL)
 
@@ -159,21 +158,36 @@ def _kernel_integrand(n, a, b):
     return lambda u: _p_eval(n, u) * (1.0 / (a + u * b) + 1.0 / (b + u * a))
 
 
+def _shallow(t):
+    return np.exp(3j * t) / (0.05 + (t - 0.4) ** 2)
+
+
+def _wide(t):
+    # on (0, 50) it spends MAX_SUBDIV with about two thousand cells in the heap
+    return np.cos(3000.0 * t) * np.exp(t)
+
+
 class TestRunningTotals:
-    @pytest.mark.parametrize("cfg", [
-        {},
-        {"ABS_TOL": 1e-14, "REL_TOL": 1e-14},
-        {"ABS_TOL": 1e-6, "REL_TOL": 1e-3, "NODES_PER_CELL": 7},
-        {"ABS_TOL": 1e-15, "REL_TOL": 1e-15, "MAX_SUBDIV": 3},
+    """The engine against :func:`resumming_integrate`, outcome for outcome."""
+
+    @pytest.mark.parametrize("cfg, f, b", [
+        pytest.param({}, _shallow, 2.0, id="cfg0"),
+        pytest.param({"ABS_TOL": 1e-14, "REL_TOL": 1e-14}, _shallow, 2.0, id="cfg1"),
+        pytest.param({"ABS_TOL": 1e-6, "REL_TOL": 1e-3, "NODES_PER_CELL": 7}, _shallow, 2.0,
+                     id="cfg2"),
+        pytest.param({"ABS_TOL": 1e-15, "REL_TOL": 1e-15, "MAX_SUBDIV": 3}, _shallow, 2.0,
+                     id="cfg3"),
+        pytest.param({}, _wide, 50.0, id="wide_heap_failure"),
     ])
-    def test_shallow_integrand_matches_resumming_loop(self, monkeypatch, cfg):
+    def test_shallow_integrand_matches_resumming_loop(self, monkeypatch, cfg, f, b):
         set_constants(monkeypatch, cfg)
-        f = lambda t: np.exp(3j * t) / (0.05 + (t - 0.4) ** 2)
-        want = _outcome(resumming_integrate, f, 0.0, 2.0)
-        assert _outcome(integrate_interval, f, 0.0, 2.0) == want
+        want = _outcome(resumming_integrate, f, 0.0, b)
+        assert _outcome(integrate_interval, f, 0.0, b) == want
 
     def test_deep_kernel_integrand_matches_resumming_loop(self):
-        # kernel_eval_quadrature(8, 1e-300, 1): about a thousand bisections
+        # the Duffy integrand of K_8(1e-300, 1) at unit scale, unmapped over
+        # (0, 1): about a thousand bisections, a deeper heap than
+        # kernel_eval_quadrature builds, since it maps the head logarithmically
         f = _kernel_integrand(8, complex(1e-300), complex(1.0).conjugate())
         value, error, nsub = resumming_integrate(f, 0.0, 1.0)
         assert nsub > 500
