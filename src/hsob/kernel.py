@@ -231,6 +231,22 @@ class _KernelOverflow(ValueError):
         super().__init__(f"kernel value at {name} {point} overflows")
 
 
+def _failure(z: complex, w: complex, name: str = "point") -> ValueError:
+    """The error of the pair (z, w) whose closed-form value is not finite.
+
+    Where min(|z|, |w|)/max(|z|, |w|) rounds to 0, below the smallest
+    subnormal, the smaller unit-scale argument is 0 and the log branch reads
+    log 0, although K_n itself is finite: the error names that ratio and the
+    pair.  Otherwise K_n is past the largest double, named by z.
+    """
+    with np.errstate(over="ignore"):
+        small, big = sorted(float(_modulus(u)) for u in (z, w))
+    if small / big == 0:
+        return ValueError(f"the closed form cannot take min(|z|, |w|)/max(|z|, |w|) = 0, below "
+                          f"the smallest subnormal (about 4.9e-324), at {name}s {z} and {w}")
+    return _KernelOverflow(z, name)
+
+
 #: the factor that lifts a lane out of the subnormal range, or its inverse,
 #: which brings one down from past the largest double; a power of two, so
 #: that it changes no bit
@@ -239,7 +255,8 @@ _LIFT = 2.0**600
 
 def _kernel_values(n: int, z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
     """:func:`_closed_form` with numpy's warnings off, and whether every value
-    is finite; a value that is not is a K_n past the largest double.
+    is finite; a value that is not is a K_n past the largest double, or a
+    lane whose min(|z|, |w|)/max(|z|, |w|) rounds to 0 (:func:`_failure`).
 
     numpy divides a complex array by way of the divisor's reciprocal, so a
     lane whose max(|z|, |w|) is subnormal comes out nan once 1/scale
@@ -268,14 +285,15 @@ def kernel_eval_closed(n: int, z: complex, w: complex) -> complex:
     """Closed-form K_n(z, w) for 0 <= n <= 16, bitwise as :func:`gram_matrix` gives it.
 
     A value past the largest double raises the ``ValueError`` of
-    :func:`gram_matrix`, naming z.
+    :func:`gram_matrix`, naming z, and so does a pair whose
+    min(|z|, |w|)/max(|z|, |w|) rounds to 0, naming the ratio and the pair.
     """
     _check_order(n)
     z = _require_halfplane(z, "z")
     w = _require_halfplane(w, "w")
     values, finite = _kernel_values(n, np.array([z]), np.array([w.conjugate()]))
     if not finite:
-        raise _KernelOverflow(z)
+        raise _failure(z, w)
     return complex(values[0])
 
 
@@ -454,8 +472,10 @@ def _gram_matrices(n: int, *point_sets: tuple[str, np.ndarray]) -> list[np.ndarr
 
     Each lane comes out as it would alone, so every matrix is bit for bit the
     one its set would give on its own.  The sets are checked in order: the
-    first whose matrix has a value past the largest double raises the
-    ``ValueError`` naming its first such point by the set's name.
+    first whose matrix has a value that is not finite raises the
+    ``ValueError`` of its first row with one, by the set's name: the pair's
+    zero ratio when the row's first such entry has one, else the row's
+    point, whose kernel value passes the largest double.
     """
     triangles = [_triangle(len(points)) for _, points in point_sets]
     z = np.concatenate([points[t[0]] for (_, points), t in zip(point_sets, triangles)])
@@ -472,7 +492,9 @@ def _gram_matrices(n: int, *point_sets: tuple[str, np.ndarray]) -> list[np.ndarr
         if not finite:
             overflow = ~np.isfinite(G).all(axis=1)
             if overflow.any():
-                raise _KernelOverflow(complex(points[np.argmax(overflow)]), name)
+                i = np.argmax(overflow)
+                j = np.argmax(~np.isfinite(G[i]))
+                raise _failure(complex(points[i]), complex(points[j]), name)
         matrices.append(G)
     return matrices
 
@@ -486,7 +508,9 @@ def gram_matrix(n: int, points) -> np.ndarray:
     Each entry above the diagonal is exactly the conjugate of its mirror
     entry, and the diagonal is real, so ``G == G.conj().T`` holds bit for bit.
     A point next to 0, where K_n(z, z) passes the largest double, raises a
-    ``ValueError`` naming it, with numpy's warnings kept off.
+    ``ValueError`` naming it, and two points whose min(|z|, |w|)/max(|z|, |w|)
+    rounds to 0 raise one naming the ratio and the pair, with numpy's
+    warnings kept off.
     """
     _check_order(n)
     return _gram_matrices(n, ("point", _require_halfplane(points, "point")))[0]

@@ -25,9 +25,12 @@ a vanishing denominator is a masked lane, nan in every output, where a single
 point raises (see :mod:`hsob.jets`).  ``classify`` makes three array calls,
 the sweep of the imaginary axis and the real ray and two refinements, and one
 order-n jet per call serves the self-map check, the angular derivative, the
-radial supremum and every k.  A pass runs with numpy's overflow warnings off:
-a value or coefficient that overflows comes out inf or nan, as Python's
-complex arithmetic gives it at a single point, and a nan ratio is skipped.
+radial supremum and every k.  A refinement evaluates each quantity only on
+the points placed around its own argmax, and S_k's ratio is formed from
+moduli, |z|^k k! |c_k| / |phi|, in real arithmetic.  A pass runs with
+numpy's overflow warnings off: a value or coefficient that overflows comes
+out inf or nan, as Python's complex arithmetic gives it at a single point,
+and a nan ratio is skipped.
 The jury builds the two Gram matrices of the inequality once, from one
 array evaluation of the images, since neither depends on M; its points and
 images obey the kernel's one domain rule, finite with Re z > 0 and no margin
@@ -59,7 +62,7 @@ import numpy as np
 
 from .jets import Jet, JetDomainError, guard, masked, on_cut, principal_power
 from .kernel import _gram_matrices, _in_halfplane, _require_halfplane
-from .specfun import _check_order
+from .specfun import MAX_ORDER, _check_order
 
 __all__ = [
     "SymbolExpr",
@@ -417,7 +420,16 @@ ANGULAR_CAP = 1e6
 _t = np.logspace(*SWEEP_LOG10_RANGE, round(np.ptp(SWEEP_LOG10_RANGE) * SWEEP_PER_DECADE) + 1)
 #: the lower half of the axis, the upper half, then the real ray; read-only
 SWEEP = np.concatenate([AXIS_RE - 1j * _t[::-1], AXIS_RE + 1j * _t, _t + 0j])
-SWEEP.flags.writeable = False
+#: |SWEEP|, read-only
+SWEEP_ABS = np.abs(SWEEP)
+#: row p holds the factors 10**t of refinement pass p, t spread over
+#: +-(the previous pass's spacing in log10 |z|); read-only
+REFINE_OFFSETS = np.array([
+    10.0 ** np.linspace(-w, w, REFINE_POINTS) for w in np.cumprod(
+        [1.0 / SWEEP_PER_DECADE] + [2.0 / (REFINE_POINTS - 1)] * (REFINE_PASSES - 1))])
+SWEEP.flags.writeable = SWEEP_ABS.flags.writeable = REFINE_OFFSETS.flags.writeable = False
+#: k! for k = 0..MAX_ORDER, exact in a double
+_FACTORIALS = np.array([math.factorial(k) for k in range(MAX_ORDER + 1)], dtype=float)
 
 
 def _silently(fn, *args):
@@ -434,11 +446,12 @@ def _silently(fn, *args):
 def _supremum_estimate(fn, caps, first) -> np.ndarray:
     """Maxima of the rows of ``fn`` over the sweep, refined around each argmax.
 
-    ``fn`` maps a 1-D point array to q rows of ratios, shape (q, m), nan at
-    a point to skip; ``first`` is ``fn`` on ``SWEEP``.  Each pass puts a
-    row's points at its argmax times 10**t, t spread over +-(the previous
-    spacing in log10 |z|), on the argmax's half-axis or ray; one call of
-    ``fn`` serves all rows.  A row's maximum moves to the first maximum of a
+    ``first`` holds the q rows of ratios on ``SWEEP``, shape (q, m), nan at
+    a point to skip.  Each pass puts a row's points at its argmax times
+    ``REFINE_OFFSETS``' row for the pass, on the argmax's half-axis or ray,
+    and makes one call ``fn(block, rows)``: block j is the points of row
+    rows[j], and ``fn`` returns row rows[j]'s ratios on block j alone, in
+    the shape of ``block``.  A row's maximum moves to the first maximum of a
     pass, if larger.  Returns the q estimates: +inf past the row's cap in
     ``caps``, nan where no sweep point gave a value.
     """
@@ -454,18 +467,14 @@ def _supremum_estimate(fn, caps, first) -> np.ndarray:
         top = values[lanes, i]
         up = top > best[rows]
         best[rows[up]] = top[up]
-        best_z[rows[up]] = np.broadcast_to(points, values.shape)[lanes, i][up]
+        best_z[rows[up]] = (points[lanes, i] if points.ndim == 2 else points[i])[up]
 
     sweep(np.arange(len(first)), SWEEP, first)
     # a row without a sweep value gets no refinement
     rows = np.flatnonzero(best > -math.inf)
-    width = 1.0 / SWEEP_PER_DECADE
-    for _ in range(REFINE_PASSES if len(rows) else 0):
-        block = best_z[rows, None] * 10.0 ** np.linspace(-width, width, REFINE_POINTS)
-        values = _silently(fn, block.ravel())
-        # block j of the concatenated points belongs to rows[j]
-        sweep(rows, block, values[rows[:, None], np.arange(block.size).reshape(block.shape)])
-        width *= 2.0 / (REFINE_POINTS - 1)
+    for offsets in REFINE_OFFSETS if len(rows) else ():
+        block = best_z[rows, None] * offsets
+        sweep(rows, block, _silently(fn, block, rows))
     estimates = np.where(best > caps, math.inf, best)
     estimates[best == -math.inf] = math.nan
     return estimates
@@ -477,30 +486,58 @@ def _angular_ratio(z, phi):
     return np.where(ok, z.real / np.where(ok, phi.real, 1.0), math.nan)
 
 
-def _radial_ratio(z, phi):
-    """|z| / |phi(z)|; inf where phi = 0, nan on masked lanes."""
-    modulus = np.abs(phi)
+def _radial_ratio(modulus_z, modulus):
+    """|z| / |phi(z)| from the two moduli; inf where phi = 0, nan on masked lanes."""
     zero = modulus == 0
-    return np.where(zero, math.inf, np.abs(z) / np.where(zero, 1.0, modulus))
+    return np.where(zero, math.inf, modulus_z / np.where(zero, 1.0, modulus))
 
 
-def _derivative_ratios(z, jet: Jet, n: int):
-    """|z^k phi^(k)(z) / phi(z)| for k = 1..n, one row each.
+def _derivative_ratios(modulus_z, coeff, modulus, k):
+    """|z^k phi^(k)(z) / phi(z)| as |z|^k (k! |c_k| / |phi(z)|), in real arithmetic.
 
-    Row k reads only the value and coefficient k of the jet, so an order-n
-    jet gives every row bit for bit as an order-k jet would.  inf where
-    phi = 0; nan, a point to skip, where phi is nan (a masked lane, or a
-    value that overflowed while coefficient k did not) and where the ratio
-    overflows, as at a point where the power itself overflows.
+    ``coeff`` is the jet's coefficient c_k and ``modulus`` is |phi|; the
+    order k broadcasts against them, as a column of orders gives one row
+    each.  Row k reads only the value and coefficient k of the jet, so an
+    order-n jet gives every row bit for bit as an order-k jet would.  inf
+    where phi = 0; nan, a point to skip, where phi is nan (a masked lane)
+    and where the ratio overflows.  No complex power, product or quotient
+    is formed, so a point where z^k phi^(k) overflows but the ratio does
+    not keeps its value.
     """
-    phi = jet.value
-    zero = phi == 0
-    denom = np.where(zero, 1.0, phi)
+    zero = modulus == 0
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.array([np.abs(z**k * jet.derivative(k) / denom)
-                         for k in range(1, n + 1)]).reshape(n, len(z))
+        rows = modulus_z**k * (_FACTORIALS[k] * np.abs(coeff) / np.where(zero, 1.0, modulus))
     rows = np.where(np.isfinite(rows), rows, math.nan)
     return np.where(zero, math.inf, rows)
+
+
+def _ratio_rows(z, modulus_z, coeffs, rows):
+    """Rows ``rows`` of ``classify``'s ratios, from a jet's coefficients.
+
+    Row 0 is the angular ratio, row 1 the radial one and row k + 1 the k-th
+    derivative ratio; ``rows`` is sorted.  ``z`` and its modulus
+    ``modulus_z`` are either one row of m points that every row shares, with
+    ``coeffs`` of shape (order + 1, m), or one row of points per row, with
+    ``coeffs`` of shape (order + 1, len(rows), m): then row rows[j] is
+    evaluated on its own points alone.  Returns shape (len(rows), m).
+    """
+    own = np.ndim(z) == 2
+    i, j = np.searchsorted(rows, (1, 2))
+    angular, radial, derivative = slice(0, i), slice(i, j), slice(j, None)
+
+    def lanes(x, select):
+        return x[select] if own else x
+
+    phi = coeffs[0]
+    modulus = np.abs(phi)
+    k = rows[derivative] - 1
+    c = coeffs[k, np.arange(len(rows))[derivative]] if own else coeffs[k]
+    out = np.empty((len(rows), np.shape(z)[-1]))
+    out[angular] = _angular_ratio(lanes(z, angular), lanes(phi, angular))
+    out[radial] = _radial_ratio(lanes(modulus_z, radial), lanes(modulus, radial))
+    out[derivative] = _derivative_ratios(lanes(modulus_z, derivative), c,
+                                         lanes(modulus, derivative), k[:, None])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +571,9 @@ def _jury_matrices(e: SymbolExpr, n: int, points) -> tuple[np.ndarray, np.ndarra
     point-by-point check raises: a nan image marks a point where phi raises,
     and the point's own evaluation raises that error there, while an image
     that overflows is a ``ValueError`` naming the point.  A kernel value that
-    overflows names its point, and one of ``base`` wins over one of ``moved``,
-    which names its image.
+    overflows names its point, two points whose ratio of moduli rounds to 0
+    name the pair (see ``gram_matrix``), and an error of ``base`` wins over
+    one of ``moved``, which names images.
     """
     zs = np.array([complex(z) for z in points], dtype=complex)
     if not len(zs):
@@ -734,6 +772,13 @@ def classify(e: SymbolExpr, n: int) -> SymbolReport:
     its scale-free size.  A pole of a ratio at a sweep point on the axis
     reads about 1 / AXIS_RE; one between sweep points reads only as high as
     the refinement comes near it.  n lies in the warranty 0..16.
+
+    One order-n jet on ``SWEEP`` gives every row; each refinement makes one
+    order-n jet call on the n + 2 rows' blocks of ``REFINE_POINTS`` points
+    together, and evaluates row r on block r alone, (n + 2) * 81 ratios a
+    pass.  S_k is read from moduli, |z|^k (k! |c_k| / |phi|) with |z| taken
+    from ``SWEEP_ABS`` on the sweep, so no complex power is formed and a
+    point where z^k phi^(k) overflows but the ratio does not is kept.
     """
     _check_order(n)
     jet = _silently(e.jet, SWEEP, n)
@@ -741,15 +786,16 @@ def classify(e: SymbolExpr, n: int) -> SymbolReport:
         raise ValueError("phi took no finite value at any sweep point")
     ok = bool(np.all(jet.value.real > 0))
 
-    def ratios(z, jet=None):
-        # rows: angular derivative, radial supremum, then k = 1..n
-        jet = e.jet(z, n) if jet is None else jet
-        return np.vstack([_angular_ratio(z, jet.value), _radial_ratio(z, jet.value),
-                          _derivative_ratios(z, jet, n)])
+    def ratios(block, rows):
+        # one order-n jet on every row's block; row rows[j] reads block j
+        coeffs = e.jet(block.ravel(), n).coeffs.reshape(n + 1, *block.shape)
+        return _ratio_rows(block, np.abs(block), coeffs, rows)
 
-    # the radial supremum's cap is DIVERGE_CAP * 0!
+    # rows: angular derivative, radial supremum, then k = 1..n; the radial
+    # supremum's cap is DIVERGE_CAP * 0!
     caps = [ANGULAR_CAP] + [DIVERGE_CAP * math.factorial(k) for k in range(n + 1)]
-    estimates = _supremum_estimate(ratios, caps, _silently(ratios, SWEEP, jet))
+    first = _silently(_ratio_rows, SWEEP, SWEEP_ABS, jet.coeffs, np.arange(n + 2))
+    estimates = _supremum_estimate(ratios, caps, first)
     phi_inf, rad = float(estimates[0]), float(estimates[1])
     nbc = tuple(float(v) for v in estimates[2:])
 

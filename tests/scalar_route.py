@@ -265,8 +265,9 @@ def nbc_suprema(e, n: int) -> list[float]:
             phi = jet.value
             if phi == 0:
                 return math.inf
-            # a ratio that overflows is a point to skip, as where phi does
-            ratio = abs(z**k * jet.derivative(k) / phi)
+            # |z|^k k! |c_k| / |phi|, as the array route forms it from
+            # moduli; a ratio that overflows is a point to skip, as where phi does
+            ratio = abs(z)**k * (factorial(k) * abs(jet.coeffs[k]) / abs(phi))
             return ratio if math.isfinite(ratio) else math.nan
 
         out.append(supremum_estimate(ratio, DIVERGE_CAP * factorial(k)))

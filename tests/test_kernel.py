@@ -37,6 +37,7 @@ from oracles import closed_form_two_calls, i_theta, legendre
 ROOT = Path(__file__).resolve().parent.parent
 
 LN2 = math.log(2.0)
+EPS = np.finfo(float).eps
 #: arguments within 1e-6 of the imaginary axis
 MARGIN = math.pi / 2 - 1e-6
 
@@ -160,6 +161,57 @@ class TestAnchors:
     def test_order_zero(self):
         assert kernel_eval_closed(0, 1.0, 1.0) == 0.5
         assert kernel_eval_closed(0, 1.0, 1 + 1j) == 1.0 / (1.0 + (1 - 1j))
+
+    def test_order_zero_against_exact_rationals(self):
+        # K_0(z, w) = 1/(z + conj(w)), exact on the doubles given; at n = 0
+        # the quadrature route is the closed form, so this is the order's
+        # independent check.  Points from 1e-320 to 1.5e308, next to the axis
+        # and on it up to 5e-324.  Every value is within 2 eps of the exact
+        # one, normwise, or within two subnormal steps 2^-1074 where that is
+        # larger, as for subnormal results (measured: 0.76 eps, and 0.67
+        # steps); a value past the largest double raises, and only such a value
+        moduli = (1e-320, 1e-310, 1e-300, 1e-8, 1.0, 1e8, 1e300, 1.5e308)
+        args = (-1.0, math.pi / 2 - 1e-9, -(math.pi / 2 - 1e-12))
+        pts = [complex(r) for r in moduli] + [r * cmath.exp(1j * t) for r in moduli for t in args]
+        pts += [1e-300 + 1j, 5e-324 + 1e-5j, 1e-200 - 1e200j, 5e-324 - 1j, 1e-10 + 1.5e308j]
+        pts = [z for z in pts if z.real > 0]  # next to the axis, a tiny Re z rounds to 0
+        huge = Fraction(sys.float_info.max)
+
+        def units(x):
+            # a double as an exact integer count of the subnormal step 2^-1074
+            return int(Fraction(x) * 2**1074)
+
+        def sum_units(z, w):
+            # z + conj(w) = (a + ib) 2^-1074, in Gaussian integers
+            return units(z.real) + units(w.real), units(z.imag) - units(w.imag)
+
+        def close(got, z, w):
+            # 1/(z + conj(w)) = (a - ib) 2^1074 / d with d = a^2 + b^2, so
+            # err = (|got - K_0| d 2^1074)^2 and |K_0|^2 = 2^2148 / d
+            a, b = sum_units(z, w)
+            d = a * a + b * b
+            err = (units(got.real) * d - a * 2**2148) ** 2 + (units(got.imag) * d + b * 2**2148) ** 2
+            return err <= 4 * max(Fraction(EPS) ** 2 * 2**4296 * d, d * d)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in pts:
+                for w in pts:
+                    a, b = sum_units(z, w)
+                    if 2**2148 > huge**2 * (a * a + b * b):
+                        with pytest.raises(ValueError, match="overflows$"):
+                            kernel_eval_closed(0, z, w)
+                    else:
+                        assert close(kernel_eval_closed(0, z, w), z, w), (z, w)
+            # K_0(z, z) = 1/(2 Re z) is finite on these, and so is every entry
+            # between two of them: |z + conj(w)| >= Re z + Re w
+            inner = [z for z in pts if 2 * Fraction(z.real) * huge >= 1]
+            G = gram_matrix(0, inner)
+            diag = kernel_diag(0, np.array(inner))
+            for i, z in enumerate(inner):
+                assert close(complex(diag[i]), z, z), z
+                for j, w in enumerate(inner):
+                    assert close(G[i, j], z, w), (z, w)
 
     def test_k1_diagonal(self):
         assert abs(kernel_eval_closed(1, 1.0, 1.0) - 2 * LN2) < 1e-14
@@ -432,6 +484,35 @@ class TestQuadratureAgreement:
                     "overflows from about 1.4e-309 down")
         q = kernel_eval_quadrature(n, 5.6e-309, 1.0)
         assert abs(q - kernel_eval_closed(n, 5.6e-309, 1.0)) <= 1e-9 * abs(q)
+
+    @pytest.mark.parametrize("n", (1, 2, 9, 16))
+    def test_closed_form_refuses_ratio_below_the_smallest_subnormal(self, n):
+        # min(|z|, |w|)/max(|z|, |w|) rounds to 0 below about 2.5e-324, so the
+        # smaller unit-scale argument is 0 and the log branch reads log 0,
+        # though K_1(1e300, 1e-30) is about 7.4e-298: a ValueError naming the
+        # ratio, in either argument order, from kernel_eval_closed and
+        # gram_matrix alike, not a value past the largest double.  At the
+        # smallest subnormal ratio, and at 1e-323, the value is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z, w in ((1e300, 1e-30), (1e305 + 1e305j, 1e-22 + 1e-20j), (1e308, 1e-24 + 1e-16j)):
+                for a, b in ((z, w), (w, z)):
+                    want = (f"the closed form cannot take min(|z|, |w|)/max(|z|, |w|) = 0, below "
+                            f"the smallest subnormal (about 4.9e-324), at points {complex(a)} "
+                            f"and {complex(b)}")
+                    for call in (lambda: kernel_eval_closed(n, a, b),
+                                 lambda: gram_matrix(n, [a, b]),
+                                 lambda: gram_matrix(n, [1.0, a, b])):
+                        with pytest.raises(ValueError) as err:
+                            call()
+                        assert str(err.value) == want, (a, b)
+            for z, w in ((1.0, 5e-324), (1e300, 1e-23), (2.0, 1e-323)):
+                for a, b in ((z, w), (w, z)):
+                    value = kernel_eval_closed(n, a, b)
+                    assert cmath.isfinite(value) and value != 0
+            assert gram_matrix(n, [1e300, 1e-23])[1, 0] == kernel_eval_closed(n, 1e-23, 1e300)
+        if n == 1:
+            assert abs(kernel_eval_closed(1, 1e300, 1e-23) - 7.447469247408213e-298) <= 1e-311
 
     def test_route_validation(self):
         # a negative order is refused by name on both routes, before any

@@ -167,8 +167,10 @@ def _wide(t):
     return np.cos(3000.0 * t) * np.exp(t)
 
 
-class TestRunningTotals:
-    """The engine against :func:`resumming_integrate`, outcome for outcome."""
+class TestAgainstResummingLoop:
+    """The engine against :func:`resumming_integrate`, outcome for outcome:
+    the value, error estimate and subdivisions of a success, or the message
+    of a failure."""
 
     @pytest.mark.parametrize("cfg, f, b", [
         pytest.param({}, _shallow, 2.0, id="cfg0"),
@@ -179,7 +181,7 @@ class TestRunningTotals:
                      id="cfg3"),
         pytest.param({}, _wide, 50.0, id="wide_heap_failure"),
     ])
-    def test_shallow_integrand_matches_resumming_loop(self, monkeypatch, cfg, f, b):
+    def test_interval_outcome_matches_resumming_loop(self, monkeypatch, cfg, f, b):
         set_constants(monkeypatch, cfg)
         want = _outcome(resumming_integrate, f, 0.0, b)
         assert _outcome(integrate_interval, f, 0.0, b) == want
